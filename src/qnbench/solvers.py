@@ -1,20 +1,28 @@
 """BFGS baseline and the two-phase quasi-Newton solver.
 
-Both solvers share the Wolfe line search and the termination logic.  The
-two-phase method takes, per iteration, an intermediate step along the current
-operator's direction, rebuilds the operator as the convex combination
+Both solvers run one iteration loop.  Each iteration takes a Wolfe step from x
+along the current operator's direction ``p_bar = -B^{-1} g`` and updates the
+operator from that step's pair ``s = x_bar - x``, ``y = grad(x_bar) - g``.
+BFGS replaces the operator with its BFGS update and accepts the step.  The
+two-phase method rebuilds it as the convex combination
 
     B_next = lam * B + (1 - lam) * B_bfgs(B, s, y)
 
-of the old operator and its BFGS update (s and y coming from the intermediate
-step), and then takes the real step from the *original* point along
-``-B_next^{-1} grad``.
+and then takes the real step from the *original* point along
+``-B_next^{-1} g`` under a second Wolfe search.  When the curvature floor
+rejects the pair, the update is skipped and the first step is accepted.
 
-Two equivalent realizations are provided: ``b_form`` (default) keeps B and
-solves via Cholesky; ``h_form_literal`` keeps the inverse H, applies the
-inverse-Hessian BFGS update, and combines through the literal double inversion
-``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``.  The literal form exists for
-cross-validation.
+The loop sees the operator through three realizations, each giving a
+direction, an updated copy and the matrix the records keep: BFGS on H;
+two-phase ``b_form`` (default) on B with its Cholesky factor; and two-phase
+``h_form_literal`` on H, combining through the literal double inversion
+``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``, which exists for
+cross-validation.  The recorded ``cos_theta = s'Bs / (||Bs|| ||s||)`` needs no
+product with B: ``B p_bar = -g`` makes it ``-g'p_bar / (||g|| ||p_bar||)``.
+
+A run ends ``converged``, ``max_iter``, ``line_search_exhausted``,
+``spd_failure`` (no descent direction, or an update that fails its SPD
+certificate) or ``non_finite`` (f or the gradient is not finite at x0).
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ CONVERGED = "converged"
 MAX_ITER = "max_iter"
 LINE_SEARCH_EXHAUSTED = "line_search_exhausted"
 SPD_FAILURE = "spd_failure"
+NON_FINITE = "non_finite"
 
 DEFAULT_UPDATE_SKIP_TOL = 1e-12
 
@@ -189,6 +198,117 @@ def combine_H_literal(H, H_bar, lam: float):
     return inverse_spd(two_phase_combine(H_inv, H_bar_inv, lam))
 
 
+class _InverseBfgs:
+    """BFGS on the inverse operator H: the baseline's realization."""
+
+    def __init__(self, H):
+        self.matrix = H
+
+    def direction(self, g):
+        return -(self.matrix @ g)
+
+    def updated(self, s, y, cfg):
+        return _InverseBfgs(bfgs_update_H(self.matrix, s, y, cfg.update_skip_tol))
+
+
+class _TwoPhaseHLiteral(_InverseBfgs):
+    """Two-phase combination on H through the literal double inversion."""
+
+    def updated(self, s, y, cfg):
+        H_bar = bfgs_update_H(self.matrix, s, y, cfg.update_skip_tol)
+        return _TwoPhaseHLiteral(combine_H_literal(self.matrix, H_bar, cfg.lam))
+
+
+class _TwoPhaseB:
+    """Two-phase combination on B, kept with the Cholesky factor that certifies it."""
+
+    def __init__(self, B):
+        self.matrix = B
+        self.lower = cholesky(B)
+
+    def direction(self, g):
+        return -solve_spd(self.lower, g)
+
+    def updated(self, s, y, cfg):
+        B_bar = bfgs_update_B(self.matrix, s, y, cfg.update_skip_tol)
+        return _TwoPhaseB(two_phase_combine(self.matrix, B_bar, cfg.lam))
+
+
+def _descends(g, p):
+    """Whether g'p is finite and negative, as ``wolfe_search`` requires."""
+    return -np.inf < float(np.dot(g, p)) < 0.0
+
+
+def _solve(f, x0, cfg: SolverConfig, op, two_phase: bool) -> SolveResult:
+    """The iteration loop of both solvers, over the operator realization ``op``."""
+    x = np.array(x0, dtype=float)
+    fx = float(f.evaluate(x))
+    g = np.asarray(f.gradient(x), dtype=float)
+    f_evals, g_evals = 1, 1
+    trace: list[IterateRecord] = []
+    updates: list[UpdateRecord] = []
+    k = 0
+    if not (np.isfinite(fx) and np.all(np.isfinite(g))):
+        return SolveResult(x, fx, float(np.linalg.norm(g)), k, f_evals, g_evals,
+                           NON_FINITE, trace, updates)
+    while True:
+        grad_norm = float(np.linalg.norm(g))
+        if grad_norm <= cfg.tol:
+            termination = CONVERGED
+            break
+        if k >= cfg.max_iter:
+            termination = MAX_ITER
+            break
+        p_bar = op.direction(g)
+        if not _descends(g, p_bar):
+            termination = SPD_FAILURE
+            break
+        first = wolfe_search(f, x, p_bar, fx, g, cfg.wolfe)
+        f_evals += first.f_evals
+        g_evals += first.g_evals
+        if first.status == EXHAUSTED:
+            termination = LINE_SEARCH_EXHAUSTED
+            break
+        x_bar = x + first.alpha * p_bar
+        s = x_bar - x
+        y = first.grad_new - g
+        sy, floor = _curvature_gap(s, y, cfg.update_skip_tol)
+        skipped = sy <= floor
+        try:
+            op_next = op if skipped else op.updated(s, y, cfg)
+        except SPDError:
+            termination = SPD_FAILURE
+            break
+        # BFGS, and two-phase after a skipped update, accept the first step
+        p, second, x_next = p_bar, first, x_bar
+        if two_phase and not skipped:
+            p = op_next.direction(g)
+            if not _descends(g, p):
+                termination = SPD_FAILURE
+                break
+            second = wolfe_search(f, x, p, fx, g, cfg.wolfe)
+            f_evals += second.f_evals
+            g_evals += second.g_evals
+            if second.status == EXHAUSTED:
+                termination = LINE_SEARCH_EXHAUSTED
+                break
+            x_next = x + second.alpha * p
+
+        alpha_bar = status_bar = recorded_p_bar = cos_theta = coupling = None
+        if two_phase:
+            alpha_bar, status_bar, recorded_p_bar = first.alpha, first.status, p_bar
+            cos_theta = -float(np.dot(g, p_bar)) / (grad_norm * float(np.linalg.norm(p_bar)))
+            coupling = float(np.dot(p - p_bar, first.grad_new))
+        trace.append(IterateRecord(k, x, fx, grad_norm, alpha_bar, second.alpha, cos_theta,
+                                   skipped, status_bar, second.status))
+        updates.append(UpdateRecord(s, y, p, recorded_p_bar, op.matrix, op_next.matrix,
+                                    skipped, coupling))
+        x, fx, g, op = x_next, second.f_new, second.grad_new, op_next
+        k += 1
+    return SolveResult(x, fx, float(np.linalg.norm(g)), k, f_evals, g_evals,
+                       termination, trace, updates)
+
+
 def solve_bfgs(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
     """Standard BFGS with the inverse-Hessian update, started from H = I.
 
@@ -202,165 +322,19 @@ def solve_bfgs(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
         Tolerances and line-search constants; benchmark defaults when omitted.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    x = np.array(x0, dtype=float)
-    fx = float(f.evaluate(x))
-    g = np.asarray(f.gradient(x), dtype=float)
-    f_evals, g_evals = 1, 1
-    H = np.eye(x.size)
-    trace: list[IterateRecord] = []
-    updates: list[UpdateRecord] = []
-    k = 0
-    while True:
-        grad_norm = float(np.linalg.norm(g))
-        if grad_norm <= cfg.tol:
-            termination = CONVERGED
-            break
-        if k >= cfg.max_iter:
-            termination = MAX_ITER
-            break
-        p = -(H @ g)
-        if float(np.dot(g, p)) >= 0.0:
-            termination = SPD_FAILURE
-            break
-        outcome = wolfe_search(f, x, p, fx, g, cfg.wolfe)
-        f_evals += outcome.f_evals
-        g_evals += outcome.g_evals
-        if outcome.status == EXHAUSTED:
-            termination = LINE_SEARCH_EXHAUSTED
-            break
-        x_next = x + outcome.alpha * p
-        s = x_next - x
-        y = outcome.grad_new - g
-        sy, floor = _curvature_gap(s, y, cfg.update_skip_tol)
-        skipped = sy <= floor
-        H_next = H if skipped else bfgs_update_H(H, s, y, cfg.update_skip_tol)
-        trace.append(
-            IterateRecord(k, x, fx, grad_norm, None, outcome.alpha, None,
-                          skipped, None, outcome.status)
-        )
-        updates.append(UpdateRecord(s, y, p, None, H, H_next, skipped, None))
-        x, fx, g, H = x_next, outcome.f_new, outcome.grad_new, H_next
-        k += 1
-    return SolveResult(x, fx, float(np.linalg.norm(g)), k, f_evals, g_evals,
-                       termination, trace, updates)
+    return _solve(f, x0, cfg, _InverseBfgs(np.eye(np.size(x0))), two_phase=False)
 
 
 def solve_two_phase(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
-    """Two-phase quasi-Newton iteration.
-
-    Per iteration: (i) intermediate direction ``p_bar = -B^{-1} g``; (ii) a
-    Wolfe step along it gives ``x_bar`` and the pair ``s = x_bar - x``,
-    ``y = grad(x_bar) - g``; (iii) the operator is rebuilt as the convex
-    combination of B and its BFGS update; (iv) the real step leaves ``x``
-    along ``-B_next^{-1} g`` (gradient at x, not x_bar) under a second Wolfe
-    search.  When the curvature floor rejects the pair, the update is skipped
-    and the intermediate point is taken as the next iterate.
+    """Two-phase quasi-Newton iteration (see the module docstring), from B = I.
 
     Parameters as in :func:`solve_bfgs`; ``cfg.mode`` chooses between the
     Cholesky-based ``b_form`` and the literal inverse form.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    b_form = cfg.mode == MODE_B_FORM
-    x = np.array(x0, dtype=float)
-    fx = float(f.evaluate(x))
-    g = np.asarray(f.gradient(x), dtype=float)
-    f_evals, g_evals = 1, 1
-    n = x.size
-    if b_form:
-        B = np.eye(n)
-        L = cholesky(B)
-    else:
-        H = np.eye(n)
-    trace: list[IterateRecord] = []
-    updates: list[UpdateRecord] = []
-    k = 0
-    while True:
-        grad_norm = float(np.linalg.norm(g))
-        if grad_norm <= cfg.tol:
-            termination = CONVERGED
-            break
-        if k >= cfg.max_iter:
-            termination = MAX_ITER
-            break
-
-        p_bar = -solve_spd(L, g) if b_form else -(H @ g)
-        if float(np.dot(g, p_bar)) >= 0.0:
-            termination = SPD_FAILURE
-            break
-        first = wolfe_search(f, x, p_bar, fx, g, cfg.wolfe)
-        f_evals += first.f_evals
-        g_evals += first.g_evals
-        if first.status == EXHAUSTED:
-            termination = LINE_SEARCH_EXHAUSTED
-            break
-        alpha_bar = first.alpha
-        x_bar = x + alpha_bar * p_bar
-        g_bar = first.grad_new
-        s = x_bar - x
-        y = g_bar - g
-
-        # cos theta compares s against B s; the h form only holds B's inverse,
-        # so realizing B s costs one factored solve (diagnostics only)
-        Bs = B @ s if b_form else solve_spd(cholesky(H), s)
-        denom = float(np.linalg.norm(Bs)) * float(np.linalg.norm(s))
-        cos_theta = float(np.dot(s, Bs)) / denom if denom > 0.0 else None
-
-        sy, floor = _curvature_gap(s, y, cfg.update_skip_tol)
-        skipped = sy <= floor
-        if skipped:
-            # No usable curvature pair: keep the operator and accept the
-            # intermediate point, whose direction the operator produced.
-            p = p_bar
-            alpha = alpha_bar
-            x_next, f_next, g_next = x_bar, first.f_new, g_bar
-            status = first.status
-            if b_form:
-                B_next, L_next = B, L
-            else:
-                H_next = H
-        else:
-            try:
-                if b_form:
-                    B_bar = bfgs_update_B(B, s, y, cfg.update_skip_tol)
-                    B_next = two_phase_combine(B, B_bar, cfg.lam)
-                    L_next = cholesky(B_next)
-                    p = -solve_spd(L_next, g)
-                else:
-                    H_bar = bfgs_update_H(H, s, y, cfg.update_skip_tol)
-                    H_next = combine_H_literal(H, H_bar, cfg.lam)
-                    p = -(H_next @ g)
-            except SPDError:
-                termination = SPD_FAILURE
-                break
-            if float(np.dot(g, p)) >= 0.0:
-                termination = SPD_FAILURE
-                break
-            second = wolfe_search(f, x, p, fx, g, cfg.wolfe)
-            f_evals += second.f_evals
-            g_evals += second.g_evals
-            if second.status == EXHAUSTED:
-                termination = LINE_SEARCH_EXHAUSTED
-                break
-            alpha = second.alpha
-            x_next = x + alpha * p
-            f_next, g_next = second.f_new, second.grad_new
-            status = second.status
-
-        coupling = float(np.dot(p - p_bar, g_bar))
-        trace.append(
-            IterateRecord(k, x, fx, grad_norm, alpha_bar, alpha, cos_theta,
-                          skipped, first.status, status)
-        )
-        if b_form:
-            updates.append(UpdateRecord(s, y, p, p_bar, B, B_next, skipped, coupling))
-            B, L = B_next, L_next
-        else:
-            updates.append(UpdateRecord(s, y, p, p_bar, H, H_next, skipped, coupling))
-            H = H_next
-        x, fx, g = x_next, f_next, g_next
-        k += 1
-    return SolveResult(x, fx, float(np.linalg.norm(g)), k, f_evals, g_evals,
-                       termination, trace, updates)
+    form = _TwoPhaseB if cfg.mode == MODE_B_FORM else _TwoPhaseHLiteral
+    # passed, not bound, so the loop can free the initial operator's factor
+    return _solve(f, x0, cfg, form(np.eye(np.size(x0))), two_phase=True)
 
 
 def trace_to_csv(result: SolveResult) -> str:

@@ -307,6 +307,22 @@ class TestSolveTwoPhase:
             assert r.cos_theta is not None
             assert -1.0 - 1e-12 <= r.cos_theta <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("mode", [MODE_B_FORM, MODE_H_FORM_LITERAL])
+    @pytest.mark.parametrize("name", ["Tridia", "Hager", "Quadratic QF1"])
+    def test_cos_theta_matches_recorded_operator(self, name, mode):
+        p = lookup(name)
+        res = solve_two_phase(p.objective, p.objective.standard_start,
+                              SolverConfig(mode=mode))
+        assert res.trace
+        for r, u in zip(res.trace, res.updates):
+            # b_form records B itself, h_form_literal its inverse H
+            if mode == MODE_B_FORM:
+                Bs = u.operator @ u.s
+            else:
+                Bs = np.linalg.solve(u.operator, u.s)
+            expected = float(u.s @ Bs) / (np.linalg.norm(Bs) * np.linalg.norm(u.s))
+            assert abs(r.cos_theta - expected) <= 1e-9
+
 
 class TestTraceCsv:
     def test_structure_and_roundtrip(self):

@@ -1,0 +1,127 @@
+"""Every solve ends in a named termination and never raises.
+
+Property tests over BFGS and both two-phase forms: separable convex
+quadratics converge, linear objectives (unbounded below) run out of
+iterations, objectives that are +inf everywhere but the start exhaust the
+line search, and a non-finite f or gradient at the start ends the solve
+before the first direction.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qnbench import (
+    CONVERGED,
+    LINE_SEARCH_EXHAUSTED,
+    MAX_ITER,
+    MODE_B_FORM,
+    MODE_H_FORM_LITERAL,
+    NON_FINITE,
+    ObjectiveFunction,
+    SolverConfig,
+    solve_bfgs,
+    solve_two_phase,
+)
+
+SOLVERS = ("bfgs", MODE_B_FORM, MODE_H_FORM_LITERAL)
+SETTINGS = settings(derandomize=True, max_examples=15, deadline=None, database=None)
+
+dims = st.integers(min_value=1, max_value=5)
+
+
+def vectors(n, low, high):
+    return st.lists(st.floats(low, high), min_size=n, max_size=n).map(np.array)
+
+
+def solve(solver, objective, max_iter=500):
+    if solver == "bfgs":
+        return solve_bfgs(objective, objective.standard_start, SolverConfig(max_iter=max_iter))
+    cfg = SolverConfig(max_iter=max_iter, mode=solver)
+    return solve_two_phase(objective, objective.standard_start, cfg)
+
+
+@st.composite
+def quadratics(draw):
+    """0.5 * sum(d * (x - c)**2) with curvatures d in [0.1, 100]."""
+    n = draw(dims)
+    d, c, x0 = draw(vectors(n, 0.1, 100.0)), draw(vectors(n, -10, 10)), draw(vectors(n, -10, 10))
+    return ObjectiveFunction("quadratic", n,
+                             lambda x: 0.5 * float(np.sum(d * (x - c) ** 2)),
+                             lambda x: d * (x - c), x0)
+
+
+@st.composite
+def linears(draw):
+    """c'x with every |c_i| in [0.5, 10]: unbounded below, gradient never small."""
+    n = draw(dims)
+    magnitudes = draw(vectors(n, 0.5, 10.0))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    c = signs * magnitudes
+    return ObjectiveFunction("linear", n, lambda x: float(c @ x), lambda x: c.copy(),
+                             draw(vectors(n, -10, 10)))
+
+
+@st.composite
+def infinite_walls(draw):
+    """Finite only at the start, with a nonzero gradient there."""
+    n = draw(dims)
+    x0, g0 = draw(vectors(n, -10, 10)), draw(vectors(n, 0.5, 10.0))
+    return ObjectiveFunction("wall", n,
+                             lambda x: 0.0 if np.array_equal(x, x0) else np.inf,
+                             lambda x: g0.copy(), x0)
+
+
+def non_finite_start(n, where, bad, index):
+    """sum(x**2) whose f, or one gradient entry, is ``bad``."""
+    def gradient(x):
+        g = 2.0 * x
+        if where == "g":
+            g[index % n] = bad
+        return g
+
+    return ObjectiveFunction("non-finite", n,
+                             lambda x: bad if where == "f" else float(x @ x),
+                             gradient, np.ones(n))
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@SETTINGS
+@given(objective=quadratics())
+def test_convex_quadratic_converges(solver, objective):
+    res = solve(solver, objective)
+    assert res.termination == CONVERGED
+    assert res.final_grad_norm <= 1e-6
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@SETTINGS
+@given(objective=linears(), max_iter=st.integers(1, 3))
+def test_unbounded_linear_hits_iteration_cap(solver, objective, max_iter):
+    res = solve(solver, objective, max_iter)
+    assert res.termination == MAX_ITER
+    assert res.iterations == max_iter
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@SETTINGS
+@given(objective=infinite_walls())
+def test_infinite_everywhere_but_start_exhausts_line_search(solver, objective):
+    res = solve(solver, objective)
+    assert res.termination == LINE_SEARCH_EXHAUSTED
+    assert res.iterations == 0
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@SETTINGS
+@example(n=2, where="f", bad=np.nan, index=0)
+@example(n=2, where="f", bad=np.inf, index=0)
+@example(n=2, where="g", bad=np.nan, index=0)
+@given(n=dims, where=st.sampled_from(["f", "g"]),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]), index=st.integers(0, 4))
+def test_non_finite_start_is_named(solver, n, where, bad, index):
+    res = solve(solver, non_finite_start(n, where, bad, index))
+    assert res.termination == NON_FINITE
+    assert (res.iterations, res.f_evals, res.g_evals) == (0, 1, 1)
+    assert res.trace == [] and res.updates == []
