@@ -232,24 +232,6 @@ def emit_table(records) -> TableText:
     return TableText(md.getvalue(), out.getvalue())
 
 
-def parse_table_csv(text: str):
-    """Rows of the table CSV as dicts with typed iteration/time fields."""
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for raw in reader:
-        rows.append({
-            "sl": int(raw["sl"]),
-            "function": raw["function"],
-            "bfgs_iterations": int(raw["bfgs_iterations"]) if raw["bfgs_iterations"] else None,
-            "bfgs_time_ms": float(raw["bfgs_time_ms"]) if raw["bfgs_time_ms"] else None,
-            "twophase_iterations": (int(raw["twophase_iterations"])
-                                    if raw["twophase_iterations"] else None),
-            "twophase_time_ms": (float(raw["twophase_time_ms"])
-                                 if raw["twophase_time_ms"] else None),
-        })
-    return rows
-
-
 def records_to_csv(records) -> str:
     """Results CSV: problem,solver,n,iterations,median_time_ms,converged,f_final,grad_norm_final."""
     out = io.StringIO()

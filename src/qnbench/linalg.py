@@ -3,8 +3,11 @@
 Vectors are 1-d float arrays, symmetric matrices are 2-d float arrays, and the
 elementwise arithmetic (``@``, ``np.dot``, ``np.linalg.norm``, ``np.trace``)
 is plain numpy.  This module owns the operations that carry an explicit SPD
-contract: Cholesky factorization with a pivot tolerance, solves against the
-factor, determinants, and symmetric rank-one updates.
+contract.  The Cholesky factorization and the dense inverse are LAPACK's
+(``np.linalg.cholesky``, ``np.linalg.inv``) under one pivot test, which
+certifies positive definiteness; solves against the factor substitute in
+Python, since numpy has no triangular solve; and ``ln det`` comes from the
+factor.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ def symmetrize(a):
 def cholesky(a):
     """Lower-triangular ``L`` with ``L @ L.T == a``, or raise :class:`SPDError`.
 
-    The factorization fails as soon as a pivot drops to or below
-    ``PIVOT_RTOL * max(diag(a))``; the solvers use this as the signal that an
-    updated operator stopped being positive definite.
+    The factorization fails when LAPACK fails or when a pivot ``L[j, j]**2``
+    is at or below ``PIVOT_RTOL * max(diag(a))``; the solvers use this as the
+    signal that an updated operator stopped being positive definite.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -40,14 +43,15 @@ def cholesky(a):
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     limit = PIVOT_RTOL * float(np.max(np.diag(a)))
-    lower = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= limit:
-            raise SPDError(f"pivot {pivot:.3e} at column {j} is below {limit:.3e}")
-        lower[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise SPDError(f"LAPACK Cholesky failed: {exc}") from None
+    pivots = np.diag(lower) ** 2
+    low = np.flatnonzero(pivots <= limit)
+    if low.size:
+        j = int(low[0])
+        raise SPDError(f"pivot {pivots[j]:.3e} at column {j} is below {limit:.3e}")
     return lower
 
 
@@ -67,12 +71,6 @@ def solve_spd(lower, b):
     return x
 
 
-def determinant_spd(lower):
-    """Determinant of the factored matrix, ``(prod diag(L))**2``."""
-    d = np.diag(np.asarray(lower, dtype=float))
-    return float(np.prod(d)) ** 2
-
-
 def log_determinant_spd(lower):
     """``ln det`` of the factored matrix, computed as ``2 * sum(ln diag(L))``."""
     d = np.diag(np.asarray(lower, dtype=float))
@@ -80,23 +78,6 @@ def log_determinant_spd(lower):
 
 
 def inverse_spd(a):
-    """Dense inverse of an SPD matrix via its Cholesky factor."""
-    lower = cholesky(a)
-    n = lower.shape[0]
-    eye = np.eye(n)
-    inv = np.empty((n, n))
-    for j in range(n):
-        inv[:, j] = solve_spd(lower, eye[:, j])
-    return symmetrize(inv)
-
-
-def outer_rank1_update(a, v, c):
-    """Return ``a + c * outer(v, v)``; exactly symmetric for symmetric ``a``."""
-    a = np.asarray(a, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or v.shape != (n,):
-        raise ValueError(f"dimension mismatch: matrix {a.shape}, vector {v.shape}")
-    if not np.isfinite(c):
-        raise ValueError("scale must be finite")
-    return a + c * np.outer(v, v)
+    """Dense inverse of an SPD matrix, certified by :func:`cholesky` first."""
+    cholesky(a)
+    return symmetrize(np.linalg.inv(a))

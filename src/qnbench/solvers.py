@@ -145,10 +145,13 @@ class SolveResult:
         return [record.x for record in self.trace] + [self.final_x]
 
 
-def _curvature_gap(s, y, skip_tol):
+def _curvature(s, y, skip_tol):
+    """s'y, or :class:`CurvatureError` at or below the floor tol * ||s|| * ||y||."""
     sy = float(np.dot(s, y))
     floor = skip_tol * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
-    return sy, floor
+    if sy <= floor:
+        raise CurvatureError(f"s'y = {sy:.3e} fails the curvature floor {floor:.3e}")
+    return sy
 
 
 def bfgs_update_B(B, s, y, skip_tol: float = DEFAULT_UPDATE_SKIP_TOL):
@@ -156,9 +159,7 @@ def bfgs_update_B(B, s, y, skip_tol: float = DEFAULT_UPDATE_SKIP_TOL):
     B = np.asarray(B, dtype=float)
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    sy, floor = _curvature_gap(s, y, skip_tol)
-    if sy <= floor:
-        raise CurvatureError(f"s'y = {sy:.3e} fails the curvature floor {floor:.3e}")
+    sy = _curvature(s, y, skip_tol)
     Bs = B @ s
     sBs = float(np.dot(s, Bs))
     if sBs <= 0.0:
@@ -171,9 +172,7 @@ def bfgs_update_H(H, s, y, skip_tol: float = DEFAULT_UPDATE_SKIP_TOL):
     H = np.asarray(H, dtype=float)
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    sy, floor = _curvature_gap(s, y, skip_tol)
-    if sy <= floor:
-        raise CurvatureError(f"s'y = {sy:.3e} fails the curvature floor {floor:.3e}")
+    sy = _curvature(s, y, skip_tol)
     rho = 1.0 / sy
     n = s.size
     left = np.eye(n) - rho * np.outer(s, y)
@@ -272,10 +271,10 @@ def _solve(f, x0, cfg: SolverConfig, op, two_phase: bool) -> SolveResult:
         x_bar = x + first.alpha * p_bar
         s = x_bar - x
         y = first.grad_new - g
-        sy, floor = _curvature_gap(s, y, cfg.update_skip_tol)
-        skipped = sy <= floor
         try:
-            op_next = op if skipped else op.updated(s, y, cfg)
+            op_next, skipped = op.updated(s, y, cfg), False
+        except CurvatureError:
+            op_next, skipped = op, True
         except SPDError:
             termination = SPD_FAILURE
             break

@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+import csv
+import io
+
 import numpy as np
 
 from qnbench import ObjectiveFunction
@@ -69,3 +72,39 @@ def diagonal_quadratic(diag, start):
         lambda x: diag * x,
         np.asarray(start, dtype=float),
     )
+
+
+def determinant_spd(lower):
+    """Determinant of the factored matrix, ``(prod diag(L))**2``."""
+    d = np.diag(np.asarray(lower, dtype=float))
+    return float(np.prod(d)) ** 2
+
+
+def outer_rank1_update(a, v, c):
+    """Return ``a + c * outer(v, v)``; exactly symmetric for symmetric ``a``."""
+    a = np.asarray(a, dtype=float)
+    v = np.asarray(v, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n) or v.shape != (n,):
+        raise ValueError(f"dimension mismatch: matrix {a.shape}, vector {v.shape}")
+    if not np.isfinite(c):
+        raise ValueError("scale must be finite")
+    return a + c * np.outer(v, v)
+
+
+def parse_table_csv(text: str):
+    """Rows of the table CSV as dicts with typed iteration/time fields."""
+    reader = csv.DictReader(io.StringIO(text))
+    rows = []
+    for raw in reader:
+        rows.append({
+            "sl": int(raw["sl"]),
+            "function": raw["function"],
+            "bfgs_iterations": int(raw["bfgs_iterations"]) if raw["bfgs_iterations"] else None,
+            "bfgs_time_ms": float(raw["bfgs_time_ms"]) if raw["bfgs_time_ms"] else None,
+            "twophase_iterations": (int(raw["twophase_iterations"])
+                                    if raw["twophase_iterations"] else None),
+            "twophase_time_ms": (float(raw["twophase_time_ms"])
+                                 if raw["twophase_time_ms"] else None),
+        })
+    return rows

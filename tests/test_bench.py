@@ -16,7 +16,9 @@ from qnbench import (
     run_suite,
     table_fixture_records,
 )
-from qnbench.bench import parse_table_csv, profile_svg
+from qnbench.bench import profile_svg
+
+from _util import parse_table_csv
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 

@@ -4,15 +4,13 @@ import pytest
 from qnbench import (
     SPDError,
     cholesky,
-    determinant_spd,
     inverse_spd,
-    outer_rank1_update,
     solve_spd,
     symmetrize,
 )
 from qnbench.linalg import log_determinant_spd
 
-from _util import make_spd
+from _util import determinant_spd, make_spd, outer_rank1_update
 
 
 class TestCholesky:
@@ -32,6 +30,18 @@ class TestCholesky:
     def test_negative_diagonal_fails(self):
         with pytest.raises(SPDError):
             cholesky(np.array([[-1.0]]))
+
+    def test_pivot_at_limit_fails_where_lapack_factors(self):
+        # LAPACK factors it; only the pivot test PIVOT_RTOL * max(diag) rejects it
+        a = np.diag([1.0, 1e-15])
+        np.linalg.cholesky(a)
+        with pytest.raises(SPDError):
+            cholesky(a)
+
+    def test_pivot_above_limit_factors(self):
+        a = np.diag([1.0, 1e-13])
+        L = cholesky(a)
+        assert np.allclose(L @ L.T, a, rtol=1e-15, atol=0)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -148,3 +158,8 @@ def test_inverse_spd_round_trip():
     inv = inverse_spd(a)
     assert np.array_equal(inv, inv.T)
     assert np.allclose(a @ inv, np.eye(8), atol=1e-10)
+
+
+def test_inverse_spd_rejects_indefinite():
+    with pytest.raises(SPDError):
+        inverse_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
