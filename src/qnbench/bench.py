@@ -41,7 +41,8 @@ class BenchmarkRecord:
 
     Iteration counts and final values come from the first run (runs are
     deterministic); the median time is the authoritative timing, the mean is
-    kept alongside for reference.
+    kept alongside for reference.  ``error`` is empty unless the solver
+    raised, in which case it holds the exception's type and message.
     """
 
     problem: str
@@ -54,6 +55,7 @@ class BenchmarkRecord:
     converged: bool
     f_final: float
     grad_norm_final: float
+    error: str = ""
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,10 @@ def run_suite(problems=None, solvers=("bfgs", "two-phase"),
     """Execute every (problem, solver) pair ``runs`` times, sequentially.
 
     Timed runs stay on one worker so timings are not skewed by contention.
-    Failures are recorded, never raised.  When a ``results`` dict is supplied
-    it collects the first :class:`SolveResult` per pair under the key
-    ``(problem_name, solver_name)``.
+    Failures are recorded, never raised: a solver that raises gives a
+    non-converged record whose ``error`` names the exception.  When a
+    ``results`` dict is supplied it collects the first :class:`SolveResult`
+    per pair under the key ``(problem_name, solver_name)``.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -89,24 +92,24 @@ def run_suite(problems=None, solvers=("bfgs", "two-phase"),
             solver = SOLVER_FUNCS[solver_name]
             times_ms = []
             first: SolveResult | None = None
-            failed = False
+            error = ""
             for _ in range(runs):
                 start = time.perf_counter()
                 try:
                     result = solver(objective, objective.standard_start, cfg)
-                except Exception:
-                    failed = True
+                except Exception as exc:
+                    error = f"{type(exc).__name__}: {exc}"
                     times_ms.append((time.perf_counter() - start) * 1e3)
                     break
                 times_ms.append((time.perf_counter() - start) * 1e3)
                 if first is None:
                     first = result
-            if failed or first is None:
+            if error:
                 records.append(BenchmarkRecord(
                     problem.name, solver_name, objective.dimension,
                     cfg.max_iter, statistics.median(times_ms),
                     statistics.fmean(times_ms), len(times_ms), False,
-                    math.nan, math.nan))
+                    math.nan, math.nan, error))
                 continue
             if results is not None:
                 results[(problem.name, solver_name)] = first

@@ -101,6 +101,10 @@ def _cmd_bench(args) -> int:
         print("qnbench bench: --runs must be >= 1", file=sys.stderr)
         return 2
     records = run_suite(runs=args.runs)
+    for r in records:
+        if r.error:
+            print(f"qnbench bench: {r.problem} ({r.solver}) raised {r.error}",
+                  file=sys.stderr)
     table = emit_table(records)
     print(table.markdown, end="")
     converged = {s: sum(1 for r in records if r.solver == s and r.converged)

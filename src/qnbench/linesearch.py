@@ -8,6 +8,16 @@ A trial step is accepted only when it satisfies both the sufficient-decrease
 
 with 0 < c1 < c2 < 1.  Trials start at a = 1 and contract by a fixed factor,
 so the returned step never exceeds 1.
+
+The search stops at the first trial that satisfies both.  It also stops at
+the second trial that passes Armijo and fails curvature, and returns the
+first such step as ``armijo_only``.  Once two trials leave the slope too
+steep, smaller steps in practice do too, and each further trial costs an f
+and a g evaluation only to return that same first step at the end of the
+budget.  Trials that fail Armijo in between do not stop the search: a step
+that fails Armijo below one that passed it brackets a point where both
+conditions hold (Nocedal & Wright, *Numerical Optimization*, section 3.5),
+so the next contractions may still reach a Wolfe step.
 """
 
 from __future__ import annotations
@@ -56,10 +66,14 @@ class LineSearchOutcome:
 def wolfe_search(f, x, p, f_x, g_x, params: WolfeParams = WolfeParams()) -> LineSearchOutcome:
     """Backtrack from a unit step until both Wolfe conditions hold.
 
-    If the trial budget runs out, the largest Armijo-passing step seen is
-    returned with status ``armijo_only`` (the caller's curvature guard deals
-    with the failed curvature condition); with no Armijo-passing step at all
-    the status is ``exhausted``.  Non-finite trial values reject the trial and
+    The search gives up on the curvature condition at the second trial that
+    passes Armijo with a finite gradient and fails curvature, and returns the
+    first such trial with status ``armijo_only``; the caller's curvature guard
+    deals with the failed curvature condition.  Trials that fail Armijo after
+    the first such trial keep the search going, because a step that fails
+    Armijo brackets a Wolfe step below it.  If the trial budget runs out, the
+    same fallback is returned, and with no Armijo-passing step at all the
+    status is ``exhausted``.  Non-finite trial values or gradients reject the trial and
     contract, so overflowing evaluations shrink the step instead of aborting
     the run.
     """
@@ -88,8 +102,9 @@ def wolfe_search(f, x, p, f_x, g_x, params: WolfeParams = WolfeParams()) -> Line
                     return LineSearchOutcome(
                         alpha, f_trial, g_trial, f_count, g_count, WOLFE_SATISFIED
                     )
-                if armijo_fallback is None:
-                    armijo_fallback = (alpha, f_trial, g_trial)
+                if armijo_fallback is not None:
+                    break
+                armijo_fallback = (alpha, f_trial, g_trial)
         last_alpha, last_f = alpha, f_trial
         alpha *= params.backtrack
 

@@ -1,11 +1,14 @@
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from qnbench import (
     BenchmarkRecord,
     IncompleteRecordsError,
+    ObjectiveFunction,
     SolverConfig,
+    SuiteProblem,
     dolan_more,
     emit_profile_svg,
     emit_table,
@@ -263,3 +266,20 @@ class TestSuiteScaleRunSmoke:
         assert {c.solver for c in curves} == {"bfgs", "two-phase"}
         for c in curves:
             assert c.points[-1][1] == 1.0
+
+
+def test_solver_exception_kept_as_error():
+    def gradient(x):
+        raise RuntimeError("gradient unavailable")
+
+    raising = SuiteProblem(
+        ObjectiveFunction("Raising", 2, lambda x: float(x @ x), gradient, np.ones(2)), 0, 0)
+    records = run_suite([raising, lookup("Raydan2")], solvers=("bfgs", "two-phase"), runs=2)
+    assert [(r.problem, r.error) for r in records] == [
+        ("Raising", "RuntimeError: gradient unavailable"),
+        ("Raising", "RuntimeError: gradient unavailable"),
+        ("Raydan2", ""),
+        ("Raydan2", ""),
+    ]
+    assert not any(r.converged for r in records[:2])
+    assert all(r.converged for r in records[2:])

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from qnbench import bench
 from qnbench.cli import main
 
 
@@ -162,3 +163,19 @@ class TestParser:
 
     def test_profile_requires_in_and_out(self, capsys):
         assert main(["profile", "--metric", "iterations"]) == 2
+
+
+def test_bench_prints_one_stderr_line_per_failed_record(monkeypatch, capsys):
+    solve_bfgs = bench.SOLVER_FUNCS["bfgs"]
+
+    def failing_on_raydan2(objective, x0, cfg):
+        if objective.name == "Raydan2":
+            raise RuntimeError("boom")
+        return solve_bfgs(objective, x0, cfg)
+
+    monkeypatch.setitem(bench.SOLVER_FUNCS, "bfgs", failing_on_raydan2)
+    code = main(["bench", "--runs", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == ["qnbench bench: Raydan2 (bfgs) raised RuntimeError: boom"]
+    assert "converged: bfgs 29/30, two-phase 30/30" in captured.out

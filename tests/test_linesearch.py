@@ -170,3 +170,29 @@ class TestWolfeSearch:
         g = obj.gradient(x)
         out = wolfe_search(obj, x, -0.01 * g, obj.evaluate(x), g)
         assert out.alpha <= 1.0
+
+
+def test_second_armijo_only_trial_ends_the_search():
+    # linear descent: the unit step passes Armijo and fails curvature, and so
+    # does the half step, which ends the search with the unit step
+    counted = CountingObjective(
+        _scalar_objective(lambda x: -float(x[0]), lambda x: np.array([-1.0])))
+    out = wolfe_search(counted, np.zeros(1), np.array([1.0]), 0.0, np.array([-1.0]))
+    assert out.status == ARMIJO_ONLY
+    assert out.alpha == 1.0
+    assert (out.f_evals, out.g_evals) == (2, 2)
+    assert (counted.f_calls, counted.g_calls) == (2, 2)
+
+
+def test_armijo_failure_after_armijo_only_trial_keeps_searching():
+    # HIMMELH from its standard start along -g: the unit step passes Armijo
+    # and fails curvature, 1/2 fails Armijo, and 1/4 satisfies both
+    obj = lookup("HIMMELH").objective
+    x = obj.standard_start
+    g = obj.gradient(x)
+    counted = CountingObjective(obj)
+    out = wolfe_search(counted, x, -g, obj.evaluate(x), g)
+    assert out.status == WOLFE_SATISFIED
+    assert out.alpha == 0.25
+    assert (out.f_evals, out.g_evals) == (3, 2)
+    assert (counted.f_calls, counted.g_calls) == (3, 2)
