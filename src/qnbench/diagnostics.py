@@ -3,7 +3,10 @@
 Executable forms of the quantities the convergence analysis reasons about:
 the operator potential ``psi(B) = trace(B) - ln det(B)``, the error-ratio
 series ``||x_{k+1} - x*|| / ||x_k - x*||``, and the direction-quality
-quotient ``||(B - G*) p_bar|| / ||p_bar||``.
+quotient ``||(B - G*) p_bar|| / ||p_bar||``.  The solvers record psi of each
+operator as they go, so a run's psi series needs no matrix; the direction
+quality needs the operators, which a run keeps only under
+``SolverConfig(keep_operators=True)``.
 """
 
 from __future__ import annotations
@@ -65,16 +68,20 @@ def direction_quality(B, hess_star, p_bar) -> float:
 def diagnose_run(result: SolveResult, x_star, hess_star=None) -> ConvergenceDiagnostics:
     """Assemble all diagnostic series from one recorded run.
 
-    ``psi_series`` covers every operator the run maintained (B_0 .. B_m for a
-    b-form two-phase run).  ``dir_quality`` is only populated when the exact
-    limiting Hessian is supplied, which for quadratic objectives is the
-    constant Hessian.
+    ``psi_series`` is the recorded psi(B_0) .. psi(B_m) of the operators the
+    run went through, for either solver and either mode.  ``dir_quality`` is
+    only populated when the exact limiting Hessian is supplied, which for
+    quadratic objectives is the constant Hessian; it reads the recorded
+    operators, so it raises ``ValueError`` for a run that did not keep them.
     """
-    psi_series = [psi(u.operator) for u in result.updates]
+    psi_series = [u.psi for u in result.updates]
     if result.updates:
-        psi_series.append(psi(result.updates[-1].operator_next))
+        psi_series.append(result.updates[-1].psi_next)
     q_ratios = superlinear_ratio_series(result.trace, x_star, result.final_x)
     if hess_star is not None:
+        if any(u.operator is None for u in result.updates):
+            raise ValueError("dir_quality needs the recorded operators; "
+                             "solve with SolverConfig(keep_operators=True)")
         dir_quality = [
             direction_quality(u.operator, hess_star, u.p_bar)
             for u in result.updates

@@ -40,17 +40,16 @@ def cholesky(a):
     n = a.shape[0]
     if a.ndim != 2 or a.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    limit = PIVOT_RTOL * float(np.max(np.diag(a)))
+    limit = PIVOT_RTOL * float(a.diagonal().max())
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise SPDError(f"LAPACK Cholesky failed: {exc}") from None
-    pivots = np.diag(lower) ** 2
-    low = np.flatnonzero(pivots <= limit)
-    if low.size:
-        j = int(low[0])
+    pivots = lower.diagonal() ** 2
+    if pivots.min() <= limit:
+        j = int(np.flatnonzero(pivots <= limit)[0])
         raise SPDError(f"pivot {pivots[j]:.3e} at column {j} is below {limit:.3e}")
     return lower
 

@@ -13,12 +13,17 @@ and then takes the real step from the *original* point along
 rejects the pair, the update is skipped and the first step is accepted.
 
 The loop sees the operator through three realizations, each giving a
-direction, an updated copy and the matrix the records keep: BFGS on H;
-two-phase ``b_form`` (default) on B with its Cholesky factor; and two-phase
-``h_form_literal`` on H, combining through the literal double inversion
-``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``, which exists for
-cross-validation.  The recorded ``cos_theta = s'Bs / (||Bs|| ||s||)`` needs no
-product with B: ``B p_bar = -g`` makes it ``-g'p_bar / (||g|| ||p_bar||)``.
+direction, an updated copy, its matrix and the potential
+``psi(B) = tr B - ln det B``: BFGS on H; two-phase ``b_form`` (default) on B
+with its Cholesky factor; and two-phase ``h_form_literal`` on H, combining
+through the literal double inversion ``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``,
+which exists for cross-validation.  ``B p_bar = -g`` gives two quantities
+without a product with B: the recorded ``cos_theta = s'Bs / (||Bs|| ||s||)``
+is ``-g'p_bar / (||g|| ||p_bar||)``, and ``Bs = -alpha_bar g``, from which the
+H realizations carry psi(B) by the trace and determinant identities of the
+update.  Records keep psi and the vectors of each iteration; they keep the
+matrices only under ``SolverConfig(keep_operators=True)``, so by default a
+solve's memory does not grow with its iteration count.
 
 A run ends ``converged``, ``max_iter``, ``line_search_exhausted``,
 ``spd_failure`` (no descent direction, or an update that fails its SPD
@@ -28,6 +33,7 @@ certificate) or ``non_finite`` (f or the gradient is not finite at x0).
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +69,9 @@ class SolverConfig:
 
     ``lam`` only affects the two-phase method.  ``update_skip_tol`` is the
     relative curvature threshold below which an update is skipped instead of
-    applied (s'y <= tol * ||s|| * ||y||).
+    applied (s'y <= tol * ||s|| * ||y||).  ``keep_operators`` makes every
+    :class:`UpdateRecord` keep its n x n matrices, which costs one matrix per
+    iteration.
     """
 
     lam: float = 0.5
@@ -72,6 +80,7 @@ class SolverConfig:
     wolfe: WolfeParams = field(default_factory=WolfeParams)
     update_skip_tol: float = DEFAULT_UPDATE_SKIP_TOL
     mode: str = MODE_B_FORM
+    keep_operators: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
@@ -108,18 +117,23 @@ class IterateRecord:
 class UpdateRecord:
     """Operator update data for one iteration, kept for diagnostics.
 
-    ``operator`` is the matrix the solver maintains: B_k in ``b_form`` runs of
-    the two-phase solver, H_k for BFGS and ``h_form_literal``.  ``coupling``
-    is ``(p - p_bar)' grad(x_bar)`` for the two-phase method (None for BFGS);
-    its sign is a recorded hypothesis flag, never enforced.
+    ``psi`` and ``psi_next`` are ``tr B - ln det B`` of the operator before and
+    after the update, for every solver and mode.  ``operator`` and
+    ``operator_next`` are None unless the run set ``keep_operators``; then they
+    are the matrices the solver maintains: B in ``b_form`` runs of the
+    two-phase solver, H = B^{-1} for BFGS and ``h_form_literal``.
+    ``coupling`` is ``(p - p_bar)' grad(x_bar)`` for the two-phase method
+    (None for BFGS); its sign is a recorded hypothesis flag, never enforced.
     """
 
     s: np.ndarray
     y: np.ndarray
     p: np.ndarray
     p_bar: np.ndarray | None
-    operator: np.ndarray
-    operator_next: np.ndarray
+    operator: np.ndarray | None
+    operator_next: np.ndarray | None
+    psi: float
+    psi_next: float
     skipped: bool
     coupling: float | None
 
@@ -197,25 +211,61 @@ def combine_H_literal(H, H_bar, lam: float):
     return inverse_spd(two_phase_combine(H_inv, H_bar_inv, lam))
 
 
-class _InverseBfgs:
-    """BFGS on the inverse operator H: the baseline's realization."""
+def _psi_step(s, y, Bs, H, lam):
+    """Changes in tr B and ln det B under B_next = lam B + (1 - lam) B_bfgs(B, s, y).
 
-    def __init__(self, H):
+    The update is B + U C U' with U = [Bs, y] and
+    C = diag(-(1 - lam)/s'Bs, (1 - lam)/s'y), so the trace gains
+    (1 - lam)(y'y/s'y - ||Bs||^2/s'Bs), and by the matrix determinant lemma
+    det B gains the factor det(I + C U'HU) with H = B^{-1}, which is
+    lam (1 + (1 - lam) y'Hy/s'y) + (1 - lam)^2 s'y/s'Bs: a sum of positive
+    terms, so no cancellation.
+    """
+    sy, sBs = float(s.dot(y)), float(s.dot(Bs))
+    if not sBs > 0.0:
+        # s = x_bar - x is alpha_bar p_bar rounded, so s'g can lose its sign
+        # when x is large against the step; psi is then unknown, not an error
+        return math.nan, math.nan
+    mu = 1.0 - lam
+    d_trace = mu * (float(y.dot(y)) / sy - float(Bs.dot(Bs)) / sBs)
+    det = mu * mu * sy / sBs
+    if lam:  # BFGS (lam = 0) needs no y'Hy: the factor is s'y/s'Bs
+        det += lam * (1.0 + mu * float(y.dot(H @ y)) / sy)
+    return d_trace, math.log(det)
+
+
+class _InverseBfgs:
+    """BFGS on the inverse operator H: the baseline's realization.
+
+    It carries tr B and ln det B of B = H^{-1} from B_0 = I through
+    :func:`_psi_step`, so psi(B) costs no factorization.
+    """
+
+    def __init__(self, H, trace=None, log_det=0.0):
         self.matrix = H
+        self.trace = float(H.shape[0]) if trace is None else trace
+        self.log_det = log_det
+        self.psi = self.trace - self.log_det
 
     def direction(self, g):
         return -(self.matrix @ g)
 
-    def updated(self, s, y, cfg):
-        return _InverseBfgs(bfgs_update_H(self.matrix, s, y, cfg.update_skip_tol))
+    def updated(self, s, y, Bs, cfg):
+        H_next = bfgs_update_H(self.matrix, s, y, cfg.update_skip_tol)
+        return self._successor(H_next, s, y, Bs, 0.0)
+
+    def _successor(self, H_next, s, y, Bs, lam):
+        d_trace, d_log_det = _psi_step(s, y, Bs, self.matrix, lam)
+        return type(self)(H_next, self.trace + d_trace, self.log_det + d_log_det)
 
 
 class _TwoPhaseHLiteral(_InverseBfgs):
     """Two-phase combination on H through the literal double inversion."""
 
-    def updated(self, s, y, cfg):
+    def updated(self, s, y, Bs, cfg):
         H_bar = bfgs_update_H(self.matrix, s, y, cfg.update_skip_tol)
-        return _TwoPhaseHLiteral(combine_H_literal(self.matrix, H_bar, cfg.lam))
+        H_next = combine_H_literal(self.matrix, H_bar, cfg.lam)
+        return self._successor(H_next, s, y, Bs, cfg.lam)
 
 
 class _TwoPhaseB:
@@ -224,13 +274,18 @@ class _TwoPhaseB:
     def __init__(self, B):
         self.matrix = B
         self.lower = cholesky(B)
+        self.psi = float(B.trace()) - 2.0 * float(np.log(self.lower.diagonal()).sum())
 
     def direction(self, g):
         return -solve_spd(self.lower, g)
 
-    def updated(self, s, y, cfg):
-        B_bar = bfgs_update_B(self.matrix, s, y, cfg.update_skip_tol)
-        return _TwoPhaseB(two_phase_combine(self.matrix, B_bar, cfg.lam))
+    def updated(self, s, y, Bs, cfg):
+        # two_phase_combine to the bit (IEEE + and * commute), but in place, so
+        # that the BFGS update is freed before the next factorization
+        B_next = bfgs_update_B(self.matrix, s, y, cfg.update_skip_tol)
+        B_next *= 1.0 - cfg.lam
+        B_next += cfg.lam * self.matrix
+        return _TwoPhaseB(B_next)
 
 
 def _descends(g, p):
@@ -272,7 +327,8 @@ def _solve(f, x0, cfg: SolverConfig, op, two_phase: bool) -> SolveResult:
         s = x_bar - x
         y = first.grad_new - g
         try:
-            op_next, skipped = op.updated(s, y, cfg), False
+            # B p_bar = -g, so Bs = -alpha_bar g
+            op_next, skipped = op.updated(s, y, -first.alpha * g, cfg), False
         except CurvatureError:
             op_next, skipped = op, True
         except SPDError:
@@ -300,8 +356,10 @@ def _solve(f, x0, cfg: SolverConfig, op, two_phase: bool) -> SolveResult:
             coupling = float(np.dot(p - p_bar, first.grad_new))
         trace.append(IterateRecord(k, x, fx, grad_norm, alpha_bar, second.alpha, cos_theta,
                                    skipped, status_bar, second.status))
-        updates.append(UpdateRecord(s, y, p, recorded_p_bar, op.matrix, op_next.matrix,
-                                    skipped, coupling))
+        operator, operator_next = ((op.matrix, op_next.matrix) if cfg.keep_operators
+                                   else (None, None))
+        updates.append(UpdateRecord(s, y, p, recorded_p_bar, operator, operator_next,
+                                    op.psi, op_next.psi, skipped, coupling))
         x, fx, g, op = x_next, second.f_new, second.grad_new, op_next
         k += 1
     return SolveResult(x, fx, float(np.linalg.norm(g)), k, f_evals, g_evals,

@@ -96,7 +96,8 @@ class TestDirectionQuality:
 
     def test_eventually_decreasing_on_quadratic(self):
         p = lookup("Quadratic QF1")
-        res = solve_two_phase(p.objective, p.objective.standard_start)
+        res = solve_two_phase(p.objective, p.objective.standard_start,
+                              SolverConfig(keep_operators=True))
         hess = quadratic_hessian(p.objective)
         series = [direction_quality(u.operator, hess, u.p_bar) for u in res.updates]
         assert series[-1] <= 0.5 * series[0]
@@ -105,7 +106,8 @@ class TestDirectionQuality:
 class TestDiagnoseRun:
     def test_series_shapes_and_positivity(self):
         p = lookup("Tridia")
-        res = solve_two_phase(p.objective, p.objective.standard_start)
+        res = solve_two_phase(p.objective, p.objective.standard_start,
+                              SolverConfig(keep_operators=True))
         diag = diagnose_run(res, p.known_optimum.x, quadratic_hessian(p.objective))
         assert len(diag.psi_series) == res.iterations + 1
         assert all(v > 0.0 for v in diag.psi_series)
@@ -132,6 +134,13 @@ class TestDiagnoseRun:
         diag = diagnose_run(res, p.known_optimum.x)
         assert diag.dir_quality == []
 
+    def test_direction_quality_needs_kept_operators(self):
+        p = lookup("Tridia")
+        res = solve_two_phase(p.objective, p.objective.standard_start)
+        assert all(u.operator is None for u in res.updates)
+        with pytest.raises(ValueError, match="keep_operators"):
+            diagnose_run(res, p.known_optimum.x, quadratic_hessian(p.objective))
+
     def test_psi_positive_across_every_suite_run(self, default_runs):
         # psi of an SPD operator is at least the matrix order
         for (name, solver), res in default_runs.items():
@@ -146,7 +155,8 @@ class TestDiagnoseRun:
 class TestDiagnosticsCsv:
     def test_structure(self):
         p = lookup("Tridia")
-        res = solve_two_phase(p.objective, p.objective.standard_start)
+        res = solve_two_phase(p.objective, p.objective.standard_start,
+                              SolverConfig(keep_operators=True))
         diag = diagnose_run(res, p.known_optimum.x, quadratic_hessian(p.objective))
         text = diagnostics_to_csv(diag)
         lines = text.strip().split("\n")

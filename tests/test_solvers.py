@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,15 @@ from qnbench import (
     combine_H_literal,
     inverse_spd,
     lookup,
+    psi,
     solve_bfgs,
     solve_two_phase,
+    suite,
     trace_to_csv,
     two_phase_combine,
     wolfe_search,
 )
+from qnbench.solvers import _TwoPhaseB
 
 from _util import curvature_pair, make_spd, sphere
 
@@ -177,7 +182,7 @@ class TestSolveBfgs:
 class TestSolveTwoPhase:
     def test_sphere_in_one_iteration(self):
         f = sphere(10)
-        res = solve_two_phase(f, f.standard_start)
+        res = solve_two_phase(f, f.standard_start, SolverConfig(keep_operators=True))
         assert res.termination == CONVERGED
         assert res.iterations == 1
         rec = res.trace[0]
@@ -220,20 +225,23 @@ class TestSolveTwoPhase:
                               lambda x: float(c @ x),
                               lambda x: c.copy(),
                               np.zeros(2))
-        res = solve_two_phase(f, f.standard_start, SolverConfig(max_iter=3))
+        res = solve_two_phase(f, f.standard_start,
+                              SolverConfig(max_iter=3, keep_operators=True))
         assert res.termination == MAX_ITER
         assert all(r.update_skipped for r in res.trace)
         assert all(np.array_equal(u.operator, np.eye(2)) for u in res.updates)
 
     def test_spd_certification_every_iteration(self):
         p = lookup("Quadratic QF2")
-        res = solve_two_phase(p.objective, p.objective.standard_start)
+        res = solve_two_phase(p.objective, p.objective.standard_start,
+                              SolverConfig(keep_operators=True))
         for u in res.updates:
             cholesky(u.operator_next)
 
     def test_secant_on_accepted_updates(self):
         p = lookup("Diagonal 3")
-        res = solve_two_phase(p.objective, p.objective.standard_start)
+        res = solve_two_phase(p.objective, p.objective.standard_start,
+                              SolverConfig(keep_operators=True))
         for u in res.updates:
             if u.skipped:
                 continue
@@ -246,7 +254,7 @@ class TestSolveTwoPhase:
         for name in ("Hager", "Extended Beale", "Raydan1"):
             p = lookup(name)
             res = solve_two_phase(p.objective, p.objective.standard_start,
-                                  SolverConfig(lam=lam))
+                                  SolverConfig(lam=lam, keep_operators=True))
             for u in res.updates:
                 if u.skipped:
                     continue
@@ -312,7 +320,7 @@ class TestSolveTwoPhase:
     def test_cos_theta_matches_recorded_operator(self, name, mode):
         p = lookup(name)
         res = solve_two_phase(p.objective, p.objective.standard_start,
-                              SolverConfig(mode=mode))
+                              SolverConfig(mode=mode, keep_operators=True))
         assert res.trace
         for r, u in zip(res.trace, res.updates):
             # b_form records B itself, h_form_literal its inverse H
@@ -346,3 +354,67 @@ class TestTraceCsv:
         row = lines[1].split(",")
         assert row[3] == ""  # alpha_bar
         assert row[5] == ""  # cos_theta
+
+
+def _solve_peak_bytes(solver, f, cfg):
+    tracemalloc.start()
+    try:
+        solver(f, f.standard_start, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("solver", [solve_bfgs, solve_two_phase])
+def test_peak_memory_does_not_grow_with_iterations(solver):
+    # an ill-conditioned quadratic that runs past 20 iterations; records keep
+    # a few n-vectors per iteration, so 15 more of them stay below the one
+    # n x n matrix that each iteration adds with keep_operators
+    n = 200
+    d = np.linspace(1.0, 1000.0, n)
+    f = ObjectiveFunction("ill-conditioned quadratic", n, lambda x: 0.5 * float(d @ (x * x)),
+                          lambda x: d * x, np.ones(n))
+    matrix_bytes = 8 * n * n
+    growth = {}
+    for keep in (False, True):
+        short, long = (_solve_peak_bytes(solver, f, SolverConfig(max_iter=m, keep_operators=keep))
+                       for m in (5, 20))
+        growth[keep] = long - short
+    assert growth[False] < matrix_bytes
+    assert growth[True] > 10 * matrix_bytes
+
+
+def test_b_form_psi_is_psi_of_the_recorded_operator(default_runs):
+    for (name, solver), res in default_runs.items():
+        if solver != "two-phase":
+            continue
+        for u in res.updates:
+            assert u.psi == psi(u.operator), name
+            assert u.psi_next == psi(u.operator_next), name
+
+
+def test_h_realizations_carry_psi_of_b(default_runs):
+    # BFGS and h_form_literal keep H = B^{-1} and carry psi(B) by the trace and
+    # determinant identities of the update
+    cfg = SolverConfig(mode=MODE_H_FORM_LITERAL, keep_operators=True)
+    runs = [(name, res) for (name, solver), res in default_runs.items() if solver == "bfgs"]
+    runs += [(p.name, solve_two_phase(p.objective, p.objective.standard_start, cfg))
+             for p in suite()]
+    for name, res in runs:
+        assert res.updates, name
+        for u in res.updates:
+            for value, H in ((u.psi, u.operator), (u.psi_next, u.operator_next)):
+                assert value == pytest.approx(psi(inverse_spd(H)), rel=1e-4), name
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.3, 0.9])
+def test_in_place_combine_matches_two_phase_combine(lam):
+    rng = np.random.default_rng(7)
+    cfg = SolverConfig(lam=lam)
+    for n in (2, 5, 10, 40):
+        for _ in range(10):
+            B = make_spd(rng, n)
+            s, y = curvature_pair(rng, n)
+            expected = two_phase_combine(B, bfgs_update_B(B, s, y), lam)
+            got = _TwoPhaseB(B).updated(s, y, B @ s, cfg).matrix
+            assert np.array_equal(got, expected)
