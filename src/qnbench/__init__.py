@@ -1,50 +1,19 @@
-"""Two-phase quasi-Newton solver, BFGS baseline, benchmark suite, and profiles."""
+"""Two-phase quasi-Newton solver, BFGS baseline, benchmark suite, and profiles.
 
-from qnbench.bench import (
-    BenchmarkRecord,
-    IncompleteRecordsError,
-    ProfileCurve,
-    TableText,
-    dolan_more,
-    emit_profile_svg,
-    emit_table,
-    profiles_to_csv,
-    records_from_csv,
-    records_to_csv,
-    run_suite,
-    table_fixture_records,
-)
+The top level holds what the README's Library section uses and the types of
+the values those names take or return.  Every other name is imported from its
+own module: ``qnbench.bench`` (runs, table, profiles), ``qnbench.linalg``,
+``qnbench.linesearch``, and the update primitives in ``qnbench.solvers``.
+"""
+
 from qnbench.diagnostics import (
     ConvergenceDiagnostics,
     diagnose_run,
-    diagnostics_to_csv,
-    direction_quality,
     psi,
     superlinear_ratio_series,
 )
-from qnbench.linalg import (
-    SPDError,
-    cholesky,
-    inverse_spd,
-    solve_spd,
-    symmetrize,
-)
-from qnbench.linesearch import (
-    ARMIJO_ONLY,
-    EXHAUSTED,
-    WOLFE_SATISFIED,
-    DescentDirectionError,
-    LineSearchOutcome,
-    WolfeParams,
-    wolfe_search,
-)
-from qnbench.objectives import (
-    GradientCheckReport,
-    ObjectiveFunction,
-    check_gradient,
-    default_check_points,
-    fd_gradient,
-)
+from qnbench.linesearch import WolfeParams
+from qnbench.objectives import GradientCheckReport, ObjectiveFunction, check_gradient
 from qnbench.solvers import (
     CONVERGED,
     LINE_SEARCH_EXHAUSTED,
@@ -53,90 +22,42 @@ from qnbench.solvers import (
     MODE_H_FORM_LITERAL,
     NON_FINITE,
     SPD_FAILURE,
-    CurvatureError,
     IterateRecord,
     SolveResult,
     SolverConfig,
     UpdateRecord,
-    bfgs_update_B,
-    bfgs_update_H,
-    combine_H_literal,
     solve_bfgs,
     solve_two_phase,
-    trace_to_csv,
-    two_phase_combine,
 )
-from qnbench.suite import (
-    DIMENSION,
-    KnownOptimum,
-    SuiteProblem,
-    UnknownProblemError,
-    lookup,
-    manifest_csv,
-    suite,
-)
+from qnbench.suite import KnownOptimum, SuiteProblem, UnknownProblemError, lookup, suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ARMIJO_ONLY",
-    "BenchmarkRecord",
     "CONVERGED",
     "ConvergenceDiagnostics",
-    "CurvatureError",
-    "DIMENSION",
-    "DescentDirectionError",
-    "EXHAUSTED",
     "GradientCheckReport",
-    "IncompleteRecordsError",
     "IterateRecord",
     "KnownOptimum",
     "LINE_SEARCH_EXHAUSTED",
-    "LineSearchOutcome",
     "MAX_ITER",
     "MODE_B_FORM",
     "MODE_H_FORM_LITERAL",
     "NON_FINITE",
     "ObjectiveFunction",
-    "ProfileCurve",
-    "SPDError",
     "SPD_FAILURE",
     "SolveResult",
     "SolverConfig",
     "SuiteProblem",
-    "TableText",
     "UnknownProblemError",
     "UpdateRecord",
-    "WOLFE_SATISFIED",
     "WolfeParams",
-    "bfgs_update_B",
-    "bfgs_update_H",
     "check_gradient",
-    "cholesky",
-    "combine_H_literal",
-    "default_check_points",
     "diagnose_run",
-    "diagnostics_to_csv",
-    "direction_quality",
-    "dolan_more",
-    "emit_profile_svg",
-    "emit_table",
-    "fd_gradient",
-    "inverse_spd",
     "lookup",
-    "manifest_csv",
-    "profiles_to_csv",
     "psi",
-    "records_from_csv",
-    "records_to_csv",
-    "run_suite",
     "solve_bfgs",
-    "solve_spd",
     "solve_two_phase",
     "suite",
     "superlinear_ratio_series",
-    "symmetrize",
-    "table_fixture_records",
-    "trace_to_csv",
-    "two_phase_combine",
 ]

@@ -37,12 +37,12 @@ class IncompleteRecordsError(ValueError):
 
 @dataclass(frozen=True)
 class BenchmarkRecord:
-    """One (problem, solver) measurement over ``runs`` timed executions.
+    """One (problem, solver) measurement over its timed runs.
 
     Iteration counts and final values come from the first run (runs are
-    deterministic); the median time is the authoritative timing, the mean is
-    kept alongside for reference.  ``error`` is empty unless the solver
-    raised, in which case it holds the exception's type and message.
+    deterministic); the time is the median over the runs.  ``error`` is
+    empty unless the solver raised, in which case it holds the exception's
+    type and message.
     """
 
     problem: str
@@ -50,8 +50,6 @@ class BenchmarkRecord:
     n: int
     iterations: int
     median_time_ms: float
-    mean_time_ms: float
-    runs: int
     converged: bool
     f_final: float
     grad_norm_final: float
@@ -107,33 +105,30 @@ def run_suite(problems=None, solvers=("bfgs", "two-phase"),
             if error:
                 records.append(BenchmarkRecord(
                     problem.name, solver_name, objective.dimension,
-                    cfg.max_iter, statistics.median(times_ms),
-                    statistics.fmean(times_ms), len(times_ms), False,
+                    cfg.max_iter, statistics.median(times_ms), False,
                     math.nan, math.nan, error))
                 continue
             if results is not None:
                 results[(problem.name, solver_name)] = first
             records.append(BenchmarkRecord(
                 problem.name, solver_name, objective.dimension,
-                first.iterations, statistics.median(times_ms),
-                statistics.fmean(times_ms), runs, first.converged,
+                first.iterations, statistics.median(times_ms), first.converged,
                 first.final_f, first.final_grad_norm))
     return records
 
 
-def table_fixture_records(problems=None) -> list[BenchmarkRecord]:
+def table_fixture_records() -> list[BenchmarkRecord]:
     """Records built from the suite's reference iteration counts.
 
     These let the profile generator be exercised without running any solver.
     """
-    problems = suite() if problems is None else list(problems)
     records = []
-    for problem in problems:
+    for problem in suite():
         for solver_name, iters in (("bfgs", problem.table_bfgs_iters),
                                    ("two-phase", problem.table_twophase_iters)):
             records.append(BenchmarkRecord(
                 problem.name, solver_name, problem.objective.dimension,
-                iters, 0.0, 0.0, 1, True, 0.0, 0.0))
+                iters, 0.0, True, 0.0, 0.0))
     return records
 
 
@@ -249,14 +244,13 @@ def records_to_csv(records) -> str:
 
 
 def records_from_csv(text: str) -> list[BenchmarkRecord]:
-    """Parse a results CSV back into records (runs/mean default from median)."""
+    """Parse a results CSV back into records."""
     reader = csv.DictReader(io.StringIO(text))
     records = []
     for raw in reader:
-        median = float(raw["median_time_ms"])
         records.append(BenchmarkRecord(
             raw["problem"], raw["solver"], int(raw["n"]), int(raw["iterations"]),
-            median, median, 1, raw["converged"] == "true",
+            float(raw["median_time_ms"]), raw["converged"] == "true",
             float(raw["f_final"]), float(raw["grad_norm_final"])))
     return records
 

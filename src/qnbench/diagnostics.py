@@ -5,7 +5,7 @@ the operator potential ``psi(B) = trace(B) - ln det(B)``, the error-ratio
 series ``||x_{k+1} - x*|| / ||x_k - x*||``, and the direction-quality
 quotient ``||(B - G*) p_bar|| / ||p_bar||``.  The solvers record psi of each
 operator as they go, so a run's psi series needs no matrix; the direction
-quality needs the operators, which a run keeps only under
+quality needs B, which a run records only under
 ``SolverConfig(keep_operators=True)``.
 """
 
@@ -37,11 +37,12 @@ def psi(B) -> float:
     return float(np.trace(B)) - log_determinant_spd(lower)
 
 
-def superlinear_ratio_series(trace, x_star, final_x=None, denom_floor=RATIO_DENOM_FLOOR):
+def superlinear_ratio_series(trace, x_star, final_x=None):
     """Ratios ||x_{k+1} - x*|| / ||x_k - x*|| along a recorded trace.
 
     ``final_x`` extends the trace with the terminal iterate, giving the last
-    ratio.  Ratios whose denominator underflows ``denom_floor`` are dropped.
+    ratio.  Ratios whose denominator underflows ``RATIO_DENOM_FLOOR`` are
+    dropped.
     """
     x_star = np.asarray(x_star, dtype=float)
     xs = [np.asarray(r.x, dtype=float) for r in trace]
@@ -51,7 +52,7 @@ def superlinear_ratio_series(trace, x_star, final_x=None, denom_floor=RATIO_DENO
     return [
         errs[k + 1] / errs[k]
         for k in range(len(errs) - 1)
-        if errs[k] > denom_floor
+        if errs[k] > RATIO_DENOM_FLOOR
     ]
 
 
@@ -71,8 +72,9 @@ def diagnose_run(result: SolveResult, x_star, hess_star=None) -> ConvergenceDiag
     ``psi_series`` is the recorded psi(B_0) .. psi(B_m) of the operators the
     run went through, for either solver and either mode.  ``dir_quality`` is
     only populated when the exact limiting Hessian is supplied, which for
-    quadratic objectives is the constant Hessian; it reads the recorded
-    operators, so it raises ``ValueError`` for a run that did not keep them.
+    quadratic objectives is the constant Hessian; it reads the recorded B of
+    each iteration, so it raises ``ValueError`` for a run that did not keep
+    the operators.
     """
     psi_series = [u.psi for u in result.updates]
     if result.updates:

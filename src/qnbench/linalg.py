@@ -72,8 +72,7 @@ def solve_spd(lower, b):
 
 def log_determinant_spd(lower):
     """``ln det`` of the factored matrix, computed as ``2 * sum(ln diag(L))``."""
-    d = np.diag(np.asarray(lower, dtype=float))
-    return 2.0 * float(np.sum(np.log(d)))
+    return 2.0 * float(np.log(np.asarray(lower, dtype=float).diagonal()).sum())
 
 
 def inverse_spd(a):

@@ -13,8 +13,9 @@ import numpy as np
 
 DEFAULT_FD_STEP = 1e-6
 DEFAULT_CHECK_TOL = 1e-5
-DEFAULT_CHECK_SEED = 20240817
-DEFAULT_CHECK_SCALE = 0.1
+CHECK_POINT_COUNT = 5
+CHECK_POINT_SCALE = 0.1
+CHECK_POINT_SEED = 20240817
 
 
 @dataclass(frozen=True)
@@ -105,16 +106,12 @@ def check_gradient(
     return GradientCheckReport(worst, worst_coord, len(points), tol)
 
 
-def default_check_points(
-    f: ObjectiveFunction,
-    count: int = 5,
-    scale: float = DEFAULT_CHECK_SCALE,
-    seed: int = DEFAULT_CHECK_SEED,
-):
-    """Standard start plus ``count`` seeded Gaussian perturbations of it."""
-    rng = np.random.default_rng(seed)
+def default_check_points(f: ObjectiveFunction):
+    """Standard start plus ``CHECK_POINT_COUNT`` perturbations of it by
+    ``CHECK_POINT_SCALE`` times standard normals seeded with ``CHECK_POINT_SEED``."""
+    rng = np.random.default_rng(CHECK_POINT_SEED)
     start = f.standard_start
     points = [start]
-    for _ in range(count):
-        points.append(start + scale * rng.standard_normal(start.size))
+    for _ in range(CHECK_POINT_COUNT):
+        points.append(start + CHECK_POINT_SCALE * rng.standard_normal(start.size))
     return points

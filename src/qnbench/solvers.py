@@ -13,17 +13,17 @@ and then takes the real step from the *original* point along
 rejects the pair, the update is skipped and the first step is accepted.
 
 The loop sees the operator through three realizations, each giving a
-direction, an updated copy, its matrix and the potential
-``psi(B) = tr B - ln det B``: BFGS on H; two-phase ``b_form`` (default) on B
-with its Cholesky factor; and two-phase ``h_form_literal`` on H, combining
-through the literal double inversion ``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``,
-which exists for cross-validation.  ``B p_bar = -g`` gives two quantities
-without a product with B: the recorded ``cos_theta = s'Bs / (||Bs|| ||s||)``
-is ``-g'p_bar / (||g|| ||p_bar||)``, and ``Bs = -alpha_bar g``, from which the
-H realizations carry psi(B) by the trace and determinant identities of the
-update.  Records keep psi and the vectors of each iteration; they keep the
-matrices only under ``SolverConfig(keep_operators=True)``, so by default a
-solve's memory does not grow with its iteration count.
+direction, an updated copy and the potential ``psi(B) = tr B - ln det B``:
+BFGS on H; two-phase ``b_form`` (default) on B with its Cholesky factor; and
+two-phase ``h_form_literal`` on H, combining through the literal double
+inversion ``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``, which exists for
+cross-validation.  ``B p_bar = -g`` gives two quantities without a product
+with B: the recorded ``cos_theta = s'Bs / (||Bs|| ||s||)`` is
+``-g'p_bar / (||g|| ||p_bar||)``, and ``Bs = -alpha_bar g``, from which the H
+realizations carry psi(B) by the trace and determinant identities of the
+update.  Records keep psi and the vectors of each iteration; they keep B
+only under ``SolverConfig(keep_operators=True)``, so by default a solve's
+memory does not grow with its iteration count.
 
 A run ends ``converged``, ``max_iter``, ``line_search_exhausted``,
 ``spd_failure`` (no descent direction, or an update that fails its SPD
@@ -35,6 +35,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from qnbench.linalg import (
     SPDError,
     cholesky,
     inverse_spd,
+    log_determinant_spd,
     solve_spd,
     symmetrize,
 )
@@ -56,7 +58,8 @@ LINE_SEARCH_EXHAUSTED = "line_search_exhausted"
 SPD_FAILURE = "spd_failure"
 NON_FINITE = "non_finite"
 
-DEFAULT_UPDATE_SKIP_TOL = 1e-12
+# An update is skipped, not applied, when s'y <= UPDATE_SKIP_TOL * ||s|| * ||y||.
+UPDATE_SKIP_TOL = 1e-12
 
 
 class CurvatureError(ValueError):
@@ -67,18 +70,15 @@ class CurvatureError(ValueError):
 class SolverConfig:
     """Tunable scalars shared by both solvers.
 
-    ``lam`` only affects the two-phase method.  ``update_skip_tol`` is the
-    relative curvature threshold below which an update is skipped instead of
-    applied (s'y <= tol * ||s|| * ||y||).  ``keep_operators`` makes every
-    :class:`UpdateRecord` keep its n x n matrices, which costs one matrix per
-    iteration.
+    ``lam`` only affects the two-phase method.  ``keep_operators`` makes
+    every :class:`UpdateRecord` keep B before and after its update, which
+    costs one n x n matrix per iteration.
     """
 
     lam: float = 0.5
     tol: float = 1e-6
     max_iter: int = 500
     wolfe: WolfeParams = field(default_factory=WolfeParams)
-    update_skip_tol: float = DEFAULT_UPDATE_SKIP_TOL
     mode: str = MODE_B_FORM
     keep_operators: bool = False
 
@@ -120,8 +120,8 @@ class UpdateRecord:
     ``psi`` and ``psi_next`` are ``tr B - ln det B`` of the operator before and
     after the update, for every solver and mode.  ``operator`` and
     ``operator_next`` are None unless the run set ``keep_operators``; then they
-    are the matrices the solver maintains: B in ``b_form`` runs of the
-    two-phase solver, H = B^{-1} for BFGS and ``h_form_literal``.
+    are B before and after the update, also for BFGS and ``h_form_literal``,
+    which keep H = B^{-1} and invert it once per operator for the records.
     ``coupling`` is ``(p - p_bar)' grad(x_bar)`` for the two-phase method
     (None for BFGS); its sign is a recorded hypothesis flag, never enforced.
     """
@@ -154,26 +154,22 @@ class SolveResult:
     def converged(self) -> bool:
         return self.termination == CONVERGED
 
-    def iterate_sequence(self):
-        """All iterates x_0 .. x_m including the final point."""
-        return [record.x for record in self.trace] + [self.final_x]
 
-
-def _curvature(s, y, skip_tol):
-    """s'y, or :class:`CurvatureError` at or below the floor tol * ||s|| * ||y||."""
+def _curvature(s, y):
+    """s'y, or :class:`CurvatureError` at or below the floor of UPDATE_SKIP_TOL."""
     sy = float(np.dot(s, y))
-    floor = skip_tol * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
+    floor = UPDATE_SKIP_TOL * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
     if sy <= floor:
         raise CurvatureError(f"s'y = {sy:.3e} fails the curvature floor {floor:.3e}")
     return sy
 
 
-def bfgs_update_B(B, s, y, skip_tol: float = DEFAULT_UPDATE_SKIP_TOL):
+def bfgs_update_B(B, s, y):
     """Rank-two Hessian-approximation update B - Bss'B/(s'Bs) + yy'/(y's)."""
     B = np.asarray(B, dtype=float)
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    sy = _curvature(s, y, skip_tol)
+    sy = _curvature(s, y)
     Bs = B @ s
     sBs = float(np.dot(s, Bs))
     if sBs <= 0.0:
@@ -181,12 +177,12 @@ def bfgs_update_B(B, s, y, skip_tol: float = DEFAULT_UPDATE_SKIP_TOL):
     return B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
 
 
-def bfgs_update_H(H, s, y, skip_tol: float = DEFAULT_UPDATE_SKIP_TOL):
+def bfgs_update_H(H, s, y):
     """Inverse-Hessian update (I - r sy')H(I - r ys') + r ss', r = 1/(y's)."""
     H = np.asarray(H, dtype=float)
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    sy = _curvature(s, y, skip_tol)
+    sy = _curvature(s, y)
     rho = 1.0 / sy
     n = s.size
     left = np.eye(n) - rho * np.outer(s, y)
@@ -247,11 +243,16 @@ class _InverseBfgs:
         self.log_det = log_det
         self.psi = self.trace - self.log_det
 
+    @cached_property
+    def operator(self):
+        """B = H^{-1}, inverted once for the records of ``keep_operators``."""
+        return inverse_spd(self.matrix)
+
     def direction(self, g):
         return -(self.matrix @ g)
 
     def updated(self, s, y, Bs, cfg):
-        H_next = bfgs_update_H(self.matrix, s, y, cfg.update_skip_tol)
+        H_next = bfgs_update_H(self.matrix, s, y)
         return self._successor(H_next, s, y, Bs, 0.0)
 
     def _successor(self, H_next, s, y, Bs, lam):
@@ -263,7 +264,7 @@ class _TwoPhaseHLiteral(_InverseBfgs):
     """Two-phase combination on H through the literal double inversion."""
 
     def updated(self, s, y, Bs, cfg):
-        H_bar = bfgs_update_H(self.matrix, s, y, cfg.update_skip_tol)
+        H_bar = bfgs_update_H(self.matrix, s, y)
         H_next = combine_H_literal(self.matrix, H_bar, cfg.lam)
         return self._successor(H_next, s, y, Bs, cfg.lam)
 
@@ -272,9 +273,9 @@ class _TwoPhaseB:
     """Two-phase combination on B, kept with the Cholesky factor that certifies it."""
 
     def __init__(self, B):
-        self.matrix = B
+        self.matrix = self.operator = B
         self.lower = cholesky(B)
-        self.psi = float(B.trace()) - 2.0 * float(np.log(self.lower.diagonal()).sum())
+        self.psi = float(B.trace()) - log_determinant_spd(self.lower)
 
     def direction(self, g):
         return -solve_spd(self.lower, g)
@@ -282,7 +283,7 @@ class _TwoPhaseB:
     def updated(self, s, y, Bs, cfg):
         # two_phase_combine to the bit (IEEE + and * commute), but in place, so
         # that the BFGS update is freed before the next factorization
-        B_next = bfgs_update_B(self.matrix, s, y, cfg.update_skip_tol)
+        B_next = bfgs_update_B(self.matrix, s, y)
         B_next *= 1.0 - cfg.lam
         B_next += cfg.lam * self.matrix
         return _TwoPhaseB(B_next)
@@ -356,7 +357,7 @@ def _solve(f, x0, cfg: SolverConfig, op, two_phase: bool) -> SolveResult:
             coupling = float(np.dot(p - p_bar, first.grad_new))
         trace.append(IterateRecord(k, x, fx, grad_norm, alpha_bar, second.alpha, cos_theta,
                                    skipped, status_bar, second.status))
-        operator, operator_next = ((op.matrix, op_next.matrix) if cfg.keep_operators
+        operator, operator_next = ((op.operator, op_next.operator) if cfg.keep_operators
                                    else (None, None))
         updates.append(UpdateRecord(s, y, p, recorded_p_bar, operator, operator_next,
                                     op.psi, op_next.psi, skipped, coupling))

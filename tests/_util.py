@@ -8,6 +8,11 @@ import numpy as np
 from qnbench import ObjectiveFunction
 
 
+def iterate_sequence(result):
+    """All iterates x_0 .. x_m of a ``SolveResult``, including the final point."""
+    return [record.x for record in result.trace] + [result.final_x]
+
+
 def make_spd(rng, n):
     m = rng.standard_normal((n, n))
     return m.T @ m + n * np.eye(n)

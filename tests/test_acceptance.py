@@ -12,24 +12,19 @@ import pytest
 from qnbench import (
     MODE_H_FORM_LITERAL,
     SolverConfig,
-    bfgs_update_B,
-    bfgs_update_H,
     check_gradient,
-    cholesky,
-    default_check_points,
     diagnose_run,
-    dolan_more,
-    emit_table,
     lookup,
-    run_suite,
     solve_two_phase,
     suite,
-    table_fixture_records,
-    two_phase_combine,
 )
+from qnbench.bench import dolan_more, emit_table, run_suite, table_fixture_records
+from qnbench.linalg import cholesky
 from qnbench.linesearch import WOLFE_SATISFIED
+from qnbench.objectives import default_check_points
+from qnbench.solvers import bfgs_update_B, bfgs_update_H, two_phase_combine
 
-from _util import make_spd, curvature_pair, quadratic_hessian
+from _util import make_spd, curvature_pair, iterate_sequence, quadratic_hessian
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +125,7 @@ def test_criterion_5_mode_equivalence_oracle():
         res_b = solve_two_phase(objective, objective.standard_start)
         res_h = solve_two_phase(objective, objective.standard_start, cfg_h)
         assert res_b.iterations == res_h.iterations, name
-        for xb, xh in zip(res_b.iterate_sequence(), res_h.iterate_sequence()):
+        for xb, xh in zip(iterate_sequence(res_b), iterate_sequence(res_h)):
             assert np.max(np.abs(xb - xh)) <= 1e-6, name
     print(f"\nACCEPTANCE 5: PASS — b-form and literal h-form iterates agree "
           f"within 1e-6 per coordinate on {len(MODE_EQUIVALENCE_PROBLEMS)} problems")

@@ -1,25 +1,23 @@
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from qnbench import (
+from qnbench import ObjectiveFunction, SolverConfig, SuiteProblem, bench, lookup
+from qnbench.bench import (
     BenchmarkRecord,
     IncompleteRecordsError,
-    ObjectiveFunction,
-    SolverConfig,
-    SuiteProblem,
     dolan_more,
     emit_profile_svg,
     emit_table,
-    lookup,
+    profile_svg,
     profiles_to_csv,
     records_from_csv,
     records_to_csv,
     run_suite,
     table_fixture_records,
 )
-from qnbench.bench import profile_svg
 
 from _util import parse_table_csv
 
@@ -27,31 +25,48 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def _record(problem, solver, iterations, converged=True, time_ms=1.0):
-    return BenchmarkRecord(problem, solver, 10, iterations, time_ms, time_ms,
-                           1, converged, 0.0, 0.0)
+    return BenchmarkRecord(problem, solver, 10, iterations, time_ms, converged, 0.0, 0.0)
+
+
+def _count_solver_calls(monkeypatch):
+    """Counter of solver calls per (problem, solver) that ``run_suite`` makes."""
+    calls = Counter()
+    for name, solver in list(bench.SOLVER_FUNCS.items()):
+        def counted(objective, x0, cfg, name=name, solver=solver):
+            calls[(objective.name, name)] += 1
+            return solver(objective, x0, cfg)
+        monkeypatch.setitem(bench.SOLVER_FUNCS, name, counted)
+    return calls
+
+
+def _grid(problems, runs, solvers=("bfgs", "two-phase")):
+    return {(p, s): runs for p in problems for s in solvers}
 
 
 class TestRunSuite:
-    def test_single_problem_single_solver(self):
+    def test_single_problem_single_solver(self, monkeypatch):
+        calls = _count_solver_calls(monkeypatch)
         records = run_suite([lookup("Raydan2")], solvers=("bfgs",), runs=1)
         assert len(records) == 1
         rec = records[0]
         assert rec.problem == "Raydan2" and rec.solver == "bfgs"
-        assert rec.runs == 1 and rec.converged
+        assert calls == _grid(["Raydan2"], 1, ["bfgs"]) and rec.converged
         assert rec.grad_norm_final <= 1e-6
 
-    def test_pair_grid_and_run_counts(self):
+    def test_pair_grid_and_run_counts(self, monkeypatch):
+        calls = _count_solver_calls(monkeypatch)
         problems = [lookup("Raydan2"), lookup("Hager")]
         records = run_suite(problems, runs=2)
         assert len(records) == 4
-        assert all(r.runs == 2 for r in records)
+        assert calls == _grid(["Raydan2", "Hager"], 2)
         assert all(r.median_time_ms > 0.0 for r in records)
 
-    def test_five_timed_runs_per_pair(self):
+    def test_five_timed_runs_per_pair(self, monkeypatch):
+        calls = _count_solver_calls(monkeypatch)
         records = run_suite([lookup("Raydan2"), lookup("HIMMELH")], runs=5)
         assert len(records) == 4
-        assert all(r.runs == 5 for r in records)
-        assert all(r.mean_time_ms > 0.0 for r in records)
+        assert calls == _grid(["Raydan2", "HIMMELH"], 5)
+        assert all(r.median_time_ms > 0.0 for r in records)
 
     def test_iterations_deterministic_across_invocations(self):
         problems = [lookup("Quadratic QF1")]

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from qnbench import (
-    SPDError,
+    MODE_B_FORM,
+    MODE_H_FORM_LITERAL,
+    IterateRecord,
     SolverConfig,
     diagnose_run,
-    diagnostics_to_csv,
-    direction_quality,
     lookup,
     psi,
     solve_two_phase,
     superlinear_ratio_series,
 )
-from qnbench.solvers import IterateRecord
+from qnbench.diagnostics import diagnostics_to_csv, direction_quality
+from qnbench.linalg import SPDError
 
 from _util import make_spd, quadratic_hessian
 
@@ -114,6 +115,19 @@ class TestDiagnoseRun:
         assert len(diag.dir_quality) == res.iterations
         assert len(diag.assumption2_flags) == res.iterations
         assert 0 < len(diag.q_ratios) <= res.iterations
+
+    def test_direction_quality_agrees_across_modes(self):
+        # both modes record B, so the literal H form reproduces b_form's series
+        p = lookup("Tridia")
+        hess = quadratic_hessian(p.objective)
+        series = {}
+        for mode in (MODE_B_FORM, MODE_H_FORM_LITERAL):
+            res = solve_two_phase(p.objective, p.objective.standard_start,
+                                  SolverConfig(mode=mode, keep_operators=True))
+            series[mode] = diagnose_run(res, p.known_optimum.x, hess).dir_quality
+        b_form, h_form = series[MODE_B_FORM], series[MODE_H_FORM_LITERAL]
+        assert len(b_form) == len(h_form) > 0
+        assert h_form == pytest.approx(b_form, rel=1e-8)
 
     def test_quartile_minimum_on_strongly_convex_quadratics(self):
         # asymptotic regime needs a tight run; the benchmark tolerance stops

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from qnbench import (
+from qnbench.linalg import (
     SPDError,
     cholesky,
     inverse_spd,
+    log_determinant_spd,
     solve_spd,
     symmetrize,
 )
-from qnbench.linalg import log_determinant_spd
 
 from _util import determinant_spd, make_spd, outer_rank1_update
 

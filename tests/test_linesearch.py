@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from qnbench import (
+from qnbench import ObjectiveFunction, WolfeParams, lookup
+from qnbench.linesearch import (
     ARMIJO_ONLY,
     EXHAUSTED,
     WOLFE_SATISFIED,
     DescentDirectionError,
-    ObjectiveFunction,
-    WolfeParams,
-    lookup,
     wolfe_search,
 )
 

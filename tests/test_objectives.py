@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qnbench import ObjectiveFunction, check_gradient, default_check_points, fd_gradient
+from qnbench import ObjectiveFunction, check_gradient
+from qnbench.objectives import default_check_points, fd_gradient
 
 from _util import sphere
 

@@ -8,26 +8,27 @@ from qnbench import (
     MAX_ITER,
     MODE_B_FORM,
     MODE_H_FORM_LITERAL,
-    CurvatureError,
     ObjectiveFunction,
     SolverConfig,
-    bfgs_update_B,
-    bfgs_update_H,
-    cholesky,
-    combine_H_literal,
-    inverse_spd,
     lookup,
     psi,
     solve_bfgs,
     solve_two_phase,
     suite,
+)
+from qnbench.linalg import cholesky, inverse_spd
+from qnbench.linesearch import wolfe_search
+from qnbench.solvers import (
+    CurvatureError,
+    _TwoPhaseB,
+    bfgs_update_B,
+    bfgs_update_H,
+    combine_H_literal,
     trace_to_csv,
     two_phase_combine,
-    wolfe_search,
 )
-from qnbench.solvers import _TwoPhaseB
 
-from _util import curvature_pair, make_spd, sphere
+from _util import curvature_pair, iterate_sequence, make_spd, sphere
 
 
 class TestSolverConfig:
@@ -297,7 +298,7 @@ class TestSolveTwoPhase:
         h = solve_two_phase(p.objective, p.objective.standard_start,
                             SolverConfig(mode=MODE_H_FORM_LITERAL))
         assert b.iterations == h.iterations
-        for xb, xh in zip(b.iterate_sequence(), h.iterate_sequence()):
+        for xb, xh in zip(iterate_sequence(b), iterate_sequence(h)):
             assert np.max(np.abs(xb - xh)) <= 1e-6
 
     def test_two_line_searches_counted(self):
@@ -323,11 +324,8 @@ class TestSolveTwoPhase:
                               SolverConfig(mode=mode, keep_operators=True))
         assert res.trace
         for r, u in zip(res.trace, res.updates):
-            # b_form records B itself, h_form_literal its inverse H
-            if mode == MODE_B_FORM:
-                Bs = u.operator @ u.s
-            else:
-                Bs = np.linalg.solve(u.operator, u.s)
+            # both modes record B, also h_form_literal, which keeps H = B^{-1}
+            Bs = u.operator @ u.s
             expected = float(u.s @ Bs) / (np.linalg.norm(Bs) * np.linalg.norm(u.s))
             assert abs(r.cos_theta - expected) <= 1e-9
 
@@ -395,7 +393,7 @@ def test_b_form_psi_is_psi_of_the_recorded_operator(default_runs):
 
 def test_h_realizations_carry_psi_of_b(default_runs):
     # BFGS and h_form_literal keep H = B^{-1} and carry psi(B) by the trace and
-    # determinant identities of the update
+    # determinant identities of the update; their records hold B = H^{-1}
     cfg = SolverConfig(mode=MODE_H_FORM_LITERAL, keep_operators=True)
     runs = [(name, res) for (name, solver), res in default_runs.items() if solver == "bfgs"]
     runs += [(p.name, solve_two_phase(p.objective, p.objective.standard_start, cfg))
@@ -403,8 +401,8 @@ def test_h_realizations_carry_psi_of_b(default_runs):
     for name, res in runs:
         assert res.updates, name
         for u in res.updates:
-            for value, H in ((u.psi, u.operator), (u.psi_next, u.operator_next)):
-                assert value == pytest.approx(psi(inverse_spd(H)), rel=1e-4), name
+            for value, B in ((u.psi, u.operator), (u.psi_next, u.operator_next)):
+                assert value == pytest.approx(psi(B), rel=1e-4), name
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.3, 0.9])

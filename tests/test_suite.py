@@ -5,15 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from qnbench import (
-    CONVERGED,
-    UnknownProblemError,
-    check_gradient,
-    default_check_points,
-    lookup,
-    manifest_csv,
-    suite,
-)
+from qnbench import CONVERGED, UnknownProblemError, check_gradient, lookup, suite
+from qnbench.objectives import default_check_points
+from qnbench.suite import manifest_csv
 
 EXPECTED_ORDER = [
     "Almost Perturbed Quadratic", "ARWHEAD", "BIGGSB1", "Diagonal 1",
