@@ -1,4 +1,5 @@
-"""Benchmark harness: timed suite runs, comparison table, performance profiles.
+"""Benchmark harness: timed suite runs, the Markdown comparison table, the
+results and profile CSVs, and Dolan-More performance profiles with an SVG plot.
 
 The Dolan-More machinery follows the usual definitions: for problem p and
 solver s the performance ratio is rho_{p,s} = r_{p,s} / min_s r_{p,s}, and the
@@ -27,8 +28,6 @@ SOLVER_FUNCS = {
 
 RESULTS_CSV_FIELDS = ["problem", "solver", "n", "iterations", "median_time_ms",
                       "converged", "f_final", "grad_norm_final"]
-TABLE_CSV_FIELDS = ["sl", "function", "bfgs_iterations", "bfgs_time_ms",
-                    "twophase_iterations", "twophase_time_ms"]
 
 
 class IncompleteRecordsError(ValueError):
@@ -60,12 +59,6 @@ class BenchmarkRecord:
 class ProfileCurve:
     solver: str
     points: list[tuple[float, float]]  # (tau, P), tau >= 1, P in [0, 1]
-
-
-@dataclass(frozen=True)
-class TableText:
-    markdown: str
-    csv: str
 
 
 def run_suite(problems=None, solvers=("bfgs", "two-phase"),
@@ -178,56 +171,28 @@ def dolan_more(records, metric: str = "iterations") -> list[ProfileCurve]:
 # --- text emission ----------------------------------------------------------
 
 
-def _suite_order_key():
-    order = {p.name: i for i, p in enumerate(suite())}
-    return lambda name: (order.get(name, len(order)), name)
-
-
-def _group_rows(records):
-    records = list(records)
-    names = list(dict.fromkeys(r.problem for r in records))
-    names.sort(key=_suite_order_key())
-    rows = []
-    for sl, name in enumerate(names, start=1):
-        cells = {}
-        for r in records:
-            if r.problem == name:
-                cells[r.solver] = r
-        rows.append((sl, name, cells.get("bfgs"), cells.get("two-phase")))
-    return rows
-
-
-def emit_table(records) -> TableText:
-    """Comparison table in Markdown and CSV; the CSV is the authoritative form."""
+def emit_table(records) -> str:
+    """Comparison table in Markdown, one row per problem in suite order."""
     records = list(records)
     if not records:
         print("emit_table: no records selected, emitting header only", file=sys.stderr)
-    rows = _group_rows(records)
-
+    by_key = {(r.problem, r.solver): r for r in records}
+    order = {p.name: i for i, p in enumerate(suite())}
+    names = sorted(dict.fromkeys(r.problem for r in records),
+                   key=lambda name: (order.get(name, len(order)), name))
     md = io.StringIO()
     md.write("| Sl | Function | BFGS Iterations | BFGS Time (ms) "
              "| Two-Phase Iterations | Two-Phase Time (ms) |\n")
     md.write("|---:|:---------|----------------:|---------------:"
              "|---------------------:|--------------------:|\n")
-    for sl, name, bfgs, two in rows:
+    for sl, name in enumerate(names, start=1):
+        bfgs, two = by_key.get((name, "bfgs")), by_key.get((name, "two-phase"))
         md.write(f"| {sl} | {name} "
                  f"| {bfgs.iterations if bfgs else ''} "
                  f"| {f'{bfgs.median_time_ms:.3f}' if bfgs else ''} "
                  f"| {two.iterations if two else ''} "
                  f"| {f'{two.median_time_ms:.3f}' if two else ''} |\n")
-
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TABLE_CSV_FIELDS)
-    for sl, name, bfgs, two in rows:
-        writer.writerow([
-            sl, name,
-            bfgs.iterations if bfgs else "",
-            repr(bfgs.median_time_ms) if bfgs else "",
-            two.iterations if two else "",
-            repr(two.median_time_ms) if two else "",
-        ])
-    return TableText(md.getvalue(), out.getvalue())
+    return md.getvalue()
 
 
 def records_to_csv(records) -> str:
@@ -339,10 +304,3 @@ def profile_svg(curves) -> str:
                      f'font-family="sans-serif" font-size="13">{escape(curve.solver)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def emit_profile_svg(curves, path) -> None:
-    """Write the profile plot to ``path`` as a static SVG file."""
-    text = profile_svg(curves)
-    with open(path, "w", encoding="utf-8") as stream:
-        stream.write(text)

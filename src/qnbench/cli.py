@@ -13,8 +13,8 @@ import sys
 from qnbench.bench import (
     SOLVER_FUNCS,
     dolan_more,
-    emit_profile_svg,
     emit_table,
+    profile_svg,
     profiles_to_csv,
     records_from_csv,
     records_to_csv,
@@ -42,11 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run one solver on one problem")
     solve.add_argument("--problem", required=True, help="suite problem name")
     solve.add_argument("--solver", required=True, choices=sorted(SOLVER_FUNCS))
-    solve.add_argument("--lambda", dest="lam", type=float, default=0.5,
+    solve.add_argument("--lambda", dest="lam", type=float, default=SolverConfig.lam,
                        help="operator mixing weight in (0, 1)")
-    solve.add_argument("--tol", type=float, default=1e-6,
+    solve.add_argument("--tol", type=float, default=SolverConfig.tol,
                        help="gradient-norm stopping tolerance")
-    solve.add_argument("--max-iter", type=int, default=500)
+    solve.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     solve.add_argument("--mode", choices=sorted(_MODES), default="b-form",
                        help="operator realization for the two-phase solver")
     solve.add_argument("--trace", metavar="PATH", help="write the iterate trace CSV")
@@ -106,7 +106,7 @@ def _cmd_bench(args) -> int:
             print(f"qnbench bench: {r.problem} ({r.solver}) raised {r.error}",
                   file=sys.stderr)
     table = emit_table(records)
-    print(table.markdown, end="")
+    print(table, end="")
     converged = {s: sum(1 for r in records if r.solver == s and r.converged)
                  for s in ("bfgs", "two-phase")}
     total = len(suite())
@@ -118,7 +118,7 @@ def _cmd_bench(args) -> int:
         print(f"results written: {args.out}")
     if args.table:
         with open(args.table, "w", encoding="utf-8") as stream:
-            stream.write(table.markdown)
+            stream.write(table)
         print(f"table written:   {args.table}")
     return 0 if all(r.converged for r in records) else 1
 
@@ -141,22 +141,24 @@ def _cmd_profile(args) -> int:
         stream.write(profiles_to_csv(curves))
     print(f"profile written: {args.out}")
     if args.svg:
-        emit_profile_svg(curves, args.svg)
+        with open(args.svg, "w", encoding="utf-8") as stream:
+            stream.write(profile_svg(curves))
         print(f"svg written:     {args.svg}")
     return 0
 
 
 def _cmd_check(args) -> int:
-    failures = 0
-    for problem in suite():
+    try:
+        problems = suite()  # gradient-checks every problem, raising at the first failure
+    except RuntimeError as err:
+        print(f"qnbench check: {err}", file=sys.stderr)
+        return 1
+    for problem in problems:
         objective = problem.objective
         report = check_gradient(objective, default_check_points(objective))
-        verdict = "ok" if report.passed else "FAIL"
-        print(f"{objective.name:35s} max rel error {report.max_rel_error:.3e}  {verdict}")
-        if not report.passed:
-            failures += 1
-    print(f"\n{len(suite()) - failures}/{len(suite())} gradient checks passed")
-    return 0 if failures == 0 else 1
+        print(f"{objective.name:35s} max rel error {report.max_rel_error:.3e}  ok")
+    print(f"\n{len(problems)}/{len(problems)} gradient checks passed")
+    return 0
 
 
 def _cmd_list(args) -> int:

@@ -11,7 +11,6 @@ quality needs B, which a run records only under
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,20 +92,3 @@ def diagnose_run(result: SolveResult, x_star, hess_star=None) -> ConvergenceDiag
         dir_quality = []
     flags = [u.coupling < 0.0 for u in result.updates if u.coupling is not None]
     return ConvergenceDiagnostics(psi_series, q_ratios, dir_quality, flags)
-
-
-def diagnostics_to_csv(diag: ConvergenceDiagnostics) -> str:
-    """CSV with one row per iteration index; shorter series leave blanks."""
-    out = io.StringIO()
-    out.write("k,psi,q_ratio,dir_quality,assumption2_descent\n")
-    rows = max(len(diag.psi_series), len(diag.q_ratios),
-               len(diag.dir_quality), len(diag.assumption2_flags))
-
-    def cell(series, k, fmt=repr):
-        return fmt(series[k]) if k < len(series) else ""
-
-    for k in range(rows):
-        flag = cell(diag.assumption2_flags, k, lambda v: "true" if v else "false")
-        out.write(f"{k},{cell(diag.psi_series, k)},{cell(diag.q_ratios, k)},"
-                  f"{cell(diag.dir_quality, k)},{flag}\n")
-    return out.getvalue()

@@ -124,6 +124,8 @@ class UpdateRecord:
     which keep H = B^{-1} and invert it once per operator for the records.
     ``coupling`` is ``(p - p_bar)' grad(x_bar)`` for the two-phase method
     (None for BFGS); its sign is a recorded hypothesis flag, never enforced.
+    Whether the update was skipped is ``IterateRecord.update_skipped`` of the
+    same iteration.
     """
 
     s: np.ndarray
@@ -134,7 +136,6 @@ class UpdateRecord:
     operator_next: np.ndarray | None
     psi: float
     psi_next: float
-    skipped: bool
     coupling: float | None
 
 
@@ -360,7 +361,7 @@ def _solve(f, x0, cfg: SolverConfig, op, two_phase: bool) -> SolveResult:
         operator, operator_next = ((op.operator, op_next.operator) if cfg.keep_operators
                                    else (None, None))
         updates.append(UpdateRecord(s, y, p, recorded_p_bar, operator, operator_next,
-                                    op.psi, op_next.psi, skipped, coupling))
+                                    op.psi, op_next.psi, coupling))
         x, fx, g, op = x_next, second.f_new, second.grad_new, op_next
         k += 1
     return SolveResult(x, fx, float(np.linalg.norm(g)), k, f_evals, g_evals,

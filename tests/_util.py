@@ -1,8 +1,5 @@
 """Shared helpers for the test suite."""
 
-import csv
-import io
-
 import numpy as np
 
 from qnbench import ObjectiveFunction
@@ -95,21 +92,3 @@ def outer_rank1_update(a, v, c):
     if not np.isfinite(c):
         raise ValueError("scale must be finite")
     return a + c * np.outer(v, v)
-
-
-def parse_table_csv(text: str):
-    """Rows of the table CSV as dicts with typed iteration/time fields."""
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for raw in reader:
-        rows.append({
-            "sl": int(raw["sl"]),
-            "function": raw["function"],
-            "bfgs_iterations": int(raw["bfgs_iterations"]) if raw["bfgs_iterations"] else None,
-            "bfgs_time_ms": float(raw["bfgs_time_ms"]) if raw["bfgs_time_ms"] else None,
-            "twophase_iterations": (int(raw["twophase_iterations"])
-                                    if raw["twophase_iterations"] else None),
-            "twophase_time_ms": (float(raw["twophase_time_ms"])
-                                 if raw["twophase_time_ms"] else None),
-        })
-    return rows

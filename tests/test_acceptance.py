@@ -57,7 +57,7 @@ def test_criterion_2_directional_reproduction(bench_run):
         if by_key[(p.name, "two-phase")].iterations <= by_key[(p.name, "bfgs")].iterations
     )
     total = len(suite())
-    print("\n" + emit_table(records).markdown)
+    print("\n" + emit_table(records))
     assert at_most >= total / 2, f"two-phase <= bfgs on only {at_most}/{total}"
     print(f"ACCEPTANCE 2: PASS — two-phase took <= BFGS iterations on "
           f"{at_most}/{total} problems (>= 50% required)")

@@ -9,7 +9,6 @@ from qnbench.bench import (
     BenchmarkRecord,
     IncompleteRecordsError,
     dolan_more,
-    emit_profile_svg,
     emit_table,
     profile_svg,
     profiles_to_csv,
@@ -19,13 +18,17 @@ from qnbench.bench import (
     table_fixture_records,
 )
 
-from _util import parse_table_csv
-
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def _record(problem, solver, iterations, converged=True, time_ms=1.0):
     return BenchmarkRecord(problem, solver, 10, iterations, time_ms, converged, 0.0, 0.0)
+
+
+def _table_rows(markdown):
+    """The body rows of an ``emit_table`` Markdown table, as lists of cells."""
+    lines = markdown.strip().split("\n")[2:]
+    return [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
 
 
 def _count_solver_calls(monkeypatch):
@@ -156,39 +159,36 @@ class TestDolanMore:
 
 class TestEmitTable:
     def test_full_fixture_table(self):
-        table = emit_table(table_fixture_records())
-        md_lines = table.markdown.strip().split("\n")
+        md_lines = emit_table(table_fixture_records()).strip().split("\n")
         assert len(md_lines) == 32  # header + separator + 30 rows
         assert md_lines[2].startswith("| 1 | Almost Perturbed Quadratic |")
-        csv_lines = table.csv.strip().split("\n")
-        assert len(csv_lines) == 31
 
     def test_rows_follow_suite_order(self):
         # feed records scrambled; emission restores table order
         records = list(reversed(table_fixture_records()))
-        rows = parse_table_csv(emit_table(records).csv)
-        assert [r["function"] for r in rows][:3] == \
+        rows = _table_rows(emit_table(records))
+        assert [r[1] for r in rows][:3] == \
                ["Almost Perturbed Quadratic", "ARWHEAD", "BIGGSB1"]
 
-    def test_csv_round_trip(self):
+    def test_rows_carry_record_iterations_and_times(self):
         records = table_fixture_records()
-        rows = parse_table_csv(emit_table(records).csv)
+        rows = _table_rows(emit_table(records))
         by_name = {r.problem: {} for r in records}
         for r in records:
             by_name[r.problem][r.solver] = r
         assert len(rows) == 30
-        for row in rows:
-            pair = by_name[row["function"]]
-            assert row["bfgs_iterations"] == pair["bfgs"].iterations
-            assert row["twophase_iterations"] == pair["two-phase"].iterations
-            assert row["bfgs_time_ms"] == pair["bfgs"].median_time_ms
-            assert row["twophase_time_ms"] == pair["two-phase"].median_time_ms
+        for sl, name, bfgs_iters, bfgs_ms, two_iters, two_ms in rows:
+            pair = by_name[name]
+            assert int(bfgs_iters) == pair["bfgs"].iterations
+            assert int(two_iters) == pair["two-phase"].iterations
+            assert bfgs_ms == f"{pair['bfgs'].median_time_ms:.3f}"
+            assert two_ms == f"{pair['two-phase'].median_time_ms:.3f}"
 
     def test_empty_records_warn_and_emit_header(self, capsys):
         table = emit_table([])
         assert "no records" in capsys.readouterr().err
-        assert table.csv.strip() == "sl,function,bfgs_iterations,bfgs_time_ms,twophase_iterations,twophase_time_ms"
-        assert table.markdown.count("\n") == 2
+        assert table.startswith("| Sl | Function | BFGS Iterations |")
+        assert table.count("\n") == 2
 
 
 class TestRecordsCsv:
@@ -224,11 +224,9 @@ class TestProfilesCsv:
 
 
 class TestProfileSvg:
-    def test_valid_xml_with_two_step_series(self, tmp_path):
+    def test_valid_xml_with_two_step_series(self):
         curves = dolan_more(table_fixture_records())
-        path = tmp_path / "profile.svg"
-        emit_profile_svg(curves, path)
-        root = ET.parse(path).getroot()
+        root = ET.fromstring(profile_svg(curves))
         assert root.tag == f"{SVG_NS}svg"
         paths = [el for el in root.iter(f"{SVG_NS}path")
                  if el.get("class") == "profile-curve"]

@@ -1,11 +1,16 @@
 import csv
+import dataclasses
+import importlib
 import io
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from qnbench import bench
+from qnbench import SolverConfig, bench, lookup, solve_two_phase
 from qnbench.cli import main
+
+# the module, not the function that the package re-exports under its name
+suite_module = importlib.import_module("qnbench.suite")
 
 
 def _read(path):
@@ -58,6 +63,15 @@ class TestSolve:
         code = main(["solve", "--problem", "hager", "--solver", "two-phase",
                      "--mode", "h-form"])
         assert code == 0
+
+    def test_defaults_are_the_solver_config_defaults(self, capsys):
+        code = main(["solve", "--problem", "Raydan2", "--solver", "two-phase"])
+        out = capsys.readouterr().out
+        objective = lookup("Raydan2").objective
+        result = solve_two_phase(objective, objective.standard_start, SolverConfig())
+        assert code == 0
+        assert f"iterations:      {result.iterations}\n" in out
+        assert f"evaluations:     f={result.f_evals} grad={result.g_evals}\n" in out
 
     def test_tol_flag(self, capsys):
         code = main(["solve", "--problem", "raydan2", "--solver", "bfgs",
@@ -144,6 +158,32 @@ class TestCheckAndList:
         out = capsys.readouterr().out
         assert code == 0
         assert "30/30 gradient checks passed" in out
+
+    def test_check_reports_a_broken_gradient(self, monkeypatch, capsys):
+        build = suite_module._build_problems
+
+        def with_broken_raydan2():
+            problems = build()
+            for i, problem in enumerate(problems):
+                if problem.name == "Raydan2":
+                    gradient = problem.objective.gradient
+                    objective = dataclasses.replace(
+                        problem.objective, gradient=lambda x: gradient(x) - 0.01)
+                    problems[i] = dataclasses.replace(problem, objective=objective)
+            return problems
+
+        monkeypatch.setattr(suite_module, "_build_problems", with_broken_raydan2)
+        suite_module.suite.cache_clear()
+        try:
+            code = main(["check"])
+        finally:
+            suite_module.suite.cache_clear()
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("qnbench check: Raydan2: analytic gradient disagrees")
 
     def test_list_prints_manifest(self, capsys):
         code = main(["list"])

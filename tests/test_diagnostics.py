@@ -14,7 +14,7 @@ from qnbench import (
     solve_two_phase,
     superlinear_ratio_series,
 )
-from qnbench.diagnostics import diagnostics_to_csv, direction_quality
+from qnbench.diagnostics import direction_quality
 from qnbench.linalg import SPDError
 
 from _util import make_spd, quadratic_hessian
@@ -164,17 +164,3 @@ class TestDiagnoseRun:
                 assert psi(u.operator) >= 10.0, name
             if res.updates:
                 assert psi(res.updates[-1].operator_next) >= 10.0, name
-
-
-class TestDiagnosticsCsv:
-    def test_structure(self):
-        p = lookup("Tridia")
-        res = solve_two_phase(p.objective, p.objective.standard_start,
-                              SolverConfig(keep_operators=True))
-        diag = diagnose_run(res, p.known_optimum.x, quadratic_hessian(p.objective))
-        text = diagnostics_to_csv(diag)
-        lines = text.strip().split("\n")
-        assert lines[0] == "k,psi,q_ratio,dir_quality,assumption2_descent"
-        assert len(lines) - 1 == len(diag.psi_series)
-        first = lines[1].split(",")
-        assert float(first[1]) == diag.psi_series[0]

@@ -243,8 +243,8 @@ class TestSolveTwoPhase:
         p = lookup("Diagonal 3")
         res = solve_two_phase(p.objective, p.objective.standard_start,
                               SolverConfig(keep_operators=True))
-        for u in res.updates:
-            if u.skipped:
+        for r, u in zip(res.trace, res.updates):
+            if r.update_skipped:
                 continue
             B_bar = bfgs_update_B(u.operator, u.s, u.y)
             assert (np.linalg.norm(B_bar @ u.s - u.y)
@@ -256,8 +256,8 @@ class TestSolveTwoPhase:
             p = lookup(name)
             res = solve_two_phase(p.objective, p.objective.standard_start,
                                   SolverConfig(lam=lam, keep_operators=True))
-            for u in res.updates:
-                if u.skipped:
+            for r, u in zip(res.trace, res.updates):
+                if r.update_skipped:
                     continue
                 B, B_next, s, y = u.operator, u.operator_next, u.s, u.y
                 Bs = B @ s
