@@ -20,14 +20,13 @@ from qnbench.bench import (
     records_to_csv,
     run_suite,
 )
-from qnbench.objectives import check_gradient, default_check_points
 from qnbench.solvers import (
     MODE_B_FORM,
     MODE_H_FORM_LITERAL,
     SolverConfig,
     trace_to_csv,
 )
-from qnbench.suite import UnknownProblemError, lookup, manifest_csv, suite
+from qnbench.suite import UnknownProblemError, gradient_reports, lookup, manifest_csv, suite
 
 _MODES = {"b-form": MODE_B_FORM, "h-form": MODE_H_FORM_LITERAL}
 
@@ -149,15 +148,13 @@ def _cmd_profile(args) -> int:
 
 def _cmd_check(args) -> int:
     try:
-        problems = suite()  # gradient-checks every problem, raising at the first failure
+        checked = gradient_reports()
     except RuntimeError as err:
         print(f"qnbench check: {err}", file=sys.stderr)
         return 1
-    for problem in problems:
-        objective = problem.objective
-        report = check_gradient(objective, default_check_points(objective))
-        print(f"{objective.name:35s} max rel error {report.max_rel_error:.3e}  ok")
-    print(f"\n{len(problems)}/{len(problems)} gradient checks passed")
+    for problem, report in checked:
+        print(f"{problem.name:35s} max rel error {report.max_rel_error:.3e}  ok")
+    print(f"\n{len(checked)}/{len(checked)} gradient checks passed")
     return 0
 
 

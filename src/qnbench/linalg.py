@@ -5,9 +5,11 @@ elementwise arithmetic (``@``, ``np.dot``, ``np.linalg.norm``, ``np.trace``)
 is plain numpy.  This module owns the operations that carry an explicit SPD
 contract.  The Cholesky factorization and the dense inverse are LAPACK's
 (``np.linalg.cholesky``, ``np.linalg.inv``) under one pivot test, which
-certifies positive definiteness; solves against the factor substitute in
-Python, since numpy has no triangular solve; and ``ln det`` comes from the
-factor.
+certifies positive definiteness, and ``ln det`` comes from the factor.
+``solve_spd`` substitutes against the factor in Python, since numpy has no
+triangular solve.  No solver calls it: every realization keeps
+H = B^{-1} and multiplies.  It stays because ``perfbench/tracer.py`` patches
+it by name in this module and in ``qnbench.solvers``.
 """
 
 from __future__ import annotations

@@ -12,18 +12,17 @@ and then takes the real step from the *original* point along
 ``-B_next^{-1} g`` under a second Wolfe search.  When the curvature floor
 rejects the pair, the update is skipped and the first step is accepted.
 
-The loop sees the operator through three realizations, each giving a
-direction, an updated copy and the potential ``psi(B) = tr B - ln det B``:
-BFGS on H; two-phase ``b_form`` (default) on B with its Cholesky factor; and
-two-phase ``h_form_literal`` on H, combining through the literal double
-inversion ``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``, which exists for
-cross-validation.  ``B p_bar = -g`` gives two quantities without a product
-with B: the recorded ``cos_theta = s'Bs / (||Bs|| ||s||)`` is
-``-g'p_bar / (||g|| ||p_bar||)``, and ``Bs = -alpha_bar g``, from which the H
-realizations carry psi(B) by the trace and determinant identities of the
-update.  Records keep psi and the vectors of each iteration; they keep B
-only under ``SolverConfig(keep_operators=True)``, so by default a solve's
-memory does not grow with its iteration count.
+The loop sees the operator through three realizations that keep H = B^{-1}
+and give the direction ``-H g``, an updated copy and ``psi(B) = tr B - ln det B``:
+BFGS; two-phase ``b_form`` (default), the combination in B applied to H by the
+Woodbury formula and certified by H_next's Cholesky pivots; and two-phase
+``h_form_literal``, the literal ``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``,
+kept for cross-validation.  ``B p_bar = -g`` spares every product with B: the
+recorded ``cos_theta = s'Bs / (||Bs|| ||s||)`` is ``-g'p_bar / (||g|| ||p_bar||)``,
+and ``Bs = -alpha_bar g`` gives ``b_form``'s update and psi(B) by the trace and
+determinant identities.  Records keep psi and the vectors of each iteration;
+they keep B only under ``SolverConfig(keep_operators=True)``, so by default a
+solve's memory does not grow with its iteration count.
 
 A run ends ``converged``, ``max_iter``, ``line_search_exhausted``,
 ``spd_failure`` (no descent direction, or an update that fails its SPD
@@ -43,8 +42,7 @@ from qnbench.linalg import (
     SPDError,
     cholesky,
     inverse_spd,
-    log_determinant_spd,
-    solve_spd,
+    solve_spd,  # unused here, but perfbench/tracer.py patches solvers.solve_spd
     symmetrize,
 )
 from qnbench.linesearch import EXHAUSTED, WolfeParams, wolfe_search
@@ -120,8 +118,8 @@ class UpdateRecord:
     ``psi`` and ``psi_next`` are ``tr B - ln det B`` of the operator before and
     after the update, for every solver and mode.  ``operator`` and
     ``operator_next`` are None unless the run set ``keep_operators``; then they
-    are B before and after the update, also for BFGS and ``h_form_literal``,
-    which keep H = B^{-1} and invert it once per operator for the records.
+    are B before and after the update; every realization keeps H = B^{-1} and
+    inverts it once per operator for the records.
     ``coupling`` is ``(p - p_bar)' grad(x_bar)`` for the two-phase method
     (None for BFGS); its sign is a recorded hypothesis flag, never enforced.
     Whether the update was skipped is ``IterateRecord.update_skipped`` of the
@@ -208,7 +206,7 @@ def combine_H_literal(H, H_bar, lam: float):
     return inverse_spd(two_phase_combine(H_inv, H_bar_inv, lam))
 
 
-def _psi_step(s, y, Bs, H, lam):
+def _psi_step(s, y, Bs, yHy, lam):
     """Changes in tr B and ln det B under B_next = lam B + (1 - lam) B_bfgs(B, s, y).
 
     The update is B + U C U' with U = [Bs, y] and
@@ -227,7 +225,7 @@ def _psi_step(s, y, Bs, H, lam):
     d_trace = mu * (float(y.dot(y)) / sy - float(Bs.dot(Bs)) / sBs)
     det = mu * mu * sy / sBs
     if lam:  # BFGS (lam = 0) needs no y'Hy: the factor is s'y/s'Bs
-        det += lam * (1.0 + mu * float(y.dot(H @ y)) / sy)
+        det += lam * (1.0 + mu * yHy / sy)
     return d_trace, math.log(det)
 
 
@@ -256,8 +254,8 @@ class _InverseBfgs:
         H_next = bfgs_update_H(self.matrix, s, y)
         return self._successor(H_next, s, y, Bs, 0.0)
 
-    def _successor(self, H_next, s, y, Bs, lam):
-        d_trace, d_log_det = _psi_step(s, y, Bs, self.matrix, lam)
+    def _successor(self, H_next, s, y, Bs, lam, yHy=None):
+        d_trace, d_log_det = _psi_step(s, y, Bs, yHy, lam)
         return type(self)(H_next, self.trace + d_trace, self.log_det + d_log_det)
 
 
@@ -267,27 +265,28 @@ class _TwoPhaseHLiteral(_InverseBfgs):
     def updated(self, s, y, Bs, cfg):
         H_bar = bfgs_update_H(self.matrix, s, y)
         H_next = combine_H_literal(self.matrix, H_bar, cfg.lam)
-        return self._successor(H_next, s, y, Bs, cfg.lam)
+        return self._successor(H_next, s, y, Bs, cfg.lam, float(y.dot(self.matrix @ y)))
 
 
-class _TwoPhaseB:
-    """Two-phase combination on B, kept with the Cholesky factor that certifies it."""
+class _TwoPhaseWoodbury(_InverseBfgs):
+    """Two-phase ``b_form``: the update B + U C U' of :func:`_psi_step`, on H.
 
-    def __init__(self, B):
-        self.matrix = self.operator = B
-        self.lower = cholesky(B)
-        self.psi = float(B.trace()) - log_determinant_spd(self.lower)
-
-    def direction(self, g):
-        return -solve_spd(self.lower, g)
+    By Woodbury (Nocedal & Wright, eq. A.28), H_next = H - HU M^{-1} (HU)' with
+    M = C^{-1} + U'HU = [[-lam s'Bs/(1 - lam), s'y], [s'y, s'y/(1 - lam) + y'Hy]].
+    """
 
     def updated(self, s, y, Bs, cfg):
-        # two_phase_combine to the bit (IEEE + and * commute), but in place, so
-        # that the BFGS update is freed before the next factorization
-        B_next = bfgs_update_B(self.matrix, s, y)
-        B_next *= 1.0 - cfg.lam
-        B_next += cfg.lam * self.matrix
-        return _TwoPhaseB(B_next)
+        sy, sBs = _curvature(s, y), float(s.dot(Bs))
+        if sBs <= 0.0:
+            raise SPDError(f"s'Bs = {sBs:.3e} is not positive")
+        H, lam, mu = self.matrix, cfg.lam, 1.0 - cfg.lam
+        HU = np.column_stack((H @ Bs, H @ y))
+        yHy = float(y.dot(HU[:, 1]))
+        m11, m12, m22 = -lam * sBs / mu, sy, sy / mu + yHy
+        M_inv = np.array([[m22, -m12], [-m12, m11]]) / (m11 * m22 - m12 * m12)
+        H_next = H - (HU @ M_inv) @ HU.T
+        cholesky(H_next)  # the SPD certificate: SPDError at a pivot below PIVOT_RTOL
+        return self._successor(H_next, s, y, Bs, lam, yHy)
 
 
 def _descends(g, p):
@@ -387,12 +386,12 @@ def solve_bfgs(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
 def solve_two_phase(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
     """Two-phase quasi-Newton iteration (see the module docstring), from B = I.
 
-    Parameters as in :func:`solve_bfgs`; ``cfg.mode`` chooses between the
-    Cholesky-based ``b_form`` and the literal inverse form.
+    Parameters as in :func:`solve_bfgs`; ``cfg.mode`` chooses between
+    ``b_form``, the combination in B applied to H by a Woodbury update, and
+    the literal inverse form.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    form = _TwoPhaseB if cfg.mode == MODE_B_FORM else _TwoPhaseHLiteral
-    # passed, not bound, so the loop can free the initial operator's factor
+    form = _TwoPhaseWoodbury if cfg.mode == MODE_B_FORM else _TwoPhaseHLiteral
     return _solve(f, x0, cfg, form(np.eye(np.size(x0))), two_phase=True)
 
 

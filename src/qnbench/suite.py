@@ -21,11 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from qnbench.objectives import (
-    ObjectiveFunction,
-    check_gradient,
-    default_check_points,
-)
+from qnbench.objectives import (GradientCheckReport, ObjectiveFunction, check_gradient,
+                                default_check_points)
 
 DIMENSION = 10
 
@@ -564,19 +561,24 @@ def _build_problems():
     return problems
 
 
-@lru_cache(maxsize=1)
-def suite() -> tuple[SuiteProblem, ...]:
-    """All 30 problems in table order, gradient-checked on first access."""
-    problems = _build_problems()
-    for problem in problems:
-        report = check_gradient(problem.objective, default_check_points(problem.objective))
+def gradient_reports() -> list[tuple[SuiteProblem, GradientCheckReport]]:
+    """Every problem with its gradient check; RuntimeError names the first failure."""
+    checked = [(p, check_gradient(p.objective, default_check_points(p.objective)))
+               for p in _build_problems()]
+    for problem, report in checked:
         if not report.passed:
             raise RuntimeError(
                 f"{problem.name}: analytic gradient disagrees with central "
                 f"differences (rel error {report.max_rel_error:.3e} at "
                 f"coordinate {report.worst_coordinate})"
             )
-    return tuple(problems)
+    return checked
+
+
+@lru_cache(maxsize=1)
+def suite() -> tuple[SuiteProblem, ...]:
+    """All 30 problems in table order, gradient-checked on first access."""
+    return tuple(problem for problem, _ in gradient_reports())
 
 
 def _canon(name: str) -> str:

@@ -11,6 +11,7 @@ from qnbench.cli import main
 
 # the module, not the function that the package re-exports under its name
 suite_module = importlib.import_module("qnbench.suite")
+cli_module = importlib.import_module("qnbench.cli")
 
 
 def _read(path):
@@ -158,6 +159,25 @@ class TestCheckAndList:
         out = capsys.readouterr().out
         assert code == 0
         assert "30/30 gradient checks passed" in out
+
+    def test_check_checks_each_gradient_once(self, monkeypatch, capsys):
+        calls = []
+        check = suite_module.check_gradient
+
+        def counting_check(*args, **kwargs):
+            calls.append(args[0].name)
+            return check(*args, **kwargs)
+
+        # wherever a command could look it up
+        monkeypatch.setattr(suite_module, "check_gradient", counting_check)
+        monkeypatch.setattr(cli_module, "check_gradient", counting_check, raising=False)
+        suite_module.suite.cache_clear()
+        try:
+            assert main(["check"]) == 0
+        finally:
+            suite_module.suite.cache_clear()
+        assert len(calls) == 30
+        assert len(set(calls)) == 30
 
     def test_check_reports_a_broken_gradient(self, monkeypatch, capsys):
         build = suite_module._build_problems
