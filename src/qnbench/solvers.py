@@ -20,9 +20,7 @@ Woodbury formula and certified by H_next's Cholesky pivots; and two-phase
 kept for cross-validation.  ``B p_bar = -g`` spares every product with B: the
 recorded ``cos_theta = s'Bs / (||Bs|| ||s||)`` is ``-g'p_bar / (||g|| ||p_bar||)``,
 and ``Bs = -alpha_bar g`` gives ``b_form``'s update and psi(B) by the trace and
-determinant identities.  Records keep psi and the vectors of each iteration;
-they keep B only under ``SolverConfig(keep_operators=True)``, so by default a
-solve's memory does not grow with its iteration count.
+determinant identities.  Records keep B only under ``keep_operators``.
 
 A run ends ``converged``, ``max_iter``, ``line_search_exhausted``,
 ``spd_failure`` (no descent direction, or an update that fails its SPD
@@ -122,8 +120,7 @@ class UpdateRecord:
     inverts it once per operator for the records.
     ``coupling`` is ``(p - p_bar)' grad(x_bar)`` for the two-phase method
     (None for BFGS); its sign is a recorded hypothesis flag, never enforced.
-    Whether the update was skipped is ``IterateRecord.update_skipped`` of the
-    same iteration.
+    A skipped update shows in the same iteration's ``IterateRecord.update_skipped``.
     """
 
     s: np.ndarray
@@ -272,16 +269,19 @@ class _TwoPhaseWoodbury(_InverseBfgs):
     """Two-phase ``b_form``: the update B + U C U' of :func:`_psi_step`, on H.
 
     By Woodbury (Nocedal & Wright, eq. A.28), H_next = H - HU M^{-1} (HU)' with
-    M = C^{-1} + U'HU = [[-lam s'Bs/(1 - lam), s'y], [s'y, s'y/(1 - lam) + y'Hy]].
+    M = C^{-1} + U'HU = [[-lam s'Bs/(1 - lam), s'y], [s'y, s'y/(1 - lam) + y'Hy]]
+    with s = H Bs = alpha_bar p_bar, not the rounded x_bar - x: s'Bs = Bs'H Bs > 0
+    and psi tracks H_next.  H_next's rounding asymmetry is accepted, unsymmetrized.
     """
 
     def updated(self, s, y, Bs, cfg):
-        sy, sBs = _curvature(s, y), float(s.dot(Bs))
-        if sBs <= 0.0:
-            raise SPDError(f"s'Bs = {sBs:.3e} is not positive")
+        _curvature(s, y)
         H, lam, mu = self.matrix, cfg.lam, 1.0 - cfg.lam
         HU = np.column_stack((H @ Bs, H @ y))
-        yHy = float(y.dot(HU[:, 1]))
+        s = HU[:, 0]
+        sy, sBs, yHy = float(s.dot(y)), float(s.dot(Bs)), float(y.dot(HU[:, 1]))
+        if sBs <= 0.0:
+            raise SPDError(f"s'Bs = {sBs:.3e} is not positive")
         m11, m12, m22 = -lam * sBs / mu, sy, sy / mu + yHy
         M_inv = np.array([[m22, -m12], [-m12, m11]]) / (m11 * m22 - m12 * m12)
         H_next = H - (HU @ M_inv) @ HU.T

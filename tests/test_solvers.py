@@ -385,15 +385,14 @@ def test_peak_memory_does_not_grow_with_iterations(solver):
 
 def test_b_form_psi_is_psi_of_the_recorded_operator(default_runs):
     # b_form carries psi by the recursion, like the H realizations below, but
-    # is held to a far tighter tolerance; the largest deviation, 2.6e-8, is on
-    # Extended Freudenstein and Roth, whose last steps are ~1e-9 against
-    # |x| = 26, so that s = x_bar - x keeps only about ten digits
+    # is held to a far tighter tolerance: its update and its psi step share
+    # one s = H Bs, so psi follows the H it records
     for (name, solver), res in default_runs.items():
         if solver != "two-phase":
             continue
         for u in res.updates:
-            assert u.psi == pytest.approx(psi(u.operator), rel=1e-7), name
-            assert u.psi_next == pytest.approx(psi(u.operator_next), rel=1e-7), name
+            assert u.psi == pytest.approx(psi(u.operator), rel=1e-9), name
+            assert u.psi_next == pytest.approx(psi(u.operator_next), rel=1e-9), name
 
 
 def test_h_realizations_carry_psi_of_b(default_runs):
@@ -421,6 +420,23 @@ def test_woodbury_update_inverts_two_phase_combine(lam):
             B_next = two_phase_combine(B, bfgs_update_B(B, s, y), lam)
             H_next = _TwoPhaseWoodbury(np.linalg.inv(B)).updated(s, y, B @ s, cfg).matrix
             assert np.abs(H_next @ B_next - np.eye(n)).max() <= 1e-13
+
+
+def test_woodbury_update_survives_a_step_rounded_away():
+    # far from the origin a tiny step loses its descending coordinate: H
+    # couples the two, p_bar = -H g climbs along e_2, and x_bar - x rounds its
+    # e_1 part to 0, so s'g > 0 while g'p_bar < 0; s'Bs from H Bs stays positive
+    H = np.array([[1.0, 0.9], [0.9, 1.0]])
+    g = np.array([1.0, -0.5])
+    alpha_bar, p_bar = 1e-9, -H @ g
+    x = np.array([1e8, 0.0])
+    s = (x + alpha_bar * p_bar) - x
+    y = np.array([1.0, 4.0]) * s  # a quadratic's gradient difference, s'y > 0
+    assert float(g @ p_bar) < 0.0 < float(g @ s)
+    B = np.linalg.inv(H)
+    op = _TwoPhaseWoodbury(H, float(np.trace(B)), np.linalg.slogdet(B)[1])
+    op_next = op.updated(s, y, -alpha_bar * g, SolverConfig())
+    assert op_next.psi == pytest.approx(psi(inverse_spd(op_next.matrix)), rel=1e-9)
 
 
 def test_update_failing_the_pivot_test_ends_spd_failure():
