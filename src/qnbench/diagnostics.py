@@ -3,10 +3,9 @@
 Executable forms of the quantities the convergence analysis reasons about:
 the operator potential ``psi(B) = trace(B) - ln det(B)``, the error-ratio
 series ``||x_{k+1} - x*|| / ||x_k - x*||``, and the direction-quality
-quotient ``||(B - G*) p_bar|| / ||p_bar||``.  The solvers record psi of each
-operator as they go, so a run's psi series needs no matrix; the direction
-quality needs B, which a run records only under
-``SolverConfig(keep_operators=True)``.
+quotient ``||(B - G*) p_bar|| / ||p_bar||``.  No series needs a recorded
+matrix: the solvers record psi of each operator as they go, and the direction
+quality reads ``B p_bar = -g`` off each iteration's recorded gradient.
 """
 
 from __future__ import annotations
@@ -55,13 +54,17 @@ def superlinear_ratio_series(trace, x_star, final_x=None):
     ]
 
 
-def direction_quality(B, hess_star, p_bar) -> float:
-    """||(B - hess_star) p_bar|| / ||p_bar||."""
+def direction_quality(g, hess_star, p_bar) -> float:
+    """||(B - hess_star) p_bar|| / ||p_bar|| of the direction p_bar = -B^{-1} g.
+
+    ``B p_bar = -g``, so the residual is ``-g - hess_star p_bar`` and B itself
+    is never needed.
+    """
     p_bar = np.asarray(p_bar, dtype=float)
     norm_p = float(np.linalg.norm(p_bar))
     if norm_p == 0.0:
         raise ValueError("p_bar must be nonzero")
-    residual = (np.asarray(B, float) - np.asarray(hess_star, float)) @ p_bar
+    residual = -np.asarray(g, dtype=float) - np.asarray(hess_star, dtype=float) @ p_bar
     return float(np.linalg.norm(residual)) / norm_p
 
 
@@ -71,21 +74,17 @@ def diagnose_run(result: SolveResult, x_star, hess_star=None) -> ConvergenceDiag
     ``psi_series`` is the recorded psi(B_0) .. psi(B_m) of the operators the
     run went through, for either solver and either mode.  ``dir_quality`` is
     only populated when the exact limiting Hessian is supplied, which for
-    quadratic objectives is the constant Hessian; it reads the recorded B of
-    each iteration, so it raises ``ValueError`` for a run that did not keep
-    the operators.
+    quadratic objectives is the constant Hessian; it has one value per
+    two-phase iteration, from the recorded g and p_bar, and none for BFGS.
     """
     psi_series = [u.psi for u in result.updates]
     if result.updates:
         psi_series.append(result.updates[-1].psi_next)
     q_ratios = superlinear_ratio_series(result.trace, x_star, result.final_x)
     if hess_star is not None:
-        if any(u.operator is None for u in result.updates):
-            raise ValueError("dir_quality needs the recorded operators; "
-                             "solve with SolverConfig(keep_operators=True)")
         dir_quality = [
-            direction_quality(u.operator, hess_star, u.p_bar)
-            for u in result.updates
+            direction_quality(r.g, hess_star, u.p_bar)
+            for r, u in zip(result.trace, result.updates)
             if u.p_bar is not None
         ]
     else:

@@ -20,7 +20,13 @@ Woodbury formula and certified by H_next's Cholesky pivots; and two-phase
 kept for cross-validation.  ``B p_bar = -g`` spares every product with B: the
 recorded ``cos_theta = s'Bs / (||Bs|| ||s||)`` is ``-g'p_bar / (||g|| ||p_bar||)``,
 and ``Bs = -alpha_bar g`` gives ``b_form``'s update and psi(B) by the trace and
-determinant identities.  Records keep B only under ``keep_operators``.
+determinant identities.
+
+Records keep vectors and scalars, never a matrix: an iterate's x and g, and
+its step's y, p and p_bar.  The step ``s`` is not kept, because it is
+``(x + alpha_bar p_bar) - x`` of the same iteration (``(x + alpha p) - x`` for
+BFGS), and B is not kept, because ``B p_bar = -g`` is what the direction
+quality reads.
 
 A run ends ``converged``, ``max_iter``, ``line_search_exhausted``,
 ``spd_failure`` (no descent direction, or an update that fails its SPD
@@ -32,7 +38,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -64,25 +69,19 @@ class CurvatureError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunable scalars shared by both solvers.
-
-    ``lam`` only affects the two-phase method.  ``keep_operators`` makes
-    every :class:`UpdateRecord` keep B before and after its update, which
-    costs one n x n matrix per iteration.
-    """
+    """Tunable scalars shared by both solvers; ``lam`` only affects the two-phase method."""
 
     lam: float = 0.5
     tol: float = 1e-6
     max_iter: int = 500
     wolfe: WolfeParams = field(default_factory=WolfeParams)
     mode: str = MODE_B_FORM
-    keep_operators: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise ValueError(f"lam must be in (0, 1), got {self.lam}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.mode not in (MODE_B_FORM, MODE_H_FORM_LITERAL):
@@ -93,13 +92,15 @@ class SolverConfig:
 class IterateRecord:
     """State at the start of iteration k plus the step that left it.
 
-    ``alpha_bar``, ``cos_theta`` and ``status_bar`` are None for the BFGS
-    baseline, which has no intermediate phase.
+    ``g`` is the gradient at ``x``.  ``alpha_bar``, ``cos_theta`` and
+    ``status_bar`` are None for the BFGS baseline, which has no intermediate
+    phase.
     """
 
     k: int
     x: np.ndarray
     f: float
+    g: np.ndarray
     grad_norm: float
     alpha_bar: float | None
     alpha: float
@@ -113,22 +114,19 @@ class IterateRecord:
 class UpdateRecord:
     """Operator update data for one iteration, kept for diagnostics.
 
-    ``psi`` and ``psi_next`` are ``tr B - ln det B`` of the operator before and
-    after the update, for every solver and mode.  ``operator`` and
-    ``operator_next`` are None unless the run set ``keep_operators``; then they
-    are B before and after the update; every realization keeps H = B^{-1} and
-    inverts it once per operator for the records.
-    ``coupling`` is ``(p - p_bar)' grad(x_bar)`` for the two-phase method
-    (None for BFGS); its sign is a recorded hypothesis flag, never enforced.
-    A skipped update shows in the same iteration's ``IterateRecord.update_skipped``.
+    ``y = grad(x_bar) - g`` is the update's gradient difference; its step s is
+    ``x_bar - x`` with ``x_bar = x + alpha_bar p_bar`` (``x + alpha p`` for
+    BFGS), from the same iteration's :class:`IterateRecord`.  ``psi`` and
+    ``psi_next`` are ``tr B - ln det B`` of the operator before and after the
+    update, for every solver and mode.  ``coupling`` is
+    ``(p - p_bar)' grad(x_bar)`` for the two-phase method (None for BFGS); its
+    sign is a recorded hypothesis flag, never enforced.  A skipped update shows
+    in the same iteration's ``IterateRecord.update_skipped``.
     """
 
-    s: np.ndarray
     y: np.ndarray
     p: np.ndarray
     p_bar: np.ndarray | None
-    operator: np.ndarray | None
-    operator_next: np.ndarray | None
     psi: float
     psi_next: float
     coupling: float | None
@@ -238,11 +236,6 @@ class _InverseBfgs:
         self.trace = float(H.shape[0]) if trace is None else trace
         self.log_det = log_det
         self.psi = self.trace - self.log_det
-
-    @cached_property
-    def operator(self):
-        """B = H^{-1}, inverted once for the records of ``keep_operators``."""
-        return inverse_spd(self.matrix)
 
     def direction(self, g):
         return -(self.matrix @ g)
@@ -355,12 +348,9 @@ def _solve(f, x0, cfg: SolverConfig, op, two_phase: bool) -> SolveResult:
             alpha_bar, status_bar, recorded_p_bar = first.alpha, first.status, p_bar
             cos_theta = -float(np.dot(g, p_bar)) / (grad_norm * float(np.linalg.norm(p_bar)))
             coupling = float(np.dot(p - p_bar, first.grad_new))
-        trace.append(IterateRecord(k, x, fx, grad_norm, alpha_bar, second.alpha, cos_theta,
+        trace.append(IterateRecord(k, x, fx, g, grad_norm, alpha_bar, second.alpha, cos_theta,
                                    skipped, status_bar, second.status))
-        operator, operator_next = ((op.operator, op_next.operator) if cfg.keep_operators
-                                   else (None, None))
-        updates.append(UpdateRecord(s, y, p, recorded_p_bar, operator, operator_next,
-                                    op.psi, op_next.psi, coupling))
+        updates.append(UpdateRecord(y, p, recorded_p_bar, op.psi, op_next.psi, coupling))
         x, fx, g, op = x_next, second.f_new, second.grad_new, op_next
         k += 1
     return SolveResult(x, fx, float(np.linalg.norm(g)), k, f_evals, g_evals,

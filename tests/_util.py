@@ -2,12 +2,45 @@
 
 import numpy as np
 
-from qnbench import ObjectiveFunction
+from qnbench import MODE_B_FORM, ObjectiveFunction
+from qnbench.linalg import inverse_spd
+from qnbench.solvers import _InverseBfgs, _TwoPhaseHLiteral, _TwoPhaseWoodbury
 
 
 def iterate_sequence(result):
     """All iterates x_0 .. x_m of a ``SolveResult``, including the final point."""
     return [record.x for record in result.trace] + [result.final_x]
+
+
+def replay(objective, result, cfg, solver):
+    """Yield ``(s, y, B, B_next)`` of each record of a run, rebuilt from its records.
+
+    ``solver`` is ``"bfgs"`` or ``"two-phase"``, and ``cfg`` the run's config.
+    The updates are replayed through the run's own realization from H = I,
+    with the step and pair formed as the solve forms them, and B is
+    ``inverse_spd(H)``.  The replayed y, psi and psi_next must equal the
+    recorded ones bit for bit.
+    """
+    two_phase = solver == "two-phase"
+    if not two_phase:
+        form = _InverseBfgs
+    elif cfg.mode == MODE_B_FORM:
+        form = _TwoPhaseWoodbury
+    else:
+        form = _TwoPhaseHLiteral
+    op = form(np.eye(np.size(result.final_x)))
+    B = inverse_spd(op.matrix)
+    for r, u in zip(result.trace, result.updates):
+        a, d = (r.alpha_bar, u.p_bar) if two_phase else (r.alpha, u.p)
+        x_bar = r.x + a * d
+        s = x_bar - r.x
+        y = np.asarray(objective.gradient(x_bar), dtype=float) - r.g
+        op_next = op if r.update_skipped else op.updated(s, y, -a * r.g, cfg)
+        assert np.array_equal(y, u.y)
+        assert (op.psi, op_next.psi) == (u.psi, u.psi_next)
+        B_next = B if r.update_skipped else inverse_spd(op_next.matrix)
+        yield s, y, B, B_next
+        op, B = op_next, B_next
 
 
 def make_spd(rng, n):

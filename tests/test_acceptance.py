@@ -133,7 +133,7 @@ def test_criterion_5_mode_equivalence_oracle():
 
 def test_criterion_6_superlinear_diagnostics():
     # tight tolerance exposes the asymptotic regime the ratio test measures
-    cfg = SolverConfig(tol=1e-10, keep_operators=True)
+    cfg = SolverConfig(tol=1e-10)
     for name in ("DQDRTIC", "Quadratic QF1", "Tridia"):
         problem = lookup(name)
         result = solve_two_phase(problem.objective, problem.objective.standard_start, cfg)

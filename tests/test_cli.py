@@ -50,6 +50,15 @@ class TestSolve:
                      "--lambda", "1.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exits_two(self, tol, capsys):
+        code = main(["solve", "--problem", "raydan2", "--solver", "two-phase",
+                     "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"qnbench solve: tol must be finite and positive, got {tol}\n"
+
     def test_trace_written(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         code = main(["solve", "--problem", "raydan2", "--solver", "two-phase",

@@ -17,7 +17,7 @@ from qnbench import (
 from qnbench.diagnostics import direction_quality
 from qnbench.linalg import SPDError
 
-from _util import make_spd, quadratic_hessian
+from _util import make_spd, quadratic_hessian, replay
 
 
 class TestPsi:
@@ -44,7 +44,7 @@ class TestPsi:
 
 
 def _fake_trace(points):
-    return [IterateRecord(k, np.asarray(x, dtype=float), 0.0, 1.0, None, 1.0,
+    return [IterateRecord(k, np.asarray(x, dtype=float), 0.0, np.ones(len(x)), 1.0, None, 1.0,
                           None, False, None, "wolfe_satisfied")
             for k, x in enumerate(points)]
 
@@ -83,32 +83,33 @@ class TestSuperlinearRatios:
 
 
 class TestDirectionQuality:
+    # each case gives the gradient g = -B p of the operator B it names
+
     def test_zero_when_operator_matches(self):
         hess = np.diag([2.0, 5.0])
-        assert direction_quality(hess, hess, np.array([0.3, -0.4])) == 0.0
+        p = np.array([0.3, -0.4])
+        assert direction_quality(-hess @ p, hess, p) == 0.0
 
     def test_scaled_identity(self):
         p = np.array([0.6, 0.8])  # unit vector
-        assert direction_quality(2.0 * np.eye(2), np.eye(2), p) == pytest.approx(1.0)
+        assert direction_quality(-2.0 * p, np.eye(2), p) == pytest.approx(1.0)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
-            direction_quality(np.eye(2), np.eye(2), np.zeros(2))
+            direction_quality(np.zeros(2), np.eye(2), np.zeros(2))
 
     def test_eventually_decreasing_on_quadratic(self):
         p = lookup("Quadratic QF1")
-        res = solve_two_phase(p.objective, p.objective.standard_start,
-                              SolverConfig(keep_operators=True))
+        res = solve_two_phase(p.objective, p.objective.standard_start)
         hess = quadratic_hessian(p.objective)
-        series = [direction_quality(u.operator, hess, u.p_bar) for u in res.updates]
+        series = [direction_quality(r.g, hess, u.p_bar) for r, u in zip(res.trace, res.updates)]
         assert series[-1] <= 0.5 * series[0]
 
 
 class TestDiagnoseRun:
     def test_series_shapes_and_positivity(self):
         p = lookup("Tridia")
-        res = solve_two_phase(p.objective, p.objective.standard_start,
-                              SolverConfig(keep_operators=True))
+        res = solve_two_phase(p.objective, p.objective.standard_start)
         diag = diagnose_run(res, p.known_optimum.x, quadratic_hessian(p.objective))
         assert len(diag.psi_series) == res.iterations + 1
         assert all(v > 0.0 for v in diag.psi_series)
@@ -117,13 +118,14 @@ class TestDiagnoseRun:
         assert 0 < len(diag.q_ratios) <= res.iterations
 
     def test_direction_quality_agrees_across_modes(self):
-        # both modes record B, so the literal H form reproduces b_form's series
+        # both modes record g and p_bar, so the literal H form reproduces
+        # b_form's series
         p = lookup("Tridia")
         hess = quadratic_hessian(p.objective)
         series = {}
         for mode in (MODE_B_FORM, MODE_H_FORM_LITERAL):
             res = solve_two_phase(p.objective, p.objective.standard_start,
-                                  SolverConfig(mode=mode, keep_operators=True))
+                                  SolverConfig(mode=mode))
             series[mode] = diagnose_run(res, p.known_optimum.x, hess).dir_quality
         b_form, h_form = series[MODE_B_FORM], series[MODE_H_FORM_LITERAL]
         assert len(b_form) == len(h_form) > 0
@@ -148,19 +150,26 @@ class TestDiagnoseRun:
         diag = diagnose_run(res, p.known_optimum.x)
         assert diag.dir_quality == []
 
-    def test_direction_quality_needs_kept_operators(self):
-        p = lookup("Tridia")
-        res = solve_two_phase(p.objective, p.objective.standard_start)
-        assert all(u.operator is None for u in res.updates)
-        with pytest.raises(ValueError, match="keep_operators"):
-            diagnose_run(res, p.known_optimum.x, quadratic_hessian(p.objective))
+    @pytest.mark.parametrize("mode", [MODE_B_FORM, MODE_H_FORM_LITERAL])
+    @pytest.mark.parametrize("name", ["Tridia", "Quadratic QF1", "DQDRTIC"])
+    def test_direction_quality_is_that_of_the_replayed_operator(self, name, mode):
+        # a default run keeps no operator; its g-based series matches
+        # ||(B - G*) p_bar|| / ||p_bar|| with B rebuilt by the replay
+        p = lookup(name)
+        cfg = SolverConfig(mode=mode)
+        res = solve_two_phase(p.objective, p.objective.standard_start, cfg)
+        hess = quadratic_hessian(p.objective)
+        dir_quality = diagnose_run(res, p.known_optimum.x, hess).dir_quality
+        assert len(dir_quality) == res.iterations > 0
+        steps = replay(p.objective, res, cfg, "two-phase")
+        for value, u, (_, _, B, _) in zip(dir_quality, res.updates, steps):
+            expected = np.linalg.norm((B - hess) @ u.p_bar) / np.linalg.norm(u.p_bar)
+            assert value == pytest.approx(expected, rel=1e-12), name
 
     def test_psi_positive_across_every_suite_run(self, default_runs):
         # psi of an SPD operator is at least the matrix order
         for (name, solver), res in default_runs.items():
             if solver != "two-phase":
                 continue
-            for u in res.updates:
-                assert psi(u.operator) >= 10.0, name
-            if res.updates:
-                assert psi(res.updates[-1].operator_next) >= 10.0, name
+            for _, _, B, B_next in replay(lookup(name).objective, res, SolverConfig(), solver):
+                assert psi(B) >= 10.0 and psi(B_next) >= 10.0, name

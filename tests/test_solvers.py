@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,6 @@ from qnbench import (
     psi,
     solve_bfgs,
     solve_two_phase,
-    suite,
 )
 from qnbench.linalg import SPDError, cholesky, inverse_spd
 from qnbench.linesearch import wolfe_search
@@ -29,7 +29,7 @@ from qnbench.solvers import (
     two_phase_combine,
 )
 
-from _util import curvature_pair, iterate_sequence, make_spd, sphere
+from _util import curvature_pair, iterate_sequence, make_spd, replay, sphere
 
 
 class TestSolverConfig:
@@ -42,8 +42,8 @@ class TestSolverConfig:
         assert cfg.mode == MODE_B_FORM
 
     @pytest.mark.parametrize("kwargs", [
-        {"lam": 0.0}, {"lam": 1.0}, {"tol": 0.0}, {"max_iter": 0},
-        {"mode": "inverse"},
+        {"lam": 0.0}, {"lam": 1.0}, {"tol": 0.0}, {"tol": math.nan}, {"tol": math.inf},
+        {"max_iter": 0}, {"mode": "inverse"},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -184,13 +184,14 @@ class TestSolveBfgs:
 class TestSolveTwoPhase:
     def test_sphere_in_one_iteration(self):
         f = sphere(10)
-        res = solve_two_phase(f, f.standard_start, SolverConfig(keep_operators=True))
+        res = solve_two_phase(f, f.standard_start)
         assert res.termination == CONVERGED
         assert res.iterations == 1
         rec = res.trace[0]
         assert rec.alpha_bar == 1.0 and rec.alpha == 1.0
         # every update term collapses on the identity quadratic
-        assert np.allclose(res.updates[0].operator_next, np.eye(10))
+        [(_, _, _, B_next)] = replay(f, res, SolverConfig(), "two-phase")
+        assert np.allclose(B_next, np.eye(10))
 
     def test_hager_converges(self):
         p = lookup("Hager")
@@ -227,40 +228,38 @@ class TestSolveTwoPhase:
                               lambda x: float(c @ x),
                               lambda x: c.copy(),
                               np.zeros(2))
-        res = solve_two_phase(f, f.standard_start,
-                              SolverConfig(max_iter=3, keep_operators=True))
+        cfg = SolverConfig(max_iter=3)
+        res = solve_two_phase(f, f.standard_start, cfg)
         assert res.termination == MAX_ITER
         assert all(r.update_skipped for r in res.trace)
-        assert all(np.array_equal(u.operator, np.eye(2)) for u in res.updates)
+        assert all(np.array_equal(B, np.eye(2)) for _, _, B, _ in replay(f, res, cfg, "two-phase"))
 
     def test_spd_certification_every_iteration(self):
         p = lookup("Quadratic QF2")
-        res = solve_two_phase(p.objective, p.objective.standard_start,
-                              SolverConfig(keep_operators=True))
-        for u in res.updates:
-            cholesky(u.operator_next)
+        res = solve_two_phase(p.objective, p.objective.standard_start)
+        for _, _, _, B_next in replay(p.objective, res, SolverConfig(), "two-phase"):
+            cholesky(B_next)
 
     def test_secant_on_accepted_updates(self):
         p = lookup("Diagonal 3")
-        res = solve_two_phase(p.objective, p.objective.standard_start,
-                              SolverConfig(keep_operators=True))
-        for r, u in zip(res.trace, res.updates):
+        res = solve_two_phase(p.objective, p.objective.standard_start)
+        steps = replay(p.objective, res, SolverConfig(), "two-phase")
+        for r, (s, y, B, _) in zip(res.trace, steps):
             if r.update_skipped:
                 continue
-            B_bar = bfgs_update_B(u.operator, u.s, u.y)
-            assert (np.linalg.norm(B_bar @ u.s - u.y)
-                    <= 1e-8 * max(1.0, np.linalg.norm(u.y)))
+            B_bar = bfgs_update_B(B, s, y)
+            assert (np.linalg.norm(B_bar @ s - y)
+                    <= 1e-8 * max(1.0, np.linalg.norm(y)))
 
     def test_trace_and_determinant_recurrences(self):
         lam = 0.5
         for name in ("Hager", "Extended Beale", "Raydan1"):
             p = lookup(name)
-            res = solve_two_phase(p.objective, p.objective.standard_start,
-                                  SolverConfig(lam=lam, keep_operators=True))
-            for r, u in zip(res.trace, res.updates):
+            cfg = SolverConfig(lam=lam)
+            res = solve_two_phase(p.objective, p.objective.standard_start, cfg)
+            for r, (s, y, B, B_next) in zip(res.trace, replay(p.objective, res, cfg, "two-phase")):
                 if r.update_skipped:
                     continue
-                B, B_next, s, y = u.operator, u.operator_next, u.s, u.y
                 Bs = B @ s
                 sBs = float(s @ Bs)
                 sy = float(s @ y)
@@ -321,13 +320,13 @@ class TestSolveTwoPhase:
     @pytest.mark.parametrize("name", ["Tridia", "Hager", "Quadratic QF1"])
     def test_cos_theta_matches_recorded_operator(self, name, mode):
         p = lookup(name)
-        res = solve_two_phase(p.objective, p.objective.standard_start,
-                              SolverConfig(mode=mode, keep_operators=True))
+        cfg = SolverConfig(mode=mode)
+        res = solve_two_phase(p.objective, p.objective.standard_start, cfg)
         assert res.trace
-        for r, u in zip(res.trace, res.updates):
-            # both modes record B, also h_form_literal, which keeps H = B^{-1}
-            Bs = u.operator @ u.s
-            expected = float(u.s @ Bs) / (np.linalg.norm(Bs) * np.linalg.norm(u.s))
+        for r, (s, _, B, _) in zip(res.trace, replay(p.objective, res, cfg, "two-phase")):
+            # both modes keep H = B^{-1}; the replay inverts it
+            Bs = B @ s
+            expected = float(s @ Bs) / (np.linalg.norm(Bs) * np.linalg.norm(s))
             assert abs(r.cos_theta - expected) <= 1e-9
 
 
@@ -367,46 +366,54 @@ def _solve_peak_bytes(solver, f, cfg):
 @pytest.mark.parametrize("solver", [solve_bfgs, solve_two_phase])
 def test_peak_memory_does_not_grow_with_iterations(solver):
     # an ill-conditioned quadratic that runs past 20 iterations; records keep
-    # a few n-vectors per iteration, so 15 more of them stay below the one
-    # n x n matrix that each iteration adds with keep_operators
+    # a few n-vectors per iteration, so 15 more of them stay below one n x n
+    # matrix
     n = 200
     d = np.linspace(1.0, 1000.0, n)
     f = ObjectiveFunction("ill-conditioned quadratic", n, lambda x: 0.5 * float(d @ (x * x)),
                           lambda x: d * x, np.ones(n))
-    matrix_bytes = 8 * n * n
-    growth = {}
-    for keep in (False, True):
-        short, long = (_solve_peak_bytes(solver, f, SolverConfig(max_iter=m, keep_operators=keep))
-                       for m in (5, 20))
-        growth[keep] = long - short
-    assert growth[False] < matrix_bytes
-    assert growth[True] > 10 * matrix_bytes
+    short, long = (_solve_peak_bytes(solver, f, SolverConfig(max_iter=m)) for m in (5, 20))
+    assert long - short < 8 * n * n
+
+
+def _replayed_runs(default_runs, h_form_runs):
+    """(name, solver, mode, result, replay) of default-config suite runs."""
+    h_form = SolverConfig(mode=MODE_H_FORM_LITERAL)
+    runs = [(name, solver, SolverConfig(), res) for (name, solver), res in default_runs.items()]
+    runs += [(name, "two-phase", h_form, res) for name, res in h_form_runs.items()]
+    for name, solver, cfg, res in runs:
+        yield name, solver, cfg.mode, res, replay(lookup(name).objective, res, cfg, solver)
+
+
+def test_replay_reproduces_every_record(default_runs, h_form_runs):
+    # the records keep no s and no operator; the replay rebuilds both, and it
+    # asserts that its y, psi and psi_next equal the recorded ones bit for bit
+    for name, solver, mode, res, steps in _replayed_runs(default_runs, h_form_runs):
+        assert len(list(steps)) == len(res.updates) == res.iterations, (name, solver, mode)
 
 
 def test_b_form_psi_is_psi_of_the_recorded_operator(default_runs):
     # b_form carries psi by the recursion, like the H realizations below, but
     # is held to a far tighter tolerance: its update and its psi step share
     # one s = H Bs, so psi follows the H it records
-    for (name, solver), res in default_runs.items():
+    for name, solver, _, res, steps in _replayed_runs(default_runs, {}):
         if solver != "two-phase":
             continue
-        for u in res.updates:
-            assert u.psi == pytest.approx(psi(u.operator), rel=1e-9), name
-            assert u.psi_next == pytest.approx(psi(u.operator_next), rel=1e-9), name
+        for u, (_, _, B, B_next) in zip(res.updates, steps):
+            assert u.psi == pytest.approx(psi(B), rel=1e-9), name
+            assert u.psi_next == pytest.approx(psi(B_next), rel=1e-9), name
 
 
-def test_h_realizations_carry_psi_of_b(default_runs):
+def test_h_realizations_carry_psi_of_b(default_runs, h_form_runs):
     # BFGS and h_form_literal keep H = B^{-1} and carry psi(B) by the trace and
-    # determinant identities of the update; their records hold B = H^{-1}
-    cfg = SolverConfig(mode=MODE_H_FORM_LITERAL, keep_operators=True)
-    runs = [(name, res) for (name, solver), res in default_runs.items() if solver == "bfgs"]
-    runs += [(p.name, solve_two_phase(p.objective, p.objective.standard_start, cfg))
-             for p in suite()]
-    for name, res in runs:
+    # determinant identities of the update; the replay inverts their H
+    for name, solver, mode, res, steps in _replayed_runs(default_runs, h_form_runs):
+        if solver == "two-phase" and mode == MODE_B_FORM:
+            continue
         assert res.updates, name
-        for u in res.updates:
-            for value, B in ((u.psi, u.operator), (u.psi_next, u.operator_next)):
-                assert value == pytest.approx(psi(B), rel=1e-4), name
+        for u, (_, _, B, B_next) in zip(res.updates, steps):
+            for value, matrix in ((u.psi, B), (u.psi_next, B_next)):
+                assert value == pytest.approx(psi(matrix), rel=1e-4), name
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.3, 0.9])
