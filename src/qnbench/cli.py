@@ -1,8 +1,9 @@
 """Command-line entry point: solve, bench, profile, check, list.
 
 Exit codes: 0 success, 1 solver non-convergence (or failed checks), 2 usage
-errors.  Human-readable summaries go to stdout; machine artifacts are written
-only to paths given explicitly via --out/--trace/--table/--svg.
+errors, malformed input and unreadable or unwritable paths.  Human-readable
+summaries go to stdout; machine artifacts are written only to paths given
+explicitly via --out/--trace/--table/--svg.
 """
 
 from __future__ import annotations
@@ -123,16 +124,20 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    with open(args.infile, "r", encoding="utf-8") as stream:
+        text = stream.read()
     try:
-        with open(args.infile, "r", encoding="utf-8") as stream:
-            records = records_from_csv(stream.read())
-    except OSError as err:
-        print(f"qnbench profile: cannot read {args.infile}: {err}", file=sys.stderr)
+        records = records_from_csv(text)
+        curves = dolan_more(records, metric=args.metric)
+    except KeyError as err:
+        print(f"qnbench profile: {args.infile} has no column {err}", file=sys.stderr)
+        return 2
+    except (TypeError, ValueError) as err:  # a short row, a malformed value, a missing pair
+        print(f"qnbench profile: {args.infile}: {err}", file=sys.stderr)
         return 2
     if not records:
-        print("qnbench profile: no records in input", file=sys.stderr)
+        print(f"qnbench profile: no records in {args.infile}", file=sys.stderr)
         return 2
-    curves = dolan_more(records, metric=args.metric)
     for curve in curves:
         p_at_one = next(p for tau, p in curve.points if tau == 1.0)
         print(f"{curve.solver}: P(1) = {p_at_one:.4g}")
@@ -178,7 +183,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_:  # argparse exits 2 on usage errors, 0 on --help
         return int(exit_.code or 0)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except OSError as err:  # an unreadable input or unwritable output path
+        print(f"qnbench {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -71,15 +71,16 @@ def direction_quality(g, hess_star, p_bar) -> float:
 def diagnose_run(result: SolveResult, x_star, hess_star=None) -> ConvergenceDiagnostics:
     """Assemble all diagnostic series from one recorded run.
 
-    ``psi_series`` is the recorded psi(B_0) .. psi(B_m) of the operators the
-    run went through, for either solver and either mode.  ``dir_quality`` is
+    ``psi_series`` is psi(B_0) = n followed by the recorded ``psi_next`` of
+    each update, psi(B_1) .. psi(B_m), for either solver and either mode; it
+    is empty for a run with no updates.  ``dir_quality`` is
     only populated when the exact limiting Hessian is supplied, which for
     quadratic objectives is the constant Hessian; it has one value per
     two-phase iteration, from the recorded g and p_bar, and none for BFGS.
     """
-    psi_series = [u.psi for u in result.updates]
+    psi_series = []
     if result.updates:
-        psi_series.append(result.updates[-1].psi_next)
+        psi_series = [float(result.final_x.size)] + [u.psi_next for u in result.updates]
     q_ratios = superlinear_ratio_series(result.trace, x_star, result.final_x)
     if hess_star is not None:
         dir_quality = [

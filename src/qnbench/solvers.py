@@ -17,15 +17,18 @@ and give the direction ``-H g``, an updated copy and ``psi(B) = tr B - ln det B`
 BFGS; two-phase ``b_form`` (default), the combination in B applied to H by the
 Woodbury formula and certified by H_next's Cholesky pivots; and two-phase
 ``h_form_literal``, the literal ``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``,
-kept for cross-validation.  ``B p_bar = -g`` spares every product with B: the
-recorded ``cos_theta = s'Bs / (||Bs|| ||s||)`` is ``-g'p_bar / (||g|| ||p_bar||)``,
-and ``Bs = -alpha_bar g`` gives ``b_form``'s update and psi(B) by the trace and
+kept for cross-validation.  ``B p_bar = -g`` spares every product with B:
+``Bs = -alpha_bar g`` gives ``b_form``'s update and psi(B) by the trace and
 determinant identities.
 
-Records keep vectors and scalars, never a matrix: an iterate's x and g, and
-its step's y, p and p_bar.  The step ``s`` is not kept, because it is
-``(x + alpha_bar p_bar) - x`` of the same iteration (``(x + alpha p) - x`` for
-BFGS), and B is not kept, because ``B p_bar = -g`` is what the direction
+Records keep vectors and scalars, never a matrix, and each fact once: an
+iterate's x, f and g, and its step's y, p, p_bar and psi_next.  What these
+repeat is derived where it is read: k is the record's index, ``||g||`` and
+``cos_theta = -g'p_bar / (||g|| ||p_bar||)`` are computed by
+:func:`trace_to_csv`, and psi of the operator before an update is the previous
+record's ``psi_next`` (n for B_0 = I).  The step ``s`` is not kept, because it
+is ``(x + alpha_bar p_bar) - x`` of the same iteration (``(x + alpha p) - x``
+for BFGS), and B is not kept, because ``B p_bar = -g`` is what the direction
 quality reads.
 
 A run ends ``converged``, ``max_iter``, ``line_search_exhausted``,
@@ -48,7 +51,7 @@ from qnbench.linalg import (
     solve_spd,  # unused here, but perfbench/tracer.py patches solvers.solve_spd
     symmetrize,
 )
-from qnbench.linesearch import EXHAUSTED, WolfeParams, wolfe_search
+from qnbench.linesearch import EXHAUSTED, DescentDirectionError, WolfeParams, wolfe_search
 
 MODE_B_FORM = "b_form"
 MODE_H_FORM_LITERAL = "h_form_literal"
@@ -90,21 +93,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterateRecord:
-    """State at the start of iteration k plus the step that left it.
+    """State at the start of an iteration plus the step that left it.
 
-    ``g`` is the gradient at ``x``.  ``alpha_bar``, ``cos_theta`` and
-    ``status_bar`` are None for the BFGS baseline, which has no intermediate
-    phase.
+    The iteration's k is the record's index in ``SolveResult.trace``.  ``g`` is
+    the gradient at ``x``.  ``alpha_bar`` and ``status_bar`` are None for the
+    BFGS baseline, which has no intermediate phase.
     """
 
-    k: int
     x: np.ndarray
     f: float
     g: np.ndarray
-    grad_norm: float
     alpha_bar: float | None
     alpha: float
-    cos_theta: float | None
     update_skipped: bool
     status_bar: str | None
     status: str
@@ -116,9 +116,10 @@ class UpdateRecord:
 
     ``y = grad(x_bar) - g`` is the update's gradient difference; its step s is
     ``x_bar - x`` with ``x_bar = x + alpha_bar p_bar`` (``x + alpha p`` for
-    BFGS), from the same iteration's :class:`IterateRecord`.  ``psi`` and
-    ``psi_next`` are ``tr B - ln det B`` of the operator before and after the
-    update, for every solver and mode.  ``coupling`` is
+    BFGS), from the same iteration's :class:`IterateRecord`.  ``psi_next`` is
+    ``tr B - ln det B`` of the operator after the update, for every solver and
+    mode; psi before it is the previous record's ``psi_next``, or n for the
+    first record.  ``coupling`` is
     ``(p - p_bar)' grad(x_bar)`` for the two-phase method (None for BFGS); its
     sign is a recorded hypothesis flag, never enforced.  A skipped update shows
     in the same iteration's ``IterateRecord.update_skipped``.
@@ -127,7 +128,6 @@ class UpdateRecord:
     y: np.ndarray
     p: np.ndarray
     p_bar: np.ndarray | None
-    psi: float
     psi_next: float
     coupling: float | None
 
@@ -137,12 +137,15 @@ class SolveResult:
     final_x: np.ndarray
     final_f: float
     final_grad_norm: float
-    iterations: int
     f_evals: int
     g_evals: int
     termination: str
     trace: list[IterateRecord]
     updates: list[UpdateRecord]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
     @property
     def converged(self) -> bool:
@@ -202,40 +205,39 @@ def combine_H_literal(H, H_bar, lam: float):
 
 
 def _psi_step(s, y, Bs, yHy, lam):
-    """Changes in tr B and ln det B under B_next = lam B + (1 - lam) B_bfgs(B, s, y).
+    """Change in psi(B) = tr B - ln det B under B_next = lam B + (1 - lam) B_bfgs(B, s, y).
 
     The update is B + U C U' with U = [Bs, y] and
     C = diag(-(1 - lam)/s'Bs, (1 - lam)/s'y), so the trace gains
     (1 - lam)(y'y/s'y - ||Bs||^2/s'Bs), and by the matrix determinant lemma
     det B gains the factor det(I + C U'HU) with H = B^{-1}, which is
     lam (1 + (1 - lam) y'Hy/s'y) + (1 - lam)^2 s'y/s'Bs: a sum of positive
-    terms, so no cancellation.
+    terms, so no cancellation.  The change is the trace's gain less the
+    factor's logarithm.
     """
     sy, sBs = float(s.dot(y)), float(s.dot(Bs))
     if not sBs > 0.0:
         # s = x_bar - x is alpha_bar p_bar rounded, so s'g can lose its sign
         # when x is large against the step; psi is then unknown, not an error
-        return math.nan, math.nan
+        return math.nan
     mu = 1.0 - lam
     d_trace = mu * (float(y.dot(y)) / sy - float(Bs.dot(Bs)) / sBs)
     det = mu * mu * sy / sBs
     if lam:  # BFGS (lam = 0) needs no y'Hy: the factor is s'y/s'Bs
         det += lam * (1.0 + mu * yHy / sy)
-    return d_trace, math.log(det)
+    return d_trace - math.log(det)
 
 
 class _InverseBfgs:
     """BFGS on the inverse operator H: the baseline's realization.
 
-    It carries tr B and ln det B of B = H^{-1} from B_0 = I through
+    It carries psi(B) = tr B - ln det B of B = H^{-1}, n for B_0 = I, through
     :func:`_psi_step`, so psi(B) costs no factorization.
     """
 
-    def __init__(self, H, trace=None, log_det=0.0):
+    def __init__(self, H, psi=None):
         self.matrix = H
-        self.trace = float(H.shape[0]) if trace is None else trace
-        self.log_det = log_det
-        self.psi = self.trace - self.log_det
+        self.psi = float(H.shape[0]) if psi is None else psi
 
     def direction(self, g):
         return -(self.matrix @ g)
@@ -245,8 +247,7 @@ class _InverseBfgs:
         return self._successor(H_next, s, y, Bs, 0.0)
 
     def _successor(self, H_next, s, y, Bs, lam, yHy=None):
-        d_trace, d_log_det = _psi_step(s, y, Bs, yHy, lam)
-        return type(self)(H_next, self.trace + d_trace, self.log_det + d_log_det)
+        return type(self)(H_next, self.psi + _psi_step(s, y, Bs, yHy, lam))
 
 
 class _TwoPhaseHLiteral(_InverseBfgs):
@@ -282,11 +283,6 @@ class _TwoPhaseWoodbury(_InverseBfgs):
         return self._successor(H_next, s, y, Bs, lam, yHy)
 
 
-def _descends(g, p):
-    """Whether g'p is finite and negative, as ``wolfe_search`` requires."""
-    return -np.inf < float(np.dot(g, p)) < 0.0
-
-
 def _solve(f, x0, cfg: SolverConfig, op, two_phase: bool) -> SolveResult:
     """The iteration loop of both solvers, over the operator realization ``op``."""
     x = np.array(x0, dtype=float)
@@ -295,65 +291,57 @@ def _solve(f, x0, cfg: SolverConfig, op, two_phase: bool) -> SolveResult:
     f_evals, g_evals = 1, 1
     trace: list[IterateRecord] = []
     updates: list[UpdateRecord] = []
-    k = 0
     if not (np.isfinite(fx) and np.all(np.isfinite(g))):
-        return SolveResult(x, fx, float(np.linalg.norm(g)), k, f_evals, g_evals,
+        return SolveResult(x, fx, float(np.linalg.norm(g)), f_evals, g_evals,
                            NON_FINITE, trace, updates)
     while True:
-        grad_norm = float(np.linalg.norm(g))
-        if grad_norm <= cfg.tol:
+        if float(np.linalg.norm(g)) <= cfg.tol:
             termination = CONVERGED
             break
-        if k >= cfg.max_iter:
+        if len(trace) >= cfg.max_iter:
             termination = MAX_ITER
             break
         p_bar = op.direction(g)
-        if not _descends(g, p_bar):
-            termination = SPD_FAILURE
-            break
-        first = wolfe_search(f, x, p_bar, fx, g, cfg.wolfe)
-        f_evals += first.f_evals
-        g_evals += first.g_evals
-        if first.status == EXHAUSTED:
-            termination = LINE_SEARCH_EXHAUSTED
-            break
-        x_bar = x + first.alpha * p_bar
-        s = x_bar - x
-        y = first.grad_new - g
         try:
-            # B p_bar = -g, so Bs = -alpha_bar g
-            op_next, skipped = op.updated(s, y, -first.alpha * g, cfg), False
-        except CurvatureError:
-            op_next, skipped = op, True
-        except SPDError:
-            termination = SPD_FAILURE
-            break
-        # BFGS, and two-phase after a skipped update, accept the first step
-        p, second, x_next = p_bar, first, x_bar
-        if two_phase and not skipped:
-            p = op_next.direction(g)
-            if not _descends(g, p):
-                termination = SPD_FAILURE
-                break
-            second = wolfe_search(f, x, p, fx, g, cfg.wolfe)
-            f_evals += second.f_evals
-            g_evals += second.g_evals
-            if second.status == EXHAUSTED:
+            first = wolfe_search(f, x, p_bar, fx, g, cfg.wolfe)
+            f_evals += first.f_evals
+            g_evals += first.g_evals
+            if first.status == EXHAUSTED:
                 termination = LINE_SEARCH_EXHAUSTED
                 break
-            x_next = x + second.alpha * p
+            x_bar = x + first.alpha * p_bar
+            s = x_bar - x
+            y = first.grad_new - g
+            try:
+                # B p_bar = -g, so Bs = -alpha_bar g
+                op_next, skipped = op.updated(s, y, -first.alpha * g, cfg), False
+            except CurvatureError:
+                op_next, skipped = op, True
+            # BFGS, and two-phase after a skipped update, accept the first step
+            p, second, x_next = p_bar, first, x_bar
+            if two_phase and not skipped:
+                p = op_next.direction(g)
+                second = wolfe_search(f, x, p, fx, g, cfg.wolfe)
+                f_evals += second.f_evals
+                g_evals += second.g_evals
+                if second.status == EXHAUSTED:
+                    termination = LINE_SEARCH_EXHAUSTED
+                    break
+                x_next = x + second.alpha * p
+        except (DescentDirectionError, SPDError):
+            # g'p not finite and negative, or an update that fails its certificate
+            termination = SPD_FAILURE
+            break
 
-        alpha_bar = status_bar = recorded_p_bar = cos_theta = coupling = None
+        alpha_bar = status_bar = recorded_p_bar = coupling = None
         if two_phase:
             alpha_bar, status_bar, recorded_p_bar = first.alpha, first.status, p_bar
-            cos_theta = -float(np.dot(g, p_bar)) / (grad_norm * float(np.linalg.norm(p_bar)))
             coupling = float(np.dot(p - p_bar, first.grad_new))
-        trace.append(IterateRecord(k, x, fx, g, grad_norm, alpha_bar, second.alpha, cos_theta,
-                                   skipped, status_bar, second.status))
-        updates.append(UpdateRecord(y, p, recorded_p_bar, op.psi, op_next.psi, coupling))
+        trace.append(IterateRecord(x, fx, g, alpha_bar, second.alpha, skipped, status_bar,
+                                   second.status))
+        updates.append(UpdateRecord(y, p, recorded_p_bar, op_next.psi, coupling))
         x, fx, g, op = x_next, second.f_new, second.grad_new, op_next
-        k += 1
-    return SolveResult(x, fx, float(np.linalg.norm(g)), k, f_evals, g_evals,
+    return SolveResult(x, fx, float(np.linalg.norm(g)), f_evals, g_evals,
                        termination, trace, updates)
 
 
@@ -388,8 +376,11 @@ def solve_two_phase(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
 def trace_to_csv(result: SolveResult) -> str:
     """Trace as CSV: k,f,grad_norm,alpha_bar,alpha,cos_theta,update_skipped.
 
-    A terminal summary row holds the final iterate's f and gradient norm with
-    the step columns empty.
+    k is the record's index, grad_norm is ``||g||`` of its gradient, and
+    cos_theta is ``-g'p_bar / (||g|| ||p_bar||)``, the cosine between the
+    phase-one direction and -g (empty for BFGS).  ``B p_bar = -g`` makes it the
+    ``s'Bs / (||Bs|| ||s||)`` of the paper's analysis.  A terminal summary row
+    holds the final iterate's f and gradient norm with the step columns empty.
     """
     out = io.StringIO()
     out.write("k,f,grad_norm,alpha_bar,alpha,cos_theta,update_skipped\n")
@@ -397,10 +388,14 @@ def trace_to_csv(result: SolveResult) -> str:
     def fmt(value):
         return "" if value is None else repr(float(value))
 
-    for r in result.trace:
+    for k, (r, u) in enumerate(zip(result.trace, result.updates)):
+        grad_norm = float(np.linalg.norm(r.g))
+        cos_theta = None
+        if u.p_bar is not None:
+            cos_theta = -float(np.dot(r.g, u.p_bar)) / (grad_norm * float(np.linalg.norm(u.p_bar)))
         skipped = "true" if r.update_skipped else "false"
-        out.write(f"{r.k},{fmt(r.f)},{fmt(r.grad_norm)},{fmt(r.alpha_bar)},"
-                  f"{fmt(r.alpha)},{fmt(r.cos_theta)},{skipped}\n")
+        out.write(f"{k},{fmt(r.f)},{fmt(grad_norm)},{fmt(r.alpha_bar)},"
+                  f"{fmt(r.alpha)},{fmt(cos_theta)},{skipped}\n")
     out.write(f"{result.iterations},{fmt(result.final_f)},"
               f"{fmt(result.final_grad_norm)},,,,\n")
     return out.getvalue()

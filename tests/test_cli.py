@@ -160,6 +160,42 @@ class TestBenchAndProfile:
     def test_bench_bad_runs_exits_two(self, capsys):
         assert main(["bench", "--runs", "0"]) == 2
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace("problem,", "name,", 1), "has no column 'problem'"),
+        (lambda text: text.replace(",10,", ",ten,", 1), "invalid literal for int()"),
+        (lambda text: "\n".join(text.split("\n")[:-2]) + "\n", "missing record for"),
+        (lambda text: text + "Raydan2,bfgs\n", "int() argument must be"),
+    ], ids=["missing-column", "non-integer-n", "missing-pair", "short-row"])
+    def test_profile_malformed_results_exit_two(self, bench_artifacts, tmp_path, capsys,
+                                                edit, message):
+        _, out, _, _ = bench_artifacts
+        bad = tmp_path / "bad.csv"
+        bad.write_text(edit(_read(out)), encoding="utf-8")
+        code = main(["profile", "--in", str(bad), "--out", str(tmp_path / "p.csv")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        assert lines[0].startswith(f"qnbench profile: {bad}")
+        assert message in lines[0]
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("solve", "--trace"), ("bench", "--out"), ("bench", "--table"),
+        ("profile", "--out"), ("profile", "--svg"),
+    ])
+    def test_unwritable_output_exits_two(self, bench_artifacts, tmp_path, capsys, command, flag):
+        _, out, _, _ = bench_artifacts
+        path = tmp_path / "missing" / "artifact"
+        argv = {
+            "solve": ["solve", "--problem", "raydan2", "--solver", "bfgs"],
+            "bench": ["bench", "--runs", "1"],
+            "profile": ["profile", "--in", str(out), "--out", str(tmp_path / "p.csv")],
+        }[command]
+        code = main(argv + [flag, str(path)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert lines == [f"qnbench {command}: [Errno 2] No such file or directory: '{path}'"]
+
 
 class TestCheckAndList:
     def test_check_passes(self, capsys):

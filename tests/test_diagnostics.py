@@ -44,9 +44,9 @@ class TestPsi:
 
 
 def _fake_trace(points):
-    return [IterateRecord(k, np.asarray(x, dtype=float), 0.0, np.ones(len(x)), 1.0, None, 1.0,
-                          None, False, None, "wolfe_satisfied")
-            for k, x in enumerate(points)]
+    return [IterateRecord(np.asarray(x, dtype=float), 0.0, np.ones(len(x)), None, 1.0, False,
+                          None, "wolfe_satisfied")
+            for x in points]
 
 
 class TestSuperlinearRatios:

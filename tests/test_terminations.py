@@ -3,8 +3,9 @@
 Property tests over BFGS and both two-phase forms: separable convex
 quadratics converge, linear objectives (unbounded below) run out of
 iterations, objectives that are +inf everywhere but the start exhaust the
-line search, and a non-finite f or gradient at the start ends the solve
-before the first direction.
+line search, a non-finite f or gradient at the start ends the solve before
+the first direction, and a direction whose slope g'p overflows ends it
+``spd_failure``.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from qnbench import (
     MODE_B_FORM,
     MODE_H_FORM_LITERAL,
     NON_FINITE,
+    SPD_FAILURE,
     ObjectiveFunction,
     SolverConfig,
     solve_bfgs,
@@ -125,3 +127,21 @@ def test_non_finite_start_is_named(solver, n, where, bad, index):
     assert res.termination == NON_FINITE
     assert (res.iterations, res.f_evals, res.g_evals) == (0, 1, 1)
     assert res.trace == [] and res.updates == []
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_direction_without_finite_slope_ends_spd_failure(solver):
+    # 0.5 ||x||^2 from (1, 1), but with a gradient of -1e160 (1, 1) at x = 0:
+    # the first step lands on 0, y'y overflows, so the curvature floor
+    # skips the update, and the next slope g'p = -g'Hg overflows to -inf,
+    # which the line search rejects as no descent
+    def gradient(x):
+        return np.full(2, -1e160) if not np.any(x) else np.array(x, dtype=float)
+
+    objective = ObjectiveFunction("overflowing slope", 2, lambda x: 0.5 * float(x @ x),
+                                  gradient, np.ones(2))
+    with np.errstate(over="ignore"):
+        res = solve(solver, objective)
+    assert res.termination == SPD_FAILURE
+    assert (res.iterations, res.f_evals, res.g_evals) == (1, 2, 2)
+    assert res.trace[0].update_skipped
