@@ -9,6 +9,7 @@ explicitly via --out/--trace/--table/--svg.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from qnbench.bench import (
@@ -83,7 +84,8 @@ def _cmd_solve(args) -> int:
     objective = problem.objective
     result = SOLVER_FUNCS[args.solver](objective, objective.standard_start, cfg)
     print(f"problem:         {problem.name} (n={objective.dimension})")
-    print(f"solver:          {args.solver} ({args.mode})")
+    mode = f" ({args.mode})" if args.solver == "two-phase" else ""  # BFGS has no mode
+    print(f"solver:          {args.solver}{mode}")
     print(f"termination:     {result.termination}")
     print(f"iterations:      {result.iterations}")
     print(f"final f:         {result.final_f:.12g}")
@@ -100,26 +102,29 @@ def _cmd_bench(args) -> int:
     if args.runs < 1:
         print("qnbench bench: --runs must be >= 1", file=sys.stderr)
         return 2
-    records = run_suite(runs=args.runs)
-    for r in records:
-        if r.error:
-            print(f"qnbench bench: {r.problem} ({r.solver}) raised {r.error}",
-                  file=sys.stderr)
-    table = emit_table(records)
-    print(table, end="")
-    converged = {s: sum(1 for r in records if r.solver == s and r.converged)
-                 for s in ("bfgs", "two-phase")}
-    total = len(suite())
-    print(f"\nconverged: bfgs {converged['bfgs']}/{total}, "
-          f"two-phase {converged['two-phase']}/{total}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as stream:
-            stream.write(records_to_csv(records))
-        print(f"results written: {args.out}")
-    if args.table:
-        with open(args.table, "w", encoding="utf-8") as stream:
-            stream.write(table)
-        print(f"table written:   {args.table}")
+    with contextlib.ExitStack() as stack:
+        # open the outputs first, so that an unwritable path fails before any solve
+        out = stack.enter_context(open(args.out, "w", encoding="utf-8")) if args.out else None
+        table_out = (stack.enter_context(open(args.table, "w", encoding="utf-8"))
+                     if args.table else None)
+        records = run_suite(runs=args.runs)
+        for r in records:
+            if r.error:
+                print(f"qnbench bench: {r.problem} ({r.solver}) raised {r.error}",
+                      file=sys.stderr)
+        table = emit_table(records)
+        print(table, end="")
+        converged = {s: sum(1 for r in records if r.solver == s and r.converged)
+                     for s in ("bfgs", "two-phase")}
+        total = len(suite())
+        print(f"\nconverged: bfgs {converged['bfgs']}/{total}, "
+              f"two-phase {converged['two-phase']}/{total}")
+        if out:
+            out.write(records_to_csv(records))
+            print(f"results written: {args.out}")
+        if table_out:
+            table_out.write(table)
+            print(f"table written:   {args.table}")
     return 0 if all(r.converged for r in records) else 1
 
 

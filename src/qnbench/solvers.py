@@ -49,7 +49,6 @@ from qnbench.linalg import (
     cholesky,
     inverse_spd,
     solve_spd,  # unused here, but perfbench/tracer.py patches solvers.solve_spd
-    symmetrize,
 )
 from qnbench.linesearch import EXHAUSTED, DescentDirectionError, WolfeParams, wolfe_search
 
@@ -175,15 +174,27 @@ def bfgs_update_B(B, s, y):
 
 
 def bfgs_update_H(H, s, y):
-    """Inverse-Hessian update (I - r sy')H(I - r ys') + r ss', r = 1/(y's)."""
+    """Inverse-Hessian update (I - r sy')H(I - r ys') + r ss', r = 1/(y's), in O(n^2).
+
+    The product is evaluated in its own order, as two rank-one corrections of
+    one fresh array: first the left factor, A = H - r s(Hy)', then the right
+    factor with r ss', A - (r Ay - r s)s'.  That is two matrix-vector products
+    and two outer products, against two n x n products for the dense form; the
+    expanded three-term form costs the same but rounds differently enough to
+    move the counts of the flat-tailed Hager n = 300 solve (63 to 97 BFGS
+    iterations, against 65 for this order).  The output's rounding asymmetry
+    is accepted, unsymmetrized: at most 1.4e-13 relative (``||A - A'||/||A||``)
+    over the benchmark's BFGS solves.
+    """
     H = np.asarray(H, dtype=float)
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    sy = _curvature(s, y)
-    rho = 1.0 / sy
-    n = s.size
-    left = np.eye(n) - rho * np.outer(s, y)
-    return symmetrize(left @ H @ left.T + rho * np.outer(s, s))
+    rho = 1.0 / _curvature(s, y)
+    A = np.outer(s, H @ y)
+    A *= -rho
+    A += H  # (I - r sy')H, never in the caller's H
+    A -= np.outer(rho * (A @ y) - rho * s, s)  # ... (I - r ys') + r ss'
+    return A
 
 
 def two_phase_combine(B, B_bar, lam: float):

@@ -43,6 +43,17 @@ def replay(objective, result, cfg, solver):
         op, B = op_next, B_next
 
 
+def bfgs_update_H_dense(H, s, y):
+    """The inverse BFGS update as the dense three-factor product, an O(n^3) oracle.
+
+    ``(I - r sy') H (I - r ys') + r ss'`` with r = 1/(y's), built from ``np.eye``
+    and two n x n products, the form the library's update must agree with.
+    """
+    rho = 1.0 / float(np.dot(s, y))
+    left = np.eye(np.size(s)) - rho * np.outer(s, y)
+    return left @ H @ left.T + rho * np.outer(s, s)
+
+
 def make_spd(rng, n):
     m = rng.standard_normal((n, n))
     return m.T @ m + n * np.eye(n)

@@ -68,6 +68,17 @@ class TestSolve:
         assert lines[0] == "k,f,grad_norm,alpha_bar,alpha,cos_theta,update_skipped"
         assert len(lines) >= 3
 
+    @pytest.mark.parametrize("solver, mode, line", [
+        ("bfgs", "b-form", "solver:          bfgs\n"),
+        ("bfgs", "h-form", "solver:          bfgs\n"),
+        ("two-phase", "b-form", "solver:          two-phase (b-form)\n"),
+        ("two-phase", "h-form", "solver:          two-phase (h-form)\n"),
+    ])
+    def test_solver_line_names_a_mode_only_for_two_phase(self, capsys, solver, mode, line):
+        code = main(["solve", "--problem", "raydan2", "--solver", solver, "--mode", mode])
+        assert code == 0
+        assert line in capsys.readouterr().out
+
     def test_h_form_mode(self, capsys):
         code = main(["solve", "--problem", "hager", "--solver", "two-phase",
                      "--mode", "h-form"])
@@ -183,8 +194,14 @@ class TestBenchAndProfile:
         ("solve", "--trace"), ("bench", "--out"), ("bench", "--table"),
         ("profile", "--out"), ("profile", "--svg"),
     ])
-    def test_unwritable_output_exits_two(self, bench_artifacts, tmp_path, capsys, command, flag):
+    def test_unwritable_output_exits_two(self, bench_artifacts, tmp_path, capsys, monkeypatch,
+                                         command, flag):
         _, out, _, _ = bench_artifacts
+
+        def no_solves(**kwargs):
+            raise AssertionError("bench ran the suite before opening its outputs")
+
+        monkeypatch.setattr("qnbench.cli.run_suite", no_solves)
         path = tmp_path / "missing" / "artifact"
         argv = {
             "solve": ["solve", "--problem", "raydan2", "--solver", "bfgs"],
