@@ -3,7 +3,8 @@
 The top level holds what the README's Library section uses and the types of
 the values those names take or return.  Every other name is imported from its
 own module: ``qnbench.bench`` (runs, table, profiles), ``qnbench.linalg``,
-``qnbench.linesearch``, and the update primitives in ``qnbench.solvers``.
+``qnbench.linesearch`` (the search and its fixed constants ``WOLFE``), and
+the update primitives in ``qnbench.solvers``.
 """
 
 from qnbench.diagnostics import (
@@ -12,7 +13,6 @@ from qnbench.diagnostics import (
     psi,
     superlinear_ratio_series,
 )
-from qnbench.linesearch import WolfeParams
 from qnbench.objectives import GradientCheckReport, ObjectiveFunction, check_gradient
 from qnbench.solvers import (
     CONVERGED,
@@ -51,7 +51,6 @@ __all__ = [
     "SuiteProblem",
     "UnknownProblemError",
     "UpdateRecord",
-    "WolfeParams",
     "check_gradient",
     "diagnose_run",
     "lookup",

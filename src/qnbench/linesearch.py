@@ -6,8 +6,9 @@ A trial step is accepted only when it satisfies both the sufficient-decrease
     f(x + a p) <= f(x) + c1 * a * g'p        (Armijo)
     grad f(x + a p)' p >= c2 * g'p           (curvature)
 
-with 0 < c1 < c2 < 1.  Trials start at a = 1 and contract by a fixed factor,
-so the returned step never exceeds 1.
+with the fixed constants of ``WOLFE``: c1 = 1e-4 and c2 = 0.9.  Trials start
+at a = 1 and contract by half, at most 60 times, so the returned step never
+exceeds 1.
 
 The search stops at the first trial that satisfies both.  It also stops at
 the second trial that passes Armijo and fails curvature, and returns the
@@ -37,20 +38,16 @@ class DescentDirectionError(ValueError):
 
 @dataclass(frozen=True)
 class WolfeParams:
-    """Step-acceptance constants; defaults are the benchmark configuration."""
+    """The search's step-acceptance constants."""
 
-    c1: float = 1e-4
-    c2: float = 0.9
-    backtrack: float = 0.5
-    max_trials: int = 60
+    c1: float
+    c2: float
+    backtrack: float
+    max_trials: int
 
-    def __post_init__(self):
-        if not 0.0 < self.c1 < self.c2 < 1.0:
-            raise ValueError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={self.c2}")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError(f"backtrack factor must be in (0, 1), got {self.backtrack}")
-        if self.max_trials < 1:
-            raise ValueError(f"max_trials must be >= 1, got {self.max_trials}")
+
+# The benchmark configuration, fixed: every solve runs the same search.
+WOLFE = WolfeParams(c1=1e-4, c2=0.9, backtrack=0.5, max_trials=60)
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,7 @@ class LineSearchOutcome:
     status: str
 
 
-def wolfe_search(f, x, p, f_x, g_x, params: WolfeParams = WolfeParams()) -> LineSearchOutcome:
+def wolfe_search(f, x, p, f_x, g_x) -> LineSearchOutcome:
     """Backtrack from a unit step until both Wolfe conditions hold.
 
     The search gives up on the curvature condition at the second trial that
@@ -89,16 +86,16 @@ def wolfe_search(f, x, p, f_x, g_x, params: WolfeParams = WolfeParams()) -> Line
     last_alpha = alpha
     last_f = float(f_x)
     armijo_fallback = None
-    for _ in range(params.max_trials):
+    for _ in range(WOLFE.max_trials):
         with np.errstate(over="ignore", invalid="ignore"):
             f_trial = float(f.evaluate(x + alpha * p))
         f_count += 1
-        if np.isfinite(f_trial) and f_trial <= f_x + params.c1 * alpha * slope:
+        if np.isfinite(f_trial) and f_trial <= f_x + WOLFE.c1 * alpha * slope:
             with np.errstate(over="ignore", invalid="ignore"):
                 g_trial = np.asarray(f.gradient(x + alpha * p), dtype=float)
             g_count += 1
             if np.all(np.isfinite(g_trial)):
-                if float(np.dot(g_trial, p)) >= params.c2 * slope:
+                if float(np.dot(g_trial, p)) >= WOLFE.c2 * slope:
                     return LineSearchOutcome(
                         alpha, f_trial, g_trial, f_count, g_count, WOLFE_SATISFIED
                     )
@@ -106,7 +103,7 @@ def wolfe_search(f, x, p, f_x, g_x, params: WolfeParams = WolfeParams()) -> Line
                     break
                 armijo_fallback = (alpha, f_trial, g_trial)
         last_alpha, last_f = alpha, f_trial
-        alpha *= params.backtrack
+        alpha *= WOLFE.backtrack
 
     if armijo_fallback is not None:
         alpha, f_trial, g_trial = armijo_fallback

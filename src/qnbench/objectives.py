@@ -11,8 +11,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-DEFAULT_FD_STEP = 1e-6
-DEFAULT_CHECK_TOL = 1e-5
+FD_STEP = 1e-6
+CHECK_TOL = 1e-5
 CHECK_POINT_COUNT = 5
 CHECK_POINT_SCALE = 0.1
 CHECK_POINT_SEED = 20240817
@@ -45,22 +45,22 @@ class ObjectiveFunction:
 
 @dataclass(frozen=True)
 class GradientCheckReport:
-    """Worst relative analytic-vs-central-difference discrepancy over probes."""
+    """Worst relative analytic-vs-central-difference discrepancy over probes;
+    it passes at or below ``CHECK_TOL``."""
 
     max_rel_error: float
     worst_coordinate: int
     probe_points: int
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error <= self.tol
+        return self.max_rel_error <= CHECK_TOL
 
 
-def fd_gradient(f: ObjectiveFunction, x, h: float = DEFAULT_FD_STEP):
-    """Central-difference gradient ``(f(x + h e_i) - f(x - h e_i)) / (2h)``."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
+def fd_gradient(f: ObjectiveFunction, x):
+    """Central-difference gradient ``(f(x + h e_i) - f(x - h e_i)) / (2h)``
+    with h = ``FD_STEP``."""
+    h = FD_STEP
     x = np.asarray(x, dtype=float)
     grad = np.zeros_like(x)
     for i in range(x.size):
@@ -76,12 +76,7 @@ def fd_gradient(f: ObjectiveFunction, x, h: float = DEFAULT_FD_STEP):
     return grad
 
 
-def check_gradient(
-    f: ObjectiveFunction,
-    points: Sequence[np.ndarray],
-    h: float = DEFAULT_FD_STEP,
-    tol: float = DEFAULT_CHECK_TOL,
-) -> GradientCheckReport:
+def check_gradient(f: ObjectiveFunction, points: Sequence[np.ndarray]) -> GradientCheckReport:
     """Compare the analytic gradient against central differences at ``points``.
 
     The per-point relative error is ``||g_analytic - g_fd|| / max(1, ||g_analytic||)``;
@@ -94,7 +89,7 @@ def check_gradient(
     worst_coord = 0
     for x in points:
         x = np.asarray(x, dtype=float)
-        approx = fd_gradient(f, x, h)
+        approx = fd_gradient(f, x)
         exact = np.asarray(f.gradient(x), dtype=float)
         if not np.all(np.isfinite(exact)):
             raise ValueError(f"{f.name}: non-finite analytic gradient at {x!r}")
@@ -103,7 +98,7 @@ def check_gradient(
         if rel > worst:
             worst = rel
             worst_coord = int(np.argmax(np.abs(diff)))
-    return GradientCheckReport(worst, worst_coord, len(points), tol)
+    return GradientCheckReport(worst, worst_coord, len(points))
 
 
 def default_check_points(f: ObjectiveFunction):

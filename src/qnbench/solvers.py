@@ -2,7 +2,7 @@
 
 Both solvers run one iteration loop.  Each iteration takes a Wolfe step from x
 along the current operator's direction ``p_bar = -B^{-1} g`` and updates the
-operator from that step's pair ``s = x_bar - x``, ``y = grad(x_bar) - g``.
+operator from that step's pair ``s = alpha_bar p_bar``, ``y = grad(x_bar) - g``.
 BFGS replaces the operator with its BFGS update and accepts the step.  The
 two-phase method rebuilds it as the convex combination
 
@@ -27,9 +27,8 @@ repeat is derived where it is read: k is the record's index, ``||g||`` and
 ``cos_theta = -g'p_bar / (||g|| ||p_bar||)`` are computed by
 :func:`trace_to_csv`, and psi of the operator before an update is the previous
 record's ``psi_next`` (n for B_0 = I).  The step ``s`` is not kept, because it
-is ``(x + alpha_bar p_bar) - x`` of the same iteration (``(x + alpha p) - x``
-for BFGS), and B is not kept, because ``B p_bar = -g`` is what the direction
-quality reads.
+is ``alpha_bar p_bar`` of the same iteration (``alpha p`` for BFGS), and B is
+not kept, because ``B p_bar = -g`` is what the direction quality reads.
 
 A run ends ``converged``, ``max_iter``, ``line_search_exhausted``,
 ``spd_failure`` (no descent direction, or an update that fails its SPD
@@ -40,7 +39,8 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from qnbench.linalg import (
     inverse_spd,
     solve_spd,  # unused here, but perfbench/tracer.py patches solvers.solve_spd
 )
-from qnbench.linesearch import EXHAUSTED, DescentDirectionError, WolfeParams, wolfe_search
+from qnbench.linesearch import EXHAUSTED, WOLFE, DescentDirectionError, WolfeParams, wolfe_search
 
 MODE_B_FORM = "b_form"
 MODE_H_FORM_LITERAL = "h_form_literal"
@@ -71,13 +71,15 @@ class CurvatureError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunable scalars shared by both solvers; ``lam`` only affects the two-phase method."""
+    """Tunable scalars shared by both solvers; ``lam`` and ``mode`` only affect
+    the two-phase method.  ``wolfe`` is the line search's fixed ``WOLFE``,
+    readable here but not a field."""
 
     lam: float = 0.5
     tol: float = 1e-6
     max_iter: int = 500
-    wolfe: WolfeParams = field(default_factory=WolfeParams)
     mode: str = MODE_B_FORM
+    wolfe: ClassVar[WolfeParams] = WOLFE
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
@@ -86,7 +88,7 @@ class SolverConfig:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.mode not in (MODE_B_FORM, MODE_H_FORM_LITERAL):
+        if self.mode not in _TWO_PHASE_FORMS:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
@@ -113,8 +115,8 @@ class IterateRecord:
 class UpdateRecord:
     """Operator update data for one iteration, kept for diagnostics.
 
-    ``y = grad(x_bar) - g`` is the update's gradient difference; its step s is
-    ``x_bar - x`` with ``x_bar = x + alpha_bar p_bar`` (``x + alpha p`` for
+    ``y = grad(x_bar) - g`` is the update's gradient difference at
+    ``x_bar = x + s``; its step s is ``alpha_bar p_bar`` (``alpha p`` for
     BFGS), from the same iteration's :class:`IterateRecord`.  ``psi_next`` is
     ``tr B - ln det B`` of the operator after the update, for every solver and
     mode; psi before it is the previous record's ``psi_next``, or n for the
@@ -228,8 +230,8 @@ def _psi_step(s, y, Bs, yHy, lam):
     """
     sy, sBs = float(s.dot(y)), float(s.dot(Bs))
     if not sBs > 0.0:
-        # s = x_bar - x is alpha_bar p_bar rounded, so s'g can lose its sign
-        # when x is large against the step; psi is then unknown, not an error
+        # s'Bs = -alpha^2 g'p with g'p < 0, but the sum can cancel in floating
+        # point and lose its sign; psi is then unknown, not an error
         return math.nan
     mu = 1.0 - lam
     d_trace = mu * (float(y.dot(y)) / sy - float(Bs.dot(Bs)) / sBs)
@@ -275,7 +277,7 @@ class _TwoPhaseWoodbury(_InverseBfgs):
 
     By Woodbury (Nocedal & Wright, eq. A.28), H_next = H - HU M^{-1} (HU)' with
     M = C^{-1} + U'HU = [[-lam s'Bs/(1 - lam), s'y], [s'y, s'y/(1 - lam) + y'Hy]]
-    with s = H Bs = alpha_bar p_bar, not the rounded x_bar - x: s'Bs = Bs'H Bs > 0
+    with s = H Bs, the loop's alpha_bar p_bar recomputed from Bs: s'Bs = Bs'H Bs > 0
     and psi tracks H_next.  H_next's rounding asymmetry is accepted, unsymmetrized.
     """
 
@@ -292,6 +294,9 @@ class _TwoPhaseWoodbury(_InverseBfgs):
         H_next = H - (HU @ M_inv) @ HU.T
         cholesky(H_next)  # the SPD certificate: SPDError at a pivot below PIVOT_RTOL
         return self._successor(H_next, s, y, Bs, lam, yHy)
+
+
+_TWO_PHASE_FORMS = {MODE_B_FORM: _TwoPhaseWoodbury, MODE_H_FORM_LITERAL: _TwoPhaseHLiteral}
 
 
 def _solve(f, x0, cfg: SolverConfig, op, two_phase: bool) -> SolveResult:
@@ -314,14 +319,14 @@ def _solve(f, x0, cfg: SolverConfig, op, two_phase: bool) -> SolveResult:
             break
         p_bar = op.direction(g)
         try:
-            first = wolfe_search(f, x, p_bar, fx, g, cfg.wolfe)
+            first = wolfe_search(f, x, p_bar, fx, g)
             f_evals += first.f_evals
             g_evals += first.g_evals
             if first.status == EXHAUSTED:
                 termination = LINE_SEARCH_EXHAUSTED
                 break
-            x_bar = x + first.alpha * p_bar
-            s = x_bar - x
+            s = first.alpha * p_bar
+            x_bar = x + s
             y = first.grad_new - g
             try:
                 # B p_bar = -g, so Bs = -alpha_bar g
@@ -332,7 +337,7 @@ def _solve(f, x0, cfg: SolverConfig, op, two_phase: bool) -> SolveResult:
             p, second, x_next = p_bar, first, x_bar
             if two_phase and not skipped:
                 p = op_next.direction(g)
-                second = wolfe_search(f, x, p, fx, g, cfg.wolfe)
+                second = wolfe_search(f, x, p, fx, g)
                 f_evals += second.f_evals
                 g_evals += second.g_evals
                 if second.status == EXHAUSTED:
@@ -366,7 +371,7 @@ def solve_bfgs(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
     x0 : array_like
         Starting point.
     cfg : SolverConfig, optional
-        Tolerances and line-search constants; benchmark defaults when omitted.
+        ``lam``, ``tol``, ``max_iter`` and ``mode``; benchmark defaults when omitted.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     return _solve(f, x0, cfg, _InverseBfgs(np.eye(np.size(x0))), two_phase=False)
@@ -380,7 +385,7 @@ def solve_two_phase(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
     the literal inverse form.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    form = _TwoPhaseWoodbury if cfg.mode == MODE_B_FORM else _TwoPhaseHLiteral
+    form = _TWO_PHASE_FORMS[cfg.mode]
     return _solve(f, x0, cfg, form(np.eye(np.size(x0))), two_phase=True)
 
 

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from qnbench import MODE_B_FORM, ObjectiveFunction
+from qnbench import ObjectiveFunction
 from qnbench.linalg import inverse_spd
-from qnbench.solvers import _InverseBfgs, _TwoPhaseHLiteral, _TwoPhaseWoodbury
+from qnbench.solvers import _TWO_PHASE_FORMS, _InverseBfgs
 
 
 def iterate_sequence(result):
@@ -22,19 +22,13 @@ def replay(objective, result, cfg, solver):
     ones bit for bit.
     """
     two_phase = solver == "two-phase"
-    if not two_phase:
-        form = _InverseBfgs
-    elif cfg.mode == MODE_B_FORM:
-        form = _TwoPhaseWoodbury
-    else:
-        form = _TwoPhaseHLiteral
+    form = _TWO_PHASE_FORMS[cfg.mode] if two_phase else _InverseBfgs
     op = form(np.eye(np.size(result.final_x)))
     B = inverse_spd(op.matrix)
     for r, u in zip(result.trace, result.updates):
         a, d = (r.alpha_bar, u.p_bar) if two_phase else (r.alpha, u.p)
-        x_bar = r.x + a * d
-        s = x_bar - r.x
-        y = np.asarray(objective.gradient(x_bar), dtype=float) - r.g
+        s = a * d
+        y = np.asarray(objective.gradient(r.x + s), dtype=float) - r.g
         op_next = op if r.update_skipped else op.updated(s, y, -a * r.g, cfg)
         assert np.array_equal(y, u.y)
         assert op_next.psi == u.psi_next

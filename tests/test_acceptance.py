@@ -20,7 +20,7 @@ from qnbench import (
 )
 from qnbench.bench import dolan_more, emit_table, run_suite, table_fixture_records
 from qnbench.linalg import cholesky
-from qnbench.linesearch import WOLFE_SATISFIED
+from qnbench.linesearch import WOLFE, WOLFE_SATISFIED
 from qnbench.objectives import default_check_points
 from qnbench.solvers import bfgs_update_B, bfgs_update_H, two_phase_combine
 
@@ -148,9 +148,7 @@ def test_criterion_6_superlinear_diagnostics():
 
 def test_criterion_7_gradient_check_gate():
     for problem in suite():
-        report = check_gradient(problem.objective,
-                                default_check_points(problem.objective),
-                                h=1e-6, tol=1e-5)
+        report = check_gradient(problem.objective, default_check_points(problem.objective))
         assert report.probe_points == 6
         assert report.passed, f"{problem.name}: {report.max_rel_error:.3e}"
     print("\nACCEPTANCE 7: PASS — all 30 functions pass the central-difference "
@@ -159,7 +157,7 @@ def test_criterion_7_gradient_check_gate():
 
 def test_criterion_8_wolfe_reverification(bench_run):
     _, collected, _ = bench_run
-    params = SolverConfig().wolfe
+    params = WOLFE
     checked = 0
     for (problem_name, _solver), result in collected.items():
         objective = lookup(problem_name).objective

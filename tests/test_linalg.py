@@ -43,9 +43,11 @@ class TestCholesky:
         L = cholesky(a)
         assert np.allclose(L @ L.T, a, rtol=1e-15, atol=0)
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            cholesky(np.ones((2, 3)))
+    @pytest.mark.parametrize("a", [np.float64(2.0), np.ones(3), np.ones((2, 3))],
+                             ids=["0-d", "1-d", "2x3"])
+    def test_non_square_rejected(self, a):
+        with pytest.raises(ValueError, match="square"):
+            cholesky(a)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

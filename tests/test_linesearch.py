@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from qnbench import ObjectiveFunction, WolfeParams, lookup
+from qnbench import ObjectiveFunction, lookup
 from qnbench.linesearch import (
     ARMIJO_ONLY,
     EXHAUSTED,
+    WOLFE,
     WOLFE_SATISFIED,
     DescentDirectionError,
     wolfe_search,
@@ -15,16 +16,8 @@ from _util import CountingObjective, diagonal_quadratic, sphere
 
 class TestWolfeParams:
     def test_defaults(self):
-        p = WolfeParams()
-        assert (p.c1, p.c2, p.backtrack, p.max_trials) == (1e-4, 0.9, 0.5, 60)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"c1": 0.0}, {"c1": 0.95, "c2": 0.9}, {"c2": 1.0},
-        {"backtrack": 0.0}, {"backtrack": 1.0}, {"max_trials": 0},
-    ])
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            WolfeParams(**kwargs)
+        # WOLFE is the one configuration every search runs with
+        assert (WOLFE.c1, WOLFE.c2, WOLFE.backtrack, WOLFE.max_trials) == (1e-4, 0.9, 0.5, 60)
 
 
 def _scalar_objective(fun, grad):
@@ -45,7 +38,7 @@ class TestWolfeSearch:
         # (Armijo holds iff alpha <= 0.019998, curvature iff alpha >= 0.001).
         f = _scalar_objective(lambda x: 50.0 * x[0] ** 2,
                               lambda x: np.array([100.0 * x[0]]))
-        params = WolfeParams()
+        params = WOLFE
         # independent oracle over the trial sequence
         expected = None
         alpha = 1.0
@@ -60,7 +53,7 @@ class TestWolfeSearch:
         assert expected == 2.0 ** -6
 
         out = wolfe_search(f, np.array([1.0]), np.array([-100.0]), 50.0,
-                           np.array([100.0]), params)
+                           np.array([100.0]))
         assert out.alpha == expected
         assert out.status == WOLFE_SATISFIED
 
@@ -77,7 +70,7 @@ class TestWolfeSearch:
             wolfe_search(f, x, np.array([1.0, 0.0]), 0.5, f.gradient(x))
 
     def test_accepted_step_satisfies_both_inequalities(self):
-        params = WolfeParams()
+        params = WOLFE
         for name in ("Hager", "EDENSCH", "Extended Beale"):
             obj = lookup(name).objective
             rng = np.random.default_rng(hash(name) % 2**32)
@@ -88,7 +81,7 @@ class TestWolfeSearch:
                     continue
                 p = -g
                 f_x = obj.evaluate(x)
-                out = wolfe_search(obj, x, p, f_x, g, params)
+                out = wolfe_search(obj, x, p, f_x, g)
                 if out.status != WOLFE_SATISFIED:
                     continue
                 slope = float(g @ p)
@@ -137,8 +130,7 @@ class TestWolfeSearch:
         # claimed slope is negative but f increases along p: Armijo fails at
         # every trial and no gradient is ever evaluated
         f = _scalar_objective(lambda x: float(x[0]), lambda x: np.ones(1))
-        out = wolfe_search(f, np.zeros(1), np.array([1.0]), 0.0,
-                           np.array([-1.0]), WolfeParams(max_trials=8))
+        out = wolfe_search(f, np.zeros(1), np.array([1.0]), 0.0, np.array([-1.0]))
         assert out.status == EXHAUSTED
         assert out.grad_new is None
         assert out.g_evals == 0
@@ -147,8 +139,7 @@ class TestWolfeSearch:
     def test_armijo_only_returns_largest_passing_step(self):
         # linear descent: Armijo holds at every alpha, curvature never does
         f = _scalar_objective(lambda x: -float(x[0]), lambda x: np.array([-1.0]))
-        out = wolfe_search(f, np.zeros(1), np.array([1.0]), 0.0,
-                           np.array([-1.0]), WolfeParams(max_trials=6))
+        out = wolfe_search(f, np.zeros(1), np.array([1.0]), 0.0, np.array([-1.0]))
         assert out.status == ARMIJO_ONLY
         assert out.alpha == 1.0  # first (largest) Armijo-passing trial
         assert out.f_new == -1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -56,6 +57,13 @@ class TestSolverConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_settable_fields(self):
+        # the line search's constants are fixed: readable as cfg.wolfe, not set
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+            "lam", "tol", "max_iter", "mode"]
+        with pytest.raises(TypeError):
+            SolverConfig(wolfe=SolverConfig.wolfe)
 
 
 class TestBfgsUpdateB:
@@ -247,8 +255,8 @@ class TestSolveTwoPhase:
         g = f.gradient(x)
         p_bar = -g  # B = I
         out1 = wolfe_search(f, x, p_bar, f.evaluate(x), g)
-        x_bar = x + out1.alpha * p_bar
-        s = x_bar - x
+        s = out1.alpha * p_bar
+        x_bar = x + s
         y = f.gradient(x_bar) - g
         B_next = bfgs_update_B(np.eye(3), s, y)
         p = -np.linalg.solve(B_next, g)
@@ -445,9 +453,9 @@ def _assert_psi_series_is_psi_of_replayed_operators(runs, rel):
 
 
 def test_b_form_psi_is_psi_of_the_recorded_operator(default_runs):
-    # b_form carries psi by the recursion, like the H realizations below, but
-    # is held to a far tighter tolerance: its update and its psi step share
-    # one s = H Bs, so psi follows the H it records
+    # b_form carries psi by the recursion, like the H realizations below: its
+    # update and its psi step share one s = H Bs, so psi follows the H it
+    # records
     runs = [run for run in _replayed_runs(default_runs, {}) if run[1] == "two-phase"]
     _assert_psi_series_is_psi_of_replayed_operators(runs, rel=1e-9)
 
@@ -455,16 +463,16 @@ def test_b_form_psi_is_psi_of_the_recorded_operator(default_runs):
 def test_h_form_literal_carries_psi_of_b(h_form_runs):
     # h_form_literal keeps H = B^{-1} and carries psi(B) by the trace and
     # determinant identities of the update; the replay inverts its H.  The
-    # suite's worst case is 9.1e-11 relative
+    # suite's worst case is 1.6e-12 relative
     _assert_psi_series_is_psi_of_replayed_operators(_replayed_runs({}, h_form_runs), rel=1e-9)
 
 
 def test_bfgs_carries_psi_of_b(default_runs):
-    # BFGS carries psi(B) the same way, but its psi step takes Bs = -alpha g
-    # while its update takes the rounded s = x_bar - x, and B s differs from
-    # -alpha g by rounding: the carried psi drifts to 1.0e-8 relative (Fletcher)
+    # BFGS carries psi(B) the same way; its update and its psi step share one
+    # s = alpha p with Bs = -alpha g, so only rounding separates them: the
+    # suite's worst case is 2.7e-12 relative
     runs = [run for run in _replayed_runs(default_runs, {}) if run[1] == "bfgs"]
-    _assert_psi_series_is_psi_of_replayed_operators(runs, rel=1e-6)
+    _assert_psi_series_is_psi_of_replayed_operators(runs, rel=1e-9)
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.3, 0.9])
@@ -481,9 +489,10 @@ def test_woodbury_update_inverts_two_phase_combine(lam):
 
 
 def test_woodbury_update_survives_a_step_rounded_away():
-    # far from the origin a tiny step loses its descending coordinate: H
-    # couples the two, p_bar = -H g climbs along e_2, and x_bar - x rounds its
-    # e_1 part to 0, so s'g > 0 while g'p_bar < 0; s'Bs from H Bs stays positive
+    # the realization takes s from H Bs, not from its argument.  Far from the
+    # origin a tiny step loses its descending coordinate: H couples the two,
+    # p_bar = -H g climbs along e_2, and x_bar - x rounds its e_1 part to 0, so
+    # s'g > 0 while g'p_bar < 0; s'Bs from H Bs stays positive
     H = np.array([[1.0, 0.9], [0.9, 1.0]])
     g = np.array([1.0, -0.5])
     alpha_bar, p_bar = 1e-9, -H @ g

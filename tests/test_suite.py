@@ -101,8 +101,7 @@ class TestValues:
 class TestGradientGate:
     def test_every_function_passes_central_difference_check(self):
         for p in suite():
-            report = check_gradient(p.objective, default_check_points(p.objective),
-                                    h=1e-6, tol=1e-5)
+            report = check_gradient(p.objective, default_check_points(p.objective))
             assert report.passed, f"{p.name}: rel error {report.max_rel_error:.3e}"
             assert report.probe_points == 6
 
