@@ -19,10 +19,16 @@ budget.  Trials that fail Armijo in between do not stop the search: a step
 that fails Armijo below one that passed it brackets a point where both
 conditions hold (Nocedal & Wright, *Numerical Optimization*, section 3.5),
 so the next contractions may still reach a Wolfe step.
+
+Each trial builds its point ``x + a p`` once, and a trial that passes Armijo
+takes its gradient at that same array.  One ``np.errstate`` per search, around
+the whole trial loop, silences overflow and invalid-value warnings in both
+evaluations, so a non-finite trial contracts quietly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +83,9 @@ def wolfe_search(f, x, p, f_x, g_x) -> LineSearchOutcome:
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     slope = float(np.dot(g_x, p))
-    if not np.isfinite(slope) or slope >= 0.0:
+    if not math.isfinite(slope) or slope >= 0.0:
         raise DescentDirectionError(f"directional derivative {slope!r} is not negative")
+    curvature_floor = WOLFE.c2 * slope
 
     f_count = 0
     g_count = 0
@@ -86,24 +93,24 @@ def wolfe_search(f, x, p, f_x, g_x) -> LineSearchOutcome:
     last_alpha = alpha
     last_f = float(f_x)
     armijo_fallback = None
-    for _ in range(WOLFE.max_trials):
-        with np.errstate(over="ignore", invalid="ignore"):
-            f_trial = float(f.evaluate(x + alpha * p))
-        f_count += 1
-        if np.isfinite(f_trial) and f_trial <= f_x + WOLFE.c1 * alpha * slope:
-            with np.errstate(over="ignore", invalid="ignore"):
-                g_trial = np.asarray(f.gradient(x + alpha * p), dtype=float)
-            g_count += 1
-            if np.all(np.isfinite(g_trial)):
-                if float(np.dot(g_trial, p)) >= WOLFE.c2 * slope:
-                    return LineSearchOutcome(
-                        alpha, f_trial, g_trial, f_count, g_count, WOLFE_SATISFIED
-                    )
-                if armijo_fallback is not None:
-                    break
-                armijo_fallback = (alpha, f_trial, g_trial)
-        last_alpha, last_f = alpha, f_trial
-        alpha *= WOLFE.backtrack
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(WOLFE.max_trials):
+            x_trial = x + alpha * p
+            f_trial = float(f.evaluate(x_trial))
+            f_count += 1
+            if math.isfinite(f_trial) and f_trial <= f_x + WOLFE.c1 * alpha * slope:
+                g_trial = np.asarray(f.gradient(x_trial), dtype=float)
+                g_count += 1
+                if np.isfinite(g_trial).all():
+                    if float(g_trial.dot(p)) >= curvature_floor:
+                        return LineSearchOutcome(
+                            alpha, f_trial, g_trial, f_count, g_count, WOLFE_SATISFIED
+                        )
+                    if armijo_fallback is not None:
+                        break
+                    armijo_fallback = (alpha, f_trial, g_trial)
+            last_alpha, last_f = alpha, f_trial
+            alpha *= WOLFE.backtrack
 
     if armijo_fallback is not None:
         alpha, f_trial, g_trial = armijo_fallback

@@ -153,10 +153,20 @@ class SolveResult:
         return self.termination == CONVERGED
 
 
+def _norm(v):
+    """||v|| of a 1-d float array, bit-equal to ``np.linalg.norm(v)``.
+
+    ``np.linalg.norm`` computes exactly ``sqrt(v.dot(v))`` for such an array,
+    and both square roots are correctly rounded, so this gives the same float
+    without the wrapper's dispatch.
+    """
+    return math.sqrt(v.dot(v))
+
+
 def _curvature(s, y):
     """s'y, or :class:`CurvatureError` at or below the floor of UPDATE_SKIP_TOL."""
-    sy = float(np.dot(s, y))
-    floor = UPDATE_SKIP_TOL * float(np.linalg.norm(s)) * float(np.linalg.norm(y))
+    sy = float(s.dot(y))
+    floor = UPDATE_SKIP_TOL * _norm(s) * _norm(y)
     if sy <= floor:
         raise CurvatureError(f"s'y = {sy:.3e} fails the curvature floor {floor:.3e}")
     return sy
@@ -172,7 +182,7 @@ def bfgs_update_B(B, s, y):
     sBs = float(np.dot(s, Bs))
     if sBs <= 0.0:
         raise SPDError(f"s'Bs = {sBs:.3e} is not positive")
-    return B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
+    return B - np.multiply.outer(Bs, Bs) / sBs + np.multiply.outer(y, y) / sy
 
 
 def bfgs_update_H(H, s, y):
@@ -186,16 +196,17 @@ def bfgs_update_H(H, s, y):
     move the counts of the flat-tailed Hager n = 300 solve (63 to 97 BFGS
     iterations, against 65 for this order).  The output's rounding asymmetry
     is accepted, unsymmetrized: at most 1.4e-13 relative (``||A - A'||/||A||``)
-    over the benchmark's BFGS solves.
+    over the benchmark's BFGS solves.  ``np.multiply.outer`` forms the same
+    products as ``np.outer``, without its Python wrapper.
     """
     H = np.asarray(H, dtype=float)
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
     rho = 1.0 / _curvature(s, y)
-    A = np.outer(s, H @ y)
+    A = np.multiply.outer(s, H @ y)
     A *= -rho
     A += H  # (I - r sy')H, never in the caller's H
-    A -= np.outer(rho * (A @ y) - rho * s, s)  # ... (I - r ys') + r ss'
+    A -= np.multiply.outer(rho * (A @ y) - rho * s, s)  # ... (I - r ys') + r ss'
     return A
 
 
@@ -272,28 +283,42 @@ class _TwoPhaseHLiteral(_InverseBfgs):
         return self._successor(H_next, s, y, Bs, cfg.lam, float(y.dot(self.matrix @ y)))
 
 
-class _TwoPhaseWoodbury(_InverseBfgs):
-    """Two-phase ``b_form``: the update B + U C U' of :func:`_psi_step`, on H.
+def woodbury_update_H(H, Bs, y, lam: float):
+    """Two-phase update of H = B^{-1}: the inverse of B + U C U' of :func:`_psi_step`.
 
-    By Woodbury (Nocedal & Wright, eq. A.28), H_next = H - HU M^{-1} (HU)' with
-    M = C^{-1} + U'HU = [[-lam s'Bs/(1 - lam), s'y], [s'y, s'y/(1 - lam) + y'Hy]]
-    with s = H Bs, the loop's alpha_bar p_bar recomputed from Bs: s'Bs = Bs'H Bs > 0
-    and psi tracks H_next.  H_next's rounding asymmetry is accepted, unsymmetrized.
+    Returns ``(H_next, s, yHy)``.  By Woodbury (Nocedal & Wright, eq. A.28),
+    H_next = H - HU M^{-1} (HU)' with U = [Bs, y] and
+    M = C^{-1} + U'HU = [[-lam s'Bs/(1 - lam), s'y], [s'y, s'y/(1 - lam) + y'Hy]],
+    where s = H Bs: s'Bs = Bs'H Bs > 0, and the psi step that takes this s and
+    y'Hy tracks H_next.  The caller has checked s'y against the curvature floor.
+    H_next is certified by its Cholesky pivots (:class:`SPDError` below
+    PIVOT_RTOL); its rounding asymmetry is accepted, unsymmetrized.  HU is
+    filled by two matrix-vector products, not one product with [Bs, y], which
+    rounds differently.
     """
+    mu = 1.0 - lam
+    HU = np.empty((H.shape[0], 2))
+    HU[:, 0] = H @ Bs
+    HU[:, 1] = H @ y
+    s = HU[:, 0]
+    sy, sBs, yHy = float(s.dot(y)), float(s.dot(Bs)), float(y.dot(HU[:, 1]))
+    if sBs <= 0.0:
+        raise SPDError(f"s'Bs = {sBs:.3e} is not positive")
+    m11, m12, m22 = -lam * sBs / mu, sy, sy / mu + yHy
+    M_inv = np.array([[m22, -m12], [-m12, m11]]) / (m11 * m22 - m12 * m12)
+    H_next = H - (HU @ M_inv) @ HU.T
+    cholesky(H_next)  # the SPD certificate
+    return H_next, s, yHy
+
+
+class _TwoPhaseWoodbury(_InverseBfgs):
+    """Two-phase ``b_form``: :func:`woodbury_update_H` on H, with s taken from H Bs,
+    the loop's alpha_bar p_bar recomputed."""
 
     def updated(self, s, y, Bs, cfg):
         _curvature(s, y)
-        H, lam, mu = self.matrix, cfg.lam, 1.0 - cfg.lam
-        HU = np.column_stack((H @ Bs, H @ y))
-        s = HU[:, 0]
-        sy, sBs, yHy = float(s.dot(y)), float(s.dot(Bs)), float(y.dot(HU[:, 1]))
-        if sBs <= 0.0:
-            raise SPDError(f"s'Bs = {sBs:.3e} is not positive")
-        m11, m12, m22 = -lam * sBs / mu, sy, sy / mu + yHy
-        M_inv = np.array([[m22, -m12], [-m12, m11]]) / (m11 * m22 - m12 * m12)
-        H_next = H - (HU @ M_inv) @ HU.T
-        cholesky(H_next)  # the SPD certificate: SPDError at a pivot below PIVOT_RTOL
-        return self._successor(H_next, s, y, Bs, lam, yHy)
+        H_next, s, yHy = woodbury_update_H(self.matrix, Bs, y, cfg.lam)
+        return self._successor(H_next, s, y, Bs, cfg.lam, yHy)
 
 
 _TWO_PHASE_FORMS = {MODE_B_FORM: _TwoPhaseWoodbury, MODE_H_FORM_LITERAL: _TwoPhaseHLiteral}
@@ -307,11 +332,11 @@ def _solve(f, x0, cfg: SolverConfig, op, two_phase: bool) -> SolveResult:
     f_evals, g_evals = 1, 1
     trace: list[IterateRecord] = []
     updates: list[UpdateRecord] = []
-    if not (np.isfinite(fx) and np.all(np.isfinite(g))):
-        return SolveResult(x, fx, float(np.linalg.norm(g)), f_evals, g_evals,
+    if not (math.isfinite(fx) and np.isfinite(g).all()):
+        return SolveResult(x, fx, _norm(g), f_evals, g_evals,
                            NON_FINITE, trace, updates)
     while True:
-        if float(np.linalg.norm(g)) <= cfg.tol:
+        if _norm(g) <= cfg.tol:
             termination = CONVERGED
             break
         if len(trace) >= cfg.max_iter:
@@ -357,7 +382,7 @@ def _solve(f, x0, cfg: SolverConfig, op, two_phase: bool) -> SolveResult:
                                    second.status))
         updates.append(UpdateRecord(y, p, recorded_p_bar, op_next.psi, coupling))
         x, fx, g, op = x_next, second.f_new, second.grad_new, op_next
-    return SolveResult(x, fx, float(np.linalg.norm(g)), f_evals, g_evals,
+    return SolveResult(x, fx, _norm(g), f_evals, g_evals,
                        termination, trace, updates)
 
 
@@ -405,10 +430,10 @@ def trace_to_csv(result: SolveResult) -> str:
         return "" if value is None else repr(float(value))
 
     for k, (r, u) in enumerate(zip(result.trace, result.updates)):
-        grad_norm = float(np.linalg.norm(r.g))
+        grad_norm = _norm(r.g)
         cos_theta = None
         if u.p_bar is not None:
-            cos_theta = -float(np.dot(r.g, u.p_bar)) / (grad_norm * float(np.linalg.norm(u.p_bar)))
+            cos_theta = -float(np.dot(r.g, u.p_bar)) / (grad_norm * _norm(u.p_bar))
         skipped = "true" if r.update_skipped else "false"
         out.write(f"{k},{fmt(r.f)},{fmt(grad_norm)},{fmt(r.alpha_bar)},"
                   f"{fmt(r.alpha)},{fmt(cos_theta)},{skipped}\n")

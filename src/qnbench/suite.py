@@ -57,14 +57,17 @@ class SuiteProblem:
 
 # --- problem definitions ---------------------------------------------------
 # Chained functions pair x_i with x_{i+1}; "extended" functions act on the
-# disjoint pairs (x_{2i-1}, x_{2i}).
+# disjoint pairs (x_{2i-1}, x_{2i}).  Sums and running sums call the array's
+# own ``.sum()`` and ``.cumsum()``, and gradients start from
+# ``np.zeros(x.shape)``: the arithmetic of ``np.sum``, ``np.cumsum`` and
+# ``np.zeros_like``, without their Python wrappers.
 
 _IDX = np.arange(1.0, DIMENSION + 1.0)
 
 
 def _almost_perturbed_quadratic(x):
     """sum i x_i^2 + (x_1 + x_n)^2 / 100."""
-    return float(np.sum(_IDX * x**2) + (x[0] + x[-1]) ** 2 / 100.0)
+    return float((_IDX * x**2).sum() + (x[0] + x[-1]) ** 2 / 100.0)
 
 
 def _almost_perturbed_quadratic_grad(x):
@@ -78,26 +81,26 @@ def _almost_perturbed_quadratic_grad(x):
 def _arwhead(x):
     """sum_{i<n} ((x_i^2 + x_n^2)^2 - 4 x_i + 3)."""
     t = x[:-1] ** 2 + x[-1] ** 2
-    return float(np.sum(t**2 - 4.0 * x[:-1] + 3.0))
+    return float((t**2 - 4.0 * x[:-1] + 3.0).sum())
 
 
 def _arwhead_grad(x):
     t = x[:-1] ** 2 + x[-1] ** 2
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     g[:-1] = 4.0 * t * x[:-1] - 4.0
-    g[-1] = 4.0 * float(np.sum(t)) * x[-1]
+    g[-1] = 4.0 * float(t.sum()) * x[-1]
     return g
 
 
 def _biggsb1(x):
     """(x_1 - 1)^2 + sum (x_{i+1} - x_i)^2 + (1 - x_n)^2."""
     d = x[1:] - x[:-1]
-    return float((x[0] - 1.0) ** 2 + np.sum(d**2) + (1.0 - x[-1]) ** 2)
+    return float((x[0] - 1.0) ** 2 + (d**2).sum() + (1.0 - x[-1]) ** 2)
 
 
 def _biggsb1_grad(x):
     d = x[1:] - x[:-1]
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     g[0] = 2.0 * (x[0] - 1.0)
     g[:-1] -= 2.0 * d
     g[1:] += 2.0 * d
@@ -107,7 +110,7 @@ def _biggsb1_grad(x):
 
 def _diagonal1(x):
     """sum (exp(x_i) - i x_i)."""
-    return float(np.sum(np.exp(x) - _IDX * x))
+    return float((np.exp(x) - _IDX * x).sum())
 
 
 def _diagonal1_grad(x):
@@ -116,7 +119,7 @@ def _diagonal1_grad(x):
 
 def _diagonal2(x):
     """sum (exp(x_i) - x_i / i)."""
-    return float(np.sum(np.exp(x) - x / _IDX))
+    return float((np.exp(x) - x / _IDX).sum())
 
 
 def _diagonal2_grad(x):
@@ -125,7 +128,7 @@ def _diagonal2_grad(x):
 
 def _diagonal3(x):
     """sum (exp(x_i) - i sin(x_i))."""
-    return float(np.sum(np.exp(x) - _IDX * np.sin(x)))
+    return float((np.exp(x) - _IDX * np.sin(x)).sum())
 
 
 def _diagonal3_grad(x):
@@ -134,7 +137,7 @@ def _diagonal3_grad(x):
 
 def _diagonal7(x):
     """sum (exp(x_i) - 2 x_i - x_i^2)."""
-    return float(np.sum(np.exp(x) - 2.0 * x - x**2))
+    return float((np.exp(x) - 2.0 * x - x**2).sum())
 
 
 def _diagonal7_grad(x):
@@ -143,11 +146,11 @@ def _diagonal7_grad(x):
 
 def _diagonal9(x):
     """sum_{i<n} (exp(x_i) - i x_i) + 10000 x_n^2."""
-    return float(np.sum(np.exp(x[:-1]) - _IDX[:-1] * x[:-1]) + 1e4 * x[-1] ** 2)
+    return float((np.exp(x[:-1]) - _IDX[:-1] * x[:-1]).sum() + 1e4 * x[-1] ** 2)
 
 
 def _diagonal9_grad(x):
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     g[:-1] = np.exp(x[:-1]) - _IDX[:-1]
     g[-1] = 2e4 * x[-1]
     return g
@@ -164,10 +167,10 @@ def _dixmaanl(x):
     m = _DIXMAAN_M
     q = x[1:] + x[1:] ** 2
     value = 1.0
-    value += float(np.sum(x**2 * _DIXMAAN_W))
-    value += 0.26 * float(np.sum(x[:-1] ** 2 * q**2))
-    value += 0.26 * float(np.sum(x[: 2 * m] ** 2 * x[m: 3 * m] ** 4))
-    value += 0.26 * float(np.sum(x[:m] * x[2 * m: 3 * m] * _DIXMAAN_W[:m]))
+    value += float((x**2 * _DIXMAAN_W).sum())
+    value += 0.26 * float((x[:-1] ** 2 * q**2).sum())
+    value += 0.26 * float((x[: 2 * m] ** 2 * x[m: 3 * m] ** 4).sum())
+    value += 0.26 * float((x[:m] * x[2 * m: 3 * m] * _DIXMAAN_W[:m]).sum())
     return value
 
 
@@ -197,7 +200,7 @@ _DQDRTIC_C = _dqdrtic_coeffs()
 
 def _dqdrtic(x):
     """sum_{i<=n-2} (x_i^2 + 100 x_{i+1}^2 + 100 x_{i+2}^2)."""
-    return float(np.sum(_DQDRTIC_C * x**2))
+    return float((_DQDRTIC_C * x**2).sum())
 
 
 def _dqdrtic_grad(x):
@@ -208,13 +211,13 @@ def _edensch(x):
     """16 + sum ((x_i - 2)^4 + (x_i x_{i+1} - 2 x_{i+1})^2 + (x_{i+1} + 1)^2)."""
     a, b = x[:-1], x[1:]
     r = a * b - 2.0 * b
-    return float(16.0 + np.sum((a - 2.0) ** 4 + r**2 + (b + 1.0) ** 2))
+    return float(16.0 + ((a - 2.0) ** 4 + r**2 + (b + 1.0) ** 2).sum())
 
 
 def _edensch_grad(x):
     a, b = x[:-1], x[1:]
     r = a * b - 2.0 * b
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     g[:-1] += 4.0 * (a - 2.0) ** 3 + 2.0 * r * b
     g[1:] += 2.0 * r * (a - 2.0) + 2.0 * (b + 1.0)
     return g
@@ -224,13 +227,13 @@ def _engval1(x):
     """sum (x_i^2 + x_{i+1}^2)^2 + sum (3 - 4 x_i) over i < n."""
     a, b = x[:-1], x[1:]
     t = a**2 + b**2
-    return float(np.sum(t**2) + np.sum(3.0 - 4.0 * a))
+    return float((t**2).sum() + (3.0 - 4.0 * a).sum())
 
 
 def _engval1_grad(x):
     a, b = x[:-1], x[1:]
     t = a**2 + b**2
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     g[:-1] += 4.0 * t * a - 4.0
     g[1:] += 4.0 * t * b
     return g
@@ -242,7 +245,7 @@ def _extended_beale(x):
     r1 = 1.5 - u * (1.0 - v)
     r2 = 2.25 - u * (1.0 - v**2)
     r3 = 2.625 - u * (1.0 - v**3)
-    return float(np.sum(r1**2 + r2**2 + r3**2))
+    return float((r1**2 + r2**2 + r3**2).sum())
 
 
 def _extended_beale_grad(x):
@@ -250,7 +253,7 @@ def _extended_beale_grad(x):
     r1 = 1.5 - u * (1.0 - v)
     r2 = 2.25 - u * (1.0 - v**2)
     r3 = 2.625 - u * (1.0 - v**3)
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     g[0::2] = -2.0 * (r1 * (1.0 - v) + r2 * (1.0 - v**2) + r3 * (1.0 - v**3))
     g[1::2] = 2.0 * u * (r1 + 2.0 * v * r2 + 3.0 * v**2 * r3)
     return g
@@ -259,12 +262,12 @@ def _extended_beale_grad(x):
 def _extended_denschnb(x):
     """pairwise (u - 2)^2 + (u - 2)^2 v^2 + (v + 1)^2."""
     u, v = x[0::2], x[1::2]
-    return float(np.sum((u - 2.0) ** 2 * (1.0 + v**2) + (v + 1.0) ** 2))
+    return float(((u - 2.0) ** 2 * (1.0 + v**2) + (v + 1.0) ** 2).sum())
 
 
 def _extended_denschnb_grad(x):
     u, v = x[0::2], x[1::2]
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     g[0::2] = 2.0 * (u - 2.0) * (1.0 + v**2)
     g[1::2] = 2.0 * (u - 2.0) ** 2 * v + 2.0 * (v + 1.0)
     return g
@@ -275,14 +278,14 @@ def _extended_freudenstein_roth(x):
     u, v = x[0::2], x[1::2]
     r1 = -13.0 + u + ((5.0 - v) * v - 2.0) * v
     r2 = -29.0 + u + ((v + 1.0) * v - 14.0) * v
-    return float(np.sum(r1**2 + r2**2))
+    return float((r1**2 + r2**2).sum())
 
 
 def _extended_freudenstein_roth_grad(x):
     u, v = x[0::2], x[1::2]
     r1 = -13.0 + u + ((5.0 - v) * v - 2.0) * v
     r2 = -29.0 + u + ((v + 1.0) * v - 14.0) * v
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     g[0::2] = 2.0 * (r1 + r2)
     g[1::2] = 2.0 * r1 * (10.0 * v - 3.0 * v**2 - 2.0) + 2.0 * r2 * (3.0 * v**2 + 2.0 * v - 14.0)
     return g
@@ -292,13 +295,13 @@ def _extended_psc1(x):
     """pairwise (u^2 + v^2 + u v)^2 + sin^2(u) + cos^2(v)."""
     u, v = x[0::2], x[1::2]
     t = u**2 + v**2 + u * v
-    return float(np.sum(t**2 + np.sin(u) ** 2 + np.cos(v) ** 2))
+    return float((t**2 + np.sin(u) ** 2 + np.cos(v) ** 2).sum())
 
 
 def _extended_psc1_grad(x):
     u, v = x[0::2], x[1::2]
     t = u**2 + v**2 + u * v
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     g[0::2] = 2.0 * t * (2.0 * u + v) + np.sin(2.0 * u)
     g[1::2] = 2.0 * t * (2.0 * v + u) - np.sin(2.0 * v)
     return g
@@ -307,14 +310,14 @@ def _extended_psc1_grad(x):
 def _extended_tridiagonal1(x):
     """pairwise (u + v - 3)^2 + (u - v + 1)^4."""
     u, v = x[0::2], x[1::2]
-    return float(np.sum((u + v - 3.0) ** 2 + (u - v + 1.0) ** 4))
+    return float(((u + v - 3.0) ** 2 + (u - v + 1.0) ** 4).sum())
 
 
 def _extended_tridiagonal1_grad(x):
     u, v = x[0::2], x[1::2]
     a = 2.0 * (u + v - 3.0)
     b = 4.0 * (u - v + 1.0) ** 3
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     g[0::2] = a + b
     g[1::2] = a - b
     return g
@@ -324,13 +327,13 @@ def _extended_tridiagonal2(x):
     """sum (x_i x_{i+1} - 1)^2 + 0.1 (x_i + 1)(x_{i+1} + 1)."""
     a, b = x[:-1], x[1:]
     r = a * b - 1.0
-    return float(np.sum(r**2 + 0.1 * (a + 1.0) * (b + 1.0)))
+    return float((r**2 + 0.1 * (a + 1.0) * (b + 1.0)).sum())
 
 
 def _extended_tridiagonal2_grad(x):
     a, b = x[:-1], x[1:]
     r = a * b - 1.0
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     g[:-1] += 2.0 * r * b + 0.1 * (b + 1.0)
     g[1:] += 2.0 * r * a + 0.1 * (a + 1.0)
     return g
@@ -339,12 +342,12 @@ def _extended_tridiagonal2_grad(x):
 def _fletcher(x):
     """chained 100 (x_{i+1} - x_i + 1 - x_i^2)^2."""
     r = x[1:] - x[:-1] + 1.0 - x[:-1] ** 2
-    return float(100.0 * np.sum(r**2))
+    return float(100.0 * (r**2).sum())
 
 
 def _fletcher_grad(x):
     r = x[1:] - x[:-1] + 1.0 - x[:-1] ** 2
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     g[:-1] += 200.0 * r * (-1.0 - 2.0 * x[:-1])
     g[1:] += 200.0 * r
     return g
@@ -354,13 +357,13 @@ def _generalized_psc1(x):
     """chained (x_i^2 + x_{i+1}^2 + x_i x_{i+1})^2 + sin^2(x_i) + cos^2(x_{i+1})."""
     a, b = x[:-1], x[1:]
     t = a**2 + b**2 + a * b
-    return float(np.sum(t**2 + np.sin(a) ** 2 + np.cos(b) ** 2))
+    return float((t**2 + np.sin(a) ** 2 + np.cos(b) ** 2).sum())
 
 
 def _generalized_psc1_grad(x):
     a, b = x[:-1], x[1:]
     t = a**2 + b**2 + a * b
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     g[:-1] += 2.0 * t * (2.0 * a + b) + np.sin(2.0 * a)
     g[1:] += 2.0 * t * (2.0 * b + a) - np.sin(2.0 * b)
     return g
@@ -368,7 +371,7 @@ def _generalized_psc1_grad(x):
 
 def _hager(x):
     """sum (exp(x_i) - sqrt(i) x_i)."""
-    return float(np.sum(np.exp(x) - np.sqrt(_IDX) * x))
+    return float((np.exp(x) - np.sqrt(_IDX) * x).sum())
 
 
 def _hager_grad(x):
@@ -378,12 +381,12 @@ def _hager_grad(x):
 def _himmelh(x):
     """pairwise (-3u - 2v + 2 + u^3 + v^2)."""
     u, v = x[0::2], x[1::2]
-    return float(np.sum(-3.0 * u - 2.0 * v + 2.0 + u**3 + v**2))
+    return float((-3.0 * u - 2.0 * v + 2.0 + u**3 + v**2).sum())
 
 
 def _himmelh_grad(x):
     u, v = x[0::2], x[1::2]
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     g[0::2] = -3.0 + 3.0 * u**2
     g[1::2] = -2.0 + 2.0 * v
     return g
@@ -391,13 +394,13 @@ def _himmelh_grad(x):
 
 def _partial_perturbed_quadratic(x):
     """x_1^2 + sum i x_i^2 + (1/100) sum_i (x_1 + ... + x_i)^2."""
-    c = np.cumsum(x)
-    return float(x[0] ** 2 + np.sum(_IDX * x**2) + np.sum(c**2) / 100.0)
+    c = x.cumsum()
+    return float(x[0] ** 2 + (_IDX * x**2).sum() + (c**2).sum() / 100.0)
 
 
 def _partial_perturbed_quadratic_grad(x):
-    c = np.cumsum(x)
-    tail = np.cumsum(c[::-1])[::-1]  # tail_j = sum_{i >= j} c_i
+    c = x.cumsum()
+    tail = c[::-1].cumsum()[::-1]  # tail_j = sum_{i >= j} c_i
     g = 2.0 * _IDX * x + tail / 50.0
     g[0] += 2.0 * x[0]
     return g
@@ -405,19 +408,19 @@ def _partial_perturbed_quadratic_grad(x):
 
 def _perturbed_quadratic_diagonal(x):
     """(sum x_i)^2 / 100 + sum x_i^2 / i."""
-    s = float(np.sum(x))
-    return float(s * s / 100.0 + np.sum(x**2 / _IDX))
+    s = float(x.sum())
+    return float(s * s / 100.0 + (x**2 / _IDX).sum())
 
 
 def _perturbed_quadratic_diagonal_grad(x):
-    s = float(np.sum(x))
+    s = float(x.sum())
     return 2.0 * x / _IDX + s / 50.0
 
 
 def _perturbed_tridiagonal_quadratic(x):
     """sum i x_i^2 + (1/100) sum_{1<i<n} (x_{i-1} + x_i + x_{i+1})^2."""
     t = x[:-2] + x[1:-1] + x[2:]
-    return float(np.sum(_IDX * x**2) + np.sum(t**2) / 100.0)
+    return float((_IDX * x**2).sum() + (t**2).sum() / 100.0)
 
 
 def _perturbed_tridiagonal_quadratic_grad(x):
@@ -431,7 +434,7 @@ def _perturbed_tridiagonal_quadratic_grad(x):
 
 def _quadratic_qf1(x):
     """0.5 sum i x_i^2 - x_n."""
-    return float(0.5 * np.sum(_IDX * x**2) - x[-1])
+    return float(0.5 * (_IDX * x**2).sum() - x[-1])
 
 
 def _quadratic_qf1_grad(x):
@@ -442,7 +445,7 @@ def _quadratic_qf1_grad(x):
 
 def _quadratic_qf2(x):
     """0.5 sum i (x_i^2 - 1)^2 - x_n."""
-    return float(0.5 * np.sum(_IDX * (x**2 - 1.0) ** 2) - x[-1])
+    return float(0.5 * (_IDX * (x**2 - 1.0) ** 2).sum() - x[-1])
 
 
 def _quadratic_qf2_grad(x):
@@ -453,7 +456,7 @@ def _quadratic_qf2_grad(x):
 
 def _raydan1(x):
     """sum (i/10) (exp(x_i) - x_i)."""
-    return float(np.sum(_IDX / 10.0 * (np.exp(x) - x)))
+    return float((_IDX / 10.0 * (np.exp(x) - x)).sum())
 
 
 def _raydan1_grad(x):
@@ -462,7 +465,7 @@ def _raydan1_grad(x):
 
 def _raydan2(x):
     """sum (exp(x_i) - x_i)."""
-    return float(np.sum(np.exp(x) - x))
+    return float((np.exp(x) - x).sum())
 
 
 def _raydan2_grad(x):
@@ -475,12 +478,12 @@ _TRIDIA_I = np.arange(2.0, DIMENSION + 1.0)
 def _tridia(x):
     """(x_1 - 1)^2 + sum_{i>=2} i (2 x_i - x_{i-1})^2."""
     r = 2.0 * x[1:] - x[:-1]
-    return float((x[0] - 1.0) ** 2 + np.sum(_TRIDIA_I * r**2))
+    return float((x[0] - 1.0) ** 2 + (_TRIDIA_I * r**2).sum())
 
 
 def _tridia_grad(x):
     r = 2.0 * x[1:] - x[:-1]
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     g[0] = 2.0 * (x[0] - 1.0)
     g[1:] += 4.0 * _TRIDIA_I * r
     g[:-1] -= 2.0 * _TRIDIA_I * r

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,64 @@ def test_armijo_failure_after_armijo_only_trial_keeps_searching():
     assert out.alpha == 0.25
     assert (out.f_evals, out.g_evals) == (3, 2)
     assert (counted.f_calls, counted.g_calls) == (3, 2)
+
+
+class _RecordingObjective:
+    """Delegating wrapper that keeps every array it is called with."""
+
+    def __init__(self, objective):
+        self._objective = objective
+        self.evaluated = []
+        self.differentiated = []  # (array, whether it is the last evaluated one)
+
+    def evaluate(self, x):
+        self.evaluated.append(x)
+        return self._objective.evaluate(x)
+
+    def gradient(self, x):
+        self.differentiated.append((x, x is self.evaluated[-1]))
+        return self._objective.gradient(x)
+
+
+@pytest.mark.parametrize("name", ["HIMMELH", "Extended Beale", "Fletcher", "Diagonal 9"])
+def test_gradient_receives_the_evaluated_trial_point(name):
+    # each trial point x + alpha p is built once: a trial that passes Armijo
+    # has its gradient taken at the very array its value was taken at
+    obj = lookup(name).objective
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        x = obj.standard_start + 0.5 * rng.standard_normal(obj.dimension)
+        g = obj.gradient(x)
+        recorded = _RecordingObjective(obj)
+        out = wolfe_search(recorded, x, -g, obj.evaluate(x), g)
+        assert out.f_evals == len(recorded.evaluated)
+        assert out.g_evals == len(recorded.differentiated)
+        assert all(same for _, same in recorded.differentiated)
+        alphas = WOLFE.backtrack ** np.arange(out.f_evals)
+        for alpha, trial in zip(alphas, recorded.evaluated):
+            assert np.array_equal(trial, x + alpha * -g)
+
+
+def test_one_errstate_covers_the_trial_values_and_gradients():
+    # 0.5 x^2 from x = -1 along p = 4.  At alpha = 1 the value overflows, at
+    # 1/2 Armijo fails, at 1/4 Armijo holds but the gradient is NaN, and 1/8
+    # satisfies both conditions.  Neither non-finite evaluation may escape
+    # the search as a RuntimeWarning.
+    def fun(x):
+        return float(np.exp(1000.0)) if x[0] > 1.0 else 0.5 * float(x @ x)
+
+    def grad(x):
+        return np.full(1, np.inf) - np.inf if x[0] > -0.1 else x.copy()
+
+    f = _scalar_objective(fun, grad)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        fun(np.array([3.0]))
+    with pytest.warns(RuntimeWarning, match="invalid"):
+        grad(np.array([0.0]))
+    x = np.array([-1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = wolfe_search(f, x, np.array([4.0]), fun(x), grad(x))
+    assert out.status == WOLFE_SATISFIED
+    assert out.alpha == 0.125
+    assert (out.f_evals, out.g_evals) == (4, 2)

@@ -19,6 +19,7 @@ from qnbench import (
     solve_bfgs,
     solve_two_phase,
 )
+from qnbench import solvers
 from qnbench.linalg import SPDError, cholesky, inverse_spd
 from qnbench.linesearch import wolfe_search
 from qnbench.solvers import (
@@ -29,6 +30,7 @@ from qnbench.solvers import (
     combine_H_literal,
     trace_to_csv,
     two_phase_combine,
+    woodbury_update_H,
 )
 
 from _util import (
@@ -478,14 +480,29 @@ def test_bfgs_carries_psi_of_b(default_runs):
 @pytest.mark.parametrize("lam", [0.5, 0.3, 0.9])
 def test_woodbury_update_inverts_two_phase_combine(lam):
     rng = np.random.default_rng(7)
-    cfg = SolverConfig(lam=lam)
     for n in (2, 5, 10, 40):
         for _ in range(10):
             B = make_spd(rng, n)
             s, y = curvature_pair(rng, n)
             B_next = two_phase_combine(B, bfgs_update_B(B, s, y), lam)
-            H_next = _TwoPhaseWoodbury(np.linalg.inv(B)).updated(s, y, B @ s, cfg).matrix
+            H = np.linalg.inv(B)
+            H_next, s_H, yHy = woodbury_update_H(H, B @ s, y, lam)
             assert np.abs(H_next @ B_next - np.eye(n)).max() <= 1e-13
+            # it returns the s = H Bs and y'Hy its psi step takes
+            assert np.array_equal(s_H, H @ (B @ s))
+            assert yHy == pytest.approx(float(y @ (H @ y)), rel=1e-14)
+
+
+def test_woodbury_update_certifies_through_the_solvers_module(monkeypatch):
+    # the certificate is looked up as qnbench.solvers.cholesky, the name the
+    # per-layer tracer patches, so its traced call count covers b_form
+    calls = []
+    monkeypatch.setattr(solvers, "cholesky", lambda a: calls.append(a) or cholesky(a))
+    rng = np.random.default_rng(3)
+    B = make_spd(rng, 4)
+    s, y = curvature_pair(rng, 4)
+    H_next, _, _ = woodbury_update_H(np.linalg.inv(B), B @ s, y, 0.5)
+    assert len(calls) == 1 and calls[0] is H_next
 
 
 def test_woodbury_update_survives_a_step_rounded_away():
