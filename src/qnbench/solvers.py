@@ -13,11 +13,13 @@ and then takes the real step from the *original* point along
 rejects the pair, the update is skipped and the first step is accepted.
 
 The loop sees the operator through three realizations that keep H = B^{-1}
-and give the direction ``-H g``, an updated copy and ``psi(B) = tr B - ln det B``:
-BFGS; two-phase ``b_form`` (default), the combination in B applied to H by the
-Woodbury formula and certified by H_next's Cholesky pivots; and two-phase
-``h_form_literal``, the literal ``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``,
-kept for cross-validation.  ``B p_bar = -g`` spares every product with B:
+and give the direction ``-H g``, an updated successor and
+``psi(B) = tr B - ln det B``: BFGS; two-phase ``b_form`` (default), the
+combination in B applied to H by the Woodbury formula and certified by
+H_next's Cholesky pivots; and two-phase ``h_form_literal``, the literal
+``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``, kept for cross-validation.  The
+BFGS and ``b_form`` updates write over H, so an iteration holds H and one
+transient n x n.  ``B p_bar = -g`` spares every product with B:
 ``Bs = -alpha_bar g`` gives ``b_form``'s update and psi(B) by the trace and
 determinant identities.
 
@@ -185,28 +187,36 @@ def bfgs_update_B(B, s, y):
     return B - np.multiply.outer(Bs, Bs) / sBs + np.multiply.outer(y, y) / sy
 
 
-def bfgs_update_H(H, s, y):
+def bfgs_update_H(H, s, y, out=None):
     """Inverse-Hessian update (I - r sy')H(I - r ys') + r ss', r = 1/(y's), in O(n^2).
 
-    The product is evaluated in its own order, as two rank-one corrections of
-    one fresh array: first the left factor, A = H - r s(Hy)', then the right
-    factor with r ss', A - (r Ay - r s)s'.  That is two matrix-vector products
-    and two outer products, against two n x n products for the dense form; the
-    expanded three-term form costs the same but rounds differently enough to
-    move the counts of the flat-tailed Hager n = 300 solve (63 to 97 BFGS
-    iterations, against 65 for this order).  The output's rounding asymmetry
-    is accepted, unsymmetrized: at most 1.4e-13 relative (``||A - A'||/||A||``)
-    over the benchmark's BFGS solves.  ``np.multiply.outer`` forms the same
-    products as ``np.outer``, without its Python wrapper.
+    The product is evaluated in its own order, as two rank-one corrections:
+    first the left factor, A = H - r s(Hy)', then the right factor with r ss',
+    A - (r Ay - r s)s'.  That is two matrix-vector products and two outer
+    products, against two n x n products for the dense form; the expanded
+    three-term form costs the same but rounds differently enough to move the
+    counts of the flat-tailed Hager n = 300 solve (63 to 97 BFGS iterations,
+    against 65 for this order).  The output's rounding asymmetry is accepted,
+    unsymmetrized: at most 1.4e-13 relative (``||A - A'||/||A||``) over the
+    benchmark's BFGS solves.  ``np.multiply.outer`` forms the same products as
+    ``np.outer``, without its Python wrapper.
+
+    ``out``, as in numpy, is the float n x n array that receives A, and may be
+    H itself: the update then overwrites H and holds one transient n x n, the
+    rank-one term T, next to it.  A is H + T with T = -r s(Hy)', and the
+    second correction is written into the same T, so every float is the one
+    the pure call (``out=None``, a fresh A) gives.  The curvature check runs
+    before the first write, so a pair that fails it leaves H as it was.
     """
     H = np.asarray(H, dtype=float)
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
     rho = 1.0 / _curvature(s, y)
-    A = np.multiply.outer(s, H @ y)
-    A *= -rho
-    A += H  # (I - r sy')H, never in the caller's H
-    A -= np.multiply.outer(rho * (A @ y) - rho * s, s)  # ... (I - r ys') + r ss'
+    T = np.multiply.outer(s, H @ y)
+    T *= -rho
+    A = np.add(H, T, out=out)  # (I - r sy')H
+    np.multiply.outer(rho * (A @ y) - rho * s, s, out=T)
+    A -= T  # ... (I - r ys') + r ss'
     return A
 
 
@@ -267,7 +277,13 @@ class _InverseBfgs:
         return -(self.matrix @ g)
 
     def updated(self, s, y, Bs, cfg):
-        H_next = bfgs_update_H(self.matrix, s, y)
+        """The successor, whose matrix is this one's H overwritten by its update.
+
+        The update consumes ``self``: its matrix becomes the successor's, so an
+        iteration holds H and the update's one transient n x n.  A pair that
+        fails the curvature check raises before the first write, and H is intact.
+        """
+        H_next = bfgs_update_H(self.matrix, s, y, out=self.matrix)
         return self._successor(H_next, s, y, Bs, 0.0)
 
     def _successor(self, H_next, s, y, Bs, lam, yHy=None):
@@ -275,7 +291,10 @@ class _InverseBfgs:
 
 
 class _TwoPhaseHLiteral(_InverseBfgs):
-    """Two-phase combination on H through the literal double inversion."""
+    """Two-phase combination on H through the literal double inversion.
+
+    It needs H next to H_bar, so its update is the pure one and leaves H as it was.
+    """
 
     def updated(self, s, y, Bs, cfg):
         H_bar = bfgs_update_H(self.matrix, s, y)
@@ -283,7 +302,7 @@ class _TwoPhaseHLiteral(_InverseBfgs):
         return self._successor(H_next, s, y, Bs, cfg.lam, float(y.dot(self.matrix @ y)))
 
 
-def woodbury_update_H(H, Bs, y, lam: float):
+def woodbury_update_H(H, Bs, y, lam: float, out=None):
     """Two-phase update of H = B^{-1}: the inverse of B + U C U' of :func:`_psi_step`.
 
     Returns ``(H_next, s, yHy)``.  By Woodbury (Nocedal & Wright, eq. A.28),
@@ -295,6 +314,13 @@ def woodbury_update_H(H, Bs, y, lam: float):
     PIVOT_RTOL); its rounding asymmetry is accepted, unsymmetrized.  HU is
     filled by two matrix-vector products, not one product with [Bs, y], which
     rounds differently.
+
+    ``out``, as in numpy, is the float n x n array that receives H_next, and
+    may be H itself.  The s'Bs check runs before the first write.  The
+    correction T = HU M^{-1} (HU)' is dropped before the certificate, so with
+    ``out=H`` the update holds H and one transient n x n at a time: T, then the
+    Cholesky factor.  A failed certificate leaves H overwritten by the
+    uncertified H_next.
     """
     mu = 1.0 - lam
     HU = np.empty((H.shape[0], 2))
@@ -306,18 +332,25 @@ def woodbury_update_H(H, Bs, y, lam: float):
         raise SPDError(f"s'Bs = {sBs:.3e} is not positive")
     m11, m12, m22 = -lam * sBs / mu, sy, sy / mu + yHy
     M_inv = np.array([[m22, -m12], [-m12, m11]]) / (m11 * m22 - m12 * m12)
-    H_next = H - (HU @ M_inv) @ HU.T
+    T = (HU @ M_inv) @ HU.T
+    H_next = np.subtract(H, T, out=out)
+    del T  # before the factor, or the peak is three n x n arrays
     cholesky(H_next)  # the SPD certificate
     return H_next, s, yHy
 
 
 class _TwoPhaseWoodbury(_InverseBfgs):
     """Two-phase ``b_form``: :func:`woodbury_update_H` on H, with s taken from H Bs,
-    the loop's alpha_bar p_bar recomputed."""
+    the loop's alpha_bar p_bar recomputed.
+
+    The update consumes ``self`` as :meth:`_InverseBfgs.updated` does: it
+    writes H_next over this H, after the curvature and s'Bs checks, and drops
+    the correction before the certificate's factor is made.
+    """
 
     def updated(self, s, y, Bs, cfg):
         _curvature(s, y)
-        H_next, s, yHy = woodbury_update_H(self.matrix, Bs, y, cfg.lam)
+        H_next, s, yHy = woodbury_update_H(self.matrix, Bs, y, cfg.lam, out=self.matrix)
         return self._successor(H_next, s, y, Bs, cfg.lam, yHy)
 
 

@@ -369,13 +369,16 @@ def _generalized_psc1_grad(x):
     return g
 
 
+_SQRT_IDX = np.sqrt(_IDX)
+
+
 def _hager(x):
     """sum (exp(x_i) - sqrt(i) x_i)."""
-    return float((np.exp(x) - np.sqrt(_IDX) * x).sum())
+    return float((np.exp(x) - _SQRT_IDX * x).sum())
 
 
 def _hager_grad(x):
-    return np.exp(x) - np.sqrt(_IDX)
+    return np.exp(x) - _SQRT_IDX
 
 
 def _himmelh(x):

@@ -24,6 +24,7 @@ from qnbench.linalg import SPDError, cholesky, inverse_spd
 from qnbench.linesearch import wolfe_search
 from qnbench.solvers import (
     CurvatureError,
+    _InverseBfgs,
     _TwoPhaseWoodbury,
     bfgs_update_B,
     bfgs_update_H,
@@ -105,6 +106,16 @@ class TestBfgsUpdateH:
     def test_curvature_violation(self):
         with pytest.raises(CurvatureError):
             bfgs_update_H(np.eye(2), np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
+        # with out=H the check runs before the first write
+        rng = np.random.default_rng(550)
+        H = inverse_spd(make_spd(rng, 10))
+        before = H.copy()
+        s = rng.standard_normal(10)
+        with pytest.raises(CurvatureError):
+            bfgs_update_H(H, s, -s, out=H)
+        with pytest.raises(CurvatureError):
+            _InverseBfgs(H).updated(s, -s, s, SolverConfig())
+        assert np.array_equal(H, before)
 
     def test_duality_with_b_update(self):
         rng = np.random.default_rng(200)
@@ -132,6 +143,9 @@ class TestBfgsUpdateH:
             want = bfgs_update_H_dense(H, s, y)
             out = bfgs_update_H(H, s, y)
             assert np.linalg.norm(out - want) <= 1e-12 * np.linalg.norm(want)
+            # written over H, every float is the pure call's
+            assert bfgs_update_H(H, s, y, out=H) is H
+            assert np.array_equal(H, out)
 
     def test_leaves_its_input_unchanged(self):
         rng = np.random.default_rng(500)
@@ -428,6 +442,19 @@ def test_peak_memory_does_not_grow_with_iterations(solver):
     assert long - short < 8 * n * n
 
 
+@pytest.mark.parametrize("solver", [solve_bfgs, solve_two_phase], ids=["bfgs", "two-phase"])
+def test_solve_working_set_is_two_matrices(solver):
+    # the updates write over the solve's own H, so an iteration holds H and
+    # one transient n x n: BFGS's rank-one term, or b_form's correction and
+    # then its certificate's factor.  A third matrix would put the peak near
+    # 3 * 8n^2 bytes
+    n = 400
+    d = np.linspace(1.0, 1000.0, n)
+    f = ObjectiveFunction("ill-conditioned quadratic", n, lambda x: 0.5 * float(d @ (x * x)),
+                          lambda x: d * x, np.ones(n))
+    assert _solve_peak_bytes(solver, f, SolverConfig(max_iter=5)) < 2.5 * 8 * n * n
+
+
 def _replayed_runs(default_runs, h_form_runs):
     """(name, solver, mode, result, replay) of default-config suite runs."""
     h_form = SolverConfig(mode=MODE_H_FORM_LITERAL)
@@ -491,6 +518,33 @@ def test_woodbury_update_inverts_two_phase_combine(lam):
             # it returns the s = H Bs and y'Hy its psi step takes
             assert np.array_equal(s_H, H @ (B @ s))
             assert yHy == pytest.approx(float(y @ (H @ y)), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 10, 300])
+def test_woodbury_update_out_h_equals_the_pure_call(n):
+    rng = np.random.default_rng(80 + n)
+    for _ in range(5):
+        B = make_spd(rng, n)
+        s, y = curvature_pair(rng, n)
+        H = inverse_spd(B)
+        want = woodbury_update_H(H, B @ s, y, 0.5)
+        H_next, s_H, yHy = woodbury_update_H(H, B @ s, y, 0.5, out=H)
+        assert H_next is H
+        assert np.array_equal(H_next, want[0])
+        assert np.array_equal(s_H, want[1]) and yHy == want[2]
+
+
+def test_woodbury_update_checks_before_it_writes():
+    rng = np.random.default_rng(90)
+    B = make_spd(rng, 10)
+    H = inverse_spd(B)
+    before = H.copy()
+    s = rng.standard_normal(10)
+    with pytest.raises(CurvatureError):
+        _TwoPhaseWoodbury(H).updated(s, -s, B @ s, SolverConfig())
+    with pytest.raises(SPDError, match="s'Bs"):
+        woodbury_update_H(H, np.zeros(10), B @ s, 0.5, out=H)
+    assert np.array_equal(H, before)
 
 
 def test_woodbury_update_certifies_through_the_solvers_module(monkeypatch):
