@@ -208,14 +208,21 @@ def records_to_csv(records) -> str:
     return out.getvalue()
 
 
+def _converged_from_csv(value):
+    """``true`` or ``false``, the two values :func:`records_to_csv` writes."""
+    if value not in ("true", "false"):
+        raise ValueError(f"converged must be 'true' or 'false', got {value!r}")
+    return value == "true"
+
+
 def records_from_csv(text: str) -> list[BenchmarkRecord]:
-    """Parse a results CSV back into records."""
+    """Parse a results CSV back into records; :class:`ValueError` on a malformed value."""
     reader = csv.DictReader(io.StringIO(text))
     records = []
     for raw in reader:
         records.append(BenchmarkRecord(
             raw["problem"], raw["solver"], int(raw["n"]), int(raw["iterations"]),
-            float(raw["median_time_ms"]), raw["converged"] == "true",
+            float(raw["median_time_ms"]), _converged_from_csv(raw["converged"]),
             float(raw["f_final"]), float(raw["grad_norm_final"])))
     return records
 

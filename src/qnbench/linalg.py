@@ -7,9 +7,9 @@ contract.  The Cholesky factorization and the dense inverse are LAPACK's
 (``np.linalg.cholesky``, ``np.linalg.inv``) under one pivot test, which
 certifies positive definiteness, and ``ln det`` comes from the factor.
 ``solve_spd`` substitutes against the factor in Python, since numpy has no
-triangular solve.  No solver calls it: every realization keeps
-H = B^{-1} and multiplies.  It stays because ``perfbench/tracer.py`` patches
-it by name in this module and in ``qnbench.solvers``.
+triangular solve.  No solver calls it: the solve keeps H = B^{-1} and
+multiplies.  It stays because ``perfbench/tracer.py`` patches it by name in
+this module and in ``qnbench.solvers``.
 """
 
 from __future__ import annotations
@@ -23,12 +23,6 @@ PIVOT_RTOL = 1e-14
 
 class SPDError(ArithmeticError):
     """A matrix required to be SPD failed its Cholesky pivot test."""
-
-
-def symmetrize(a):
-    """Return the symmetric part 0.5 * (a + a.T)."""
-    a = np.asarray(a, dtype=float)
-    return 0.5 * (a + a.T)
 
 
 def cholesky(a):
@@ -77,6 +71,8 @@ def log_determinant_spd(lower):
 
 
 def inverse_spd(a):
-    """Dense inverse of an SPD matrix, certified by :func:`cholesky` first."""
+    """Dense inverse of an SPD matrix, certified by :func:`cholesky` first, and
+    returned as its symmetric part."""
     cholesky(a)
-    return symmetrize(np.linalg.inv(a))
+    inv = np.linalg.inv(a)
+    return 0.5 * (inv + inv.T)

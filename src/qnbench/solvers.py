@@ -12,16 +12,17 @@ and then takes the real step from the *original* point along
 ``-B_next^{-1} g`` under a second Wolfe search.  When the curvature floor
 rejects the pair, the update is skipped and the first step is accepted.
 
-The loop sees the operator through three realizations that keep H = B^{-1}
-and give the direction ``-H g``, an updated successor and
-``psi(B) = tr B - ln det B``: BFGS; two-phase ``b_form`` (default), the
-combination in B applied to H by the Woodbury formula and certified by
-H_next's Cholesky pivots; and two-phase ``h_form_literal``, the literal
+The loop holds H = B^{-1}, from which every direction is ``-H g``, and
+``psi(B) = tr B - ln det B``, from H = I and psi = n.  A realization is one
+update function, ``update(H, s, y, Bs, lam) -> (H_next, d_psi)``, which may
+write over H: BFGS; two-phase ``b_form`` (default), the combination in B
+applied to H by the Woodbury formula and certified by H_next's Cholesky
+pivots; and two-phase ``h_form_literal``, the literal
 ``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``, kept for cross-validation.  The
 BFGS and ``b_form`` updates write over H, so an iteration holds H and one
-transient n x n.  ``B p_bar = -g`` spares every product with B:
-``Bs = -alpha_bar g`` gives ``b_form``'s update and psi(B) by the trace and
-determinant identities.
+transient n x n; ``h_form_literal`` leaves H as it was.  ``B p_bar = -g``
+spares every product with B: ``Bs = -alpha_bar g`` gives ``b_form``'s update
+and the change in psi(B) by the trace and determinant identities.
 
 Records keep vectors and scalars, never a matrix, and each fact once: an
 iterate's x, f and g, and its step's y, p, p_bar and psi_next.  What these
@@ -262,50 +263,12 @@ def _psi_step(s, y, Bs, yHy, lam):
     return d_trace - math.log(det)
 
 
-class _InverseBfgs:
-    """BFGS on the inverse operator H: the baseline's realization.
+def woodbury_update_H(H, Bs, y, lam: float):
+    """Two-phase update of H = B^{-1}, written over H: the inverse of B + U C U'
+    of :func:`_psi_step`.
 
-    It carries psi(B) = tr B - ln det B of B = H^{-1}, n for B_0 = I, through
-    :func:`_psi_step`, so psi(B) costs no factorization.
-    """
-
-    def __init__(self, H, psi=None):
-        self.matrix = H
-        self.psi = float(H.shape[0]) if psi is None else psi
-
-    def direction(self, g):
-        return -(self.matrix @ g)
-
-    def updated(self, s, y, Bs, cfg):
-        """The successor, whose matrix is this one's H overwritten by its update.
-
-        The update consumes ``self``: its matrix becomes the successor's, so an
-        iteration holds H and the update's one transient n x n.  A pair that
-        fails the curvature check raises before the first write, and H is intact.
-        """
-        H_next = bfgs_update_H(self.matrix, s, y, out=self.matrix)
-        return self._successor(H_next, s, y, Bs, 0.0)
-
-    def _successor(self, H_next, s, y, Bs, lam, yHy=None):
-        return type(self)(H_next, self.psi + _psi_step(s, y, Bs, yHy, lam))
-
-
-class _TwoPhaseHLiteral(_InverseBfgs):
-    """Two-phase combination on H through the literal double inversion.
-
-    It needs H next to H_bar, so its update is the pure one and leaves H as it was.
-    """
-
-    def updated(self, s, y, Bs, cfg):
-        H_bar = bfgs_update_H(self.matrix, s, y)
-        H_next = combine_H_literal(self.matrix, H_bar, cfg.lam)
-        return self._successor(H_next, s, y, Bs, cfg.lam, float(y.dot(self.matrix @ y)))
-
-
-def woodbury_update_H(H, Bs, y, lam: float, out=None):
-    """Two-phase update of H = B^{-1}: the inverse of B + U C U' of :func:`_psi_step`.
-
-    Returns ``(H_next, s, yHy)``.  By Woodbury (Nocedal & Wright, eq. A.28),
+    Returns ``(H_next, s, yHy)``, where H_next is the argument H, overwritten.
+    By Woodbury (Nocedal & Wright, eq. A.28),
     H_next = H - HU M^{-1} (HU)' with U = [Bs, y] and
     M = C^{-1} + U'HU = [[-lam s'Bs/(1 - lam), s'y], [s'y, s'y/(1 - lam) + y'Hy]],
     where s = H Bs: s'Bs = Bs'H Bs > 0, and the psi step that takes this s and
@@ -315,12 +278,11 @@ def woodbury_update_H(H, Bs, y, lam: float, out=None):
     filled by two matrix-vector products, not one product with [Bs, y], which
     rounds differently.
 
-    ``out``, as in numpy, is the float n x n array that receives H_next, and
-    may be H itself.  The s'Bs check runs before the first write.  The
-    correction T = HU M^{-1} (HU)' is dropped before the certificate, so with
-    ``out=H`` the update holds H and one transient n x n at a time: T, then the
-    Cholesky factor.  A failed certificate leaves H overwritten by the
-    uncertified H_next.
+    The s'Bs check runs before the first write, so a pair that fails it leaves
+    H as it was.  The correction T = HU M^{-1} (HU)' is dropped before the
+    certificate, so the update holds H and one transient n x n at a time: T,
+    then the Cholesky factor.  A failed certificate leaves H overwritten by the
+    uncertified H_next.  Pass ``H.copy()`` to keep H.
     """
     mu = 1.0 - lam
     HU = np.empty((H.shape[0], 2))
@@ -333,33 +295,49 @@ def woodbury_update_H(H, Bs, y, lam: float, out=None):
     m11, m12, m22 = -lam * sBs / mu, sy, sy / mu + yHy
     M_inv = np.array([[m22, -m12], [-m12, m11]]) / (m11 * m22 - m12 * m12)
     T = (HU @ M_inv) @ HU.T
-    H_next = np.subtract(H, T, out=out)
+    H -= T
     del T  # before the factor, or the peak is three n x n arrays
-    cholesky(H_next)  # the SPD certificate
-    return H_next, s, yHy
+    cholesky(H)  # the SPD certificate
+    return H, s, yHy
 
 
-class _TwoPhaseWoodbury(_InverseBfgs):
-    """Two-phase ``b_form``: :func:`woodbury_update_H` on H, with s taken from H Bs,
-    the loop's alpha_bar p_bar recomputed.
+# The update functions (see the module docstring).  Each raises CurvatureError,
+# before it writes, on a pair below the curvature floor, and looks up its
+# primitives by their names in this module at call time: perfbench/tracer.py
+# patches those names, so binding one early would hide it from the traced counts.
 
-    The update consumes ``self`` as :meth:`_InverseBfgs.updated` does: it
-    writes H_next over this H, after the curvature and s'Bs checks, and drops
-    the correction before the certificate's factor is made.
+
+def _bfgs(H, s, y, Bs, lam):
+    """BFGS on H, written over H; ``lam`` is unused."""
+    return bfgs_update_H(H, s, y, out=H), _psi_step(s, y, Bs, None, 0.0)
+
+
+def _b_form(H, s, y, Bs, lam):
+    """Two-phase ``b_form``: :func:`woodbury_update_H` written over H, with s
+    taken from H Bs, the loop's alpha_bar p_bar recomputed."""
+    _curvature(s, y)
+    H_next, s, yHy = woodbury_update_H(H, Bs, y, lam)
+    return H_next, _psi_step(s, y, Bs, yHy, lam)
+
+
+def _h_form_literal(H, s, y, Bs, lam):
+    """Two-phase combination through the literal double inversion.
+
+    It needs H next to H_bar, so it is pure and leaves H as it was.
     """
-
-    def updated(self, s, y, Bs, cfg):
-        _curvature(s, y)
-        H_next, s, yHy = woodbury_update_H(self.matrix, Bs, y, cfg.lam, out=self.matrix)
-        return self._successor(H_next, s, y, Bs, cfg.lam, yHy)
+    H_next = combine_H_literal(H, bfgs_update_H(H, s, y), lam)
+    return H_next, _psi_step(s, y, Bs, float(y.dot(H @ y)), lam)
 
 
-_TWO_PHASE_FORMS = {MODE_B_FORM: _TwoPhaseWoodbury, MODE_H_FORM_LITERAL: _TwoPhaseHLiteral}
+_TWO_PHASE_FORMS = {MODE_B_FORM: _b_form, MODE_H_FORM_LITERAL: _h_form_literal}
 
 
-def _solve(f, x0, cfg: SolverConfig, op, two_phase: bool) -> SolveResult:
-    """The iteration loop of both solvers, over the operator realization ``op``."""
+def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
+    """The iteration loop of both solvers, from H = B = I and psi(I) = n."""
+    cfg = cfg if cfg is not None else SolverConfig()
+    update = _TWO_PHASE_FORMS[cfg.mode] if two_phase else _bfgs
     x = np.array(x0, dtype=float)
+    H, psi = np.eye(x.size), float(x.size)
     fx = float(f.evaluate(x))
     g = np.asarray(f.gradient(x), dtype=float)
     f_evals, g_evals = 1, 1
@@ -375,7 +353,7 @@ def _solve(f, x0, cfg: SolverConfig, op, two_phase: bool) -> SolveResult:
         if len(trace) >= cfg.max_iter:
             termination = MAX_ITER
             break
-        p_bar = op.direction(g)
+        p_bar = -(H @ g)
         try:
             first = wolfe_search(f, x, p_bar, fx, g)
             f_evals += first.f_evals
@@ -388,13 +366,14 @@ def _solve(f, x0, cfg: SolverConfig, op, two_phase: bool) -> SolveResult:
             y = first.grad_new - g
             try:
                 # B p_bar = -g, so Bs = -alpha_bar g
-                op_next, skipped = op.updated(s, y, -first.alpha * g, cfg), False
+                H, d_psi = update(H, s, y, -first.alpha * g, cfg.lam)
+                psi, skipped = psi + d_psi, False
             except CurvatureError:
-                op_next, skipped = op, True
+                skipped = True  # H and psi stay as they are
             # BFGS, and two-phase after a skipped update, accept the first step
             p, second, x_next = p_bar, first, x_bar
             if two_phase and not skipped:
-                p = op_next.direction(g)
+                p = -(H @ g)
                 second = wolfe_search(f, x, p, fx, g)
                 f_evals += second.f_evals
                 g_evals += second.g_evals
@@ -413,8 +392,8 @@ def _solve(f, x0, cfg: SolverConfig, op, two_phase: bool) -> SolveResult:
             coupling = float(np.dot(p - p_bar, first.grad_new))
         trace.append(IterateRecord(x, fx, g, alpha_bar, second.alpha, skipped, status_bar,
                                    second.status))
-        updates.append(UpdateRecord(y, p, recorded_p_bar, op_next.psi, coupling))
-        x, fx, g, op = x_next, second.f_new, second.grad_new, op_next
+        updates.append(UpdateRecord(y, p, recorded_p_bar, psi, coupling))
+        x, fx, g = x_next, second.f_new, second.grad_new
     return SolveResult(x, fx, _norm(g), f_evals, g_evals,
                        termination, trace, updates)
 
@@ -431,8 +410,7 @@ def solve_bfgs(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
     cfg : SolverConfig, optional
         ``lam``, ``tol``, ``max_iter`` and ``mode``; benchmark defaults when omitted.
     """
-    cfg = cfg if cfg is not None else SolverConfig()
-    return _solve(f, x0, cfg, _InverseBfgs(np.eye(np.size(x0))), two_phase=False)
+    return _solve(f, x0, cfg, two_phase=False)
 
 
 def solve_two_phase(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
@@ -442,9 +420,7 @@ def solve_two_phase(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
     ``b_form``, the combination in B applied to H by a Woodbury update, and
     the literal inverse form.
     """
-    cfg = cfg if cfg is not None else SolverConfig()
-    form = _TWO_PHASE_FORMS[cfg.mode]
-    return _solve(f, x0, cfg, form(np.eye(np.size(x0))), two_phase=True)
+    return _solve(f, x0, cfg, two_phase=True)
 
 
 def trace_to_csv(result: SolveResult) -> str:

@@ -4,7 +4,7 @@ import numpy as np
 
 from qnbench import ObjectiveFunction
 from qnbench.linalg import inverse_spd
-from qnbench.solvers import _TWO_PHASE_FORMS, _InverseBfgs
+from qnbench.solvers import _TWO_PHASE_FORMS, _bfgs
 
 
 def iterate_sequence(result):
@@ -16,25 +16,29 @@ def replay(objective, result, cfg, solver):
     """Yield ``(s, y, B, B_next)`` of each record of a run, rebuilt from its records.
 
     ``solver`` is ``"bfgs"`` or ``"two-phase"``, and ``cfg`` the run's config.
-    The updates are replayed through the run's own realization from H = I,
-    with the step and pair formed as the solve forms them, and B is
-    ``inverse_spd(H)``.  The replayed y and psi_next must equal the recorded
+    The updates are replayed through the run's own update function from H = I
+    and psi = n, with the step and pair formed as the solve forms them, and B
+    is ``inverse_spd(H)``.  The replayed y and psi_next must equal the recorded
     ones bit for bit.
     """
     two_phase = solver == "two-phase"
-    form = _TWO_PHASE_FORMS[cfg.mode] if two_phase else _InverseBfgs
-    op = form(np.eye(np.size(result.final_x)))
-    B = inverse_spd(op.matrix)
+    update = _TWO_PHASE_FORMS[cfg.mode] if two_phase else _bfgs
+    n = np.size(result.final_x)
+    H, psi = np.eye(n), float(n)
+    B = inverse_spd(H)
     for r, u in zip(result.trace, result.updates):
         a, d = (r.alpha_bar, u.p_bar) if two_phase else (r.alpha, u.p)
         s = a * d
         y = np.asarray(objective.gradient(r.x + s), dtype=float) - r.g
-        op_next = op if r.update_skipped else op.updated(s, y, -a * r.g, cfg)
+        B_next = B
+        if not r.update_skipped:
+            H, d_psi = update(H, s, y, -a * r.g, cfg.lam)
+            psi += d_psi
+            B_next = inverse_spd(H)
         assert np.array_equal(y, u.y)
-        assert op_next.psi == u.psi_next
-        B_next = B if r.update_skipped else inverse_spd(op_next.matrix)
+        assert psi == u.psi_next
         yield s, y, B, B_next
-        op, B = op_next, B_next
+        B = B_next
 
 
 def bfgs_update_H_dense(H, s, y):

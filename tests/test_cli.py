@@ -176,7 +176,9 @@ class TestBenchAndProfile:
         (lambda text: text.replace(",10,", ",ten,", 1), "invalid literal for int()"),
         (lambda text: "\n".join(text.split("\n")[:-2]) + "\n", "missing record for"),
         (lambda text: text + "Raydan2,bfgs\n", "int() argument must be"),
-    ], ids=["missing-column", "non-integer-n", "missing-pair", "short-row"])
+        (lambda text: text.replace(",true,", ",True,"), "converged must be 'true' or 'false'"),
+    ], ids=["missing-column", "non-integer-n", "missing-pair", "short-row",
+            "converged-not-lowercase"])
     def test_profile_malformed_results_exit_two(self, bench_artifacts, tmp_path, capsys,
                                                 edit, message):
         _, out, _, _ = bench_artifacts

@@ -7,7 +7,6 @@ from qnbench.linalg import (
     inverse_spd,
     log_determinant_spd,
     solve_spd,
-    symmetrize,
 )
 
 from _util import determinant_spd, make_spd, outer_rank1_update
@@ -145,13 +144,6 @@ class TestOuterRank1Update:
     def test_non_finite_scale(self):
         with pytest.raises(ValueError):
             outer_rank1_update(np.eye(2), np.ones(2), np.inf)
-
-
-def test_symmetrize():
-    a = np.array([[1.0, 2.0], [0.0, 3.0]])
-    s = symmetrize(a)
-    assert np.array_equal(s, s.T)
-    assert np.allclose(s, [[1.0, 1.0], [1.0, 3.0]])
 
 
 def test_inverse_spd_round_trip():

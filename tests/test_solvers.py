@@ -24,8 +24,8 @@ from qnbench.linalg import SPDError, cholesky, inverse_spd
 from qnbench.linesearch import wolfe_search
 from qnbench.solvers import (
     CurvatureError,
-    _InverseBfgs,
-    _TwoPhaseWoodbury,
+    _b_form,
+    _bfgs,
     bfgs_update_B,
     bfgs_update_H,
     combine_H_literal,
@@ -114,7 +114,7 @@ class TestBfgsUpdateH:
         with pytest.raises(CurvatureError):
             bfgs_update_H(H, s, -s, out=H)
         with pytest.raises(CurvatureError):
-            _InverseBfgs(H).updated(s, -s, s, SolverConfig())
+            _bfgs(H, s, -s, s, 0.5)
         assert np.array_equal(H, before)
 
     def test_duality_with_b_update(self):
@@ -513,7 +513,7 @@ def test_woodbury_update_inverts_two_phase_combine(lam):
             s, y = curvature_pair(rng, n)
             B_next = two_phase_combine(B, bfgs_update_B(B, s, y), lam)
             H = np.linalg.inv(B)
-            H_next, s_H, yHy = woodbury_update_H(H, B @ s, y, lam)
+            H_next, s_H, yHy = woodbury_update_H(H.copy(), B @ s, y, lam)
             assert np.abs(H_next @ B_next - np.eye(n)).max() <= 1e-13
             # it returns the s = H Bs and y'Hy its psi step takes
             assert np.array_equal(s_H, H @ (B @ s))
@@ -522,13 +522,14 @@ def test_woodbury_update_inverts_two_phase_combine(lam):
 
 @pytest.mark.parametrize("n", [2, 10, 300])
 def test_woodbury_update_out_h_equals_the_pure_call(n):
+    # the update writes over its H; the pure result is the call on H.copy()
     rng = np.random.default_rng(80 + n)
     for _ in range(5):
         B = make_spd(rng, n)
         s, y = curvature_pair(rng, n)
         H = inverse_spd(B)
-        want = woodbury_update_H(H, B @ s, y, 0.5)
-        H_next, s_H, yHy = woodbury_update_H(H, B @ s, y, 0.5, out=H)
+        want = woodbury_update_H(H.copy(), B @ s, y, 0.5)
+        H_next, s_H, yHy = woodbury_update_H(H, B @ s, y, 0.5)
         assert H_next is H
         assert np.array_equal(H_next, want[0])
         assert np.array_equal(s_H, want[1]) and yHy == want[2]
@@ -541,9 +542,9 @@ def test_woodbury_update_checks_before_it_writes():
     before = H.copy()
     s = rng.standard_normal(10)
     with pytest.raises(CurvatureError):
-        _TwoPhaseWoodbury(H).updated(s, -s, B @ s, SolverConfig())
+        _b_form(H, s, -s, B @ s, 0.5)
     with pytest.raises(SPDError, match="s'Bs"):
-        woodbury_update_H(H, np.zeros(10), B @ s, 0.5, out=H)
+        woodbury_update_H(H, np.zeros(10), B @ s, 0.5)
     assert np.array_equal(H, before)
 
 
@@ -559,6 +560,30 @@ def test_woodbury_update_certifies_through_the_solvers_module(monkeypatch):
     assert len(calls) == 1 and calls[0] is H_next
 
 
+@pytest.mark.parametrize("solver, mode, names", [
+    (solve_bfgs, MODE_B_FORM, {"bfgs_update_H"}),
+    (solve_two_phase, MODE_B_FORM, {"cholesky"}),
+    (solve_two_phase, MODE_H_FORM_LITERAL, {"bfgs_update_H", "combine_H_literal"}),
+], ids=["bfgs", "b_form", "h_form_literal"])
+def test_updates_look_up_their_primitives_in_the_solvers_module(monkeypatch, solver, mode,
+                                                                names):
+    # the per-layer tracer patches these names in qnbench.solvers, so an update
+    # function that bound one of them early would drop out of the traced counts.
+    # A call counts when it returns, so a pair the curvature floor skips does not
+    returned = dict.fromkeys(("bfgs_update_H", "combine_H_literal", "cholesky"), 0)
+    for name in returned:
+        def counted(*args, _name=name, _wrapped=getattr(solvers, name), **kwargs):
+            out = _wrapped(*args, **kwargs)
+            returned[_name] += 1
+            return out
+        monkeypatch.setattr(solvers, name, counted)
+    objective = lookup("Raydan2").objective
+    res = solver(objective, objective.standard_start, SolverConfig(max_iter=5, mode=mode))
+    applied = sum(not r.update_skipped for r in res.trace)
+    assert applied > 0
+    assert returned == {name: applied if name in names else 0 for name in returned}
+
+
 def test_woodbury_update_survives_a_step_rounded_away():
     # the realization takes s from H Bs, not from its argument.  Far from the
     # origin a tiny step loses its descending coordinate: H couples the two,
@@ -572,9 +597,8 @@ def test_woodbury_update_survives_a_step_rounded_away():
     y = np.array([1.0, 4.0]) * s  # a quadratic's gradient difference, s'y > 0
     assert float(g @ p_bar) < 0.0 < float(g @ s)
     B = np.linalg.inv(H)
-    op = _TwoPhaseWoodbury(H, psi(B))
-    op_next = op.updated(s, y, -alpha_bar * g, SolverConfig())
-    assert op_next.psi == pytest.approx(psi(inverse_spd(op_next.matrix)), rel=1e-9)
+    H_next, d_psi = _b_form(H, s, y, -alpha_bar * g, 0.5)
+    assert psi(B) + d_psi == pytest.approx(psi(inverse_spd(H_next)), rel=1e-9)
 
 
 def test_update_failing_the_pivot_test_ends_spd_failure():
@@ -590,4 +614,4 @@ def test_update_failing_the_pivot_test_ends_spd_failure():
     assert res.iterations == 0
     s = np.array([0.0, -0.5])  # B = I, so Bs = s
     with pytest.raises(SPDError, match="pivot"):
-        _TwoPhaseWoodbury(np.eye(2)).updated(s, G * s, s, SolverConfig())
+        _b_form(np.eye(2), s, G * s, s, 0.5)
