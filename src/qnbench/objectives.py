@@ -6,6 +6,7 @@ exists to verify those gradients before a function is trusted anywhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,7 +24,10 @@ class ObjectiveFunction:
     """Named objective with analytic gradient and a standard starting point.
 
     ``evaluate`` and ``gradient`` must be pure and reentrant; the benchmark
-    harness may call them from several runs without coordination.
+    harness may call them from several runs without coordination.  Neither
+    may keep or write its argument: the gradient check rewrites one probe
+    array between calls to ``evaluate``, and the line search passes one
+    trial point to both.
     """
 
     name: str
@@ -59,18 +63,28 @@ class GradientCheckReport:
 
 def fd_gradient(f: ObjectiveFunction, x):
     """Central-difference gradient ``(f(x + h e_i) - f(x - h e_i)) / (2h)``
-    with h = ``FD_STEP``."""
+    with h = ``FD_STEP``.
+
+    All probes are one copy of x whose coordinate i is rewritten in place,
+    so ``evaluate`` gets the same array, changed between calls.  Coordinate
+    i is ``x[i] +/- h``, the same float addition as ``(x +/- h e_i)[i]``,
+    and every other coordinate keeps the bits of x: a ``-0.0`` stays
+    ``-0.0``, where adding ``0 e_j`` would give ``+0.0``.  x is never written.
+    """
     h = FD_STEP
     x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        f_plus = float(f.evaluate(x + step))
-        f_minus = float(f.evaluate(x - step))
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+    probe = x.copy()
+    grad = np.empty_like(x)
+    for i, xi in enumerate(x.tolist()):
+        probe[i] = xi + h
+        f_plus = float(f.evaluate(probe))
+        probe[i] = xi - h
+        f_minus = float(f.evaluate(probe))
+        probe[i] = xi
+        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
             raise ValueError(
-                f"{f.name}: non-finite evaluation probing coordinate {i} at {x!r}"
+                f"{f.name}: non-finite evaluation probing coordinate {i}: "
+                f"f(x + h e_i) = {f_plus!r}, f(x - h e_i) = {f_minus!r}"
             )
         grad[i] = (f_plus - f_minus) / (2.0 * h)
     return grad
@@ -91,8 +105,11 @@ def check_gradient(f: ObjectiveFunction, points: Sequence[np.ndarray]) -> Gradie
         x = np.asarray(x, dtype=float)
         approx = fd_gradient(f, x)
         exact = np.asarray(f.gradient(x), dtype=float)
-        if not np.all(np.isfinite(exact)):
-            raise ValueError(f"{f.name}: non-finite analytic gradient at {x!r}")
+        finite = np.isfinite(exact)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(
+                f"{f.name}: non-finite analytic gradient at coordinate {i}: {float(exact[i])!r}")
         diff = exact - approx
         rel = float(np.linalg.norm(diff)) / max(1.0, float(np.linalg.norm(exact)))
         if rel > worst:

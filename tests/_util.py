@@ -4,6 +4,7 @@ import numpy as np
 
 from qnbench import ObjectiveFunction
 from qnbench.linalg import inverse_spd
+from qnbench.objectives import FD_STEP
 from qnbench.solvers import _TWO_PHASE_FORMS, _bfgs
 
 
@@ -50,6 +51,25 @@ def bfgs_update_H_dense(H, s, y):
     rho = 1.0 / float(np.dot(s, y))
     left = np.eye(np.size(s)) - rho * np.outer(s, y)
     return left @ H @ left.T + rho * np.outer(s, s)
+
+
+def fd_gradient_fresh_steps(f, x):
+    """Central differences with fresh probe points, an oracle for ``fd_gradient``.
+
+    Each coordinate builds three new arrays, ``h e_i``, ``x + h e_i`` and
+    ``x - h e_i``, the form the library's in-place probe must agree with bit
+    for bit wherever x has no ``-0.0`` coordinate.
+    """
+    h = FD_STEP
+    x = np.asarray(x, dtype=float)
+    grad = np.zeros_like(x)
+    for i in range(x.size):
+        step = np.zeros_like(x)
+        step[i] = h
+        f_plus = float(f.evaluate(x + step))
+        f_minus = float(f.evaluate(x - step))
+        grad[i] = (f_plus - f_minus) / (2.0 * h)
+    return grad
 
 
 def make_spd(rng, n):

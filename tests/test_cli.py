@@ -4,6 +4,7 @@ import importlib
 import io
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from qnbench import SolverConfig, bench, lookup, solve_two_phase
@@ -240,16 +241,19 @@ class TestCheckAndList:
         assert len(calls) == 30
         assert len(set(calls)) == 30
 
-    def test_check_reports_a_broken_gradient(self, monkeypatch, capsys):
+    @staticmethod
+    def _check_with_broken_raydan2(monkeypatch, capsys, **fields):
+        """Run ``check`` with Raydan2's objective fields replaced by
+        ``fields[name](old_value)``; returns the exit code and the output."""
         build = suite_module._build_problems
 
         def with_broken_raydan2():
             problems = build()
             for i, problem in enumerate(problems):
                 if problem.name == "Raydan2":
-                    gradient = problem.objective.gradient
-                    objective = dataclasses.replace(
-                        problem.objective, gradient=lambda x: gradient(x) - 0.01)
+                    objective = dataclasses.replace(problem.objective, **{
+                        name: breaker(getattr(problem.objective, name))
+                        for name, breaker in fields.items()})
                     problems[i] = dataclasses.replace(problem, objective=objective)
             return problems
 
@@ -259,12 +263,29 @@ class TestCheckAndList:
             code = main(["check"])
         finally:
             suite_module.suite.cache_clear()
-        captured = capsys.readouterr()
+        return code, capsys.readouterr()
+
+    def test_check_reports_a_broken_gradient(self, monkeypatch, capsys):
+        code, captured = self._check_with_broken_raydan2(
+            monkeypatch, capsys, gradient=lambda gradient: lambda x: gradient(x) - 0.01)
         assert code == 1
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("qnbench check: Raydan2: analytic gradient disagrees")
+
+    @pytest.mark.parametrize("field, broken, line", [
+        ("evaluate", lambda evaluate: lambda x: float("nan"),
+         "Raydan2: non-finite evaluation probing coordinate 0: "
+         "f(x + h e_i) = nan, f(x - h e_i) = nan"),
+        ("gradient", lambda gradient: lambda x: gradient(x) + np.inf,
+         "Raydan2: non-finite analytic gradient at coordinate 0: inf"),
+    ], ids=["evaluation", "gradient"])
+    def test_check_reports_a_non_finite_value(self, monkeypatch, capsys, field, broken, line):
+        code, captured = self._check_with_broken_raydan2(monkeypatch, capsys, **{field: broken})
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"qnbench check: {line}"]
 
     def test_list_prints_manifest(self, capsys):
         code = main(["list"])

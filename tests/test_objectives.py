@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qnbench import ObjectiveFunction, check_gradient
-from qnbench.objectives import default_check_points, fd_gradient
+from qnbench import ObjectiveFunction, check_gradient, suite
+from qnbench.objectives import FD_STEP, default_check_points, fd_gradient
 
-from _util import sphere
+from _util import fd_gradient_fresh_steps, sphere
 
 
 def _objective(name, n, fun, grad, start=None):
@@ -46,6 +46,66 @@ class TestFdGradient:
         bad = _objective("bad", 1, lambda x: float("nan"), lambda x: np.zeros(1))
         with pytest.raises(ValueError, match="non-finite"):
             fd_gradient(bad, np.zeros(1))
+
+
+class TestFdGradientProbes:
+    """``fd_gradient`` rewrites one probe array in place; its values must be
+    the bits of the fresh-array form, and the caller's x must not change."""
+
+    def test_bit_identical_to_fresh_steps_on_the_suite(self):
+        for problem in suite():
+            for k, x in enumerate(default_check_points(problem.objective)):
+                assert (fd_gradient(problem.objective, x).tobytes()
+                        == fd_gradient_fresh_steps(problem.objective, x).tobytes()), (
+                    problem.name, k)
+
+    def test_bit_identical_to_fresh_steps_at_n_1000(self):
+        n = 1000
+        weights = np.linspace(1.0, 2.0, n)
+
+        def evaluate(x):
+            return float(np.dot(weights, np.exp(x) - x) + 0.5 * np.sum(np.diff(x) ** 2))
+
+        # fd_gradient never calls the gradient
+        chained = _objective("chained", n, evaluate, None, np.linspace(-1.0, 1.0, n))
+        for k, x in enumerate(default_check_points(chained)):
+            assert (fd_gradient(chained, x).tobytes()
+                    == fd_gradient_fresh_steps(chained, x).tobytes()), k
+
+    def test_probes_are_x_plus_minus_h_e_i_and_x_is_left_alone(self):
+        # the -0.0 keeps its sign in the probes of the other coordinates
+        x = np.array([0.3, -0.0, 2.5])
+        before = x.tobytes()
+        seen = []
+
+        def recording(p):
+            seen.append(p.copy())
+            return float(np.sum(p ** 2))
+
+        fd_gradient(_objective("recording", 3, recording, lambda p: 2.0 * p), x)
+        assert x.tobytes() == before
+        expected = []
+        for i in range(x.size):
+            for sign in (1.0, -1.0):
+                e = x.copy()
+                e[i] = x[i] + sign * FD_STEP
+                expected.append(e.tobytes())
+        assert [p.tobytes() for p in seen] == expected
+
+    def test_x_is_left_alone_when_evaluate_raises_mid_probe(self):
+        x = np.array([1.0, 2.0, 3.0])
+        before = x.tobytes()
+        calls = []
+
+        def failing(p):
+            calls.append(None)
+            if len(calls) == 4:  # coordinate 1's minus probe
+                raise ZeroDivisionError("mid-probe")
+            return float(np.sum(p))
+
+        with pytest.raises(ZeroDivisionError):
+            fd_gradient(_objective("failing", 3, failing, np.ones_like), x)
+        assert x.tobytes() == before
 
 
 class TestCheckGradient:
