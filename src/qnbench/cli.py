@@ -1,7 +1,8 @@
 """Command-line entry point: solve, bench, profile, check, list.
 
-Exit codes: 0 success, 1 solver non-convergence (or failed checks), 2 usage
-errors, malformed input and unreadable or unwritable paths.  Human-readable
+Exit codes: 0 success, 1 solver non-convergence (or a suite gradient check
+that fails, in any command that builds the suite), 2 usage errors, malformed
+input and unreadable or unwritable paths.  Human-readable
 summaries go to stdout; machine artifacts are written only to paths given
 explicitly via --out/--trace/--table/--svg.
 """
@@ -28,7 +29,14 @@ from qnbench.solvers import (
     SolverConfig,
     trace_to_csv,
 )
-from qnbench.suite import UnknownProblemError, gradient_reports, lookup, manifest_csv, suite
+from qnbench.suite import (
+    GradientCheckError,
+    UnknownProblemError,
+    gradient_reports,
+    lookup,
+    manifest_csv,
+    suite,
+)
 
 _MODES = {"b-form": MODE_B_FORM, "h-form": MODE_H_FORM_LITERAL}
 
@@ -157,11 +165,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        checked = gradient_reports()
-    except RuntimeError as err:
-        print(f"qnbench check: {err}", file=sys.stderr)
-        return 1
+    checked = gradient_reports()
     for problem, report in checked:
         print(f"{problem.name:35s} max rel error {report.max_rel_error:.3e}  ok")
     print(f"\n{len(checked)}/{len(checked)} gradient checks passed")
@@ -193,6 +197,9 @@ def main(argv=None) -> int:
     except OSError as err:  # an unreadable input or unwritable output path
         print(f"qnbench {args.command}: {err}", file=sys.stderr)
         return 2
+    except GradientCheckError as err:  # every command but profile builds the suite
+        print(f"qnbench {args.command}: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,12 +17,22 @@ The loop holds H = B^{-1}, from which every direction is ``-H g``, and
 update function, ``update(H, s, y, Bs, lam) -> (H_next, d_psi)``, which may
 write over H: BFGS; two-phase ``b_form`` (default), the combination in B
 applied to H by the Woodbury formula and certified by H_next's Cholesky
-pivots; and two-phase ``h_form_literal``, the literal
-``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``, kept for cross-validation.  The
-BFGS and ``b_form`` updates write over H, so an iteration holds H and one
-transient n x n; ``h_form_literal`` leaves H as it was.  ``B p_bar = -g``
-spares every product with B: ``Bs = -alpha_bar g`` gives ``b_form``'s update
-and the change in psi(B) by the trace and determinant identities.
+pivots; two-phase ``h_form_literal``, the literal
+``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``, kept for cross-validation; and
+the compact realization, which holds B = I + U C U' (every update adds two
+columns to U) instead of a dense H, and certifies it by the inertia of a
+2k x 2k matrix.  The BFGS and ``b_form`` updates write over H, so an
+iteration holds H and one transient n x n; ``h_form_literal`` leaves H as it
+was.  ``B p_bar = -g`` spares every product with B: ``Bs = -alpha_bar g``
+gives ``b_form``'s update and the change in psi(B) by the trace and
+determinant identities.
+
+BFGS and ``b_form`` run the compact realization instead of the dense one when
+the budget fits the dimension, ``2 max_iter <= n``: then U never holds more
+than n columns, and a solve needs no n x n array and no O(n^3) certificate.
+``h_form_literal`` stays dense at every n.  The two realizations represent the
+same operators but round differently, so two configs that differ only in
+``max_iter`` may part on a flat tail, as ``b_form`` and ``h_form_literal`` do.
 
 Records keep vectors and scalars, never a matrix, and each fact once: an
 iterate's x, f and g, and its step's y, p, p_bar and psi_next.  What these
@@ -48,6 +58,7 @@ from typing import ClassVar
 import numpy as np
 
 from qnbench.linalg import (
+    PIVOT_RTOL,
     SPDError,
     cholesky,
     inverse_spd,
@@ -332,12 +343,101 @@ def _h_form_literal(H, s, y, Bs, lam):
 _TWO_PHASE_FORMS = {MODE_B_FORM: _b_form, MODE_H_FORM_LITERAL: _h_form_literal}
 
 
+class _CompactH:
+    """H = B^{-1} of B = I + U C U', held without an n x n array.
+
+    ``H @ v`` is ``v - U K^{-1} U'v`` with K = C^{-1} + U'U (Byrd, Nocedal &
+    Schnabel 1994), in O(kn + k^2) for U's 2k columns.  ``rows`` holds U's
+    columns as rows, ``c_inv`` C^{-1}'s diagonal and ``k_inv`` K^{-1}; their
+    first ``m`` rows and entries are in use, and :meth:`reserve` doubles them
+    when full.
+    """
+
+    def __init__(self, n):
+        self.m = 0
+        self.rows = np.empty((2, n))
+        self.c_inv = np.empty(2)
+        self.k_inv = np.empty((2, 2))
+
+    def __matmul__(self, v):
+        m = self.m
+        U = self.rows[:m]
+        return v - (self.k_inv[:m, :m] @ (U @ v)) @ U
+
+    def reserve(self, extra):
+        """Room for ``extra`` more columns, by doubling."""
+        m, cap = self.m, self.c_inv.size
+        if m + extra > cap:
+            cap = max(2 * cap, m + extra)
+            n = self.rows.shape[1]
+            rows, c_inv, k_inv = np.empty((cap, n)), np.empty(cap), np.empty((cap, cap))
+            rows[:m], c_inv[:m], k_inv[:m, :m] = self.rows[:m], self.c_inv[:m], self.k_inv[:m, :m]
+            self.rows, self.c_inv, self.k_inv = rows, c_inv, k_inv
+
+
+def _compact(H, s, y, Bs, lam):
+    """BFGS (``lam`` 0) or two-phase ``b_form`` on a :class:`_CompactH`, written over H.
+
+    The update B + U C U' of :func:`_psi_step` appends the unit columns
+    u = [Bs/||Bs||, y/||y||] to U and
+    C_u^{-1} = diag(-s'Bs/(mu ||Bs||^2), s'y/(mu ||y||^2)), mu = 1 - lam, to
+    C^{-1}, with s = H Bs: unit columns keep K's scale, where raw ones let the
+    test below fail late on suite problems.  K^{-1} is bordered with the 2 x 2
+    Schur complement S = C_u^{-1} + u'u - W'K^{-1}W, W = U'u, in O(kn + k^2).
+    B is SPD exactly when K has as many negative eigenvalues as C (one per
+    pair) and none zero, by Haynsworth inertia on [[I, U], [U', -C^{-1}]]; and
+    In(K_next) = In(K) + In(S).  So with s'Bs > 0 and s'y > 0 the represented
+    B_next is certified SPD by det S < 0; :class:`SPDError` is raised when
+    det S is not below -PIVOT_RTOL (|S_00 S_11| + S_01^2), and every check
+    runs before the first write.
+    """
+    _curvature(s, y)
+    m, mu = H.m, 1.0 - lam
+    U, k_inv = H.rows[:m], H.k_inv[:m, :m]
+    nb, ny = _norm(Bs), _norm(y)
+    u = np.stack((Bs / nb, y / ny))
+    W = U @ u.T
+    V = k_inv @ W
+    Hu = u - V.T @ U
+    s, Hy = nb * Hu[0], ny * Hu[1]
+    sy, sBs, yHy = float(s.dot(y)), float(s.dot(Bs)), float(y.dot(Hy))
+    if not (sBs > 0.0 and sy > 0.0):
+        raise SPDError(f"s'Bs = {sBs:.3e} and s'y = {sy:.3e} must be positive")
+    c_inv = (-sBs / (mu * nb * nb), sy / (mu * ny * ny))
+    S = np.diag(c_inv) + u @ u.T - W.T @ V
+    s00, s01, s11 = S[0, 0], 0.5 * (S[0, 1] + S[1, 0]), S[1, 1]
+    det = s00 * s11 - s01 * s01
+    floor = PIVOT_RTOL * (abs(s00 * s11) + s01 * s01)
+    if not det < -floor:
+        raise SPDError(f"Schur complement det {det:.3e} is not below {-floor:.3e}")
+    S_inv = np.array([[s11, -s01], [-s01, s00]]) / det
+    H.reserve(2)
+    VS = V @ S_inv
+    K = H.k_inv
+    K[:m, :m] += VS @ V.T
+    K[:m, m:m + 2] = -VS
+    K[m:m + 2, :m] = -VS.T
+    K[m:m + 2, m:m + 2] = S_inv
+    H.rows[m:m + 2], H.c_inv[m:m + 2], H.m = u, c_inv, m + 2
+    return H, _psi_step(s, y, Bs, yHy, lam)
+
+
+def _realization(n, cfg: SolverConfig, two_phase: bool):
+    """``(update, H_0)`` of a solve: :func:`_compact` on a :class:`_CompactH`
+    for BFGS and ``b_form`` when ``2 max_iter <= n``, so that U never has more
+    than n columns; otherwise the dense update on ``np.eye(n)``."""
+    if 2 * cfg.max_iter <= n and (not two_phase or cfg.mode == MODE_B_FORM):
+        return _compact, _CompactH(n)
+    return (_TWO_PHASE_FORMS[cfg.mode] if two_phase else _bfgs), np.eye(n)
+
+
 def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
     """The iteration loop of both solvers, from H = B = I and psi(I) = n."""
     cfg = cfg if cfg is not None else SolverConfig()
-    update = _TWO_PHASE_FORMS[cfg.mode] if two_phase else _bfgs
+    lam = cfg.lam if two_phase else 0.0
     x = np.array(x0, dtype=float)
-    H, psi = np.eye(x.size), float(x.size)
+    update, H = _realization(x.size, cfg, two_phase)
+    psi = float(x.size)
     fx = float(f.evaluate(x))
     g = np.asarray(f.gradient(x), dtype=float)
     f_evals, g_evals = 1, 1
@@ -366,7 +466,7 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
             y = first.grad_new - g
             try:
                 # B p_bar = -g, so Bs = -alpha_bar g
-                H, d_psi = update(H, s, y, -first.alpha * g, cfg.lam)
+                H, d_psi = update(H, s, y, -first.alpha * g, lam)
                 psi, skipped = psi + d_psi, False
             except CurvatureError:
                 skipped = True  # H and psi stay as they are
@@ -399,7 +499,8 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
 
 
 def solve_bfgs(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
-    """Standard BFGS with the inverse-Hessian update, started from H = I.
+    """Standard BFGS with the inverse-Hessian update, started from H = I; dense,
+    or compact when ``2 max_iter <= n`` (see the module docstring).
 
     Parameters
     ----------
@@ -417,8 +518,9 @@ def solve_two_phase(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
     """Two-phase quasi-Newton iteration (see the module docstring), from B = I.
 
     Parameters as in :func:`solve_bfgs`; ``cfg.mode`` chooses between
-    ``b_form``, the combination in B applied to H by a Woodbury update, and
-    the literal inverse form.
+    ``b_form``, the combination in B applied to H by a Woodbury update (or,
+    when ``2 max_iter <= n``, to the compact B = I + U C U'), and the literal
+    inverse form.
     """
     return _solve(f, x0, cfg, two_phase=True)
 

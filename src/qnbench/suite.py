@@ -567,17 +567,21 @@ def _build_problems():
     return problems
 
 
+class GradientCheckError(RuntimeError):
+    """A suite problem's gradient check failed or met a non-finite value."""
+
+
 def gradient_reports() -> list[tuple[SuiteProblem, GradientCheckReport]]:
-    """Every problem with its gradient check; RuntimeError names the first
-    problem whose check fails or meets a non-finite value."""
+    """Every problem with its gradient check; :class:`GradientCheckError`
+    names the first problem whose check fails or meets a non-finite value."""
     checked = []
     for problem in _build_problems():
         try:
             report = check_gradient(problem.objective, default_check_points(problem.objective))
         except ValueError as err:  # its message begins with the problem's name
-            raise RuntimeError(str(err)) from err
+            raise GradientCheckError(str(err)) from err
         if not report.passed:
-            raise RuntimeError(
+            raise GradientCheckError(
                 f"{problem.name}: analytic gradient disagrees with central "
                 f"differences (rel error {report.max_rel_error:.3e} at "
                 f"coordinate {report.worst_coordinate})"

@@ -5,7 +5,7 @@ import numpy as np
 from qnbench import ObjectiveFunction
 from qnbench.linalg import inverse_spd
 from qnbench.objectives import FD_STEP
-from qnbench.solvers import _TWO_PHASE_FORMS, _bfgs
+from qnbench.solvers import _CompactH, _realization
 
 
 def iterate_sequence(result):
@@ -17,29 +17,68 @@ def replay(objective, result, cfg, solver):
     """Yield ``(s, y, B, B_next)`` of each record of a run, rebuilt from its records.
 
     ``solver`` is ``"bfgs"`` or ``"two-phase"``, and ``cfg`` the run's config.
-    The updates are replayed through the run's own update function from H = I
-    and psi = n, with the step and pair formed as the solve forms them, and B
-    is ``inverse_spd(H)``.  The replayed y and psi_next must equal the recorded
-    ones bit for bit.
+    The updates are replayed through the run's own update function and initial
+    H, dense or compact, from psi = n, with the step and pair formed as the
+    solve forms them, and B is :func:`dense_B` of H.  The replayed y and
+    psi_next must equal the recorded ones bit for bit.
     """
     two_phase = solver == "two-phase"
-    update = _TWO_PHASE_FORMS[cfg.mode] if two_phase else _bfgs
     n = np.size(result.final_x)
-    H, psi = np.eye(n), float(n)
-    B = inverse_spd(H)
+    update, H = _realization(n, cfg, two_phase)
+    lam, psi = (cfg.lam if two_phase else 0.0), float(n)
+    B = dense_B(H)
     for r, u in zip(result.trace, result.updates):
         a, d = (r.alpha_bar, u.p_bar) if two_phase else (r.alpha, u.p)
         s = a * d
         y = np.asarray(objective.gradient(r.x + s), dtype=float) - r.g
         B_next = B
         if not r.update_skipped:
-            H, d_psi = update(H, s, y, -a * r.g, cfg.lam)
+            H, d_psi = update(H, s, y, -a * r.g, lam)
             psi += d_psi
-            B_next = inverse_spd(H)
+            B_next = dense_B(H)
         assert np.array_equal(y, u.y)
         assert psi == u.psi_next
         yield s, y, B, B_next
         B = B_next
+
+
+def dense_B(H):
+    """The operator B that H represents, as a dense array.
+
+    A dense H gives ``inverse_spd(H)``; a compact one gives
+    ``I + U C U'`` from its columns and C's diagonal.
+    """
+    if isinstance(H, np.ndarray):
+        return inverse_spd(H)
+    U = H.rows[:H.m].T
+    return np.eye(U.shape[0]) + (U / H.c_inv[:H.m]) @ U.T
+
+
+def compact_from(U, c_inv):
+    """A compact H holding the columns of ``U`` and C^{-1} = diag(c_inv) as given,
+    with K^{-1} = (C^{-1} + U'U)^{-1}, whatever B = I + U C U' they represent."""
+    U = np.asarray(U, dtype=float)
+    H = _CompactH(U.shape[0])
+    H.reserve(U.shape[1])
+    H.m = U.shape[1]
+    H.rows[:H.m], H.c_inv[:H.m] = U.T, c_inv
+    H.k_inv[:H.m, :H.m] = np.linalg.inv(np.diag(c_inv) + U.T @ U)
+    return H
+
+
+def perturbed_quadratic_diagonal(n):
+    """``(sum x)^2 / 100 + sum x_i^2 / i`` from x = 0.5, minimized at 0 (Andrei 2008)."""
+    i = np.arange(1.0, n + 1.0)
+    return ObjectiveFunction(f"Perturbed Quadratic Diagonal n={n}", n,
+                             lambda x: float(np.sum(x)) ** 2 / 100.0 + float(np.sum(x**2 / i)),
+                             lambda x: 2.0 * x / i + float(np.sum(x)) / 50.0,
+                             np.full(n, 0.5))
+
+
+def raydan2(n):
+    """``sum(exp(x_i) - x_i)`` from x = 1, minimized at 0 (Andrei 2008)."""
+    return ObjectiveFunction(f"Raydan2 n={n}", n, lambda x: float(np.sum(np.exp(x) - x)),
+                             lambda x: np.exp(x) - 1.0, np.ones(n))
 
 
 def bfgs_update_H_dense(H, s, y):

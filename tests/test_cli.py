@@ -242,9 +242,10 @@ class TestCheckAndList:
         assert len(set(calls)) == 30
 
     @staticmethod
-    def _check_with_broken_raydan2(monkeypatch, capsys, **fields):
-        """Run ``check`` with Raydan2's objective fields replaced by
-        ``fields[name](old_value)``; returns the exit code and the output."""
+    def _run_with_broken_raydan2(monkeypatch, capsys, argv=("check",), **fields):
+        """Run ``argv`` (``check`` by default) with Raydan2's objective fields
+        replaced by ``fields[name](old_value)``; returns the exit code and the
+        output."""
         build = suite_module._build_problems
 
         def with_broken_raydan2():
@@ -259,20 +260,38 @@ class TestCheckAndList:
 
         monkeypatch.setattr(suite_module, "_build_problems", with_broken_raydan2)
         suite_module.suite.cache_clear()
+        suite_module._canon_index.cache_clear()
         try:
-            code = main(["check"])
+            code = main(list(argv))
         finally:
             suite_module.suite.cache_clear()
+            suite_module._canon_index.cache_clear()
         return code, capsys.readouterr()
 
     def test_check_reports_a_broken_gradient(self, monkeypatch, capsys):
-        code, captured = self._check_with_broken_raydan2(
+        code, captured = self._run_with_broken_raydan2(
             monkeypatch, capsys, gradient=lambda gradient: lambda x: gradient(x) - 0.01)
         assert code == 1
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("qnbench check: Raydan2: analytic gradient disagrees")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "Raydan2", "--solver", "bfgs"],
+        ["bench", "--runs", "1"],
+        ["list"],
+    ], ids=["solve", "bench", "list"])
+    def test_every_command_reports_a_broken_gradient(self, monkeypatch, capsys, argv):
+        # every command builds the gradient-checked suite, so a failed check
+        # ends each one as it ends check: one stderr line and exit 1
+        code, captured = self._run_with_broken_raydan2(
+            monkeypatch, capsys, argv, gradient=lambda gradient: lambda x: gradient(x) - 0.01)
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"qnbench {argv[0]}: Raydan2: analytic gradient disagrees")
 
     @pytest.mark.parametrize("field, broken, line", [
         ("evaluate", lambda evaluate: lambda x: float("nan"),
@@ -282,7 +301,7 @@ class TestCheckAndList:
          "Raydan2: non-finite analytic gradient at coordinate 0: inf"),
     ], ids=["evaluation", "gradient"])
     def test_check_reports_a_non_finite_value(self, monkeypatch, capsys, field, broken, line):
-        code, captured = self._check_with_broken_raydan2(monkeypatch, capsys, **{field: broken})
+        code, captured = self._run_with_broken_raydan2(monkeypatch, capsys, **{field: broken})
         assert code == 1
         assert captured.out == ""
         assert captured.err.splitlines() == [f"qnbench check: {line}"]

@@ -444,15 +444,18 @@ def test_peak_memory_does_not_grow_with_iterations(solver):
 
 @pytest.mark.parametrize("solver", [solve_bfgs, solve_two_phase], ids=["bfgs", "two-phase"])
 def test_solve_working_set_is_two_matrices(solver):
-    # the updates write over the solve's own H, so an iteration holds H and
-    # one transient n x n: BFGS's rank-one term, or b_form's correction and
+    # the dense updates write over the solve's own H, so an iteration holds H
+    # and one transient n x n: BFGS's rank-one term, or b_form's correction and
     # then its certificate's factor.  A third matrix would put the peak near
-    # 3 * 8n^2 bytes
+    # 3 * 8n^2 bytes.  A budget above n/2 keeps the solve dense, and a
+    # well-conditioned quadratic converges in 14 (BFGS) and 8 iterations, so
+    # the records stay small
     n = 400
-    d = np.linspace(1.0, 1000.0, n)
-    f = ObjectiveFunction("ill-conditioned quadratic", n, lambda x: 0.5 * float(d @ (x * x)),
+    d = np.linspace(1.0, 2.0, n)
+    f = ObjectiveFunction("well-conditioned quadratic", n, lambda x: 0.5 * float(d @ (x * x)),
                           lambda x: d * x, np.ones(n))
-    assert _solve_peak_bytes(solver, f, SolverConfig(max_iter=5)) < 2.5 * 8 * n * n
+    cfg = SolverConfig(max_iter=n // 2 + 1)
+    assert _solve_peak_bytes(solver, f, cfg) < 2.5 * 8 * n * n
 
 
 def _replayed_runs(default_runs, h_form_runs):
@@ -560,17 +563,24 @@ def test_woodbury_update_certifies_through_the_solvers_module(monkeypatch):
     assert len(calls) == 1 and calls[0] is H_next
 
 
-@pytest.mark.parametrize("solver, mode, names", [
-    (solve_bfgs, MODE_B_FORM, {"bfgs_update_H"}),
-    (solve_two_phase, MODE_B_FORM, {"cholesky"}),
-    (solve_two_phase, MODE_H_FORM_LITERAL, {"bfgs_update_H", "combine_H_literal"}),
-], ids=["bfgs", "b_form", "h_form_literal"])
+@pytest.mark.parametrize("solver, mode, max_iter, names", [
+    (solve_bfgs, MODE_B_FORM, 6, {"bfgs_update_H"}),
+    (solve_two_phase, MODE_B_FORM, 6, {"cholesky"}),
+    (solve_two_phase, MODE_H_FORM_LITERAL, 6, {"bfgs_update_H", "combine_H_literal"}),
+    (solve_bfgs, MODE_B_FORM, 5, {"_compact"}),
+    (solve_two_phase, MODE_B_FORM, 5, {"_compact"}),
+    (solve_two_phase, MODE_H_FORM_LITERAL, 5, {"bfgs_update_H", "combine_H_literal"}),
+], ids=["bfgs", "b_form", "h_form_literal", "compact-bfgs", "compact-b_form",
+        "h_form_literal-max_iter-5"])
 def test_updates_look_up_their_primitives_in_the_solvers_module(monkeypatch, solver, mode,
-                                                                names):
+                                                                max_iter, names):
     # the per-layer tracer patches these names in qnbench.solvers, so an update
     # function that bound one of them early would drop out of the traced counts.
-    # A call counts when it returns, so a pair the curvature floor skips does not
-    returned = dict.fromkeys(("bfgs_update_H", "combine_H_literal", "cholesky"), 0)
+    # A call counts when it returns, so a pair the curvature floor skips does not.
+    # At n = 10, max_iter 6 runs the dense updates and max_iter 5 (2 max_iter <= n)
+    # the compact one, which the loop looks up as qnbench.solvers._compact;
+    # h_form_literal stays dense
+    returned = dict.fromkeys(("bfgs_update_H", "combine_H_literal", "cholesky", "_compact"), 0)
     for name in returned:
         def counted(*args, _name=name, _wrapped=getattr(solvers, name), **kwargs):
             out = _wrapped(*args, **kwargs)
@@ -578,7 +588,8 @@ def test_updates_look_up_their_primitives_in_the_solvers_module(monkeypatch, sol
             return out
         monkeypatch.setattr(solvers, name, counted)
     objective = lookup("Raydan2").objective
-    res = solver(objective, objective.standard_start, SolverConfig(max_iter=5, mode=mode))
+    res = solver(objective, objective.standard_start,
+                 SolverConfig(max_iter=max_iter, mode=mode))
     applied = sum(not r.update_skipped for r in res.trace)
     assert applied > 0
     assert returned == {name: applied if name in names else 0 for name in returned}
