@@ -137,15 +137,15 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    with open(args.infile, "r", encoding="utf-8") as stream:
-        text = stream.read()
     try:
-        records = records_from_csv(text)
+        with open(args.infile, "r", encoding="utf-8") as stream:
+            records = records_from_csv(stream.read())
         curves = dolan_more(records, metric=args.metric)
     except KeyError as err:
         print(f"qnbench profile: {args.infile} has no column {err}", file=sys.stderr)
         return 2
-    except (TypeError, ValueError) as err:  # a short row, a malformed value, a missing pair
+    # a short row, a malformed value, a missing pair, a file that is not UTF-8
+    except (TypeError, ValueError) as err:
         print(f"qnbench profile: {args.infile}: {err}", file=sys.stderr)
         return 2
     if not records:

@@ -14,18 +14,19 @@ rejects the pair, the update is skipped and the first step is accepted.
 
 The loop holds H = B^{-1}, from which every direction is ``-H g``, and
 ``psi(B) = tr B - ln det B``, from H = I and psi = n.  A realization is one
-update function, ``update(H, s, y, Bs, lam) -> (H_next, d_psi)``, which may
-write over H: BFGS; two-phase ``b_form`` (default), the combination in B
-applied to H by the Woodbury formula and certified by H_next's Cholesky
-pivots; two-phase ``h_form_literal``, the literal
-``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``, kept for cross-validation; and
-the compact realization, which holds B = I + U C U' (every update adds two
-columns to U) instead of a dense H, and certifies it by the inertia of a
-2k x 2k matrix.  The BFGS and ``b_form`` updates write over H, so an
-iteration holds H and one transient n x n; ``h_form_literal`` leaves H as it
-was.  ``B p_bar = -g`` spares every product with B: ``Bs = -alpha_bar g``
-gives ``b_form``'s update and the change in psi(B) by the trace and
-determinant identities.
+update function, ``update(H, s, y, Bs, lam) -> (H_next, d_psi)``: BFGS;
+two-phase ``b_form`` (default), the combination in B applied to H by the
+Woodbury formula and certified by H_next's Cholesky pivots; two-phase
+``h_form_literal``, the literal ``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``,
+kept for cross-validation; and the compact realization, which holds
+B = I + U C U' (every update adds two columns to U) instead of a dense H, and
+certifies it by the inertia of a 2k x 2k matrix.  Each primitive writes over
+the H it is given, after its checks, and returns it, so a dense iteration
+holds H and one transient n x n; ``h_form_literal``, which needs H next to
+H_bar, hands ``bfgs_update_H`` a copy and leaves H as it was.
+``B p_bar = -g`` spares every product with B: ``Bs = -alpha_bar g`` gives
+``b_form``'s update and the change in psi(B) by the trace and determinant
+identities, with BFGS as lam = 0.
 
 BFGS and ``b_form`` run the compact realization instead of the dense one when
 the budget fits the dimension, ``2 max_iter <= n``: then U never holds more
@@ -199,8 +200,9 @@ def bfgs_update_B(B, s, y):
     return B - np.multiply.outer(Bs, Bs) / sBs + np.multiply.outer(y, y) / sy
 
 
-def bfgs_update_H(H, s, y, out=None):
-    """Inverse-Hessian update (I - r sy')H(I - r ys') + r ss', r = 1/(y's), in O(n^2).
+def bfgs_update_H(H, s, y):
+    """Inverse-Hessian update (I - r sy')H(I - r ys') + r ss', r = 1/(y's), in O(n^2),
+    written over H.
 
     The product is evaluated in its own order, as two rank-one corrections:
     first the left factor, A = H - r s(Hy)', then the right factor with r ss',
@@ -213,23 +215,21 @@ def bfgs_update_H(H, s, y, out=None):
     benchmark's BFGS solves.  ``np.multiply.outer`` forms the same products as
     ``np.outer``, without its Python wrapper.
 
-    ``out``, as in numpy, is the float n x n array that receives A, and may be
-    H itself: the update then overwrites H and holds one transient n x n, the
-    rank-one term T, next to it.  A is H + T with T = -r s(Hy)', and the
-    second correction is written into the same T, so every float is the one
-    the pure call (``out=None``, a fresh A) gives.  The curvature check runs
-    before the first write, so a pair that fails it leaves H as it was.
+    H, a float n x n array, is returned overwritten, and the update holds one
+    transient n x n, the rank-one term T, next to it: A = H + T with
+    T = -r s(Hy)', and the second correction is written into the same T.  The
+    curvature check runs before the first write, so a pair that fails it
+    leaves H as it was.  Pass ``H.copy()`` to keep H.
     """
-    H = np.asarray(H, dtype=float)
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
     rho = 1.0 / _curvature(s, y)
     T = np.multiply.outer(s, H @ y)
     T *= -rho
-    A = np.add(H, T, out=out)  # (I - r sy')H
-    np.multiply.outer(rho * (A @ y) - rho * s, s, out=T)
-    A -= T  # ... (I - r ys') + r ss'
-    return A
+    H += T  # (I - r sy')H
+    np.multiply.outer(rho * (H @ y) - rho * s, s, out=T)
+    H -= T  # ... (I - r ys') + r ss'
+    return H
 
 
 def two_phase_combine(B, B_bar, lam: float):
@@ -259,7 +259,9 @@ def _psi_step(s, y, Bs, yHy, lam):
     det B gains the factor det(I + C U'HU) with H = B^{-1}, which is
     lam (1 + (1 - lam) y'Hy/s'y) + (1 - lam)^2 s'y/s'Bs: a sum of positive
     terms, so no cancellation.  The change is the trace's gain less the
-    factor's logarithm.
+    factor's logarithm.  BFGS is lam = 0, where the lam term adds +0.0 to a
+    positive sum, so any finite y'Hy (0.0 from :func:`_bfgs`) gives the same
+    float.
     """
     sy, sBs = float(s.dot(y)), float(s.dot(Bs))
     if not sBs > 0.0:
@@ -268,33 +270,42 @@ def _psi_step(s, y, Bs, yHy, lam):
         return math.nan
     mu = 1.0 - lam
     d_trace = mu * (float(y.dot(y)) / sy - float(Bs.dot(Bs)) / sBs)
-    det = mu * mu * sy / sBs
-    if lam:  # BFGS (lam = 0) needs no y'Hy: the factor is s'y/s'Bs
-        det += lam * (1.0 + mu * yHy / sy)
+    det = mu * mu * sy / sBs + lam * (1.0 + mu * yHy / sy)
     return d_trace - math.log(det)
 
 
-def woodbury_update_H(H, Bs, y, lam: float):
-    """Two-phase update of H = B^{-1}, written over H: the inverse of B + U C U'
-    of :func:`_psi_step`.
+# The update functions (see the module docstring).  Each raises CurvatureError,
+# before it writes, on a pair below the curvature floor, and looks up its
+# primitives by their names in this module at call time: perfbench/tracer.py
+# patches those names, so binding one early would hide it from the traced counts.
 
-    Returns ``(H_next, s, yHy)``, where H_next is the argument H, overwritten.
-    By Woodbury (Nocedal & Wright, eq. A.28),
-    H_next = H - HU M^{-1} (HU)' with U = [Bs, y] and
+
+def _bfgs(H, s, y, Bs, lam):
+    """BFGS on H, written over H; ``lam`` is unused (BFGS is lam = 0)."""
+    return bfgs_update_H(H, s, y), _psi_step(s, y, Bs, 0.0, 0.0)
+
+
+def _b_form(H, s, y, Bs, lam):
+    """Two-phase ``b_form``: the inverse of B + U C U' of :func:`_psi_step`,
+    written over H.
+
+    By Woodbury (Nocedal & Wright, eq. A.28), H_next = H - HU M^{-1} (HU)'
+    with U = [Bs, y] and
     M = C^{-1} + U'HU = [[-lam s'Bs/(1 - lam), s'y], [s'y, s'y/(1 - lam) + y'Hy]],
-    where s = H Bs: s'Bs = Bs'H Bs > 0, and the psi step that takes this s and
-    y'Hy tracks H_next.  The caller has checked s'y against the curvature floor.
-    H_next is certified by its Cholesky pivots (:class:`SPDError` below
-    PIVOT_RTOL); its rounding asymmetry is accepted, unsymmetrized.  HU is
-    filled by two matrix-vector products, not one product with [Bs, y], which
-    rounds differently.
+    where s = H Bs, the loop's alpha_bar p_bar recomputed: s'Bs = Bs'H Bs > 0,
+    and the psi step that takes this s and y'Hy tracks H_next.  HU is filled
+    by two matrix-vector products, not one product with [Bs, y], which rounds
+    differently.  H_next is certified by its Cholesky pivots
+    (:class:`SPDError` below PIVOT_RTOL); its rounding asymmetry is accepted,
+    unsymmetrized.
 
-    The s'Bs check runs before the first write, so a pair that fails it leaves
-    H as it was.  The correction T = HU M^{-1} (HU)' is dropped before the
-    certificate, so the update holds H and one transient n x n at a time: T,
-    then the Cholesky factor.  A failed certificate leaves H overwritten by the
-    uncertified H_next.  Pass ``H.copy()`` to keep H.
+    The s'y and s'Bs checks run before the first write, so a pair that fails
+    one leaves H as it was.  The correction T = HU M^{-1} (HU)' is dropped
+    before the certificate, so the update holds H and one transient n x n at a
+    time: T, then the Cholesky factor.  A failed certificate leaves H
+    overwritten by the uncertified H_next.
     """
+    _curvature(s, y)
     mu = 1.0 - lam
     HU = np.empty((H.shape[0], 2))
     HU[:, 0] = H @ Bs
@@ -309,34 +320,16 @@ def woodbury_update_H(H, Bs, y, lam: float):
     H -= T
     del T  # before the factor, or the peak is three n x n arrays
     cholesky(H)  # the SPD certificate
-    return H, s, yHy
-
-
-# The update functions (see the module docstring).  Each raises CurvatureError,
-# before it writes, on a pair below the curvature floor, and looks up its
-# primitives by their names in this module at call time: perfbench/tracer.py
-# patches those names, so binding one early would hide it from the traced counts.
-
-
-def _bfgs(H, s, y, Bs, lam):
-    """BFGS on H, written over H; ``lam`` is unused."""
-    return bfgs_update_H(H, s, y, out=H), _psi_step(s, y, Bs, None, 0.0)
-
-
-def _b_form(H, s, y, Bs, lam):
-    """Two-phase ``b_form``: :func:`woodbury_update_H` written over H, with s
-    taken from H Bs, the loop's alpha_bar p_bar recomputed."""
-    _curvature(s, y)
-    H_next, s, yHy = woodbury_update_H(H, Bs, y, lam)
-    return H_next, _psi_step(s, y, Bs, yHy, lam)
+    return H, _psi_step(s, y, Bs, yHy, lam)
 
 
 def _h_form_literal(H, s, y, Bs, lam):
     """Two-phase combination through the literal double inversion.
 
-    It needs H next to H_bar, so it is pure and leaves H as it was.
+    It needs H next to H_bar, so its BFGS step writes over a copy, and H stays
+    as it was.
     """
-    H_next = combine_H_literal(H, bfgs_update_H(H, s, y), lam)
+    H_next = combine_H_literal(H, bfgs_update_H(H.copy(), s, y), lam)
     return H_next, _psi_step(s, y, Bs, float(y.dot(H @ y)), lam)
 
 

@@ -182,14 +182,3 @@ def determinant_spd(lower):
     d = np.diag(np.asarray(lower, dtype=float))
     return float(np.prod(d)) ** 2
 
-
-def outer_rank1_update(a, v, c):
-    """Return ``a + c * outer(v, v)``; exactly symmetric for symmetric ``a``."""
-    a = np.asarray(a, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or v.shape != (n,):
-        raise ValueError(f"dimension mismatch: matrix {a.shape}, vector {v.shape}")
-    if not np.isfinite(c):
-        raise ValueError("scale must be finite")
-    return a + c * np.outer(v, v)

@@ -178,13 +178,17 @@ class TestBenchAndProfile:
         (lambda text: "\n".join(text.split("\n")[:-2]) + "\n", "missing record for"),
         (lambda text: text + "Raydan2,bfgs\n", "int() argument must be"),
         (lambda text: text.replace(",true,", ",True,"), "converged must be 'true' or 'false'"),
+        # an executable's header, written raw: no UTF-8 text at all
+        (lambda text: b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)),
+         "'utf-8' codec can't decode"),
     ], ids=["missing-column", "non-integer-n", "missing-pair", "short-row",
-            "converged-not-lowercase"])
+            "converged-not-lowercase", "not-utf-8"])
     def test_profile_malformed_results_exit_two(self, bench_artifacts, tmp_path, capsys,
                                                 edit, message):
         _, out, _, _ = bench_artifacts
         bad = tmp_path / "bad.csv"
-        bad.write_text(edit(_read(out)), encoding="utf-8")
+        content = edit(_read(out))
+        bad.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
         code = main(["profile", "--in", str(bad), "--out", str(tmp_path / "p.csv")])
         lines = capsys.readouterr().err.splitlines()
         assert code == 2

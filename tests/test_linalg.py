@@ -9,7 +9,7 @@ from qnbench.linalg import (
     solve_spd,
 )
 
-from _util import determinant_spd, make_spd, outer_rank1_update
+from _util import determinant_spd, make_spd
 
 
 class TestCholesky:
@@ -116,34 +116,6 @@ class TestDeterminant:
         a = make_spd(rng, 6)
         L = cholesky(a)
         assert log_determinant_spd(L) == pytest.approx(np.log(determinant_spd(L)), rel=1e-12)
-
-
-class TestOuterRank1Update:
-    def test_from_zero(self):
-        out = outer_rank1_update(np.zeros((2, 2)), np.array([1.0, 0.0]), 2.0)
-        assert np.array_equal(out, np.diag([2.0, 0.0]))
-
-    def test_from_identity(self):
-        out = outer_rank1_update(np.eye(2), np.array([1.0, 1.0]), 1.0)
-        assert np.array_equal(out, np.array([[2.0, 1.0], [1.0, 2.0]]))
-
-    def test_negative_scale(self):
-        out = outer_rank1_update(np.diag([1.0, 2.0]), np.array([1.0, 2.0]), -0.5)
-        assert np.allclose(out, np.array([[0.5, -1.0], [-1.0, 0.0]]), rtol=0, atol=0)
-
-    def test_exact_symmetry(self):
-        rng = np.random.default_rng(5)
-        a = make_spd(rng, 7)
-        out = outer_rank1_update(a, rng.standard_normal(7), -1.7)
-        assert np.array_equal(out, out.T)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            outer_rank1_update(np.eye(2), np.ones(3), 1.0)
-
-    def test_non_finite_scale(self):
-        with pytest.raises(ValueError):
-            outer_rank1_update(np.eye(2), np.ones(2), np.inf)
 
 
 def test_inverse_spd_round_trip():
