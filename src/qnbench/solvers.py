@@ -14,16 +14,20 @@ rejects the pair, the update is skipped and the first step is accepted.
 
 The loop holds H = B^{-1}, from which every direction is ``-H g``, and
 ``psi(B) = tr B - ln det B``, from H = I and psi = n.  A realization is one
-update function, ``update(H, s, y, Bs, lam) -> (H_next, d_psi)``: BFGS;
+update function, ``update(H, s, y, Bs, lam, work) -> (H_next, d_psi)``: BFGS;
 two-phase ``b_form`` (default), the combination in B applied to H by the
 Woodbury formula and certified by H_next's Cholesky pivots; two-phase
 ``h_form_literal``, the literal ``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``,
 kept for cross-validation; and the compact realization, which holds
 B = I + U C U' (every update adds two columns to U) instead of a dense H, and
 certifies it by the inertia of a 2k x 2k matrix.  Each primitive writes over
-the H it is given, after its checks, and returns it, so a dense iteration
-holds H and one transient n x n; ``h_form_literal``, which needs H next to
-H_bar, hands ``bfgs_update_H`` a copy and leaves H as it was.
+the H it is given, after its checks, and returns it.  A dense solve also holds
+one n x n workspace ``work``, allocated once with H, into which BFGS writes
+its rank-one terms and ``b_form`` its correction and then its Cholesky
+certificate, so a dense BFGS or ``b_form`` iteration holds H and the workspace
+and allocates no n x n array; the compact realization takes ``work = None``.
+``h_form_literal``, which needs H next to H_bar, hands ``bfgs_update_H`` a
+copy of H and leaves H as it was.
 ``B p_bar = -g`` spares every product with B: ``Bs = -alpha_bar g`` gives
 ``b_form``'s update and the change in psi(B) by the trace and determinant
 identities, with BFGS as lam = 0.
@@ -69,6 +73,7 @@ from qnbench.linesearch import EXHAUSTED, WOLFE, DescentDirectionError, WolfePar
 
 MODE_B_FORM = "b_form"
 MODE_H_FORM_LITERAL = "h_form_literal"
+MODES = (MODE_B_FORM, MODE_H_FORM_LITERAL)
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
@@ -103,7 +108,7 @@ class SolverConfig:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.mode not in _TWO_PHASE_FORMS:
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
@@ -200,7 +205,7 @@ def bfgs_update_B(B, s, y):
     return B - np.multiply.outer(Bs, Bs) / sBs + np.multiply.outer(y, y) / sy
 
 
-def bfgs_update_H(H, s, y):
+def bfgs_update_H(H, s, y, work):
     """Inverse-Hessian update (I - r sy')H(I - r ys') + r ss', r = 1/(y's), in O(n^2),
     written over H.
 
@@ -215,16 +220,17 @@ def bfgs_update_H(H, s, y):
     benchmark's BFGS solves.  ``np.multiply.outer`` forms the same products as
     ``np.outer``, without its Python wrapper.
 
-    H, a float n x n array, is returned overwritten, and the update holds one
-    transient n x n, the rank-one term T, next to it: A = H + T with
-    T = -r s(Hy)', and the second correction is written into the same T.  The
-    curvature check runs before the first write, so a pair that fails it
-    leaves H as it was.  Pass ``H.copy()`` to keep H.
+    H, a float n x n array, is returned overwritten.  The rank-one terms are
+    written into ``work``, a float n x n array other than H, whose contents are
+    never read: A = H + T with T = -r s(Hy)', then the second correction into
+    the same T, so the update allocates no n x n array.  The curvature check
+    runs before the first write, so a pair that fails it leaves H and ``work``
+    as they were.  Pass ``H.copy()`` to keep H.
     """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
     rho = 1.0 / _curvature(s, y)
-    T = np.multiply.outer(s, H @ y)
+    T = np.multiply.outer(s, H @ y, out=work)
     T *= -rho
     H += T  # (I - r sy')H
     np.multiply.outer(rho * (H @ y) - rho * s, s, out=T)
@@ -276,16 +282,17 @@ def _psi_step(s, y, Bs, yHy, lam):
 
 # The update functions (see the module docstring).  Each raises CurvatureError,
 # before it writes, on a pair below the curvature floor, and looks up its
-# primitives by their names in this module at call time: perfbench/tracer.py
-# patches those names, so binding one early would hide it from the traced counts.
+# primitives by their names in this module at call time, as _realization looks
+# up the update functions: perfbench/tracer.py patches those names, so binding
+# one early would hide it from the traced counts.
 
 
-def _bfgs(H, s, y, Bs, lam):
+def _bfgs(H, s, y, Bs, lam, work):
     """BFGS on H, written over H; ``lam`` is unused (BFGS is lam = 0)."""
-    return bfgs_update_H(H, s, y), _psi_step(s, y, Bs, 0.0, 0.0)
+    return bfgs_update_H(H, s, y, work), _psi_step(s, y, Bs, 0.0, 0.0)
 
 
-def _b_form(H, s, y, Bs, lam):
+def _b_form(H, s, y, Bs, lam, work):
     """Two-phase ``b_form``: the inverse of B + U C U' of :func:`_psi_step`,
     written over H.
 
@@ -299,10 +306,11 @@ def _b_form(H, s, y, Bs, lam):
     (:class:`SPDError` below PIVOT_RTOL); its rounding asymmetry is accepted,
     unsymmetrized.
 
-    The s'y and s'Bs checks run before the first write, so a pair that fails
-    one leaves H as it was.  The correction T = HU M^{-1} (HU)' is dropped
-    before the certificate, so the update holds H and one transient n x n at a
-    time: T, then the Cholesky factor.  A failed certificate leaves H
+    The correction T = HU M^{-1} (HU)' is written into ``work``, a float
+    n x n array other than H whose contents are never read, and then the
+    Cholesky factor over it, so the update allocates no n x n array.  The s'y
+    and s'Bs checks run before the first write, so a pair that fails one
+    leaves H and ``work`` as they were.  A failed certificate leaves H
     overwritten by the uncertified H_next.
     """
     _curvature(s, y)
@@ -316,24 +324,20 @@ def _b_form(H, s, y, Bs, lam):
         raise SPDError(f"s'Bs = {sBs:.3e} is not positive")
     m11, m12, m22 = -lam * sBs / mu, sy, sy / mu + yHy
     M_inv = np.array([[m22, -m12], [-m12, m11]]) / (m11 * m22 - m12 * m12)
-    T = (HU @ M_inv) @ HU.T
+    T = np.matmul(HU @ M_inv, HU.T, out=work)
     H -= T
-    del T  # before the factor, or the peak is three n x n arrays
-    cholesky(H)  # the SPD certificate
+    cholesky(H, out=work)  # the SPD certificate, written over T
     return H, _psi_step(s, y, Bs, yHy, lam)
 
 
-def _h_form_literal(H, s, y, Bs, lam):
+def _h_form_literal(H, s, y, Bs, lam, work):
     """Two-phase combination through the literal double inversion.
 
-    It needs H next to H_bar, so its BFGS step writes over a copy, and H stays
-    as it was.
+    It needs H next to H_bar, so its BFGS step writes over a copy, with its
+    rank-one terms in ``work``, and H stays as it was.
     """
-    H_next = combine_H_literal(H, bfgs_update_H(H.copy(), s, y), lam)
+    H_next = combine_H_literal(H, bfgs_update_H(H.copy(), s, y, work), lam)
     return H_next, _psi_step(s, y, Bs, float(y.dot(H @ y)), lam)
-
-
-_TWO_PHASE_FORMS = {MODE_B_FORM: _b_form, MODE_H_FORM_LITERAL: _h_form_literal}
 
 
 class _CompactH:
@@ -343,7 +347,7 @@ class _CompactH:
     Schnabel 1994), in O(kn + k^2) for U's 2k columns.  ``rows`` holds U's
     columns as rows, ``c_inv`` C^{-1}'s diagonal and ``k_inv`` K^{-1}; their
     first ``m`` rows and entries are in use, and :meth:`reserve` doubles them
-    when full.
+    when full, up to n.
     """
 
     def __init__(self, n):
@@ -358,18 +362,20 @@ class _CompactH:
         return v - (self.k_inv[:m, :m] @ (U @ v)) @ U
 
     def reserve(self, extra):
-        """Room for ``extra`` more columns, by doubling."""
+        """Room for ``extra`` more columns, by doubling, but not past n: the
+        solve runs compact only while U never needs more than n columns."""
         m, cap = self.m, self.c_inv.size
         if m + extra > cap:
-            cap = max(2 * cap, m + extra)
             n = self.rows.shape[1]
+            cap = max(min(2 * cap, n), m + extra)
             rows, c_inv, k_inv = np.empty((cap, n)), np.empty(cap), np.empty((cap, cap))
             rows[:m], c_inv[:m], k_inv[:m, :m] = self.rows[:m], self.c_inv[:m], self.k_inv[:m, :m]
             self.rows, self.c_inv, self.k_inv = rows, c_inv, k_inv
 
 
-def _compact(H, s, y, Bs, lam):
-    """BFGS (``lam`` 0) or two-phase ``b_form`` on a :class:`_CompactH`, written over H.
+def _compact(H, s, y, Bs, lam, work):
+    """BFGS (``lam`` 0) or two-phase ``b_form`` on a :class:`_CompactH`, written over H;
+    ``work`` is unused (None), since nothing here is n x n.
 
     The update B + U C U' of :func:`_psi_step` appends the unit columns
     u = [Bs/||Bs||, y/||y||] to U and
@@ -416,12 +422,21 @@ def _compact(H, s, y, Bs, lam):
 
 
 def _realization(n, cfg: SolverConfig, two_phase: bool):
-    """``(update, H_0)`` of a solve: :func:`_compact` on a :class:`_CompactH`
-    for BFGS and ``b_form`` when ``2 max_iter <= n``, so that U never has more
-    than n columns; otherwise the dense update on ``np.eye(n)``."""
+    """``(update, H_0, work)`` of a solve: :func:`_compact` on a
+    :class:`_CompactH` with no workspace for BFGS and ``b_form`` when
+    ``2 max_iter <= n``, so that U never has more than n columns; otherwise the
+    dense update on ``np.eye(n)``, with the n x n workspace that every update
+    of the solve writes into.  The update is looked up by name here, at call
+    time (see the comment above :func:`_bfgs`)."""
     if 2 * cfg.max_iter <= n and (not two_phase or cfg.mode == MODE_B_FORM):
-        return _compact, _CompactH(n)
-    return (_TWO_PHASE_FORMS[cfg.mode] if two_phase else _bfgs), np.eye(n)
+        return _compact, _CompactH(n), None
+    if not two_phase:
+        update = _bfgs
+    elif cfg.mode == MODE_B_FORM:
+        update = _b_form
+    else:
+        update = _h_form_literal
+    return update, np.eye(n), np.empty((n, n))
 
 
 def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
@@ -429,7 +444,7 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
     cfg = cfg if cfg is not None else SolverConfig()
     lam = cfg.lam if two_phase else 0.0
     x = np.array(x0, dtype=float)
-    update, H = _realization(x.size, cfg, two_phase)
+    update, H, work = _realization(x.size, cfg, two_phase)
     psi = float(x.size)
     fx = float(f.evaluate(x))
     g = np.asarray(f.gradient(x), dtype=float)
@@ -459,7 +474,7 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
             y = first.grad_new - g
             try:
                 # B p_bar = -g, so Bs = -alpha_bar g
-                H, d_psi = update(H, s, y, -first.alpha * g, lam)
+                H, d_psi = update(H, s, y, -first.alpha * g, lam, work)
                 psi, skipped = psi + d_psi, False
             except CurvatureError:
                 skipped = True  # H and psi stay as they are

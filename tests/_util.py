@@ -17,14 +17,14 @@ def replay(objective, result, cfg, solver):
     """Yield ``(s, y, B, B_next)`` of each record of a run, rebuilt from its records.
 
     ``solver`` is ``"bfgs"`` or ``"two-phase"``, and ``cfg`` the run's config.
-    The updates are replayed through the run's own update function and initial
-    H, dense or compact, from psi = n, with the step and pair formed as the
+    The updates are replayed through the run's own update function, initial
+    H and workspace, dense or compact, from psi = n, with the step and pair formed as the
     solve forms them, and B is :func:`dense_B` of H.  The replayed y and
     psi_next must equal the recorded ones bit for bit.
     """
     two_phase = solver == "two-phase"
     n = np.size(result.final_x)
-    update, H = _realization(n, cfg, two_phase)
+    update, H, work = _realization(n, cfg, two_phase)
     lam, psi = (cfg.lam if two_phase else 0.0), float(n)
     B = dense_B(H)
     for r, u in zip(result.trace, result.updates):
@@ -33,7 +33,7 @@ def replay(objective, result, cfg, solver):
         y = np.asarray(objective.gradient(r.x + s), dtype=float) - r.g
         B_next = B
         if not r.update_skipped:
-            H, d_psi = update(H, s, y, -a * r.g, lam)
+            H, d_psi = update(H, s, y, -a * r.g, lam, work)
             psi += d_psi
             B_next = dense_B(H)
         assert np.array_equal(y, u.y)

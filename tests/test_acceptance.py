@@ -89,7 +89,7 @@ def test_criterion_4_update_identity_suite():
         assert np.linalg.norm(B_bar @ s - y) <= 1e-10 * np.linalg.norm(y)
 
         H = make_spd(rng, n)
-        H_bar = bfgs_update_H(H, s, y)
+        H_bar = bfgs_update_H(H, s, y, np.empty((n, n)))
         assert np.linalg.norm(H_bar @ y - s) <= 1e-10 * np.linalg.norm(s)
 
         combined = two_phase_combine(B, B_bar, lam)

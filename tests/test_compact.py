@@ -29,8 +29,9 @@ SOLVER_IDS = ["bfgs", "two-phase"]
 def test_the_budget_selects_the_realization(two_phase):
     # no option: at n = 200, 2 max_iter <= n is compact and one iteration more is dense
     compact, dense = (_realization(200, SolverConfig(max_iter=m), two_phase) for m in (100, 101))
-    assert compact[0] is _compact and isinstance(compact[1], _CompactH)
+    assert compact[0] is _compact and isinstance(compact[1], _CompactH) and compact[2] is None
     assert dense[0] is not _compact and isinstance(dense[1], np.ndarray)
+    assert dense[2].shape == (200, 200) and not np.shares_memory(dense[1], dense[2])
     assert np.array_equal(dense[1], np.eye(200))
 
 
@@ -73,12 +74,25 @@ def test_h_times_v_is_the_inverse_of_the_represented_operator(lam):
     for _ in range(12):  # 24 columns: the arrays double from 2 to 32
         Bs, y = curvature_pair(rng, n)
         s = H @ Bs
-        H, _ = _compact(H, s, y, Bs, lam)
+        H, _ = _compact(H, s, y, Bs, lam, None)
         B = dense_B(H)
         for v in rng.standard_normal((3, n)):
             want = np.linalg.solve(B, v)
             assert np.linalg.norm(H @ v - want) <= 1e-10 * np.linalg.norm(want)
     assert H.m == 24 and H.c_inv.size == 32
+
+
+def test_the_arrays_grow_no_further_than_n():
+    # the solve runs compact only while U needs at most n columns, so doubling
+    # stops at n: three updates at n = 6 grow the arrays from 2 to 4 to 6, not 8
+    rng = np.random.default_rng(13)
+    n = 6
+    H = _CompactH(n)
+    for _ in range(3):
+        s, y = curvature_pair(rng, n)
+        H, _ = _compact(H, s, y, dense_B(H) @ s, 0.5, None)
+    assert H.m == 6
+    assert H.rows.shape[0] <= 6 and H.c_inv.size <= 6 and H.k_inv.shape[0] <= 6
 
 
 def _wrong_inertia():
@@ -95,7 +109,7 @@ def test_a_schur_complement_with_det_at_or_above_zero_raises():
     before = (H.m, H.rows.copy(), H.c_inv.copy(), H.k_inv.copy())
     Bs, y = -np.eye(4)[2], -np.array([3.0, 0.0, 1.0, 0.0])
     with pytest.raises(SPDError, match="Schur complement det"):
-        _compact(H, H @ Bs, y, Bs, 0.5)
+        _compact(H, H @ Bs, y, Bs, 0.5, None)
     assert H.m == before[0]
     for got, want in zip((H.rows, H.c_inv, H.k_inv), before[1:]):
         assert np.array_equal(got, want)
@@ -118,7 +132,7 @@ def test_a_wrong_inertia_ends_the_solve_spd_failure(monkeypatch):
 @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVER_IDS)
 def test_compact_peak_memory_is_linear_in_k_n(solver):
     # one n x n at n = 2000 is 32 MB; the compact solve holds U (2k columns,
-    # doubled when full), K^{-1} and the records, a few n-vectors per iteration
+    # doubled when full, up to n), K^{-1} and the records, a few n-vectors per iteration
     n = 2000
     f = perturbed_quadratic_diagonal(n)
     tracemalloc.start()

@@ -52,6 +52,35 @@ class TestCholesky:
         with pytest.raises(ValueError):
             cholesky(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
+    @pytest.mark.parametrize("n", [2, 10, 300])
+    def test_out_holds_the_factor_of_np_linalg_cholesky(self, n):
+        rng = np.random.default_rng(60 + n)
+        for _ in range(3):
+            a = make_spd(rng, n)
+            out = np.full((n, n), np.nan)
+            assert cholesky(a, out=out) is out
+            assert np.array_equal(out, np.linalg.cholesky(a))
+
+    @pytest.mark.parametrize("a, match", [
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "LAPACK"),
+        (np.diag([1.0, 1e-15]), "pivot"),
+    ], ids=["indefinite", "pivot-at-limit"])
+    def test_out_failures_raise(self, a, match):
+        # LAPACK fills the factor of an indefinite matrix with NaN, which no
+        # pivot comparison rejects by itself
+        with pytest.raises(SPDError, match=match):
+            cholesky(a, out=np.empty((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
+    def test_non_finite_rejected_before_out_is_written(self, bad, where):
+        a = np.eye(2)
+        a[where] = a[where[::-1]] = bad
+        out = np.full((2, 2), 7.0)
+        with pytest.raises(ValueError, match="finite"):
+            cholesky(a, out=out)
+        assert np.all(out == 7.0)
+
     def test_reconstruction_on_random_spd(self):
         rng = np.random.default_rng(42)
         for n in (2, 5, 10, 20, 50):
