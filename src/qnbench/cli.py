@@ -90,19 +90,22 @@ def _cmd_solve(args) -> int:
         print(f"qnbench solve: {err}", file=sys.stderr)
         return 2
     objective = problem.objective
-    result = SOLVER_FUNCS[args.solver](objective, objective.standard_start, cfg)
-    print(f"problem:         {problem.name} (n={objective.dimension})")
-    mode = f" ({args.mode})" if args.solver == "two-phase" else ""  # BFGS has no mode
-    print(f"solver:          {args.solver}{mode}")
-    print(f"termination:     {result.termination}")
-    print(f"iterations:      {result.iterations}")
-    print(f"final f:         {result.final_f:.12g}")
-    print(f"final grad norm: {result.final_grad_norm:.6e}")
-    print(f"evaluations:     f={result.f_evals} grad={result.g_evals}")
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as stream:
-            stream.write(trace_to_csv(result))
-        print(f"trace written:   {args.trace}")
+    with contextlib.ExitStack() as stack:
+        # open the trace first, so that an unwritable path fails before the solve
+        trace = (stack.enter_context(open(args.trace, "w", encoding="utf-8"))
+                 if args.trace else None)
+        result = SOLVER_FUNCS[args.solver](objective, objective.standard_start, cfg)
+        print(f"problem:         {problem.name} (n={objective.dimension})")
+        mode = f" ({args.mode})" if args.solver == "two-phase" else ""  # BFGS has no mode
+        print(f"solver:          {args.solver}{mode}")
+        print(f"termination:     {result.termination}")
+        print(f"iterations:      {result.iterations}")
+        print(f"final f:         {result.final_f:.12g}")
+        print(f"final grad norm: {result.final_grad_norm:.6e}")
+        print(f"evaluations:     f={result.f_evals} grad={result.g_evals}")
+        if trace:
+            trace.write(trace_to_csv(result))
+            print(f"trace written:   {args.trace}")
     return 0 if result.converged else 1
 
 

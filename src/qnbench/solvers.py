@@ -32,12 +32,17 @@ copy of H and leaves H as it was.
 ``b_form``'s update and the change in psi(B) by the trace and determinant
 identities, with BFGS as lam = 0.
 
-BFGS and ``b_form`` run the compact realization instead of the dense one when
-the budget fits the dimension, ``2 max_iter <= n``: then U never holds more
-than n columns, and a solve needs no n x n array and no O(n^3) certificate.
-``h_form_literal`` stays dense at every n.  The two realizations represent the
-same operators but round differently, so two configs that differ only in
-``max_iter`` may part on a flat tail, as ``b_form`` and ``h_form_literal`` do.
+Two-phase ``b_form`` starts on the compact realization whenever
+``n >= COMPACT_MIN_N``, and goes dense once, from H = I - U'K^{-1}U, when its
+next update would take U past n columns; until then an iteration needs no
+n x n array and no O(n^3) certificate.  Below ``COMPACT_MIN_N``, and for BFGS
+at every n, a solve runs compact when the budget fits the dimension,
+``2 max_iter <= n`` (then U never holds more than n columns), and dense
+otherwise.  ``h_form_literal`` stays dense at every n.  The realizations
+represent the same operators but round differently, so a BFGS or small-n
+config that differs only in ``max_iter`` may part on a flat tail, as
+``b_form`` and ``h_form_literal`` do; a two-phase ``b_form`` solve from
+``COMPACT_MIN_N`` up does not depend on ``max_iter``.
 
 Records keep vectors and scalars, never a matrix, and each fact once: an
 iterate's x, f and g, and its step's y, p, p_bar and psi_next.  What these
@@ -83,6 +88,17 @@ NON_FINITE = "non_finite"
 
 # An update is skipped, not applied, when s'y <= UPDATE_SKIP_TOL * ||s|| * ||y||.
 UPDATE_SKIP_TOL = 1e-12
+
+# Two-phase b_form starts compact from this n up, whatever the budget.  Per
+# two-phase iteration, dense against compact, with one BLAS thread on Perturbed
+# Quadratic Diagonal and Hager (2-core x86-64, numpy 2.4): 0.20-0.22 against
+# 0.24 ms at n = 50, 0.26 either way at n = 80, 0.30-0.33 against 0.26-0.27 ms
+# at n = 100 and 1.9 against 0.3-0.45 ms at n = 300.
+COMPACT_MIN_N = 100
+
+# _compact updates K^{-1} in row blocks of this many rows, so that the update
+# allocates no m x m temporary.
+K_BLOCK_ROWS = 64
 
 
 class CurvatureError(ValueError):
@@ -347,7 +363,8 @@ class _CompactH:
     Schnabel 1994), in O(kn + k^2) for U's 2k columns.  ``rows`` holds U's
     columns as rows, ``c_inv`` C^{-1}'s diagonal and ``k_inv`` K^{-1}; their
     first ``m`` rows and entries are in use, and :meth:`reserve` doubles them
-    when full, up to n.
+    when full, up to n.  :meth:`dense` gives the same H as an n x n array, for
+    the solve that goes dense when U would outgrow n.
     """
 
     def __init__(self, n):
@@ -372,6 +389,15 @@ class _CompactH:
             rows[:m], c_inv[:m], k_inv[:m, :m] = self.rows[:m], self.c_inv[:m], self.k_inv[:m, :m]
             self.rows, self.c_inv, self.k_inv = rows, c_inv, k_inv
 
+    def dense(self):
+        """H = I - U'K^{-1}U as a new n x n array."""
+        m, n = self.m, self.rows.shape[1]
+        U = self.rows[:m]
+        H = U.T @ (self.k_inv[:m, :m] @ U)
+        np.negative(H, out=H)
+        H.flat[::n + 1] += 1.0
+        return H
+
 
 def _compact(H, s, y, Bs, lam, work):
     """BFGS (``lam`` 0) or two-phase ``b_form`` on a :class:`_CompactH`, written over H;
@@ -382,7 +408,9 @@ def _compact(H, s, y, Bs, lam, work):
     C_u^{-1} = diag(-s'Bs/(mu ||Bs||^2), s'y/(mu ||y||^2)), mu = 1 - lam, to
     C^{-1}, with s = H Bs: unit columns keep K's scale, where raw ones let the
     test below fail late on suite problems.  K^{-1} is bordered with the 2 x 2
-    Schur complement S = C_u^{-1} + u'u - W'K^{-1}W, W = U'u, in O(kn + k^2).
+    Schur complement S = C_u^{-1} + u'u - W'K^{-1}W, W = U'u, in O(kn + k^2);
+    its old block gains V S^{-1} V', V = K^{-1}W, in place, K_BLOCK_ROWS rows
+    at a time, so the update allocates no m x m temporary.
     B is SPD exactly when K has as many negative eigenvalues as C (one per
     pair) and none zero, by Haynsworth inertia on [[I, U], [U', -C^{-1}]]; and
     In(K_next) = In(K) + In(S).  So with s'Bs > 0 and s'y > 0 the represented
@@ -413,7 +441,9 @@ def _compact(H, s, y, Bs, lam, work):
     H.reserve(2)
     VS = V @ S_inv
     K = H.k_inv
-    K[:m, :m] += VS @ V.T
+    K_old = K[:m, :m]
+    for i in range(0, m, K_BLOCK_ROWS):
+        K_old[i:i + K_BLOCK_ROWS] += VS[i:i + K_BLOCK_ROWS] @ V.T
     K[:m, m:m + 2] = -VS
     K[m:m + 2, :m] = -VS.T
     K[m:m + 2, m:m + 2] = S_inv
@@ -421,22 +451,29 @@ def _compact(H, s, y, Bs, lam, work):
     return H, _psi_step(s, y, Bs, yHy, lam)
 
 
+def _dense_update(cfg: SolverConfig, two_phase: bool):
+    """The dense update of a solve, looked up by name at call time (see the
+    comment above :func:`_bfgs`)."""
+    if not two_phase:
+        return _bfgs
+    return _b_form if cfg.mode == MODE_B_FORM else _h_form_literal
+
+
 def _realization(n, cfg: SolverConfig, two_phase: bool):
-    """``(update, H_0, work)`` of a solve: :func:`_compact` on a
-    :class:`_CompactH` with no workspace for BFGS and ``b_form`` when
+    """``(update, H_0, work)`` of a solve.
+
+    :func:`_compact` on a :class:`_CompactH`, with no workspace, for two-phase
+    ``b_form`` when ``n >= COMPACT_MIN_N``, and for BFGS and ``b_form`` when
     ``2 max_iter <= n``, so that U never has more than n columns; otherwise the
     dense update on ``np.eye(n)``, with the n x n workspace that every update
-    of the solve writes into.  The update is looked up by name here, at call
-    time (see the comment above :func:`_bfgs`)."""
-    if 2 * cfg.max_iter <= n and (not two_phase or cfg.mode == MODE_B_FORM):
-        return _compact, _CompactH(n), None
-    if not two_phase:
-        update = _bfgs
-    elif cfg.mode == MODE_B_FORM:
-        update = _b_form
-    else:
-        update = _h_form_literal
-    return update, np.eye(n), np.empty((n, n))
+    of the solve writes into.  A compact ``b_form`` solve whose next update
+    would take U past n columns goes dense in the loop, once, from
+    ``H.dense()``.  ``h_form_literal`` is dense at every n.
+    """
+    if cfg.mode == MODE_B_FORM or not two_phase:
+        if 2 * cfg.max_iter <= n or (two_phase and n >= COMPACT_MIN_N):
+            return _compact, _CompactH(n), None
+    return _dense_update(cfg, two_phase), np.eye(n), np.empty((n, n))
 
 
 def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
@@ -473,6 +510,10 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
             x_bar = x + s
             y = first.grad_new - g
             try:
+                if work is None and H.m + 2 > x.size:
+                    # U would outgrow n: carry on dense from H = I - U'K^{-1}U
+                    H = H.dense()
+                    update, work = _dense_update(cfg, two_phase), np.empty_like(H)
                 # B p_bar = -g, so Bs = -alpha_bar g
                 H, d_psi = update(H, s, y, -first.alpha * g, lam, work)
                 psi, skipped = psi + d_psi, False
@@ -526,8 +567,9 @@ def solve_two_phase(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
     """Two-phase quasi-Newton iteration (see the module docstring), from B = I.
 
     Parameters as in :func:`solve_bfgs`; ``cfg.mode`` chooses between
-    ``b_form``, the combination in B applied to H by a Woodbury update (or,
-    when ``2 max_iter <= n``, to the compact B = I + U C U'), and the literal
+    ``b_form``, the combination in B applied to the compact B = I + U C U'
+    from ``n >= COMPACT_MIN_N`` (or ``2 max_iter <= n``) until U would outgrow
+    n, and otherwise to a dense H by a Woodbury update, and the literal
     inverse form.
     """
     return _solve(f, x0, cfg, two_phase=True)

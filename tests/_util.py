@@ -5,7 +5,7 @@ import numpy as np
 from qnbench import ObjectiveFunction
 from qnbench.linalg import inverse_spd
 from qnbench.objectives import FD_STEP
-from qnbench.solvers import _CompactH, _realization
+from qnbench.solvers import _CompactH, _dense_update, _realization
 
 
 def iterate_sequence(result):
@@ -19,8 +19,9 @@ def replay(objective, result, cfg, solver):
     ``solver`` is ``"bfgs"`` or ``"two-phase"``, and ``cfg`` the run's config.
     The updates are replayed through the run's own update function, initial
     H and workspace, dense or compact, from psi = n, with the step and pair formed as the
-    solve forms them, and B is :func:`dense_B` of H.  The replayed y and
-    psi_next must equal the recorded ones bit for bit.
+    solve forms them, and B is :func:`dense_B` of H.  A compact H whose next
+    update would take U past n columns goes dense, as the solve's does.  The
+    replayed y and psi_next must equal the recorded ones bit for bit.
     """
     two_phase = solver == "two-phase"
     n = np.size(result.final_x)
@@ -33,6 +34,9 @@ def replay(objective, result, cfg, solver):
         y = np.asarray(objective.gradient(r.x + s), dtype=float) - r.g
         B_next = B
         if not r.update_skipped:
+            if work is None and H.m + 2 > n:
+                H = H.dense()
+                update, work = _dense_update(cfg, two_phase), np.empty_like(H)
             H, d_psi = update(H, s, y, -a * r.g, lam, work)
             psi += d_psi
             B_next = dense_B(H)

@@ -69,6 +69,21 @@ class TestSolve:
         assert lines[0] == "k,f,grad_norm,alpha_bar,alpha,cos_theta,update_skipped"
         assert len(lines) >= 3
 
+    def test_unwritable_trace_fails_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        # the trace is opened first, so a path that cannot be written costs no
+        # solve and prints no summary of a run whose trace is lost
+        def no_solve(*args):
+            raise AssertionError("solve ran before its trace was opened")
+
+        monkeypatch.setitem(bench.SOLVER_FUNCS, "two-phase", no_solve)
+        path = tmp_path / "missing" / "trace.csv"
+        code = main(["solve", "--problem", "raydan2", "--solver", "two-phase",
+                     "--trace", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"qnbench solve: [Errno 2] No such file or directory: '{path}'\n"
+
     @pytest.mark.parametrize("solver, mode, line", [
         ("bfgs", "b-form", "solver:          bfgs\n"),
         ("bfgs", "h-form", "solver:          bfgs\n"),

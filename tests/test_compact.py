@@ -1,5 +1,7 @@
-"""The compact realization B = I + U C U', which BFGS and two-phase ``b_form``
-run when the budget fits the dimension (2 max_iter <= n)."""
+"""The compact realization B = I + U C U', which two-phase ``b_form`` starts
+on from n = COMPACT_MIN_N up, and which BFGS and ``b_form`` run below it when
+the budget fits the dimension (2 max_iter <= n).  A two-phase solve whose U
+would outgrow n goes dense once, from H = I - U'K^{-1}U."""
 
 import tracemalloc
 
@@ -7,16 +9,18 @@ import numpy as np
 import pytest
 
 from qnbench import (
+    MODE_H_FORM_LITERAL,
     SPD_FAILURE,
     ObjectiveFunction,
     SolverConfig,
+    lookup,
     psi,
     solve_bfgs,
     solve_two_phase,
 )
 from qnbench import solvers
 from qnbench.linalg import SPDError
-from qnbench.solvers import _compact, _CompactH, _realization
+from qnbench.solvers import COMPACT_MIN_N, _b_form, _bfgs, _compact, _CompactH, _realization
 
 from _util import (compact_from, curvature_pair, dense_B, perturbed_quadratic_diagonal, raydan2,
                    replay)
@@ -27,12 +31,63 @@ SOLVER_IDS = ["bfgs", "two-phase"]
 
 @pytest.mark.parametrize("two_phase", [False, True], ids=SOLVER_IDS)
 def test_the_budget_selects_the_realization(two_phase):
-    # no option: at n = 200, 2 max_iter <= n is compact and one iteration more is dense
-    compact, dense = (_realization(200, SolverConfig(max_iter=m), two_phase) for m in (100, 101))
+    # no option: below COMPACT_MIN_N, 2 max_iter <= n is compact and one
+    # iteration more is dense; from COMPACT_MIN_N up two-phase b_form starts
+    # compact at any budget, and BFGS keeps the budget rule
+    n = COMPACT_MIN_N - 40
+    compact, dense = (_realization(n, SolverConfig(max_iter=m), two_phase)
+                      for m in (n // 2, n // 2 + 1))
     assert compact[0] is _compact and isinstance(compact[1], _CompactH) and compact[2] is None
-    assert dense[0] is not _compact and isinstance(dense[1], np.ndarray)
-    assert dense[2].shape == (200, 200) and not np.shares_memory(dense[1], dense[2])
-    assert np.array_equal(dense[1], np.eye(200))
+    assert dense[0] is (_b_form if two_phase else _bfgs) and isinstance(dense[1], np.ndarray)
+    assert dense[2].shape == (n, n) and not np.shares_memory(dense[1], dense[2])
+    assert np.array_equal(dense[1], np.eye(n))
+    large = _realization(COMPACT_MIN_N, SolverConfig(max_iter=COMPACT_MIN_N), two_phase)
+    assert (large[0] is _compact) is two_phase
+    # h_form_literal is dense at every n and budget, and the paper's n = 10 runs are dense
+    h_form = _realization(COMPACT_MIN_N, SolverConfig(max_iter=1, mode=MODE_H_FORM_LITERAL), True)
+    assert h_form[0] is not _compact and isinstance(h_form[1], np.ndarray)
+    assert _realization(10, SolverConfig(), two_phase)[0] is (_b_form if two_phase else _bfgs)
+
+
+def test_dense_is_the_inverse_of_the_represented_operator():
+    rng = np.random.default_rng(17)
+    n = 40
+    H = _CompactH(n)
+    assert np.array_equal(H.dense(), np.eye(n))
+    for _ in range(15):
+        Bs, y = curvature_pair(rng, n)
+        H, _ = _compact(H, H @ Bs, y, Bs, 0.5, None)
+        want = np.linalg.inv(dense_B(H))
+        assert np.abs(H.dense() - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_a_two_phase_solve_that_outgrows_n_goes_dense_once(monkeypatch):
+    # with the threshold at n = 10, Generalized PSC1 starts compact and its
+    # sixth applied update would take U past 10 columns: the solve goes dense
+    # there, once, and runs b_form from then on; the replay, which goes dense
+    # at the same update, gives psi_next to 1e-9 of psi(B_next)
+    monkeypatch.setattr(solvers, "COMPACT_MIN_N", 10)
+    returned = dict.fromkeys(("_compact", "_b_form"), 0)
+    for name in returned:
+        def counted(*args, _name=name, _wrapped=getattr(solvers, name)):
+            out = _wrapped(*args)
+            returned[_name] += 1
+            return out
+        monkeypatch.setattr(solvers, name, counted)
+    densified = []
+    dense = _CompactH.dense
+    monkeypatch.setattr(_CompactH, "dense", lambda H: densified.append(H.m) or dense(H))
+    f = lookup("Generalized PSC1").objective
+    cfg = SolverConfig()
+    res = solve_two_phase(f, f.standard_start, cfg)
+    assert res.converged
+    applied = sum(not r.update_skipped for r in res.trace)
+    assert densified == [10]
+    assert returned == {"_compact": 5, "_b_form": applied - 5} and applied > 10
+    steps = list(replay(f, res, cfg, "two-phase"))
+    assert len(steps) == res.iterations
+    want = [psi(B_next) for _, _, _, B_next in steps]
+    assert [u.psi_next for u in res.updates] == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVER_IDS)
@@ -40,10 +95,15 @@ def test_the_budget_selects_the_realization(two_phase):
     (perturbed_quadratic_diagonal, {"bfgs": (60, 63, 61), "two-phase": (53, 109, 107)}),
     (raydan2, {"bfgs": (7, 8, 8), "two-phase": (6, 13, 13)}),
 ], ids=["pqd", "raydan2"])
-def test_compact_and_dense_paths_agree(solver, build, counts):
+def test_compact_and_dense_paths_agree(monkeypatch, solver, build, counts):
+    # two-phase starts compact at n = 200 whatever the budget, so its dense run
+    # raises the threshold past n
     f = build(200)
-    compact, dense = (solver(f, f.standard_start, SolverConfig(max_iter=m)) for m in (100, 101))
     name = "bfgs" if solver is solve_bfgs else "two-phase"
+    compact = solver(f, f.standard_start, SolverConfig(max_iter=100))
+    monkeypatch.setattr(solvers, "COMPACT_MIN_N", 201)
+    assert _realization(200, SolverConfig(max_iter=101), name == "two-phase")[0] is not _compact
+    dense = solver(f, f.standard_start, SolverConfig(max_iter=101))
     for res in (compact, dense):
         assert res.converged
         assert (res.iterations, res.f_evals, res.g_evals) == counts[name]
@@ -127,6 +187,31 @@ def test_a_wrong_inertia_ends_the_solve_spd_failure(monkeypatch):
     res = solve_two_phase(f, f.standard_start, SolverConfig(max_iter=2))
     assert res.termination == SPD_FAILURE
     assert res.iterations == 0
+
+
+def test_a_compact_update_allocates_no_m_by_m_temporary():
+    # K^{-1} is updated in place in row blocks: at m = 220 columns (two-phase
+    # Hager n = 300 ends at 220), with room for two more, one update allocates
+    # a few n-vectors, one block of rows of K^{-1} and numpy's iteration
+    # buffers for the strided add, below the m x m matrix of a whole-matrix update
+    rng = np.random.default_rng(19)
+    n = 300
+    H = _CompactH(n)
+    for _ in range(110):
+        Bs, y = curvature_pair(rng, n)
+        H, _ = _compact(H, H @ Bs, y, Bs, 0.5, None)
+    m = H.m
+    assert m >= 128 and H.c_inv.size >= m + 2
+    Bs, y = curvature_pair(rng, n)
+    s = H @ Bs
+    tracemalloc.start()
+    try:
+        H, _ = _compact(H, s, y, Bs, 0.5, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.m == m + 2
+    assert peak < 8 * m * m
 
 
 @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVER_IDS)

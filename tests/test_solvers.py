@@ -441,15 +441,16 @@ def test_peak_memory_does_not_grow_with_iterations(solver):
 
 
 @pytest.mark.parametrize("solver", [solve_bfgs, solve_two_phase], ids=["bfgs", "two-phase"])
-def test_solve_working_set_is_two_matrices(solver):
+def test_solve_working_set_is_two_matrices(monkeypatch, solver):
     # the dense updates write over the solve's own H, and BFGS's rank-one terms,
     # b_form's correction and its certificate's factor go into the solve's one
     # n x n workspace, so a solve holds H and the workspace.  A third matrix,
     # such as a fresh factor per iteration, would put the peak near
-    # 3 * 8n^2 bytes.  A budget above n/2 keeps the solve dense, and a
-    # well-conditioned quadratic converges in 14 (BFGS) and 8 iterations, so
-    # the records stay small
+    # 3 * 8n^2 bytes.  A budget above n/2, and for b_form a threshold above n,
+    # keep the solve dense, and a well-conditioned quadratic converges in 14
+    # (BFGS) and 8 iterations, so the records stay small
     n = 400
+    monkeypatch.setattr(solvers, "COMPACT_MIN_N", n + 1)
     d = np.linspace(1.0, 2.0, n)
     f = ObjectiveFunction("well-conditioned quadratic", n, lambda x: 0.5 * float(d @ (x * x)),
                           lambda x: d * x, np.ones(n))
