@@ -154,16 +154,18 @@ def _cmd_profile(args) -> int:
     if not records:
         print(f"qnbench profile: no records in {args.infile}", file=sys.stderr)
         return 2
-    for curve in curves:
-        p_at_one = next(p for tau, p in curve.points if tau == 1.0)
-        print(f"{curve.solver}: P(1) = {p_at_one:.4g}")
-    with open(args.out, "w", encoding="utf-8") as stream:
-        stream.write(profiles_to_csv(curves))
-    print(f"profile written: {args.out}")
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as stream:
-            stream.write(profile_svg(curves))
-        print(f"svg written:     {args.svg}")
+    with contextlib.ExitStack() as stack:
+        # open the outputs first, so that an unwritable path fails before any output
+        out = stack.enter_context(open(args.out, "w", encoding="utf-8"))
+        svg_out = stack.enter_context(open(args.svg, "w", encoding="utf-8")) if args.svg else None
+        for curve in curves:
+            p_at_one = next(p for tau, p in curve.points if tau == 1.0)
+            print(f"{curve.solver}: P(1) = {p_at_one:.4g}")
+        out.write(profiles_to_csv(curves))
+        print(f"profile written: {args.out}")
+        if svg_out:
+            svg_out.write(profile_svg(curves))
+            print(f"svg written:     {args.svg}")
     return 0
 
 

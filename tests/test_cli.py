@@ -231,9 +231,12 @@ class TestBenchAndProfile:
             "profile": ["profile", "--in", str(out), "--out", str(tmp_path / "p.csv")],
         }[command]
         code = main(argv + [flag, str(path)])
-        lines = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
         assert code == 2
-        assert lines == [f"qnbench {command}: [Errno 2] No such file or directory: '{path}'"]
+        # every output is opened before anything is printed
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"qnbench {command}: [Errno 2] No such file or directory: '{path}'"]
 
 
 class TestCheckAndList:

@@ -40,6 +40,7 @@ from qnbench.solvers import (
 
 from _util import (
     bfgs_update_H_dense,
+    bfgs_update_H_outer,
     curvature_pair,
     dense_B,
     iterate_sequence,
@@ -153,6 +154,48 @@ class TestBfgsUpdateH:
             # written over H, every float is the call's on a copy
             assert bfgs_update_H(H, s, y, np.empty_like(H)) is H
             assert np.array_equal(H, out)
+
+    @pytest.mark.parametrize("n", [2, 10, 300])
+    def test_matches_the_outer_product_form_bit_for_bit(self, n):
+        rng = np.random.default_rng(700 + n)
+        for _ in range(5):
+            H = inverse_spd(make_spd(rng, n))
+            s, y = curvature_pair(rng, n)
+            assert np.all(s != 0.0) and np.all(H @ y != 0.0)
+            want = bfgs_update_H_outer(H.copy(), s, y, np.empty_like(H))
+            out = bfgs_update_H(H, s, y, np.full_like(H, np.nan))
+            assert out.tobytes() == want.tobytes()
+
+    def test_matches_the_outer_product_form_where_s_has_zeros(self):
+        # a diagonal H with -0.0 off the diagonal keeps the entries (i, j) with
+        # s_i = s_j = 0, i != j, exactly zero; there the outer form's signed
+        # zero products and einsum's +0.0 leave zeros of different signs
+        rng = np.random.default_rng(750)
+        n = 10
+        H = np.diag(rng.uniform(0.5, 2.0, n))
+        H[H == 0.0] = -0.0
+        s = rng.standard_normal(n)
+        s[[1, 4, 7]] = 0.0
+        y = make_spd(rng, n) @ s
+        want = bfgs_update_H_outer(H.copy(), s, y, np.empty_like(H))
+        out = bfgs_update_H(H, s, y, np.full_like(H, np.nan))
+        assert np.array_equal(out, want)
+        assert out[1, 4] == 0.0 and out[4, 7] == 0.0
+
+    def test_update_allocates_no_iteration_buffer(self):
+        # a few n-vectors; one of numpy's buffered-iterator buffers is 64 KB
+        rng = np.random.default_rng(800)
+        n = 300
+        H = inverse_spd(make_spd(rng, n))
+        s, y = curvature_pair(rng, n)
+        work = np.empty_like(H)
+        tracemalloc.start()
+        try:
+            bfgs_update_H(H, s, y, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 1024
 
     def test_asymmetry_stays_small_over_chained_updates(self):
         rng = np.random.default_rng(600)
