@@ -16,7 +16,7 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from xml.sax.saxutils import escape, quoteattr
 
 from qnbench.solvers import SolveResult, SolverConfig, solve_bfgs, solve_two_phase
 from qnbench.suite import suite
@@ -215,14 +215,22 @@ def _converged_from_csv(value):
     return value == "true"
 
 
+def _cost_from_csv(raw, column, parse):
+    """A profile cost, ``iterations`` or ``median_time_ms``: finite and >= 0."""
+    value = parse(raw[column])
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{column} must be finite and >= 0, got {raw[column]!r}")
+    return value
+
+
 def records_from_csv(text: str) -> list[BenchmarkRecord]:
     """Parse a results CSV back into records; :class:`ValueError` on a malformed value."""
     reader = csv.DictReader(io.StringIO(text))
     records = []
     for raw in reader:
         records.append(BenchmarkRecord(
-            raw["problem"], raw["solver"], int(raw["n"]), int(raw["iterations"]),
-            float(raw["median_time_ms"]), _converged_from_csv(raw["converged"]),
+            raw["problem"], raw["solver"], int(raw["n"]), _cost_from_csv(raw, "iterations", int),
+            _cost_from_csv(raw, "median_time_ms", float), _converged_from_csv(raw["converged"]),
             float(raw["f_final"]), float(raw["grad_norm_final"])))
     return records
 
@@ -302,7 +310,7 @@ def profile_svg(curves) -> str:
             d.append(f"L {sx(tau):.2f} {sy(p_prev):.2f}")
             d.append(f"L {sx(tau):.2f} {sy(p):.2f}")
         d.append(f"L {sx(tau_hi):.2f} {sy(pts[-1][1]):.2f}")
-        parts.append(f'<path class="profile-curve" data-solver="{escape(curve.solver)}" '
+        parts.append(f'<path class="profile-curve" data-solver={quoteattr(curve.solver)} '
                      f'd="{" ".join(d)}" fill="none" stroke="{color}" stroke-width="2"/>')
         ly = _SVG_MT + 18 + 18 * idx
         parts.append(f'<line x1="{_SVG_ML + 10}" y1="{ly}" x2="{_SVG_ML + 34}" y2="{ly}" '

@@ -32,17 +32,16 @@ copy of H and leaves H as it was.
 ``b_form``'s update and the change in psi(B) by the trace and determinant
 identities, with BFGS as lam = 0.
 
-Two-phase ``b_form`` starts on the compact realization whenever
-``n >= COMPACT_MIN_N``, and goes dense once, from H = I - U'K^{-1}U, when its
-next update would take U past n columns; until then an iteration needs no
-n x n array and no O(n^3) certificate.  Below ``COMPACT_MIN_N``, and for BFGS
-at every n, a solve runs compact when the budget fits the dimension,
+Every solve below ``COMPACT_MIN_N`` is dense, whatever its budget.  From
+there up, two-phase ``b_form`` starts on the compact realization and goes
+dense once, from H = I - U'K^{-1}U, when its next update would take U past n
+columns; until then an iteration needs no n x n array and no O(n^3)
+certificate.  BFGS there runs compact when the budget fits the dimension,
 ``2 max_iter <= n`` (then U never holds more than n columns), and dense
-otherwise.  ``h_form_literal`` stays dense at every n.  The realizations
-represent the same operators but round differently, so a BFGS or small-n
-config that differs only in ``max_iter`` may part on a flat tail, as
-``b_form`` and ``h_form_literal`` do; a two-phase ``b_form`` solve from
-``COMPACT_MIN_N`` up does not depend on ``max_iter``.
+otherwise.  ``h_form_literal`` is dense at every n.  The realizations
+represent the same operators but round differently, so a BFGS config from
+``COMPACT_MIN_N`` up that differs only in ``max_iter`` may part on a flat
+tail, as ``b_form`` and ``h_form_literal`` do.
 
 Records keep vectors and scalars, never a matrix, and each fact once: an
 iterate's x, f and g, and its step's y, p, p_bar and psi_next.  What these
@@ -89,11 +88,11 @@ NON_FINITE = "non_finite"
 # An update is skipped, not applied, when s'y <= UPDATE_SKIP_TOL * ||s|| * ||y||.
 UPDATE_SKIP_TOL = 1e-12
 
-# Two-phase b_form starts compact from this n up, whatever the budget.  Per
-# two-phase iteration, dense against compact, with one BLAS thread on Perturbed
-# Quadratic Diagonal and Hager (2-core x86-64, numpy 2.4): 0.20-0.22 against
-# 0.24 ms at n = 50, 0.26 either way at n = 80, 0.30-0.33 against 0.26-0.27 ms
-# at n = 100 and 1.9 against 0.3-0.45 ms at n = 300.
+# Every solve below this n is dense (see the module docstring).  Per two-phase
+# iteration, dense against compact, with one BLAS thread on Perturbed Quadratic
+# Diagonal and Hager (2-core x86-64, numpy 2.4): 0.20-0.22 against 0.24 ms at
+# n = 50, 0.26 either way at n = 80, 0.30-0.33 against 0.26-0.27 ms at n = 100
+# and 1.9 against 0.3-0.45 ms at n = 300.
 COMPACT_MIN_N = 100
 
 # _compact updates K^{-1} in row blocks of this many rows, so that the update
@@ -459,29 +458,22 @@ def _compact(H, s, y, Bs, lam, work):
     return H, _psi_step(s, y, Bs, yHy, lam)
 
 
-def _dense_update(cfg: SolverConfig, two_phase: bool):
-    """The dense update of a solve, looked up by name at call time (see the
-    comment above :func:`_bfgs`)."""
-    if not two_phase:
-        return _bfgs
-    return _b_form if cfg.mode == MODE_B_FORM else _h_form_literal
+def _realization(n, cfg: SolverConfig, two_phase: bool, compact=None):
+    """``(update, H_0, work)`` of a solve, or the dense one that its compact H goes on with.
 
-
-def _realization(n, cfg: SolverConfig, two_phase: bool):
-    """``(update, H_0, work)`` of a solve.
-
-    :func:`_compact` on a :class:`_CompactH`, with no workspace, for two-phase
-    ``b_form`` when ``n >= COMPACT_MIN_N``, and for BFGS and ``b_form`` when
-    ``2 max_iter <= n``, so that U never has more than n columns; otherwise the
-    dense update on ``np.eye(n)``, with the n x n workspace that every update
-    of the solve writes into.  A compact ``b_form`` solve whose next update
-    would take U past n columns goes dense in the loop, once, from
-    ``H.dense()``.  ``h_form_literal`` is dense at every n.
+    :func:`_compact` on a :class:`_CompactH`, with no workspace, from
+    ``n >= COMPACT_MIN_N`` up for two-phase ``b_form``, and for BFGS when its
+    budget keeps U within n columns, ``2 max_iter <= n``.  Otherwise the dense
+    update on ``np.eye(n)``, with the n x n workspace that every update of the
+    solve writes into; given ``compact``, the H of a compact solve whose next
+    update would take U past n columns, the same on ``compact.dense()``.
     """
-    if cfg.mode == MODE_B_FORM or not two_phase:
-        if 2 * cfg.max_iter <= n or (two_phase and n >= COMPACT_MIN_N):
+    b_form = two_phase and cfg.mode == MODE_B_FORM
+    if compact is None and n >= COMPACT_MIN_N:
+        if b_form or (not two_phase and 2 * cfg.max_iter <= n):
             return _compact, _CompactH(n), None
-    return _dense_update(cfg, two_phase), np.eye(n), np.empty((n, n))
+    update = _b_form if b_form else _h_form_literal if two_phase else _bfgs
+    return update, np.eye(n) if compact is None else compact.dense(), np.empty((n, n))
 
 
 def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
@@ -520,8 +512,7 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
             try:
                 if work is None and H.m + 2 > x.size:
                     # U would outgrow n: carry on dense from H = I - U'K^{-1}U
-                    H = H.dense()
-                    update, work = _dense_update(cfg, two_phase), np.empty_like(H)
+                    update, H, work = _realization(x.size, cfg, two_phase, H)
                 # B p_bar = -g, so Bs = -alpha_bar g
                 H, d_psi = update(H, s, y, -first.alpha * g, lam, work)
                 psi, skipped = psi + d_psi, False
@@ -556,8 +547,8 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
 
 
 def solve_bfgs(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
-    """Standard BFGS with the inverse-Hessian update, started from H = I; dense,
-    or compact when ``2 max_iter <= n`` (see the module docstring).
+    """Standard BFGS with the inverse-Hessian update from H = I; compact when
+    ``n >= COMPACT_MIN_N`` and ``2 max_iter <= n``, else dense (see the module docstring).
 
     Parameters
     ----------
@@ -576,9 +567,8 @@ def solve_two_phase(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
 
     Parameters as in :func:`solve_bfgs`; ``cfg.mode`` chooses between
     ``b_form``, the combination in B applied to the compact B = I + U C U'
-    from ``n >= COMPACT_MIN_N`` (or ``2 max_iter <= n``) until U would outgrow
-    n, and otherwise to a dense H by a Woodbury update, and the literal
-    inverse form.
+    from ``n >= COMPACT_MIN_N`` until U would outgrow n, and otherwise to a
+    dense H by a Woodbury update, and the literal inverse form, dense at every n.
     """
     return _solve(f, x0, cfg, two_phase=True)
 

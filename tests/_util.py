@@ -5,7 +5,7 @@ import numpy as np
 from qnbench import ObjectiveFunction
 from qnbench.linalg import inverse_spd
 from qnbench.objectives import FD_STEP
-from qnbench.solvers import _CompactH, _dense_update, _realization
+from qnbench.solvers import _CompactH, _realization
 
 
 def iterate_sequence(result):
@@ -35,8 +35,7 @@ def replay(objective, result, cfg, solver):
         B_next = B
         if not r.update_skipped:
             if work is None and H.m + 2 > n:
-                H = H.dense()
-                update, work = _dense_update(cfg, two_phase), np.empty_like(H)
+                update, H, work = _realization(n, cfg, two_phase, H)
             H, d_psi = update(H, s, y, -a * r.g, lam, work)
             psi += d_psi
             B_next = dense_B(H)

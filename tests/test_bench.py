@@ -209,6 +209,19 @@ class TestRecordsCsv:
             assert back.f_final == original.f_final
             assert back.grad_norm_final == original.grad_norm_final
 
+    @pytest.mark.parametrize("column, value", [
+        ("median_time_ms", "nan"), ("median_time_ms", "inf"), ("median_time_ms", "-0.5"),
+        ("iterations", "-5"),
+    ])
+    def test_a_cost_that_no_profile_can_rank_is_rejected(self, column, value):
+        # a NaN time would read P(1) = 0.5 against 0, and a negative count a
+        # ratio tau below 1
+        fields = {"iterations": "4", "median_time_ms": "2.0", column: value}
+        row = "Hager,two-phase,10,{iterations},{median_time_ms},true,0.0,0.0\n".format(**fields)
+        text = records_to_csv([_record("Hager", "bfgs", 3)]) + row
+        with pytest.raises(ValueError, match=f"{column} must be finite and >= 0"):
+            records_from_csv(text)
+
     def test_header(self):
         text = records_to_csv([])
         assert text.strip() == "problem,solver,n,iterations,median_time_ms,converged,f_final,grad_norm_final"
@@ -268,6 +281,15 @@ class TestProfileSvg:
     def test_empty_curves_rejected(self):
         with pytest.raises(ValueError):
             profile_svg([])
+
+    @pytest.mark.parametrize("name", ['a"b', "<x>&y"])
+    def test_solver_names_are_quoted(self, name):
+        root = ET.fromstring(profile_svg(dolan_more([_record("p", name, 3),
+                                                     _record("p", "other", 4)])))
+        assert [el.get("data-solver") for el in root.iter(f"{SVG_NS}path")
+                if el.get("class") == "profile-curve"] == [name, "other"]
+        assert [el.text for el in root.iter(f"{SVG_NS}text")
+                if el.get("class") == "legend-label"] == [name, "other"]
 
 
 class TestSuiteScaleRunSmoke:

@@ -117,6 +117,19 @@ class TestSolve:
         assert "converged" in out
 
 
+def _set_first(column, value):
+    """An edit of a results CSV that sets ``column`` of its first row to ``value``."""
+    def edit(text):
+        rows = list(csv.DictReader(io.StringIO(text)))
+        rows[0][column] = value
+        out = io.StringIO()
+        writer = csv.DictWriter(out, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        return out.getvalue()
+    return edit
+
+
 @pytest.fixture(scope="module")
 def bench_artifacts(tmp_path_factory):
     base = tmp_path_factory.mktemp("bench")
@@ -193,11 +206,15 @@ class TestBenchAndProfile:
         (lambda text: "\n".join(text.split("\n")[:-2]) + "\n", "missing record for"),
         (lambda text: text + "Raydan2,bfgs\n", "int() argument must be"),
         (lambda text: text.replace(",true,", ",True,"), "converged must be 'true' or 'false'"),
+        (_set_first("median_time_ms", "nan"), "median_time_ms must be finite and >= 0"),
+        (_set_first("median_time_ms", "-1.0"), "median_time_ms must be finite and >= 0"),
+        (_set_first("iterations", "-2"), "iterations must be finite and >= 0"),
         # an executable's header, written raw: no UTF-8 text at all
         (lambda text: b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)),
          "'utf-8' codec can't decode"),
     ], ids=["missing-column", "non-integer-n", "missing-pair", "short-row",
-            "converged-not-lowercase", "not-utf-8"])
+            "converged-not-lowercase", "nan-time", "negative-time", "negative-iterations",
+            "not-utf-8"])
     def test_profile_malformed_results_exit_two(self, bench_artifacts, tmp_path, capsys,
                                                 edit, message):
         _, out, _, _ = bench_artifacts

@@ -1,7 +1,7 @@
 """The compact realization B = I + U C U', which two-phase ``b_form`` starts
-on from n = COMPACT_MIN_N up, and which BFGS and ``b_form`` run below it when
-the budget fits the dimension (2 max_iter <= n).  A two-phase solve whose U
-would outgrow n goes dense once, from H = I - U'K^{-1}U."""
+on from n = COMPACT_MIN_N up, and which BFGS runs there when the budget fits
+the dimension (2 max_iter <= n).  Below COMPACT_MIN_N every solve is dense.  A
+two-phase solve whose U would outgrow n goes dense once, from H = I - U'K^{-1}U."""
 
 import tracemalloc
 
@@ -22,8 +22,8 @@ from qnbench import solvers
 from qnbench.linalg import SPDError
 from qnbench.solvers import COMPACT_MIN_N, _b_form, _bfgs, _compact, _CompactH, _realization
 
-from _util import (compact_from, curvature_pair, dense_B, perturbed_quadratic_diagonal, raydan2,
-                   replay)
+from _util import (compact_from, curvature_pair, dense_B, iterate_sequence,
+                   perturbed_quadratic_diagonal, raydan2, replay)
 
 SOLVERS = [solve_bfgs, solve_two_phase]
 SOLVER_IDS = ["bfgs", "two-phase"]
@@ -31,22 +31,46 @@ SOLVER_IDS = ["bfgs", "two-phase"]
 
 @pytest.mark.parametrize("two_phase", [False, True], ids=SOLVER_IDS)
 def test_the_budget_selects_the_realization(two_phase):
-    # no option: below COMPACT_MIN_N, 2 max_iter <= n is compact and one
-    # iteration more is dense; from COMPACT_MIN_N up two-phase b_form starts
-    # compact at any budget, and BFGS keeps the budget rule
-    n = COMPACT_MIN_N - 40
-    compact, dense = (_realization(n, SolverConfig(max_iter=m), two_phase)
-                      for m in (n // 2, n // 2 + 1))
+    # no option: below COMPACT_MIN_N every budget is dense; from COMPACT_MIN_N
+    # up two-phase b_form starts compact at any budget, BFGS is compact when
+    # 2 max_iter <= n and dense one iteration more, and h_form_literal is dense
+    dense_update = _b_form if two_phase else _bfgs
+    n = COMPACT_MIN_N - 1
+    for m in (1, n // 2, 500):
+        update, H, work = _realization(n, SolverConfig(max_iter=m), two_phase)
+        assert update is dense_update and np.array_equal(H, np.eye(n))
+        assert work.shape == (n, n) and not np.shares_memory(H, work)
+    n = COMPACT_MIN_N
+    compact, more = (_realization(n, SolverConfig(max_iter=m), two_phase)
+                     for m in (n // 2, n // 2 + 1))
     assert compact[0] is _compact and isinstance(compact[1], _CompactH) and compact[2] is None
-    assert dense[0] is (_b_form if two_phase else _bfgs) and isinstance(dense[1], np.ndarray)
-    assert dense[2].shape == (n, n) and not np.shares_memory(dense[1], dense[2])
-    assert np.array_equal(dense[1], np.eye(n))
-    large = _realization(COMPACT_MIN_N, SolverConfig(max_iter=COMPACT_MIN_N), two_phase)
-    assert (large[0] is _compact) is two_phase
+    assert more[0] is (_compact if two_phase else _bfgs)
+    # a compact H that would outgrow n hands over to the dense update on H.dense()
+    update, H, work = _realization(n, SolverConfig(), two_phase, compact[1])
+    assert update is dense_update and np.array_equal(H, np.eye(n)) and work.shape == (n, n)
     # h_form_literal is dense at every n and budget, and the paper's n = 10 runs are dense
-    h_form = _realization(COMPACT_MIN_N, SolverConfig(max_iter=1, mode=MODE_H_FORM_LITERAL), True)
+    h_form = _realization(n, SolverConfig(max_iter=1, mode=MODE_H_FORM_LITERAL), True)
     assert h_form[0] is not _compact and isinstance(h_form[1], np.ndarray)
-    assert _realization(10, SolverConfig(), two_phase)[0] is (_b_form if two_phase else _bfgs)
+    assert _realization(10, SolverConfig(), two_phase)[0] is dense_update
+
+
+def _f_sequence(result):
+    return [record.f for record in result.trace] + [result.final_f]
+
+
+def test_a_shorter_budget_takes_the_first_steps_of_the_default_solve(default_runs):
+    # max_iter only stops the loop: on every suite problem at n = 10, the
+    # iterates of a max_iter = 5 solve are the default solve's first ones, bit for bit
+    differ = []
+    for (name, solver), full in default_runs.items():
+        f = lookup(name).objective
+        run = solve_bfgs if solver == "bfgs" else solve_two_phase
+        short = run(f, f.standard_start, SolverConfig(max_iter=5))
+        got, want = ([(x.tobytes(), fx) for x, fx in zip(iterate_sequence(res), _f_sequence(res))]
+                     for res in (short, full))
+        if short.iterations != min(5, full.iterations) or got != want[:len(got)]:
+            differ.append((name, solver))
+    assert len(default_runs) == 60 and differ == []
 
 
 def test_dense_is_the_inverse_of_the_represented_operator():
@@ -176,13 +200,15 @@ def test_a_schur_complement_with_det_at_or_above_zero_raises():
 
 
 def test_a_wrong_inertia_ends_the_solve_spd_failure(monkeypatch):
-    # f = x'Gx/2 + x_3 from 0, with the H above: p_bar = -e_3 descends, the
-    # unit step is exact, and the update meets the Schur complement above
+    # f = x'Gx/2 + x_3 from 0, with the threshold at n = 4 and the compact H
+    # above: p_bar = -e_3 descends, the unit step is exact, and the update
+    # meets the Schur complement above
     G = np.array([[1.0, 0.0, 3.0, 0.0], [0.0, 1.0, 0.0, 0.0],
                   [3.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
     b = np.eye(4)[2]
     f = ObjectiveFunction("indefinite quadratic", 4, lambda x: 0.5 * float(x @ G @ x) + x[2],
                           lambda x: G @ x + b, np.zeros(4))
+    monkeypatch.setattr(solvers, "COMPACT_MIN_N", 4)
     monkeypatch.setattr(solvers, "_CompactH", lambda n: _wrong_inertia())
     res = solve_two_phase(f, f.standard_start, SolverConfig(max_iter=2))
     assert res.termination == SPD_FAILURE

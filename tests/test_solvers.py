@@ -489,16 +489,15 @@ def test_solve_working_set_is_two_matrices(monkeypatch, solver):
     # b_form's correction and its certificate's factor go into the solve's one
     # n x n workspace, so a solve holds H and the workspace.  A third matrix,
     # such as a fresh factor per iteration, would put the peak near
-    # 3 * 8n^2 bytes.  A budget above n/2, and for b_form a threshold above n,
-    # keep the solve dense, and a well-conditioned quadratic converges in 14
-    # (BFGS) and 8 iterations, so the records stay small
+    # 3 * 8n^2 bytes.  A threshold above n keeps the solve dense, and a
+    # well-conditioned quadratic converges in 14 (BFGS) and 8 iterations, so
+    # the records stay small
     n = 400
     monkeypatch.setattr(solvers, "COMPACT_MIN_N", n + 1)
     d = np.linspace(1.0, 2.0, n)
     f = ObjectiveFunction("well-conditioned quadratic", n, lambda x: 0.5 * float(d @ (x * x)),
                           lambda x: d * x, np.ones(n))
-    cfg = SolverConfig(max_iter=n // 2 + 1)
-    assert _solve_peak_bytes(solver, f, cfg) < 2.5 * 8 * n * n
+    assert _solve_peak_bytes(solver, f, SolverConfig()) < 2.5 * 8 * n * n
 
 
 def _replayed_runs(default_runs, h_form_runs):
@@ -694,9 +693,12 @@ def test_updates_look_up_their_primitives_in_the_solvers_module(monkeypatch, sol
     # the per-layer tracer patches these names in qnbench.solvers, so an update
     # function that bound one of them early would drop out of the traced counts.
     # A call counts when it returns, so a pair the curvature floor skips does not.
-    # At n = 10, max_iter 6 runs the dense updates and max_iter 5 (2 max_iter <= n)
-    # the compact one, which the loop looks up as qnbench.solvers._compact;
+    # At n = 10 every solve runs the dense updates; with the threshold at 10,
+    # max_iter 5 (2 max_iter <= n, so U never outgrows n) runs BFGS and b_form
+    # on the compact one, which the loop looks up as qnbench.solvers._compact;
     # h_form_literal stays dense
+    if names == {"_compact"}:
+        monkeypatch.setattr(solvers, "COMPACT_MIN_N", 10)
     returned = dict.fromkeys(("bfgs_update_H", "combine_H_literal", "cholesky", "_compact"), 0)
     for name in returned:
         def counted(*args, _name=name, _wrapped=getattr(solvers, name), **kwargs):
@@ -720,8 +722,8 @@ def test_updates_look_up_their_primitives_in_the_solvers_module(monkeypatch, sol
 def test_the_loop_looks_up_its_dense_update_in_the_solvers_module(monkeypatch, solver, mode,
                                                                   name):
     # as it looks up _compact: a patch on the update's name in qnbench.solvers,
-    # the tracer's way of counting, sees every applied update.  At n = 10,
-    # max_iter 6 runs dense; a pair the curvature floor skips returns no update
+    # the tracer's way of counting, sees every applied update.  At n = 10 every
+    # solve runs dense; a pair the curvature floor skips returns no update
     returned = []
     wrapped = getattr(solvers, name)
 
