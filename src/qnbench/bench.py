@@ -126,7 +126,8 @@ def table_fixture_records() -> list[BenchmarkRecord]:
 
 
 def dolan_more(records, metric: str = "iterations") -> list[ProfileCurve]:
-    """Performance-profile curves for every solver present in ``records``."""
+    """Performance-profile curves for every solver present in ``records``; a ratio
+    divides by the best cost, so a converged record's time must be > 0."""
     if metric not in ("iterations", "time"):
         raise ValueError(f"metric must be 'iterations' or 'time', got {metric!r}")
     records = list(records)
@@ -144,7 +145,12 @@ def dolan_more(records, metric: str = "iterations") -> list[ProfileCurve]:
                 raise IncompleteRecordsError(f"missing record for ({p!r}, {s!r})")
 
     def cost(record):
-        return float(record.iterations) if metric == "iterations" else float(record.median_time_ms)
+        if metric == "iterations":
+            return float(record.iterations)
+        if not record.median_time_ms > 0.0:  # the ratio divides by the best time
+            raise ValueError(f"time of converged ({record.problem!r}, {record.solver!r}) "
+                             f"must be > 0, got {record.median_time_ms!r}")
+        return float(record.median_time_ms)
 
     ratios = {s: [] for s in solvers}
     for p in problems:
@@ -216,10 +222,12 @@ def _converged_from_csv(value):
 
 
 def _cost_from_csv(raw, column, parse):
-    """A profile cost, ``iterations`` or ``median_time_ms``: finite and >= 0."""
+    """A profile cost: finite, and > 0 for ``median_time_ms`` (see :func:`dolan_more`)."""
     value = parse(raw[column])
-    if not 0 <= value < math.inf:
-        raise ValueError(f"{column} must be finite and >= 0, got {raw[column]!r}")
+    strict = column == "median_time_ms"
+    if not (0 < value < math.inf or value == 0 and not strict):
+        raise ValueError(f"{column} must be finite and {'>' if strict else '>='} 0, "
+                         f"got {raw[column]!r}")
     return value
 
 

@@ -19,13 +19,14 @@ two-phase ``b_form`` (default), the combination in B applied to H by the
 Woodbury formula and certified by H_next's Cholesky pivots; two-phase
 ``h_form_literal``, the literal ``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``,
 kept for cross-validation; and the compact realization, which holds
-B = I + U C U' (every update adds two columns to U) instead of a dense H, and
-certifies it by the inertia of a 2k x 2k matrix.  Each primitive writes over
-the H it is given, after its checks, and returns it.  A dense solve also holds
-one n x n workspace ``work``, allocated once with H, into which BFGS writes
-its rank-one terms and ``b_form`` its correction and then its Cholesky
-certificate, so a dense BFGS or ``b_form`` iteration holds H and the workspace
-and allocates no n x n array; the compact realization takes ``work = None``.
+H = I - R' diag(sign) R (every update adds two signed rows to R) instead of a
+dense H, and certifies each update by the inertia of ``b_form``'s 2 x 2 M.
+Each primitive writes over the H it is given, after its checks, and returns
+it.  A dense solve also holds one n x n workspace ``work``, allocated once
+with H, into which BFGS writes its rank-one terms and ``b_form`` its
+correction and then its Cholesky certificate, so a dense BFGS or ``b_form``
+iteration holds H and the workspace and allocates no n x n array; the
+compact realization takes ``work = None``.
 ``h_form_literal``, which needs H next to H_bar, hands ``bfgs_update_H`` a
 copy of H and leaves H as it was.
 ``B p_bar = -g`` spares every product with B: ``Bs = -alpha_bar g`` gives
@@ -34,10 +35,10 @@ identities, with BFGS as lam = 0.
 
 Every solve below ``COMPACT_MIN_N`` is dense, whatever its budget.  From
 there up, two-phase ``b_form`` starts on the compact realization and goes
-dense once, from H = I - U'K^{-1}U, when its next update would take U past n
-columns; until then an iteration needs no n x n array and no O(n^3)
+dense once, from H = I - R' diag(sign) R, when its next update would take R
+past n rows; until then an iteration needs no n x n array and no O(n^3)
 certificate.  BFGS there runs compact when the budget fits the dimension,
-``2 max_iter <= n`` (then U never holds more than n columns), and dense
+``2 max_iter <= n`` (then R never holds more than n rows), and dense
 otherwise.  ``h_form_literal`` is dense at every n.  The realizations
 represent the same operators but round differently, so a BFGS config from
 ``COMPACT_MIN_N`` up that differs only in ``max_iter`` may part on a flat
@@ -88,16 +89,12 @@ NON_FINITE = "non_finite"
 # An update is skipped, not applied, when s'y <= UPDATE_SKIP_TOL * ||s|| * ||y||.
 UPDATE_SKIP_TOL = 1e-12
 
-# Every solve below this n is dense (see the module docstring).  Per two-phase
-# iteration, dense against compact, with one BLAS thread on Perturbed Quadratic
-# Diagonal and Hager (2-core x86-64, numpy 2.4): 0.20-0.22 against 0.24 ms at
-# n = 50, 0.26 either way at n = 80, 0.30-0.33 against 0.26-0.27 ms at n = 100
-# and 1.9 against 0.3-0.45 ms at n = 300.
+# Every solve below this n is dense (see the module docstring).  Per iteration on
+# Hager, compact against dense (best of 30 solves, max_iter = n/2, one BLAS
+# thread, 2-core x86-64, numpy 2.4), two-phase costs 0.082 against 0.093 ms at
+# n = 50, 0.081 against 0.112 at n = 80 and 0.084 against 0.155 at n = 100, and
+# BFGS 0.055 against 0.052, 0.054 against 0.057 and 0.057 against 0.064 (README).
 COMPACT_MIN_N = 100
-
-# _compact updates K^{-1} in row blocks of this many rows, so that the update
-# allocates no m x m temporary.
-K_BLOCK_ROWS = 64
 
 
 class CurvatureError(ValueError):
@@ -315,19 +312,32 @@ def _bfgs(H, s, y, Bs, lam, work):
     return bfgs_update_H(H, s, y, work), _psi_step(s, y, Bs, 0.0, 0.0)
 
 
+def _woodbury_m(s, y, Bs, Hy, lam):
+    """y'Hy, the entries m11, m12, m22 of M = C^{-1} + U'HU, and det M, from s = H Bs and Hy.
+
+    With U = [Bs, y] and the C of :func:`_psi_step`,
+    M = [[-lam s'Bs/(1 - lam), s'y], [s'y, s'y/(1 - lam) + y'Hy]] (Nocedal &
+    Wright, eq. A.28); :class:`SPDError` when s'Bs is not positive.
+    """
+    sy, sBs, yHy = float(s.dot(y)), float(s.dot(Bs)), float(y.dot(Hy))
+    if sBs <= 0.0:
+        raise SPDError(f"s'Bs = {sBs:.3e} is not positive")
+    mu = 1.0 - lam
+    m11, m12, m22 = -lam * sBs / mu, sy, sy / mu + yHy
+    return yHy, m11, m12, m22, m11 * m22 - m12 * m12
+
+
 def _b_form(H, s, y, Bs, lam, work):
     """Two-phase ``b_form``: the inverse of B + U C U' of :func:`_psi_step`,
     written over H.
 
-    By Woodbury (Nocedal & Wright, eq. A.28), H_next = H - HU M^{-1} (HU)'
-    with U = [Bs, y] and
-    M = C^{-1} + U'HU = [[-lam s'Bs/(1 - lam), s'y], [s'y, s'y/(1 - lam) + y'Hy]],
-    where s = H Bs, the loop's alpha_bar p_bar recomputed: s'Bs = Bs'H Bs > 0,
-    and the psi step that takes this s and y'Hy tracks H_next.  HU is filled
-    by two matrix-vector products, not one product with [Bs, y], which rounds
-    differently.  H_next is certified by its Cholesky pivots
-    (:class:`SPDError` below PIVOT_RTOL); its rounding asymmetry is accepted,
-    unsymmetrized.
+    By Woodbury, H_next = H - HU M^{-1} (HU)' with U = [Bs, y] and the M of
+    :func:`_woodbury_m`, where s = H Bs, the loop's alpha_bar p_bar
+    recomputed: s'Bs = Bs'H Bs > 0, and the psi step that takes this s and
+    y'Hy tracks H_next.  HU is filled by two matrix-vector products, not one
+    product with [Bs, y], which rounds differently.  H_next is certified by
+    its Cholesky pivots (:class:`SPDError` below PIVOT_RTOL); its rounding
+    asymmetry is accepted, unsymmetrized.
 
     The correction T = HU M^{-1} (HU)' is written into ``work``, a float
     n x n array other than H whose contents are never read, and then the
@@ -337,16 +347,12 @@ def _b_form(H, s, y, Bs, lam, work):
     overwritten by the uncertified H_next.
     """
     _curvature(s, y)
-    mu = 1.0 - lam
     HU = np.empty((H.shape[0], 2))
     HU[:, 0] = H @ Bs
     HU[:, 1] = H @ y
     s = HU[:, 0]
-    sy, sBs, yHy = float(s.dot(y)), float(s.dot(Bs)), float(y.dot(HU[:, 1]))
-    if sBs <= 0.0:
-        raise SPDError(f"s'Bs = {sBs:.3e} is not positive")
-    m11, m12, m22 = -lam * sBs / mu, sy, sy / mu + yHy
-    M_inv = np.array([[m22, -m12], [-m12, m11]]) / (m11 * m22 - m12 * m12)
+    yHy, m11, m12, m22, det = _woodbury_m(s, y, Bs, HU[:, 1], lam)
+    M_inv = np.array([[m22, -m12], [-m12, m11]]) / det
     T = np.matmul(HU @ M_inv, HU.T, out=work)
     H -= T
     cholesky(H, out=work)  # the SPD certificate, written over T
@@ -364,43 +370,40 @@ def _h_form_literal(H, s, y, Bs, lam, work):
 
 
 class _CompactH:
-    """H = B^{-1} of B = I + U C U', held without an n x n array.
+    """H = B^{-1} = I - R' diag(sign) R, held without an n x n array.
 
-    ``H @ v`` is ``v - U K^{-1} U'v`` with K = C^{-1} + U'U (Byrd, Nocedal &
-    Schnabel 1994), in O(kn + k^2) for U's 2k columns.  ``rows`` holds U's
-    columns as rows, ``c_inv`` C^{-1}'s diagonal and ``k_inv`` K^{-1}; their
-    first ``m`` rows and entries are in use, and :meth:`reserve` doubles them
-    when full, up to n.  :meth:`dense` gives the same H as an n x n array, for
-    the solve that goes dense when U would outgrow n.
+    Every update appends two rows to R, and ``H @ v`` costs O(kn) for R's 2k
+    rows.  ``rows`` holds R and ``sign`` its signs, +1 or -1; their first
+    ``m`` are in use, and :meth:`reserve` doubles them when full, up to n.
+    :meth:`dense` gives the same H as an n x n array, for the solve that goes
+    dense when R would outgrow n.
     """
 
     def __init__(self, n):
         self.m = 0
         self.rows = np.empty((2, n))
-        self.c_inv = np.empty(2)
-        self.k_inv = np.empty((2, 2))
+        self.sign = np.empty(2)
 
     def __matmul__(self, v):
-        m = self.m
-        U = self.rows[:m]
-        return v - (self.k_inv[:m, :m] @ (U @ v)) @ U
+        R = self.rows[:self.m]
+        return v - (self.sign[:self.m] * (R @ v)) @ R
 
     def reserve(self, extra):
-        """Room for ``extra`` more columns, by doubling, but not past n: the
-        solve runs compact only while U never needs more than n columns."""
-        m, cap = self.m, self.c_inv.size
+        """Room for ``extra`` more rows, by doubling, but not past n: the solve
+        runs compact only while R never needs more than n rows."""
+        m, cap = self.m, self.sign.size
         if m + extra > cap:
             n = self.rows.shape[1]
             cap = max(min(2 * cap, n), m + extra)
-            rows, c_inv, k_inv = np.empty((cap, n)), np.empty(cap), np.empty((cap, cap))
-            rows[:m], c_inv[:m], k_inv[:m, :m] = self.rows[:m], self.c_inv[:m], self.k_inv[:m, :m]
-            self.rows, self.c_inv, self.k_inv = rows, c_inv, k_inv
+            rows, sign = np.empty((cap, n)), np.empty(cap)
+            rows[:m], sign[:m] = self.rows[:m], self.sign[:m]
+            self.rows, self.sign = rows, sign
 
     def dense(self):
-        """H = I - U'K^{-1}U as a new n x n array."""
+        """H = I - R' diag(sign) R as a new n x n array."""
         m, n = self.m, self.rows.shape[1]
-        U = self.rows[:m]
-        H = U.T @ (self.k_inv[:m, :m] @ U)
+        R = self.rows[:m]
+        H = (R.T * self.sign[:m]) @ R
         np.negative(H, out=H)
         H.flat[::n + 1] += 1.0
         return H
@@ -410,51 +413,36 @@ def _compact(H, s, y, Bs, lam, work):
     """BFGS (``lam`` 0) or two-phase ``b_form`` on a :class:`_CompactH`, written over H;
     ``work`` is unused (None), since nothing here is n x n.
 
-    The update B + U C U' of :func:`_psi_step` appends the unit columns
-    u = [Bs/||Bs||, y/||y||] to U and
-    C_u^{-1} = diag(-s'Bs/(mu ||Bs||^2), s'y/(mu ||y||^2)), mu = 1 - lam, to
-    C^{-1}, with s = H Bs: unit columns keep K's scale, where raw ones let the
-    test below fail late on suite problems.  K^{-1} is bordered with the 2 x 2
-    Schur complement S = C_u^{-1} + u'u - W'K^{-1}W, W = U'u, in O(kn + k^2);
-    its old block gains V S^{-1} V', V = K^{-1}W, in place, K_BLOCK_ROWS rows
-    at a time, so the update allocates no m x m temporary.
-    B is SPD exactly when K has as many negative eigenvalues as C (one per
-    pair) and none zero, by Haynsworth inertia on [[I, U], [U', -C^{-1}]]; and
-    In(K_next) = In(K) + In(S).  So with s'Bs > 0 and s'y > 0 the represented
-    B_next is certified SPD by det S < 0; :class:`SPDError` is raised when
-    det S is not below -PIVOT_RTOL (|S_00 S_11| + S_01^2), and every check
-    runs before the first write.
+    The update is :func:`_b_form`'s, H_next = H - HU M^{-1} (HU)' with
+    HU = [s, Hy], s = H Bs, and the M of :func:`_woodbury_m`, in O(kn).  It
+    appends the two rows of the LDL' factorization of M^{-1}: Hy/sqrt(m22)
+    with sign +1 and sqrt(m22/(-det M)) (s - (m12/m22) Hy) with sign -1.
+    For an SPD B, In(B) + In(-M) = In(-C^{-1}) + In(B_next) (Haynsworth
+    inertia on [[B, U], [U', -C^{-1}]]), so with s'Bs > 0 and s'y > 0, where
+    -C^{-1} has one eigenvalue of each sign, B_next is SPD exactly when
+    det M < 0.  m22 > 0 keeps the rows real.  :class:`SPDError` is raised
+    unless m22 > 0 and det M is below -PIVOT_RTOL (|m11 m22| + m12^2), which
+    also rejects an M whose products underflow to 0.  BFGS, lam = 0, has
+    det M = -(s'y)^2.  Every check runs before the first write.
     """
     _curvature(s, y)
-    m, mu = H.m, 1.0 - lam
-    U, k_inv = H.rows[:m], H.k_inv[:m, :m]
-    nb, ny = _norm(Bs), _norm(y)
-    u = np.stack((Bs / nb, y / ny))
-    W = U @ u.T
-    V = k_inv @ W
-    Hu = u - V.T @ U
-    s, Hy = nb * Hu[0], ny * Hu[1]
-    sy, sBs, yHy = float(s.dot(y)), float(s.dot(Bs)), float(y.dot(Hy))
-    if not (sBs > 0.0 and sy > 0.0):
-        raise SPDError(f"s'Bs = {sBs:.3e} and s'y = {sy:.3e} must be positive")
-    c_inv = (-sBs / (mu * nb * nb), sy / (mu * ny * ny))
-    S = np.diag(c_inv) + u @ u.T - W.T @ V
-    s00, s01, s11 = S[0, 0], 0.5 * (S[0, 1] + S[1, 0]), S[1, 1]
-    det = s00 * s11 - s01 * s01
-    floor = PIVOT_RTOL * (abs(s00 * s11) + s01 * s01)
-    if not det < -floor:
-        raise SPDError(f"Schur complement det {det:.3e} is not below {-floor:.3e}")
-    S_inv = np.array([[s11, -s01], [-s01, s00]]) / det
+    m = H.m
+    R = H.rows[:m]
+    HU = np.stack((Bs, y))
+    W = HU @ R.T
+    W *= H.sign[:m]
+    HU -= W @ R
+    s, Hy = HU
+    yHy, m11, m12, m22, det = _woodbury_m(s, y, Bs, Hy, lam)
+    floor = PIVOT_RTOL * (abs(m11 * m22) + m12 * m12)
+    if not (m12 > 0.0 and m22 > 0.0 and det < -floor):
+        raise SPDError(f"s'y = {m12:.3e}, m22 = {m22:.3e} and det M = {det:.3e} fail "
+                       f"s'y > 0, m22 > 0 and det M < {-floor:.3e}")
     H.reserve(2)
-    VS = V @ S_inv
-    K = H.k_inv
-    K_old = K[:m, :m]
-    for i in range(0, m, K_BLOCK_ROWS):
-        K_old[i:i + K_BLOCK_ROWS] += VS[i:i + K_BLOCK_ROWS] @ V.T
-    K[:m, m:m + 2] = -VS
-    K[m:m + 2, :m] = -VS.T
-    K[m:m + 2, m:m + 2] = S_inv
-    H.rows[m:m + 2], H.c_inv[m:m + 2], H.m = u, c_inv, m + 2
+    H.rows[m] = Hy / math.sqrt(m22)
+    H.rows[m + 1] = math.sqrt(m22 / -det) * (s - m12 / m22 * Hy)
+    H.sign[m:m + 2] = 1.0, -1.0
+    H.m = m + 2
     return H, _psi_step(s, y, Bs, yHy, lam)
 
 
@@ -463,10 +451,10 @@ def _realization(n, cfg: SolverConfig, two_phase: bool, compact=None):
 
     :func:`_compact` on a :class:`_CompactH`, with no workspace, from
     ``n >= COMPACT_MIN_N`` up for two-phase ``b_form``, and for BFGS when its
-    budget keeps U within n columns, ``2 max_iter <= n``.  Otherwise the dense
+    budget keeps R within n rows, ``2 max_iter <= n``.  Otherwise the dense
     update on ``np.eye(n)``, with the n x n workspace that every update of the
     solve writes into; given ``compact``, the H of a compact solve whose next
-    update would take U past n columns, the same on ``compact.dense()``.
+    update would take R past n rows, the same on ``compact.dense()``.
     """
     b_form = two_phase and cfg.mode == MODE_B_FORM
     if compact is None and n >= COMPACT_MIN_N:
@@ -511,7 +499,7 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
             y = first.grad_new - g
             try:
                 if work is None and H.m + 2 > x.size:
-                    # U would outgrow n: carry on dense from H = I - U'K^{-1}U
+                    # R would outgrow n: carry on dense from H = I - R' diag(sign) R
                     update, H, work = _realization(x.size, cfg, two_phase, H)
                 # B p_bar = -g, so Bs = -alpha_bar g
                 H, d_psi = update(H, s, y, -first.alpha * g, lam, work)
@@ -566,8 +554,8 @@ def solve_two_phase(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
     """Two-phase quasi-Newton iteration (see the module docstring), from B = I.
 
     Parameters as in :func:`solve_bfgs`; ``cfg.mode`` chooses between
-    ``b_form``, the combination in B applied to the compact B = I + U C U'
-    from ``n >= COMPACT_MIN_N`` until U would outgrow n, and otherwise to a
+    ``b_form``, the combination in B applied to the compact H = I - R' diag(sign) R
+    from ``n >= COMPACT_MIN_N`` until R would outgrow n, and otherwise to a
     dense H by a Woodbury update, and the literal inverse form, dense at every n.
     """
     return _solve(f, x0, cfg, two_phase=True)

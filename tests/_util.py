@@ -18,16 +18,18 @@ def replay(objective, result, cfg, solver):
 
     ``solver`` is ``"bfgs"`` or ``"two-phase"``, and ``cfg`` the run's config.
     The updates are replayed through the run's own update function, initial
-    H and workspace, dense or compact, from psi = n, with the step and pair formed as the
-    solve forms them, and B is :func:`dense_B` of H.  A compact H whose next
-    update would take U past n columns goes dense, as the solve's does.  The
-    replayed y and psi_next must equal the recorded ones bit for bit.
+    H and workspace, dense or compact, from psi = n, with the step and pair
+    formed as the solve forms them.  B is ``inverse_spd(H)`` of a dense H;
+    while H is compact, B is accumulated by :func:`b_next` from the replayed
+    pairs, apart from H's rows.  A compact H whose next update would take its
+    rows past n goes dense, as the solve's does.  The replayed y and psi_next
+    must equal the recorded ones bit for bit.
     """
     two_phase = solver == "two-phase"
     n = np.size(result.final_x)
     update, H, work = _realization(n, cfg, two_phase)
     lam, psi = (cfg.lam if two_phase else 0.0), float(n)
-    B = dense_B(H)
+    B = np.eye(n)
     for r, u in zip(result.trace, result.updates):
         a, d = (r.alpha_bar, u.p_bar) if two_phase else (r.alpha, u.p)
         s = a * d
@@ -36,36 +38,37 @@ def replay(objective, result, cfg, solver):
         if not r.update_skipped:
             if work is None and H.m + 2 > n:
                 update, H, work = _realization(n, cfg, two_phase, H)
-            H, d_psi = update(H, s, y, -a * r.g, lam, work)
+            Bs = -a * r.g
+            H, d_psi = update(H, s, y, Bs, lam, work)
             psi += d_psi
-            B_next = dense_B(H)
+            B_next = b_next(B, Bs, y, lam) if work is None else inverse_spd(H)
         assert np.array_equal(y, u.y)
         assert psi == u.psi_next
         yield s, y, B, B_next
         B = B_next
 
 
-def dense_B(H):
-    """The operator B that H represents, as a dense array.
+def b_next(B, Bs, y, lam):
+    """The operator that an update from B by the pair ``(Bs, y)`` represents, as
+    a dense array: B + U C U' = lam B + (1 - lam) B_bfgs(B, s, y), with
+    U = [Bs, y], C = diag(-(1 - lam)/s'Bs, (1 - lam)/s'y) and s = B^{-1} Bs.
 
-    A dense H gives ``inverse_spd(H)``; a compact one gives
-    ``I + U C U'`` from its columns and C's diagonal.
+    It reads only B and the pair, never an H, so it is an oracle for the H
+    that a compact update leaves.
     """
-    if isinstance(H, np.ndarray):
-        return inverse_spd(H)
-    U = H.rows[:H.m].T
-    return np.eye(U.shape[0]) + (U / H.c_inv[:H.m]) @ U.T
+    s = np.linalg.solve(B, Bs)
+    mu = 1.0 - lam
+    return B + mu * (np.outer(y, y) / s.dot(y) - np.outer(Bs, Bs) / s.dot(Bs))
 
 
-def compact_from(U, c_inv):
-    """A compact H holding the columns of ``U`` and C^{-1} = diag(c_inv) as given,
-    with K^{-1} = (C^{-1} + U'U)^{-1}, whatever B = I + U C U' they represent."""
-    U = np.asarray(U, dtype=float)
-    H = _CompactH(U.shape[0])
-    H.reserve(U.shape[1])
-    H.m = U.shape[1]
-    H.rows[:H.m], H.c_inv[:H.m] = U.T, c_inv
-    H.k_inv[:H.m, :H.m] = np.linalg.inv(np.diag(c_inv) + U.T @ U)
+def compact_from(R, sign):
+    """A compact H = I - R' diag(sign) R holding the rows of ``R`` and the signs
+    as given, whatever H they represent."""
+    R = np.asarray(R, dtype=float)
+    H = _CompactH(R.shape[1])
+    H.reserve(R.shape[0])
+    H.m = R.shape[0]
+    H.rows[:H.m], H.sign[:H.m] = R, sign
     return H
 
 

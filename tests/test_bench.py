@@ -142,6 +142,26 @@ class TestDolanMore:
         assert dict(curves["s2"].points)[1.0] == 0.0
         assert dict(curves["s2"].points)[2.0] == 1.0
 
+    def test_a_converged_time_of_zero_is_rejected(self):
+        # a ratio over a best time of 0.0 would rank b +inf on p, although it
+        # converged, and read its P(2) as 0.5 instead of 1.0
+        times = {("p", "a"): 0.0, ("p", "b"): 1.0, ("q", "a"): 2.0, ("q", "b"): 1.0}
+        records = [_record(p, s, 5, time_ms=t) for (p, s), t in times.items()]
+        with pytest.raises(ValueError, match=r"time of converged \('p', 'a'\) must be > 0"):
+            dolan_more(records, metric="time")
+        # a zero time of a solve that did not converge is never a cost
+        records[0] = _record("p", "a", 5, converged=False, time_ms=0.0)
+        curves = {c.solver: dict(c.points) for c in dolan_more(records, metric="time")}
+        assert curves["b"][1.0] == 1.0 and curves["a"][2.0] == 0.5
+
+    def test_iterations_keep_the_zero_best_rule(self):
+        # a best of 0 iterations ranks a solver with 0 as 1 and every other as +inf
+        records = [_record("p", "a", 0), _record("p", "b", 3),
+                   _record("q", "a", 2), _record("q", "b", 1)]
+        curves = {c.solver: dict(c.points) for c in dolan_more(records)}
+        assert curves["a"][1.0] == 0.5 and curves["a"][2.0] == 1.0
+        assert curves["b"][1.0] == 0.5 and curves["b"][2.0] == 0.5
+
     def test_missing_record_rejected(self):
         records = [_record("a", "s1", 5), _record("a", "s2", 6), _record("b", "s1", 7)]
         with pytest.raises(IncompleteRecordsError):
@@ -211,15 +231,17 @@ class TestRecordsCsv:
 
     @pytest.mark.parametrize("column, value", [
         ("median_time_ms", "nan"), ("median_time_ms", "inf"), ("median_time_ms", "-0.5"),
-        ("iterations", "-5"),
+        ("median_time_ms", "0.0"), ("iterations", "-5"),
     ])
     def test_a_cost_that_no_profile_can_rank_is_rejected(self, column, value):
-        # a NaN time would read P(1) = 0.5 against 0, and a negative count a
-        # ratio tau below 1
+        # a NaN time would read P(1) = 0.5 against 0, a zero time a ratio of
+        # +inf for every other converged solver, and a negative count a ratio
+        # tau below 1
         fields = {"iterations": "4", "median_time_ms": "2.0", column: value}
         row = "Hager,two-phase,10,{iterations},{median_time_ms},true,0.0,0.0\n".format(**fields)
         text = records_to_csv([_record("Hager", "bfgs", 3)]) + row
-        with pytest.raises(ValueError, match=f"{column} must be finite and >= 0"):
+        bound = "> 0" if column == "median_time_ms" else ">= 0"
+        with pytest.raises(ValueError, match=f"{column} must be finite and {bound}"):
             records_from_csv(text)
 
     def test_header(self):

@@ -206,14 +206,16 @@ class TestBenchAndProfile:
         (lambda text: "\n".join(text.split("\n")[:-2]) + "\n", "missing record for"),
         (lambda text: text + "Raydan2,bfgs\n", "int() argument must be"),
         (lambda text: text.replace(",true,", ",True,"), "converged must be 'true' or 'false'"),
-        (_set_first("median_time_ms", "nan"), "median_time_ms must be finite and >= 0"),
-        (_set_first("median_time_ms", "-1.0"), "median_time_ms must be finite and >= 0"),
+        (_set_first("median_time_ms", "nan"), "median_time_ms must be finite and > 0"),
+        (_set_first("median_time_ms", "-1.0"), "median_time_ms must be finite and > 0"),
+        (_set_first("median_time_ms", "0.0"), "median_time_ms must be finite and > 0"),
         (_set_first("iterations", "-2"), "iterations must be finite and >= 0"),
         # an executable's header, written raw: no UTF-8 text at all
         (lambda text: b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)),
          "'utf-8' codec can't decode"),
     ], ids=["missing-column", "non-integer-n", "missing-pair", "short-row",
-            "converged-not-lowercase", "nan-time", "negative-time", "negative-iterations",
+            "converged-not-lowercase", "nan-time", "negative-time", "zero-time",
+            "negative-iterations",
             "not-utf-8"])
     def test_profile_malformed_results_exit_two(self, bench_artifacts, tmp_path, capsys,
                                                 edit, message):

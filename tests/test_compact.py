@@ -1,8 +1,9 @@
-"""The compact realization B = I + U C U', which two-phase ``b_form`` starts
-on from n = COMPACT_MIN_N up, and which BFGS runs there when the budget fits
-the dimension (2 max_iter <= n).  Below COMPACT_MIN_N every solve is dense.  A
-two-phase solve whose U would outgrow n goes dense once, from H = I - U'K^{-1}U."""
+"""The compact realization H = I - R' diag(sign) R, which two-phase ``b_form``
+starts on from n = COMPACT_MIN_N up, and which BFGS runs there when the budget
+fits the dimension (2 max_iter <= n).  Below COMPACT_MIN_N every solve is dense.
+A two-phase solve whose R would outgrow n goes dense once, from H.dense()."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,7 @@ from qnbench import solvers
 from qnbench.linalg import SPDError
 from qnbench.solvers import COMPACT_MIN_N, _b_form, _bfgs, _compact, _CompactH, _realization
 
-from _util import (compact_from, curvature_pair, dense_B, iterate_sequence,
+from _util import (b_next, compact_from, curvature_pair, iterate_sequence,
                    perturbed_quadratic_diagonal, raydan2, replay)
 
 SOLVERS = [solve_bfgs, solve_two_phase]
@@ -76,18 +77,19 @@ def test_a_shorter_budget_takes_the_first_steps_of_the_default_solve(default_run
 def test_dense_is_the_inverse_of_the_represented_operator():
     rng = np.random.default_rng(17)
     n = 40
-    H = _CompactH(n)
+    H, B = _CompactH(n), np.eye(n)
     assert np.array_equal(H.dense(), np.eye(n))
     for _ in range(15):
         Bs, y = curvature_pair(rng, n)
         H, _ = _compact(H, H @ Bs, y, Bs, 0.5, None)
-        want = np.linalg.inv(dense_B(H))
+        B = b_next(B, Bs, y, 0.5)
+        want = np.linalg.inv(B)
         assert np.abs(H.dense() - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_a_two_phase_solve_that_outgrows_n_goes_dense_once(monkeypatch):
     # with the threshold at n = 10, Generalized PSC1 starts compact and its
-    # sixth applied update would take U past 10 columns: the solve goes dense
+    # sixth applied update would take R past 10 rows: the solve goes dense
     # there, once, and runs b_form from then on; the replay, which goes dense
     # at the same update, gives psi_next to 1e-9 of psi(B_next)
     monkeypatch.setattr(solvers, "COMPACT_MIN_N", 10)
@@ -138,8 +140,9 @@ def test_compact_and_dense_paths_agree(monkeypatch, solver, build, counts):
 @pytest.mark.parametrize("build", [perturbed_quadratic_diagonal, raydan2],
                          ids=["pqd", "raydan2"])
 def test_carried_psi_is_psi_of_the_represented_operator(solver, build):
-    # the replay rebuilds each B_next = I + U C U' from the compact H the
-    # update leaves, and asserts that the replayed psi_next is the recorded one
+    # the replay accumulates each B_next = B + U C U' from the replayed pair,
+    # apart from the compact H, and asserts that the replayed psi_next is the
+    # recorded one
     f = build(200)
     cfg = SolverConfig(max_iter=100)
     res = solver(f, f.standard_start, cfg)
@@ -154,96 +157,135 @@ def test_carried_psi_is_psi_of_the_represented_operator(solver, build):
 def test_h_times_v_is_the_inverse_of_the_represented_operator(lam):
     rng = np.random.default_rng(11)
     n = 50
-    H = _CompactH(n)
-    for _ in range(12):  # 24 columns: the arrays double from 2 to 32
+    H, B = _CompactH(n), np.eye(n)
+    for _ in range(12):  # 24 rows: the arrays double from 2 to 32
         Bs, y = curvature_pair(rng, n)
         s = H @ Bs
         H, _ = _compact(H, s, y, Bs, lam, None)
-        B = dense_B(H)
+        B = b_next(B, Bs, y, lam)
         for v in rng.standard_normal((3, n)):
             want = np.linalg.solve(B, v)
             assert np.linalg.norm(H @ v - want) <= 1e-10 * np.linalg.norm(want)
-    assert H.m == 24 and H.c_inv.size == 32
+    assert H.m == 24 and H.rows.shape[0] == H.sign.size == 32
 
 
 def test_the_arrays_grow_no_further_than_n():
-    # the solve runs compact only while U needs at most n columns, so doubling
+    # the solve runs compact only while R needs at most n rows, so doubling
     # stops at n: three updates at n = 6 grow the arrays from 2 to 4 to 6, not 8
     rng = np.random.default_rng(13)
     n = 6
-    H = _CompactH(n)
+    H, B = _CompactH(n), np.eye(n)
     for _ in range(3):
         s, y = curvature_pair(rng, n)
-        H, _ = _compact(H, s, y, dense_B(H) @ s, 0.5, None)
+        H, _ = _compact(H, s, y, B @ s, 0.5, None)
+        B = b_next(B, B @ s, y, 0.5)
     assert H.m == 6
-    assert H.rows.shape[0] <= 6 and H.c_inv.size <= 6 and H.k_inv.shape[0] <= 6
+    assert H.rows.shape == (6, n) and H.sign.size == 6
 
 
-def _wrong_inertia():
-    """A compact H whose B = I - 2 e_1 e_1' + e_2 e_2' is indefinite (n = 4):
-    C^{-1} = diag(-1/2, 1) and K = diag(1/2, 2), with no negative eigenvalue."""
-    return compact_from(np.eye(4)[:, :2], [-0.5, 1.0])
+def _indefinite():
+    """The compact H = diag(-1, 1/2, 1, 1) (n = 4), the inverse of no SPD B:
+    rows sqrt(2) e_1 and e_2/sqrt(2), both with sign +1."""
+    return compact_from([[math.sqrt(2.0), 0.0, 0.0, 0.0], [0.0, math.sqrt(0.5), 0.0, 0.0]],
+                        [1.0, 1.0])
 
 
-def test_a_schur_complement_with_det_at_or_above_zero_raises():
-    # H = diag(-1, 1/2, 1, 1); along Bs = -e_3 and y = -(3 e_1 + e_3),
-    # s'Bs = 1 and s'y = 1 pass, but y'Hy = -8 makes
-    # S = [[-1, 1/sqrt(10)], [1/sqrt(10), -3/5]] with det S = 1/2
-    H = _wrong_inertia()
-    before = (H.m, H.rows.copy(), H.c_inv.copy(), H.k_inv.copy())
-    Bs, y = -np.eye(4)[2], -np.array([3.0, 0.0, 1.0, 0.0])
-    with pytest.raises(SPDError, match="Schur complement det"):
+# Along Bs = -e_3 and y = -(a e_1 + e_3), the H above gives s = -e_3, so
+# s'Bs = 1 and s'y = 1 pass, but y'Hy = 1 - a^2, and at lam = 0.5
+# M = [[-1, 1], [1, 3 - a^2]] with det M = a^2 - 4.  a = 1.8 gives
+# m22 = -0.24 with det M = -0.76, an M whose second row would be NaN, and a = 3
+# gives m22 = -6 with det M = 5.
+
+
+@pytest.mark.parametrize("case", ["m22-not-positive", "det-M-at-or-above-zero",
+                                  "det-M-underflows"])
+def test_an_uncertified_m_raises_before_it_writes(case):
+    if case == "det-M-underflows":
+        # H = I, held as two zero rows, and a pair at scale 1e-85: s'Bs, s'y
+        # and m22 are near 1e-170, but m11 m22 and m12^2 underflow to 0, so
+        # det M = -0.0, where the second row would divide by zero
+        H = compact_from(np.zeros((2, 4)), [1.0, 1.0])
+        Bs, y = 1e-85 * np.array([1.0, 2.0, 0.0, 0.0]), 1e-85 * np.array([2.0, 1.0, 1.0, 0.0])
+    else:
+        a = 1.8 if case == "m22-not-positive" else 3.0
+        H, Bs, y = _indefinite(), -np.eye(4)[2], -np.array([a, 0.0, 1.0, 0.0])
+    rows, sign = H.rows, H.sign
+    before = (H.m, rows.copy(), sign.copy())
+    with pytest.raises(SPDError, match="m22 = .* and det M = "):
         _compact(H, H @ Bs, y, Bs, 0.5, None)
-    assert H.m == before[0]
-    for got, want in zip((H.rows, H.c_inv, H.k_inv), before[1:]):
-        assert np.array_equal(got, want)
+    assert H.m == before[0] and H.rows is rows and H.sign is sign
+    assert np.array_equal(rows, before[1]) and np.array_equal(sign, before[2])
 
 
 def test_a_wrong_inertia_ends_the_solve_spd_failure(monkeypatch):
-    # f = x'Gx/2 + x_3 from 0, with the threshold at n = 4 and the compact H
-    # above: p_bar = -e_3 descends, the unit step is exact, and the update
-    # meets the Schur complement above
-    G = np.array([[1.0, 0.0, 3.0, 0.0], [0.0, 1.0, 0.0, 0.0],
-                  [3.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-    b = np.eye(4)[2]
-    f = ObjectiveFunction("indefinite quadratic", 4, lambda x: 0.5 * float(x @ G @ x) + x[2],
-                          lambda x: G @ x + b, np.zeros(4))
+    # f = x'Gx/2 + x_3 from 0, with G = I but G_13 = G_31 = a, the threshold
+    # at n = 4 and the compact H above: p_bar = -e_3 descends, the unit step
+    # is exact, and the update meets the pair above, for either a
     monkeypatch.setattr(solvers, "COMPACT_MIN_N", 4)
-    monkeypatch.setattr(solvers, "_CompactH", lambda n: _wrong_inertia())
-    res = solve_two_phase(f, f.standard_start, SolverConfig(max_iter=2))
-    assert res.termination == SPD_FAILURE
-    assert res.iterations == 0
+    monkeypatch.setattr(solvers, "_CompactH", lambda n: _indefinite())
+    b = np.eye(4)[2]
+    for a in (1.8, 3.0):
+        G = np.eye(4)
+        G[0, 2] = G[2, 0] = a
+        f = ObjectiveFunction("indefinite quadratic", 4,
+                              lambda x, G=G: 0.5 * float(x @ G @ x) + x[2],
+                              lambda x, G=G: G @ x + b, np.zeros(4))
+        res = solve_two_phase(f, f.standard_start, SolverConfig(max_iter=2))
+        assert res.termination == SPD_FAILURE
+        assert res.iterations == 0
+
+
+def test_bfgs_passes_the_inertia_test_on_every_curvature_pair(monkeypatch):
+    # BFGS is lam = 0, where m11 = -0.0 and det M = -(s'y)^2 exactly, so every
+    # pair with s'y > 0 passes: n/2 random pairs fill R to n rows
+    seen = []
+    woodbury_m = solvers._woodbury_m
+    monkeypatch.setattr(solvers, "_woodbury_m", lambda *args: seen.append(woodbury_m(*args))
+                        or seen[-1])
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        n = 30
+        H, B = _CompactH(n), np.eye(n)
+        for _ in range(n // 2):
+            s, y = curvature_pair(rng, n)
+            H, _ = _compact(H, s, y, B @ s, 0.0, None)
+            B = b_next(B, B @ s, y, 0.0)
+        assert H.m == n
+    assert len(seen) == 45
+    assert all(det == -(m12 * m12) for _, _, m12, _, det in seen)
 
 
 def test_a_compact_update_allocates_no_m_by_m_temporary():
-    # K^{-1} is updated in place in row blocks: at m = 220 columns (two-phase
-    # Hager n = 300 ends at 220), with room for two more, one update allocates
-    # a few n-vectors, one block of rows of K^{-1} and numpy's iteration
-    # buffers for the strided add, below the m x m matrix of a whole-matrix update
+    # an update allocates a few vectors of length n or m, and the solve keeps
+    # m <= n, so its peak does not grow with m past a few n: at n = 300 one
+    # update peaks below 8n floats with R at 20 rows and at 296, where one
+    # m x m array at m = 296 is 292n floats
     rng = np.random.default_rng(19)
     n = 300
     H = _CompactH(n)
-    for _ in range(110):
+    peaks = {}
+    for k in range(149):
         Bs, y = curvature_pair(rng, n)
-        H, _ = _compact(H, H @ Bs, y, Bs, 0.5, None)
-    m = H.m
-    assert m >= 128 and H.c_inv.size >= m + 2
-    Bs, y = curvature_pair(rng, n)
-    s = H @ Bs
-    tracemalloc.start()
-    try:
-        H, _ = _compact(H, s, y, Bs, 0.5, None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert H.m == m + 2
-    assert peak < 8 * m * m
+        if k in (10, 148):
+            H.reserve(2)
+            s = H @ Bs
+            tracemalloc.start()
+            try:
+                H, _ = _compact(H, s, y, Bs, 0.5, None)
+                peaks[H.m - 2] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        else:
+            H, _ = _compact(H, H @ Bs, y, Bs, 0.5, None)
+    assert sorted(peaks) == [20, 296]
+    assert max(peaks.values()) < 8 * 8 * n
 
 
 @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVER_IDS)
 def test_compact_peak_memory_is_linear_in_k_n(solver):
-    # one n x n at n = 2000 is 32 MB; the compact solve holds U (2k columns,
-    # doubled when full, up to n), K^{-1} and the records, a few n-vectors per iteration
+    # one n x n at n = 2000 is 32 MB; the compact solve holds R (2k rows,
+    # doubled when full, up to n), its signs and the records, a few n-vectors
+    # per iteration
     n = 2000
     f = perturbed_quadratic_diagonal(n)
     tracemalloc.start()

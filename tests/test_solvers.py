@@ -41,8 +41,8 @@ from qnbench.solvers import (
 from _util import (
     bfgs_update_H_dense,
     bfgs_update_H_outer,
+    b_next,
     curvature_pair,
-    dense_B,
     iterate_sequence,
     make_spd,
     replay,
@@ -615,10 +615,10 @@ _WRITING_UPDATES = {"bfgs": (_bfgs, np.eye), "b_form": (_b_form, np.eye),
 
 
 def _floats(H):
-    """What an update writes: a dense H, or a compact H's columns, C^{-1} and K^{-1}."""
+    """What an update writes: a dense H, or a compact H's rows and signs."""
     if isinstance(H, np.ndarray):
         return [H]
-    return [H.rows[:H.m], H.c_inv[:H.m], H.k_inv[:H.m, :H.m]]
+    return [H.rows[:H.m], H.sign[:H.m]]
 
 
 def _same_floats(H, other):
@@ -643,12 +643,13 @@ def test_updates_write_over_the_h_they_are_given(name):
     update, initial = _WRITING_UPDATES[name]
     rng = np.random.default_rng(31)
     n = 10
-    H = initial(n)
+    H, B = initial(n), np.eye(n)
     for _ in range(3):
         s, y = curvature_pair(rng, n)
-        H, _ = update(H, s, y, dense_B(H) @ s, 0.5, _workspace(H, None))
+        H, _ = update(H, s, y, B @ s, 0.5, _workspace(H, None))
+        B = b_next(B, B @ s, y, 0.0 if name == "bfgs" else 0.5)
     s, y = curvature_pair(rng, n)
-    Bs = dense_B(H) @ s
+    Bs = B @ s
     kept = copy.deepcopy(H)
     work = _workspace(H, np.nan)
     with pytest.raises(CurvatureError):
