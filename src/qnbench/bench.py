@@ -114,6 +114,8 @@ def table_fixture_records() -> list[BenchmarkRecord]:
     """Records built from the suite's reference iteration counts.
 
     These let the profile generator be exercised without running any solver.
+    Each record's time is 1 ms per reference iteration, a positive cost that
+    ``dolan_more(metric="time")`` and :func:`records_from_csv` accept.
     """
     records = []
     for problem in suite():
@@ -121,7 +123,7 @@ def table_fixture_records() -> list[BenchmarkRecord]:
                                    ("two-phase", problem.table_twophase_iters)):
             records.append(BenchmarkRecord(
                 problem.name, solver_name, problem.objective.dimension,
-                iters, 0.0, True, 0.0, 0.0))
+                iters, float(iters), True, 0.0, 0.0))
     return records
 
 

@@ -33,16 +33,14 @@ copy of H and leaves H as it was.
 ``b_form``'s update and the change in psi(B) by the trace and determinant
 identities, with BFGS as lam = 0.
 
-Every solve below ``COMPACT_MIN_N`` is dense, whatever its budget.  From
-there up, two-phase ``b_form`` starts on the compact realization and goes
-dense once, from H = I - R' diag(sign) R, when its next update would take R
-past n rows; until then an iteration needs no n x n array and no O(n^3)
-certificate.  BFGS there runs compact when the budget fits the dimension,
-``2 max_iter <= n`` (then R never holds more than n rows), and dense
-otherwise.  ``h_form_literal`` is dense at every n.  The realizations
-represent the same operators but round differently, so a BFGS config from
-``COMPACT_MIN_N`` up that differs only in ``max_iter`` may part on a flat
-tail, as ``b_form`` and ``h_form_literal`` do.
+n alone picks the realization.  Every solve below ``COMPACT_MIN_N`` is
+dense, whatever its budget.  From there up, BFGS and two-phase ``b_form``
+start on the compact realization and go dense once, from
+H = I - R' diag(sign) R, when the next update would take R past n rows; until
+then an iteration needs no n x n array and no O(n^3) certificate.
+``h_form_literal`` is dense at every n.  The realizations represent the same
+operators but round differently, so ``b_form`` and ``h_form_literal`` may part
+on a flat tail.
 
 Records keep vectors and scalars, never a matrix, and each fact once: an
 iterate's x, f and g, and its step's y, p, p_bar and psi_next.  What these
@@ -450,16 +448,14 @@ def _realization(n, cfg: SolverConfig, two_phase: bool, compact=None):
     """``(update, H_0, work)`` of a solve, or the dense one that its compact H goes on with.
 
     :func:`_compact` on a :class:`_CompactH`, with no workspace, from
-    ``n >= COMPACT_MIN_N`` up for two-phase ``b_form``, and for BFGS when its
-    budget keeps R within n rows, ``2 max_iter <= n``.  Otherwise the dense
-    update on ``np.eye(n)``, with the n x n workspace that every update of the
-    solve writes into; given ``compact``, the H of a compact solve whose next
-    update would take R past n rows, the same on ``compact.dense()``.
+    ``n >= COMPACT_MIN_N`` up for BFGS and two-phase ``b_form``.  Otherwise the
+    dense update on ``np.eye(n)``, with the n x n workspace that every update
+    of the solve writes into; given ``compact``, the H of a compact solve whose
+    next update would take R past n rows, the same on ``compact.dense()``.
     """
     b_form = two_phase and cfg.mode == MODE_B_FORM
-    if compact is None and n >= COMPACT_MIN_N:
-        if b_form or (not two_phase and 2 * cfg.max_iter <= n):
-            return _compact, _CompactH(n), None
+    if compact is None and n >= COMPACT_MIN_N and (b_form or not two_phase):
+        return _compact, _CompactH(n), None
     update = _b_form if b_form else _h_form_literal if two_phase else _bfgs
     return update, np.eye(n) if compact is None else compact.dense(), np.empty((n, n))
 
@@ -535,8 +531,8 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
 
 
 def solve_bfgs(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
-    """Standard BFGS with the inverse-Hessian update from H = I; compact when
-    ``n >= COMPACT_MIN_N`` and ``2 max_iter <= n``, else dense (see the module docstring).
+    """Standard BFGS with the inverse-Hessian update from H = I; compact from
+    ``n >= COMPACT_MIN_N`` until R would outgrow n, else dense (see the module docstring).
 
     Parameters
     ----------

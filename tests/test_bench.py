@@ -105,6 +105,14 @@ class TestDolanMore:
         assert p_two == 27 / 30 == 0.9
         assert p_bfgs == 6 / 30 == 0.2
 
+    def test_the_fixture_times_profile_and_round_trip(self):
+        # 1 ms per reference iteration: the time profile is the iteration
+        # profile, and the records survive the CSV that `qnbench profile` reads
+        records = table_fixture_records()
+        assert [c.points for c in dolan_more(records, "time")] == \
+               [c.points for c in dolan_more(records, "iterations")]
+        assert records_from_csv(records_to_csv(records)) == records
+
     def test_hager_ratio_from_fixtures(self):
         records = table_fixture_records()
         hager = {r.solver: r for r in records if r.problem == "Hager"}

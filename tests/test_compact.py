@@ -1,7 +1,6 @@
-"""The compact realization H = I - R' diag(sign) R, which two-phase ``b_form``
-starts on from n = COMPACT_MIN_N up, and which BFGS runs there when the budget
-fits the dimension (2 max_iter <= n).  Below COMPACT_MIN_N every solve is dense.
-A two-phase solve whose R would outgrow n goes dense once, from H.dense()."""
+"""The compact realization H = I - R' diag(sign) R, which BFGS and two-phase
+``b_form`` start on from n = COMPACT_MIN_N up.  Below COMPACT_MIN_N every solve
+is dense.  A compact solve whose R would outgrow n goes dense once, from H.dense()."""
 
 import math
 import tracemalloc
@@ -31,10 +30,10 @@ SOLVER_IDS = ["bfgs", "two-phase"]
 
 
 @pytest.mark.parametrize("two_phase", [False, True], ids=SOLVER_IDS)
-def test_the_budget_selects_the_realization(two_phase):
-    # no option: below COMPACT_MIN_N every budget is dense; from COMPACT_MIN_N
-    # up two-phase b_form starts compact at any budget, BFGS is compact when
-    # 2 max_iter <= n and dense one iteration more, and h_form_literal is dense
+def test_n_alone_selects_the_realization(two_phase):
+    # no option and no budget rule: below COMPACT_MIN_N every solve is dense;
+    # from COMPACT_MIN_N up BFGS and two-phase b_form start compact at any
+    # max_iter and hand over to their dense update once, and h_form_literal is dense
     dense_update = _b_form if two_phase else _bfgs
     n = COMPACT_MIN_N - 1
     for m in (1, n // 2, 500):
@@ -42,12 +41,11 @@ def test_the_budget_selects_the_realization(two_phase):
         assert update is dense_update and np.array_equal(H, np.eye(n))
         assert work.shape == (n, n) and not np.shares_memory(H, work)
     n = COMPACT_MIN_N
-    compact, more = (_realization(n, SolverConfig(max_iter=m), two_phase)
-                     for m in (n // 2, n // 2 + 1))
-    assert compact[0] is _compact and isinstance(compact[1], _CompactH) and compact[2] is None
-    assert more[0] is (_compact if two_phase else _bfgs)
+    for m in (1, n // 2, n // 2 + 1, 500):
+        update, H, work = _realization(n, SolverConfig(max_iter=m), two_phase)
+        assert update is _compact and isinstance(H, _CompactH) and work is None
     # a compact H that would outgrow n hands over to the dense update on H.dense()
-    update, H, work = _realization(n, SolverConfig(), two_phase, compact[1])
+    update, H, work = _realization(n, SolverConfig(), two_phase, _CompactH(n))
     assert update is dense_update and np.array_equal(H, np.eye(n)) and work.shape == (n, n)
     # h_form_literal is dense at every n and budget, and the paper's n = 10 runs are dense
     h_form = _realization(n, SolverConfig(max_iter=1, mode=MODE_H_FORM_LITERAL), True)
@@ -87,30 +85,33 @@ def test_dense_is_the_inverse_of_the_represented_operator():
         assert np.abs(H.dense() - want).max() <= 1e-10 * np.abs(want).max()
 
 
-def test_a_two_phase_solve_that_outgrows_n_goes_dense_once(monkeypatch):
+@pytest.mark.parametrize("solver", SOLVERS, ids=SOLVER_IDS)
+def test_a_compact_solve_that_outgrows_n_goes_dense_once(monkeypatch, solver):
     # with the threshold at n = 10, Generalized PSC1 starts compact and its
     # sixth applied update would take R past 10 rows: the solve goes dense
-    # there, once, and runs b_form from then on; the replay, which goes dense
-    # at the same update, gives psi_next to 1e-9 of psi(B_next)
+    # there, once, and runs the dense update from then on; the replay, which
+    # goes dense at the same update, gives psi_next to 1e-9 of psi(B_next)
+    name = "bfgs" if solver is solve_bfgs else "two-phase"
+    dense_name = "_bfgs" if solver is solve_bfgs else "_b_form"
     monkeypatch.setattr(solvers, "COMPACT_MIN_N", 10)
-    returned = dict.fromkeys(("_compact", "_b_form"), 0)
-    for name in returned:
-        def counted(*args, _name=name, _wrapped=getattr(solvers, name)):
+    returned = dict.fromkeys(("_compact", dense_name), 0)
+    for fn in returned:
+        def counted(*args, _name=fn, _wrapped=getattr(solvers, fn)):
             out = _wrapped(*args)
             returned[_name] += 1
             return out
-        monkeypatch.setattr(solvers, name, counted)
+        monkeypatch.setattr(solvers, fn, counted)
     densified = []
     dense = _CompactH.dense
     monkeypatch.setattr(_CompactH, "dense", lambda H: densified.append(H.m) or dense(H))
     f = lookup("Generalized PSC1").objective
     cfg = SolverConfig()
-    res = solve_two_phase(f, f.standard_start, cfg)
+    res = solver(f, f.standard_start, cfg)
     assert res.converged
     applied = sum(not r.update_skipped for r in res.trace)
     assert densified == [10]
-    assert returned == {"_compact": 5, "_b_form": applied - 5} and applied > 10
-    steps = list(replay(f, res, cfg, "two-phase"))
+    assert returned == {"_compact": 5, dense_name: applied - 5} and applied > 10
+    steps = list(replay(f, res, cfg, name))
     assert len(steps) == res.iterations
     want = [psi(B_next) for _, _, _, B_next in steps]
     assert [u.psi_next for u in res.updates] == pytest.approx(want, rel=1e-9)
@@ -122,14 +123,14 @@ def test_a_two_phase_solve_that_outgrows_n_goes_dense_once(monkeypatch):
     (raydan2, {"bfgs": (7, 8, 8), "two-phase": (6, 13, 13)}),
 ], ids=["pqd", "raydan2"])
 def test_compact_and_dense_paths_agree(monkeypatch, solver, build, counts):
-    # two-phase starts compact at n = 200 whatever the budget, so its dense run
-    # raises the threshold past n
+    # both solvers start compact at n = 200 whatever the budget, so the dense
+    # run raises the threshold past n
     f = build(200)
     name = "bfgs" if solver is solve_bfgs else "two-phase"
-    compact = solver(f, f.standard_start, SolverConfig(max_iter=100))
+    compact = solver(f, f.standard_start, SolverConfig())
     monkeypatch.setattr(solvers, "COMPACT_MIN_N", 201)
-    assert _realization(200, SolverConfig(max_iter=101), name == "two-phase")[0] is not _compact
-    dense = solver(f, f.standard_start, SolverConfig(max_iter=101))
+    assert _realization(200, SolverConfig(), name == "two-phase")[0] is not _compact
+    dense = solver(f, f.standard_start, SolverConfig())
     for res in (compact, dense):
         assert res.converged
         assert (res.iterations, res.f_evals, res.g_evals) == counts[name]

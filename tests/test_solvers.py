@@ -695,7 +695,7 @@ def test_updates_look_up_their_primitives_in_the_solvers_module(monkeypatch, sol
     # function that bound one of them early would drop out of the traced counts.
     # A call counts when it returns, so a pair the curvature floor skips does not.
     # At n = 10 every solve runs the dense updates; with the threshold at 10,
-    # max_iter 5 (2 max_iter <= n, so U never outgrows n) runs BFGS and b_form
+    # max_iter 5 (ten rows at most, so R never outgrows n) runs BFGS and b_form
     # on the compact one, which the loop looks up as qnbench.solvers._compact;
     # h_form_literal stays dense
     if names == {"_compact"}:
