@@ -14,18 +14,18 @@ rejects the pair, the update is skipped and the first step is accepted.
 
 The loop holds H = B^{-1}, from which every direction is ``-H g``, and
 ``psi(B) = tr B - ln det B``, from H = I and psi = n.  A realization is one
-update function, ``update(H, s, y, Bs, lam, work) -> (H_next, d_psi)``: BFGS;
-two-phase ``b_form`` (default), the combination in B applied to H by the
-Woodbury formula and certified by H_next's Cholesky pivots; two-phase
-``h_form_literal``, the literal ``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``,
-kept for cross-validation; and the compact realization, which holds
+update function, ``update(H, s, y, Bs, lam, work) -> (H_next, d_psi)``, and
+there are three: dense ``b_form``, the combination in B applied to H by the
+Woodbury formula, which is two-phase's default and, at lam = 0, BFGS;
+two-phase ``h_form_literal``, the literal
+``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``, kept for cross-validation; and
+the compact realization, the same Woodbury update on
 H = I - R' diag(sign) R (every update adds two signed rows to R) instead of a
-dense H, and certifies each update by the inertia of ``b_form``'s 2 x 2 M.
-Each primitive writes over the H it is given, after its checks, and returns
-it.  A dense solve also holds one n x n workspace ``work``, allocated once
-with H, into which BFGS writes its rank-one terms and ``b_form`` its
-correction and then its Cholesky certificate, so a dense BFGS or ``b_form``
-iteration holds H and the workspace and allocates no n x n array; the
+dense H.  Every ``b_form`` update, dense or compact, is certified before it
+writes by one test, the inertia of its 2 x 2 M.  Each writes over the H it is
+given and returns it.  A dense solve also holds one n x n workspace ``work``,
+allocated once with H, into which ``b_form`` writes its correction, so a
+dense iteration holds H and the workspace and allocates no n x n array; the
 compact realization takes ``work = None``.
 ``h_form_literal``, which needs H next to H_bar, hands ``bfgs_update_H`` a
 copy of H and leaves H as it was.
@@ -37,7 +37,7 @@ n alone picks the realization.  Every solve below ``COMPACT_MIN_N`` is
 dense, whatever its budget.  From there up, BFGS and two-phase ``b_form``
 start on the compact realization and go dense once, from
 H = I - R' diag(sign) R, when the next update would take R past n rows; until
-then an iteration needs no n x n array and no O(n^3) certificate.
+then an iteration needs no n x n array.
 ``h_form_literal`` is dense at every n.  The realizations represent the same
 operators but round differently, so ``b_form`` and ``h_form_literal`` may part
 on a flat tail.
@@ -68,7 +68,7 @@ import numpy as np
 from qnbench.linalg import (
     PIVOT_RTOL,
     SPDError,
-    cholesky,
+    cholesky,  # unused here, but perfbench/tracer.py patches solvers.cholesky
     inverse_spd,
     solve_spd,  # unused here, but perfbench/tracer.py patches solvers.solve_spd
 )
@@ -89,9 +89,10 @@ UPDATE_SKIP_TOL = 1e-12
 
 # Every solve below this n is dense (see the module docstring).  Per iteration on
 # Hager, compact against dense (best of 30 solves, max_iter = n/2, one BLAS
-# thread, 2-core x86-64, numpy 2.4), two-phase costs 0.082 against 0.093 ms at
-# n = 50, 0.081 against 0.112 at n = 80 and 0.084 against 0.155 at n = 100, and
-# BFGS 0.055 against 0.052, 0.054 against 0.057 and 0.057 against 0.064 (README).
+# thread, 2-core x86-64, numpy 2.4), two-phase costs 0.082 against 0.072 ms at
+# n = 50, 0.081 against 0.079 at n = 80, 0.084 against 0.092 at n = 100 and
+# 0.151 against 0.161 at n = 200, and BFGS 0.055 against 0.047, 0.054 against
+# 0.054, 0.057 against 0.054 and 0.071 against 0.095 (README).
 COMPACT_MIN_N = 100
 
 
@@ -217,17 +218,13 @@ def bfgs_update_B(B, s, y):
 
 def bfgs_update_H(H, s, y, work):
     """Inverse-Hessian update (I - r sy')H(I - r ys') + r ss', r = 1/(y's), in O(n^2),
-    written over H.
+    written over H: ``h_form_literal``'s BFGS step.
 
     The product is evaluated in its own order, as two rank-one corrections:
     first the left factor, A = H - r s(Hy)', then the right factor with r ss',
     A - (r Ay - r s)s'.  That is two matrix-vector products and two outer
-    products, against two n x n products for the dense form; the expanded
-    three-term form costs the same but rounds differently enough to move the
-    counts of the flat-tailed Hager n = 300 solve (63 to 97 BFGS iterations,
-    against 65 for this order).  The output's rounding asymmetry is accepted,
-    unsymmetrized: at most 1.4e-13 relative (``||A - A'||/||A||``) over the
-    benchmark's BFGS solves.
+    products, against two n x n products for the dense form.  The output's
+    rounding asymmetry is accepted, unsymmetrized.
 
     Each rank-one term is ``np.einsum("i,j->ij", a, b, out=work)``, not
     ``np.multiply.outer(a, b, out=work)``: numpy runs a broadcast ufunc outer
@@ -284,8 +281,7 @@ def _psi_step(s, y, Bs, yHy, lam):
     lam (1 + (1 - lam) y'Hy/s'y) + (1 - lam)^2 s'y/s'Bs: a sum of positive
     terms, so no cancellation.  The change is the trace's gain less the
     factor's logarithm.  BFGS is lam = 0, where the lam term adds +0.0 to a
-    positive sum, so any finite y'Hy (0.0 from :func:`_bfgs`) gives the same
-    float.
+    positive sum, so any finite y'Hy gives the same float.
     """
     sy, sBs = float(s.dot(y)), float(s.dot(Bs))
     if not sBs > 0.0:
@@ -305,44 +301,49 @@ def _psi_step(s, y, Bs, yHy, lam):
 # one early would hide it from the traced counts.
 
 
-def _bfgs(H, s, y, Bs, lam, work):
-    """BFGS on H, written over H; ``lam`` is unused (BFGS is lam = 0)."""
-    return bfgs_update_H(H, s, y, work), _psi_step(s, y, Bs, 0.0, 0.0)
-
-
 def _woodbury_m(s, y, Bs, Hy, lam):
-    """y'Hy, the entries m11, m12, m22 of M = C^{-1} + U'HU, and det M, from s = H Bs and Hy.
+    """y'Hy, the entries m11, m12, m22 of M = C^{-1} + U'HU, and det M, from s = H Bs and Hy,
+    once M's inertia certifies the update.
 
     With U = [Bs, y] and the C of :func:`_psi_step`,
     M = [[-lam s'Bs/(1 - lam), s'y], [s'y, s'y/(1 - lam) + y'Hy]] (Nocedal &
-    Wright, eq. A.28); :class:`SPDError` when s'Bs is not positive.
+    Wright, eq. A.28).  For an SPD B, In(B) + In(-M) = In(-C^{-1}) + In(B_next)
+    (Haynsworth inertia on [[B, U], [U', -C^{-1}]]), so with s'Bs > 0 and
+    s'y > 0, where -C^{-1} has one eigenvalue of each sign, B_next is SPD
+    exactly when det M < 0.  :class:`SPDError` is raised when s'Bs is not
+    positive, and otherwise unless s'y > 0, m22 > 0 (which keeps
+    :func:`_compact`'s rows real) and det M is below
+    -PIVOT_RTOL (|m11 m22| + m12^2), which also rejects an M whose products
+    underflow to 0.  BFGS, lam = 0, has m11 = -0.0 and det M = -(s'y)^2.
     """
     sy, sBs, yHy = float(s.dot(y)), float(s.dot(Bs)), float(y.dot(Hy))
     if sBs <= 0.0:
         raise SPDError(f"s'Bs = {sBs:.3e} is not positive")
     mu = 1.0 - lam
     m11, m12, m22 = -lam * sBs / mu, sy, sy / mu + yHy
-    return yHy, m11, m12, m22, m11 * m22 - m12 * m12
+    det = m11 * m22 - m12 * m12
+    floor = PIVOT_RTOL * (abs(m11 * m22) + m12 * m12)
+    if not (m12 > 0.0 and m22 > 0.0 and det < -floor):
+        raise SPDError(f"s'y = {m12:.3e}, m22 = {m22:.3e} and det M = {det:.3e} fail "
+                       f"s'y > 0, m22 > 0 and det M < {-floor:.3e}")
+    return yHy, m11, m12, m22, det
 
 
 def _b_form(H, s, y, Bs, lam, work):
-    """Two-phase ``b_form``: the inverse of B + U C U' of :func:`_psi_step`,
-    written over H.
+    """Two-phase ``b_form``, or BFGS at ``lam`` 0: the inverse of B + U C U' of
+    :func:`_psi_step`, written over H.
 
     By Woodbury, H_next = H - HU M^{-1} (HU)' with U = [Bs, y] and the M of
     :func:`_woodbury_m`, where s = H Bs, the loop's alpha_bar p_bar
     recomputed: s'Bs = Bs'H Bs > 0, and the psi step that takes this s and
     y'Hy tracks H_next.  HU is filled by two matrix-vector products, not one
-    product with [Bs, y], which rounds differently.  H_next is certified by
-    its Cholesky pivots (:class:`SPDError` below PIVOT_RTOL); its rounding
-    asymmetry is accepted, unsymmetrized.
+    product with [Bs, y], which rounds differently.  The update is certified
+    by M's inertia; H_next's rounding asymmetry is accepted, unsymmetrized.
 
     The correction T = HU M^{-1} (HU)' is written into ``work``, a float
-    n x n array other than H whose contents are never read, and then the
-    Cholesky factor over it, so the update allocates no n x n array.  The s'y
-    and s'Bs checks run before the first write, so a pair that fails one
-    leaves H and ``work`` as they were.  A failed certificate leaves H
-    overwritten by the uncertified H_next.
+    n x n array other than H whose contents are never read, so the update
+    allocates no n x n array.  Every check runs before the first write, so a
+    pair that fails one leaves H and ``work`` as they were.
     """
     _curvature(s, y)
     HU = np.empty((H.shape[0], 2))
@@ -351,9 +352,7 @@ def _b_form(H, s, y, Bs, lam, work):
     s = HU[:, 0]
     yHy, m11, m12, m22, det = _woodbury_m(s, y, Bs, HU[:, 1], lam)
     M_inv = np.array([[m22, -m12], [-m12, m11]]) / det
-    T = np.matmul(HU @ M_inv, HU.T, out=work)
-    H -= T
-    cholesky(H, out=work)  # the SPD certificate, written over T
+    H -= np.matmul(HU @ M_inv, HU.T, out=work)
     return H, _psi_step(s, y, Bs, yHy, lam)
 
 
@@ -412,16 +411,11 @@ def _compact(H, s, y, Bs, lam, work):
     ``work`` is unused (None), since nothing here is n x n.
 
     The update is :func:`_b_form`'s, H_next = H - HU M^{-1} (HU)' with
-    HU = [s, Hy], s = H Bs, and the M of :func:`_woodbury_m`, in O(kn).  It
-    appends the two rows of the LDL' factorization of M^{-1}: Hy/sqrt(m22)
-    with sign +1 and sqrt(m22/(-det M)) (s - (m12/m22) Hy) with sign -1.
-    For an SPD B, In(B) + In(-M) = In(-C^{-1}) + In(B_next) (Haynsworth
-    inertia on [[B, U], [U', -C^{-1}]]), so with s'Bs > 0 and s'y > 0, where
-    -C^{-1} has one eigenvalue of each sign, B_next is SPD exactly when
-    det M < 0.  m22 > 0 keeps the rows real.  :class:`SPDError` is raised
-    unless m22 > 0 and det M is below -PIVOT_RTOL (|m11 m22| + m12^2), which
-    also rejects an M whose products underflow to 0.  BFGS, lam = 0, has
-    det M = -(s'y)^2.  Every check runs before the first write.
+    HU = [s, Hy], s = H Bs, and the M of :func:`_woodbury_m`, in O(kn), under
+    the same inertia certificate.  It appends the two rows of the LDL'
+    factorization of M^{-1}: Hy/sqrt(m22) with sign +1 and
+    sqrt(m22/(-det M)) (s - (m12/m22) Hy) with sign -1.  Every check runs
+    before the first write.
     """
     _curvature(s, y)
     m = H.m
@@ -432,10 +426,6 @@ def _compact(H, s, y, Bs, lam, work):
     HU -= W @ R
     s, Hy = HU
     yHy, m11, m12, m22, det = _woodbury_m(s, y, Bs, Hy, lam)
-    floor = PIVOT_RTOL * (abs(m11 * m22) + m12 * m12)
-    if not (m12 > 0.0 and m22 > 0.0 and det < -floor):
-        raise SPDError(f"s'y = {m12:.3e}, m22 = {m22:.3e} and det M = {det:.3e} fail "
-                       f"s'y > 0, m22 > 0 and det M < {-floor:.3e}")
     H.reserve(2)
     H.rows[m] = Hy / math.sqrt(m22)
     H.rows[m + 1] = math.sqrt(m22 / -det) * (s - m12 / m22 * Hy)
@@ -449,14 +439,16 @@ def _realization(n, cfg: SolverConfig, two_phase: bool, compact=None):
 
     :func:`_compact` on a :class:`_CompactH`, with no workspace, from
     ``n >= COMPACT_MIN_N`` up for BFGS and two-phase ``b_form``.  Otherwise the
-    dense update on ``np.eye(n)``, with the n x n workspace that every update
-    of the solve writes into; given ``compact``, the H of a compact solve whose
-    next update would take R past n rows, the same on ``compact.dense()``.
+    dense update, :func:`_b_form` (BFGS is lam = 0) or
+    :func:`_h_form_literal`, on ``np.eye(n)``, with the n x n workspace that
+    every update of the solve writes into; given ``compact``, the H of a
+    compact solve whose next update would take R past n rows, the same on
+    ``compact.dense()``.
     """
-    b_form = two_phase and cfg.mode == MODE_B_FORM
-    if compact is None and n >= COMPACT_MIN_N and (b_form or not two_phase):
+    b_form = not two_phase or cfg.mode == MODE_B_FORM
+    if compact is None and n >= COMPACT_MIN_N and b_form:
         return _compact, _CompactH(n), None
-    update = _b_form if b_form else _h_form_literal if two_phase else _bfgs
+    update = _b_form if b_form else _h_form_literal
     return update, np.eye(n) if compact is None else compact.dense(), np.empty((n, n))
 
 
@@ -531,7 +523,7 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
 
 
 def solve_bfgs(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
-    """Standard BFGS with the inverse-Hessian update from H = I; compact from
+    """Standard BFGS from H = I, as the ``b_form`` update at lam = 0; compact from
     ``n >= COMPACT_MIN_N`` until R would outgrow n, else dense (see the module docstring).
 
     Parameters

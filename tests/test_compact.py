@@ -20,7 +20,7 @@ from qnbench import (
 )
 from qnbench import solvers
 from qnbench.linalg import SPDError
-from qnbench.solvers import COMPACT_MIN_N, _b_form, _bfgs, _compact, _CompactH, _realization
+from qnbench.solvers import COMPACT_MIN_N, _b_form, _compact, _CompactH, _realization
 
 from _util import (b_next, compact_from, curvature_pair, iterate_sequence,
                    perturbed_quadratic_diagonal, raydan2, replay)
@@ -33,12 +33,12 @@ SOLVER_IDS = ["bfgs", "two-phase"]
 def test_n_alone_selects_the_realization(two_phase):
     # no option and no budget rule: below COMPACT_MIN_N every solve is dense;
     # from COMPACT_MIN_N up BFGS and two-phase b_form start compact at any
-    # max_iter and hand over to their dense update once, and h_form_literal is dense
-    dense_update = _b_form if two_phase else _bfgs
+    # max_iter and hand over to their dense update once, _b_form (BFGS is lam = 0),
+    # and h_form_literal is dense
     n = COMPACT_MIN_N - 1
     for m in (1, n // 2, 500):
         update, H, work = _realization(n, SolverConfig(max_iter=m), two_phase)
-        assert update is dense_update and np.array_equal(H, np.eye(n))
+        assert update is _b_form and np.array_equal(H, np.eye(n))
         assert work.shape == (n, n) and not np.shares_memory(H, work)
     n = COMPACT_MIN_N
     for m in (1, n // 2, n // 2 + 1, 500):
@@ -46,11 +46,11 @@ def test_n_alone_selects_the_realization(two_phase):
         assert update is _compact and isinstance(H, _CompactH) and work is None
     # a compact H that would outgrow n hands over to the dense update on H.dense()
     update, H, work = _realization(n, SolverConfig(), two_phase, _CompactH(n))
-    assert update is dense_update and np.array_equal(H, np.eye(n)) and work.shape == (n, n)
+    assert update is _b_form and np.array_equal(H, np.eye(n)) and work.shape == (n, n)
     # h_form_literal is dense at every n and budget, and the paper's n = 10 runs are dense
     h_form = _realization(n, SolverConfig(max_iter=1, mode=MODE_H_FORM_LITERAL), True)
     assert h_form[0] is not _compact and isinstance(h_form[1], np.ndarray)
-    assert _realization(10, SolverConfig(), two_phase)[0] is dense_update
+    assert _realization(10, SolverConfig(), two_phase)[0] is _b_form
 
 
 def _f_sequence(result):
@@ -92,9 +92,8 @@ def test_a_compact_solve_that_outgrows_n_goes_dense_once(monkeypatch, solver):
     # there, once, and runs the dense update from then on; the replay, which
     # goes dense at the same update, gives psi_next to 1e-9 of psi(B_next)
     name = "bfgs" if solver is solve_bfgs else "two-phase"
-    dense_name = "_bfgs" if solver is solve_bfgs else "_b_form"
     monkeypatch.setattr(solvers, "COMPACT_MIN_N", 10)
-    returned = dict.fromkeys(("_compact", dense_name), 0)
+    returned = dict.fromkeys(("_compact", "_b_form"), 0)
     for fn in returned:
         def counted(*args, _name=fn, _wrapped=getattr(solvers, fn)):
             out = _wrapped(*args)
@@ -110,7 +109,7 @@ def test_a_compact_solve_that_outgrows_n_goes_dense_once(monkeypatch, solver):
     assert res.converged
     applied = sum(not r.update_skipped for r in res.trace)
     assert densified == [10]
-    assert returned == {"_compact": 5, dense_name: applied - 5} and applied > 10
+    assert returned == {"_compact": 5, "_b_form": applied - 5} and applied > 10
     steps = list(replay(f, res, cfg, name))
     assert len(steps) == res.iterations
     want = [psi(B_next) for _, _, _, B_next in steps]
@@ -216,24 +215,46 @@ def test_an_uncertified_m_raises_before_it_writes(case):
         _compact(H, H @ Bs, y, Bs, 0.5, None)
     assert H.m == before[0] and H.rows is rows and H.sign is sign
     assert np.array_equal(rows, before[1]) and np.array_equal(sign, before[2])
+    # the dense b_form on the same H runs the same certificate, before it
+    # writes H or its workspace
+    H = H.dense()
+    kept, work = H.copy(), np.full_like(H, np.nan)
+    with pytest.raises(SPDError, match="m22 = .* and det M = "):
+        _b_form(H, H @ Bs, y, Bs, 0.5, work)
+    assert np.array_equal(H, kept) and np.isnan(work).all()
 
 
 def test_a_wrong_inertia_ends_the_solve_spd_failure(monkeypatch):
-    # f = x'Gx/2 + x_3 from 0, with G = I but G_13 = G_31 = a, the threshold
-    # at n = 4 and the compact H above: p_bar = -e_3 descends, the unit step
-    # is exact, and the update meets the pair above, for either a
-    monkeypatch.setattr(solvers, "COMPACT_MIN_N", 4)
-    monkeypatch.setattr(solvers, "_CompactH", lambda n: _indefinite())
+    # f = x'Gx/2 + x_3 from 0, with G = I but G_13 = G_31 = a, and the H above,
+    # held compact (the threshold at n = 4) or dense (its H.dense(), as a
+    # compact solve hands over to _b_form): p_bar = -e_3 descends, the unit
+    # step is exact, and the update meets the pair above, for either a and
+    # for BFGS (lam = 0, m22 = 2 - a^2) as for two-phase
+    realization = solvers._realization
+
+    def dense_from_indefinite(n, cfg, two_phase):
+        update, H, work = realization(n, cfg, two_phase, _indefinite())
+        assert update is _b_form and isinstance(H, np.ndarray)
+        return update, H, work
+
     b = np.eye(4)[2]
-    for a in (1.8, 3.0):
-        G = np.eye(4)
-        G[0, 2] = G[2, 0] = a
-        f = ObjectiveFunction("indefinite quadratic", 4,
-                              lambda x, G=G: 0.5 * float(x @ G @ x) + x[2],
-                              lambda x, G=G: G @ x + b, np.zeros(4))
-        res = solve_two_phase(f, f.standard_start, SolverConfig(max_iter=2))
-        assert res.termination == SPD_FAILURE
-        assert res.iterations == 0
+    for dense in (False, True):
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_CompactH", lambda n: _indefinite())
+            if dense:
+                patch.setattr(solvers, "_realization", dense_from_indefinite)
+            else:
+                patch.setattr(solvers, "COMPACT_MIN_N", 4)
+            for solver in SOLVERS:
+                for a in (1.8, 3.0):
+                    G = np.eye(4)
+                    G[0, 2] = G[2, 0] = a
+                    f = ObjectiveFunction("indefinite quadratic", 4,
+                                          lambda x, G=G: 0.5 * float(x @ G @ x) + x[2],
+                                          lambda x, G=G: G @ x + b, np.zeros(4))
+                    res = solver(f, f.standard_start, SolverConfig(max_iter=2))
+                    assert res.termination == SPD_FAILURE
+                    assert res.iterations == 0
 
 
 def test_bfgs_passes_the_inertia_test_on_every_curvature_pair(monkeypatch):

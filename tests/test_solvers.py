@@ -11,7 +11,6 @@ from qnbench import (
     MAX_ITER,
     MODE_B_FORM,
     MODE_H_FORM_LITERAL,
-    SPD_FAILURE,
     ObjectiveFunction,
     SolverConfig,
     diagnose_run,
@@ -21,12 +20,11 @@ from qnbench import (
     solve_two_phase,
 )
 from qnbench import solvers
-from qnbench.linalg import SPDError, cholesky, inverse_spd
+from qnbench.linalg import PIVOT_RTOL, SPDError, cholesky, inverse_spd
 from qnbench.linesearch import wolfe_search
 from qnbench.solvers import (
     CurvatureError,
     _b_form,
-    _bfgs,
     _compact,
     _CompactH,
     _h_form_literal,
@@ -121,7 +119,7 @@ class TestBfgsUpdateH:
         with pytest.raises(CurvatureError):
             bfgs_update_H(H, s, -s, np.empty_like(H))
         with pytest.raises(CurvatureError):
-            _bfgs(H, s, -s, s, 0.5, np.empty_like(H))
+            _b_form(H, s, -s, s, 0.0, np.empty_like(H))  # the BFGS realization
         assert np.array_equal(H, before)
 
     def test_duality_with_b_update(self):
@@ -542,21 +540,26 @@ def test_h_form_literal_carries_psi_of_b(h_form_runs):
 
 
 def test_bfgs_carries_psi_of_b(default_runs):
-    # BFGS carries psi(B) the same way; its update and its psi step share one
-    # s = alpha p with Bs = -alpha g, so only rounding separates them: the
-    # suite's worst case is 2.7e-12 relative
+    # BFGS is b_form at lam = 0, so its update and its psi step share one
+    # s = H Bs with Bs = -alpha g, and only rounding separates psi from the
+    # replayed operator's: the suite's worst case is 9.5e-12 relative, on
+    # Diagonal 9
     runs = [run for run in _replayed_runs(default_runs, {}) if run[1] == "bfgs"]
     _assert_psi_series_is_psi_of_replayed_operators(runs, rel=1e-9)
 
 
-@pytest.mark.parametrize("lam", [0.5, 0.3, 0.9])
+@pytest.mark.parametrize("lam", [0.5, 0.3, 0.9, 0.0])
 def test_woodbury_update_inverts_two_phase_combine(lam):
+    # lam = 0 is BFGS, checked against the BFGS update in B itself, since
+    # two_phase_combine takes lam in (0, 1) only
     rng = np.random.default_rng(7)
     for n in (2, 5, 10, 40):
         for _ in range(10):
             B = make_spd(rng, n)
             s, y = curvature_pair(rng, n)
-            B_next = two_phase_combine(B, bfgs_update_B(B, s, y), lam)
+            B_next = bfgs_update_B(B, s, y)
+            if lam > 0.0:
+                B_next = two_phase_combine(B, B_next, lam)
             H, Bs = np.linalg.inv(B), B @ s
             H_next, d_psi = _b_form(H.copy(), s, y, Bs, lam, np.empty_like(H))
             assert np.abs(H_next @ B_next - np.eye(n)).max() <= 1e-13
@@ -595,22 +598,20 @@ def test_woodbury_update_checks_before_it_writes():
     with pytest.raises(SPDError, match="s'Bs"):
         _b_form(H, s, B @ s, np.zeros(10), 0.5, work)
     assert np.array_equal(H, before) and np.isnan(work).all()
+    # an indefinite H = diag(-1, 1) and Bs = -e_2, y = -(3 e_1 + e_2): s = -e_2,
+    # so s'Bs = 1 and s'y = 1 pass, but y'Hy = -8, and at lam = 0.5
+    # M = [[-1, 1], [1, -6]] has det M = 5 >= 0.  The inertia certificate
+    # fails before the first write, where a certificate of H_next would come
+    # after it
+    H = np.diag([-1.0, 1.0])
+    before, work = H.copy(), np.full((2, 2), np.nan)
+    Bs, y = np.array([0.0, -1.0]), np.array([-3.0, -1.0])
+    with pytest.raises(SPDError, match="m22 = .* and det M = 5"):
+        _b_form(H, H @ Bs, y, Bs, 0.5, work)
+    assert np.array_equal(H, before) and np.isnan(work).all()
 
 
-def test_woodbury_update_certifies_through_the_solvers_module(monkeypatch):
-    # the certificate is looked up as qnbench.solvers.cholesky, the name the
-    # per-layer tracer patches, so its traced call count covers b_form
-    calls = []
-    monkeypatch.setattr(solvers, "cholesky",
-                        lambda a, out=None: calls.append(a) or cholesky(a, out=out))
-    rng = np.random.default_rng(3)
-    B = make_spd(rng, 4)
-    s, y = curvature_pair(rng, 4)
-    H_next, _ = _b_form(np.linalg.inv(B), s, y, B @ s, 0.5, np.empty((4, 4)))
-    assert len(calls) == 1 and calls[0] is H_next
-
-
-_WRITING_UPDATES = {"bfgs": (_bfgs, np.eye), "b_form": (_b_form, np.eye),
+_WRITING_UPDATES = {"bfgs": (_b_form, np.eye), "b_form": (_b_form, np.eye),
                     "compact": (_compact, _CompactH)}
 
 
@@ -641,27 +642,28 @@ def test_updates_write_over_the_h_they_are_given(name):
     # workspace) as it was.  A workspace full of NaN gives the floats of a fresh
     # one, so nothing the workspace held before the call is read
     update, initial = _WRITING_UPDATES[name]
+    lam = 0.0 if name == "bfgs" else 0.5
     rng = np.random.default_rng(31)
     n = 10
     H, B = initial(n), np.eye(n)
     for _ in range(3):
         s, y = curvature_pair(rng, n)
-        H, _ = update(H, s, y, B @ s, 0.5, _workspace(H, None))
-        B = b_next(B, B @ s, y, 0.0 if name == "bfgs" else 0.5)
+        H, _ = update(H, s, y, B @ s, lam, _workspace(H, None))
+        B = b_next(B, B @ s, y, lam)
     s, y = curvature_pair(rng, n)
     Bs = B @ s
     kept = copy.deepcopy(H)
     work = _workspace(H, np.nan)
     with pytest.raises(CurvatureError):
-        update(H, s, -s, Bs, 0.5, work)
+        update(H, s, -s, Bs, lam, work)
     assert _same_floats(H, kept)
-    if name == "b_form":  # s'y passes its floor, s'Bs = 0 does not
+    if name != "compact":  # s'y passes its floor, s'Bs = 0 does not
         with pytest.raises(SPDError, match="s'Bs"):
-            update(H, s, y, np.zeros(n), 0.5, work)
+            update(H, s, y, np.zeros(n), lam, work)
         assert _same_floats(H, kept)
     assert work is None or np.isnan(work).all()
-    want, want_psi = update(copy.deepcopy(H), s, y, Bs, 0.5, _workspace(H, None))
-    H_next, d_psi = update(H, s, y, Bs, 0.5, work)
+    want, want_psi = update(copy.deepcopy(H), s, y, Bs, lam, _workspace(H, None))
+    H_next, d_psi = update(H, s, y, Bs, lam, work)
     assert H_next is H
     assert _same_floats(H_next, want) and not _same_floats(H_next, kept)
     assert d_psi == want_psi
@@ -681,8 +683,8 @@ def test_h_form_literal_leaves_h_as_it_was():
 
 
 @pytest.mark.parametrize("solver, mode, max_iter, names", [
-    (solve_bfgs, MODE_B_FORM, 6, {"bfgs_update_H"}),
-    (solve_two_phase, MODE_B_FORM, 6, {"cholesky"}),
+    (solve_bfgs, MODE_B_FORM, 6, set()),
+    (solve_two_phase, MODE_B_FORM, 6, set()),
     (solve_two_phase, MODE_H_FORM_LITERAL, 6, {"bfgs_update_H", "combine_H_literal"}),
     (solve_bfgs, MODE_B_FORM, 5, {"_compact"}),
     (solve_two_phase, MODE_B_FORM, 5, {"_compact"}),
@@ -694,7 +696,9 @@ def test_updates_look_up_their_primitives_in_the_solvers_module(monkeypatch, sol
     # the per-layer tracer patches these names in qnbench.solvers, so an update
     # function that bound one of them early would drop out of the traced counts.
     # A call counts when it returns, so a pair the curvature floor skips does not.
-    # At n = 10 every solve runs the dense updates; with the threshold at 10,
+    # At n = 10 every solve runs the dense updates, and dense BFGS and b_form
+    # call none of these: _b_form updates and certifies by itself, through the
+    # 2 x 2 M, so no Cholesky runs.  With the threshold at 10,
     # max_iter 5 (ten rows at most, so R never outgrows n) runs BFGS and b_form
     # on the compact one, which the loop looks up as qnbench.solvers._compact;
     # h_form_literal stays dense
@@ -716,7 +720,7 @@ def test_updates_look_up_their_primitives_in_the_solvers_module(monkeypatch, sol
 
 
 @pytest.mark.parametrize("solver, mode, name", [
-    (solve_bfgs, MODE_B_FORM, "_bfgs"),
+    (solve_bfgs, MODE_B_FORM, "_b_form"),
     (solve_two_phase, MODE_B_FORM, "_b_form"),
     (solve_two_phase, MODE_H_FORM_LITERAL, "_h_form_literal"),
 ], ids=["bfgs", "b_form", "h_form_literal"])
@@ -740,25 +744,6 @@ def test_the_loop_looks_up_its_dense_update_in_the_solvers_module(monkeypatch, s
     assert applied > 0 and len(returned) == applied
 
 
-def test_b_form_certifies_into_the_solve_workspace(monkeypatch):
-    # a dense solve holds one n x n workspace: every certificate of a two-phase
-    # b_form solve writes its factor into that one array, and never into H
-    seen = []
-
-    def spy(a, out=None):
-        seen.append((a, out))
-        return cholesky(a, out=out)
-
-    monkeypatch.setattr(solvers, "cholesky", spy)
-    objective = lookup("Raydan2").objective
-    res = solve_two_phase(objective, objective.standard_start, SolverConfig(max_iter=6))
-    assert len(seen) == sum(not r.update_skipped for r in res.trace) > 1
-    H, work = seen[0]
-    assert isinstance(work, np.ndarray) and work.shape == (10, 10)
-    assert not np.shares_memory(H, work)
-    assert all(a is H and out is work for a, out in seen)
-
-
 def test_woodbury_update_survives_a_step_rounded_away():
     # the realization takes s from H Bs, not from its argument.  Far from the
     # origin a tiny step loses its descending coordinate: H couples the two,
@@ -776,17 +761,22 @@ def test_woodbury_update_survives_a_step_rounded_away():
     assert psi(B) + d_psi == pytest.approx(psi(inverse_spd(H_next)), rel=1e-9)
 
 
-def test_update_failing_the_pivot_test_ends_spd_failure():
+def test_a_stiff_spd_update_is_accepted():
     # on 0.5 (x_1^2 + c x_2^2) from (0, 1) the first step runs along e_2, so
-    # B_next = diag(1, lam + (1 - lam) c) and H_next's second pivot is about
-    # 2/c, below PIVOT_RTOL times its largest diagonal entry 1
+    # B_next = diag(1, lam + (1 - lam) c), SPD however large c is.  Its
+    # certificate is M's inertia, not H_next's Cholesky pivots: H_next's second
+    # pivot, about 2/c, is below PIVOT_RTOL times its largest diagonal entry 1,
+    # and a pivot test would end the solve spd_failure at iteration 0
     c = 1e16
     G = np.array([1.0, c])
     f = ObjectiveFunction("stiff quadratic", 2, lambda x: 0.5 * float(G @ (x * x)),
                           lambda x: G * x, np.array([0.0, 1.0]))
-    res = solve_two_phase(f, f.standard_start)
-    assert res.termination == SPD_FAILURE
-    assert res.iterations == 0
+    for solver, counts in ((solve_two_phase, (12, 80, 25)), (solve_bfgs, (4, 59, 5))):
+        res = solver(f, f.standard_start)
+        assert res.termination == CONVERGED
+        assert (res.iterations, res.f_evals, res.g_evals) == counts
     s = np.array([0.0, -0.5])  # B = I, so Bs = s
-    with pytest.raises(SPDError, match="pivot"):
-        _b_form(np.eye(2), s, G * s, s, 0.5, np.empty((2, 2)))
+    H_next, d_psi = _b_form(np.eye(2), s, G * s, s, 0.5, np.empty((2, 2)))
+    assert H_next[0, 0] == 1.0 and H_next[0, 1] == H_next[1, 0] == 0.0
+    assert 0.0 < H_next[1, 1] < PIVOT_RTOL
+    assert math.isfinite(d_psi)
