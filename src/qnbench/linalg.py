@@ -18,6 +18,8 @@ this module and in ``qnbench.solvers``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Pivots at or below PIVOT_RTOL times the largest diagonal entry count as loss
@@ -42,17 +44,18 @@ def cholesky(a):
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     # NaN propagates through min and max, and an infinity is an extreme, so
     # this is isfinite(a).all() without an n x n temporary
-    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+    if not (math.isfinite(a.min()) and math.isfinite(a.max())):
         raise ValueError("matrix entries must be finite")
-    limit = PIVOT_RTOL * float(a.diagonal().max())
+    limit = PIVOT_RTOL * max(a.diagonal().tolist())
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise SPDError("LAPACK Cholesky failed: the matrix is not positive definite") from None
-    pivots = lower.diagonal() ** 2
-    if not pivots.min() > limit:
-        j = int(np.flatnonzero(~(pivots > limit))[0])
-        raise SPDError(f"pivot {pivots[j]:.3e} at column {j} is below {limit:.3e}")
+    # the diagonal as Python floats: at n = 10 numpy's per-call dispatch on a
+    # 10-vector costs more than the loop
+    for j, d in enumerate(lower.diagonal().tolist()):
+        if not d * d > limit:
+            raise SPDError(f"pivot {d * d:.3e} at column {j} is below {limit:.3e}")
     return lower
 
 
@@ -82,4 +85,7 @@ def inverse_spd(a):
     returned as its symmetric part."""
     cholesky(a)
     inv = np.linalg.inv(a)
-    return 0.5 * (inv + inv.T)
+    # in place, with the same bits as 0.5 * (inv + inv.T)
+    inv += inv.T
+    inv *= 0.5
+    return inv

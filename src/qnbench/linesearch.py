@@ -56,8 +56,11 @@ class WolfeParams:
 WOLFE = WolfeParams(c1=1e-4, c2=0.9, backtrack=0.5, max_trials=60)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineSearchOutcome:
+    """One search's accepted step, or its fallback.  A solve makes one or two
+    per iteration, so it holds its fields in slots, with no per-instance dict."""
+
     alpha: float
     f_new: float
     grad_new: np.ndarray | None  # None only when status == EXHAUSTED

@@ -49,7 +49,10 @@ repeat is derived where it is read: k is the record's index, ``||g||`` and
 :func:`trace_to_csv`, and psi of the operator before an update is the previous
 record's ``psi_next`` (n for B_0 = I).  The step ``s`` is not kept, because it
 is ``alpha_bar p_bar`` of the same iteration (``alpha p`` for BFGS), and B is
-not kept, because ``B p_bar = -g`` is what the direction quality reads.
+not kept, because ``B p_bar = -g`` is what the direction quality reads.  A
+solve keeps two records per iteration until its trace is read, so the records
+and ``SolveResult`` are frozen dataclasses with slots: each holds its fields
+and no per-instance dict.
 
 A run ends ``converged``, ``max_iter``, ``line_search_exhausted``,
 ``spd_failure`` (no descent direction, or an update that fails its SPD
@@ -104,7 +107,8 @@ class CurvatureError(ValueError):
 class SolverConfig:
     """Tunable scalars shared by both solvers; ``lam`` and ``mode`` only affect
     the two-phase method.  ``wolfe`` is the line search's fixed ``WOLFE``,
-    readable here but not a field."""
+    readable here but not a field.  Unlike the records, it has no slots:
+    ``cli.py`` reads the defaults on the class."""
 
     lam: float = 0.5
     tol: float = 1e-6
@@ -123,7 +127,7 @@ class SolverConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterateRecord:
     """State at the start of an iteration plus the step that left it.
 
@@ -142,7 +146,7 @@ class IterateRecord:
     status: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateRecord:
     """Operator update data for one iteration, kept for diagnostics.
 
@@ -164,7 +168,7 @@ class UpdateRecord:
     coupling: float | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     final_x: np.ndarray
     final_f: float

@@ -62,10 +62,12 @@ class TestCholesky:
     @pytest.mark.parametrize("a, match", [
         (np.array([[1.0, 2.0], [2.0, 1.0]]), "LAPACK"),
         (np.diag([1.0, 1e-15]), "pivot"),
-    ], ids=["indefinite", "pivot-at-limit"])
+        (np.diag([1.0, 1e-15, 1e-16]), "pivot .* at column 1 is below"),
+    ], ids=["indefinite", "pivot-at-limit", "first-failing-column"])
     def test_out_failures_raise(self, a, match):
         # LAPACK's failure on an indefinite matrix is an SPDError, not numpy's
-        # LinAlgError; a pivot at the limit is rejected by the pivot test
+        # LinAlgError; a pivot at the limit is rejected by the pivot test, whose
+        # message names the first column that fails it
         with pytest.raises(SPDError, match=match):
             cholesky(a)
 
@@ -155,3 +157,12 @@ def test_inverse_spd_round_trip():
 def test_inverse_spd_rejects_indefinite():
     with pytest.raises(SPDError):
         inverse_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.parametrize("n", [2, 10, 300])
+def test_inverse_spd_is_the_symmetric_part_of_the_inverse(n):
+    # bit for bit: the in-place symmetrization adds and halves in the same order
+    rng = np.random.default_rng(70 + n)
+    a = make_spd(rng, n)
+    inv = np.linalg.inv(a)
+    assert np.array_equal(inverse_spd(a), 0.5 * (inv + inv.T))

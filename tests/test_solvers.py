@@ -73,6 +73,38 @@ class TestSolverConfig:
             SolverConfig(wolfe=SolverConfig.wolfe)
 
 
+def test_solver_config_defaults_read_on_the_class():
+    # cli.py takes its argparse defaults from the class; slots would turn these
+    # into member descriptors, which is why SolverConfig is not slotted
+    assert SolverConfig.lam == 0.5
+    assert SolverConfig.tol == 1e-6
+    assert SolverConfig.max_iter == 500
+
+
+@pytest.mark.parametrize("kind", ["IterateRecord", "UpdateRecord", "SolveResult",
+                                  "LineSearchOutcome"])
+def test_records_are_slotted(default_runs, kind):
+    # a solve keeps one IterateRecord and one UpdateRecord per iteration until
+    # its trace is read, so each holds its fields in slots, with no per-instance
+    # dict, and stays frozen; perfbench's tests build wrong results with replace
+    result = default_runs[("Raydan2", "two-phase")]
+    objective = lookup("Raydan2").objective
+    x = objective.standard_start
+    g = objective.gradient(x)
+    record = {
+        "IterateRecord": result.trace[0],
+        "UpdateRecord": result.updates[0],
+        "SolveResult": result,
+        "LineSearchOutcome": wolfe_search(objective, x, -g, objective.evaluate(x), g),
+    }[kind]
+    assert type(record).__name__ == kind
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, dataclasses.fields(record)[1].name, 0.0)
+    twin = dataclasses.replace(record)
+    assert twin is not record and twin == record
+
+
 class TestBfgsUpdateB:
     def test_noop_when_already_secant(self):
         e1 = np.array([1.0, 0.0])
