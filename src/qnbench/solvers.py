@@ -13,31 +13,30 @@ and then takes the real step from the *original* point along
 rejects the pair, the update is skipped and the first step is accepted.
 
 The loop holds H = B^{-1}, from which every direction is ``-H g``, and
-``psi(B) = tr B - ln det B``, from H = I and psi = n.  A realization is one
-update function, ``update(H, s, y, Bs, lam, work) -> (H_next, d_psi)``, and
-there are three: dense ``b_form``, the combination in B applied to H by the
-Woodbury formula, which is two-phase's default and, at lam = 0, BFGS;
-two-phase ``h_form_literal``, the literal
-``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``, kept for cross-validation; and
-the compact realization, the same Woodbury update on
+``psi(B) = tr B - ln det B``, from H = I and psi = n.  A realization is an
+operator object, and the loop uses two things of it: ``H @ g`` and
+``H, d_psi = H.update(s, y, Bs, lam)``.  There are three: :class:`_DenseH`,
+the combination in B applied to H by the Woodbury formula, which is
+two-phase's ``b_form`` and, at lam = 0, BFGS; :class:`_LiteralH`, two-phase
+``h_form_literal``, the literal ``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``,
+kept for cross-validation; and :class:`_CompactH`, the same Woodbury update on
 H = I - R' diag(sign) R (every update adds two signed rows to R) instead of a
 dense H.  Every ``b_form`` update, dense or compact, is certified before it
-writes by one test, the inertia of its 2 x 2 M.  Each writes over the H it is
-given and returns it.  A dense solve also holds one n x n workspace ``work``,
-allocated once with H, into which ``b_form`` writes its correction, so a
-dense iteration holds H and the workspace and allocates no n x n array; the
-compact realization takes ``work = None``.
-``h_form_literal``, which needs H next to H_bar, hands ``bfgs_update_H`` a
-copy of H and leaves H as it was.
+writes by one test, the inertia of its 2 x 2 M.  An update writes over its
+operator and returns it, or returns the operator that goes on from it.  A
+dense operator holds H and one n x n workspace ``work``, allocated with it,
+into which its update writes the correction, so a dense iteration allocates
+no n x n array.  ``h_form_literal``, which needs H next to H_bar, hands
+``bfgs_update_H`` a copy of H and replaces H with H_next.
 ``B p_bar = -g`` spares every product with B: ``Bs = -alpha_bar g`` gives
 ``b_form``'s update and the change in psi(B) by the trace and determinant
 identities, with BFGS as lam = 0.
 
-n alone picks the realization.  Every solve below ``COMPACT_MIN_N`` is
-dense, whatever its budget.  From there up, BFGS and two-phase ``b_form``
-start on the compact realization and go dense once, from
-H = I - R' diag(sign) R, when the next update would take R past n rows; until
-then an iteration needs no n x n array.
+n alone picks the realization (:func:`_operator`).  Every solve below
+``COMPACT_MIN_N`` is dense, whatever its budget.  From there up, BFGS and
+two-phase ``b_form`` start compact, and the compact update hands over to a
+dense operator on H = I - R' diag(sign) R once, at the first applied pair that
+would take R past n rows; until then an iteration needs no n x n array.
 ``h_form_literal`` is dense at every n.  The realizations represent the same
 operators but round differently, so ``b_form`` and ``h_form_literal`` may part
 on a flat tail.
@@ -56,7 +55,9 @@ and no per-instance dict.
 
 A run ends ``converged``, ``max_iter``, ``line_search_exhausted``,
 ``spd_failure`` (no descent direction, or an update that fails its SPD
-certificate) or ``non_finite`` (f or the gradient is not finite at x0).
+certificate) or ``non_finite`` (f or the gradient is not finite at x0, or
+``||g||`` is not finite at an iterate, as when it overflows).  A finite
+``||g||`` whose slope ``g'Hg`` overflows still ends ``spd_failure``.
 """
 
 from __future__ import annotations
@@ -298,11 +299,10 @@ def _psi_step(s, y, Bs, yHy, lam):
     return d_trace - math.log(det)
 
 
-# The update functions (see the module docstring).  Each raises CurvatureError,
+# The operators (see the module docstring).  Each update raises CurvatureError,
 # before it writes, on a pair below the curvature floor, and looks up its
-# primitives by their names in this module at call time, as _realization looks
-# up the update functions: perfbench/tracer.py patches those names, so binding
-# one early would hide it from the traced counts.
+# primitives by name in this module at call time: perfbench/tracer.py patches
+# those names, so binding one early would hide it from the traced counts.
 
 
 def _woodbury_m(s, y, Bs, Hy, lam):
@@ -316,7 +316,7 @@ def _woodbury_m(s, y, Bs, Hy, lam):
     s'y > 0, where -C^{-1} has one eigenvalue of each sign, B_next is SPD
     exactly when det M < 0.  :class:`SPDError` is raised when s'Bs is not
     positive, and otherwise unless s'y > 0, m22 > 0 (which keeps
-    :func:`_compact`'s rows real) and det M is below
+    :meth:`_CompactH.update`'s rows real) and det M is below
     -PIVOT_RTOL (|m11 m22| + m12^2), which also rejects an M whose products
     underflow to 0.  BFGS, lam = 0, has m11 = -0.0 and det M = -(s'y)^2.
     """
@@ -333,41 +333,53 @@ def _woodbury_m(s, y, Bs, Hy, lam):
     return yHy, m11, m12, m22, det
 
 
-def _b_form(H, s, y, Bs, lam, work):
-    """Two-phase ``b_form``, or BFGS at ``lam`` 0: the inverse of B + U C U' of
-    :func:`_psi_step`, written over H.
+class _DenseH:
+    """H = B^{-1} as the n x n array ``H``, with the workspace ``work`` of its updates."""
 
-    By Woodbury, H_next = H - HU M^{-1} (HU)' with U = [Bs, y] and the M of
-    :func:`_woodbury_m`, where s = H Bs, the loop's alpha_bar p_bar
-    recomputed: s'Bs = Bs'H Bs > 0, and the psi step that takes this s and
-    y'Hy tracks H_next.  HU is filled by two matrix-vector products, not one
-    product with [Bs, y], which rounds differently.  The update is certified
-    by M's inertia; H_next's rounding asymmetry is accepted, unsymmetrized.
+    def __init__(self, H):
+        self.H = H
+        self.work = np.empty_like(H)
 
-    The correction T = HU M^{-1} (HU)' is written into ``work``, a float
-    n x n array other than H whose contents are never read, so the update
-    allocates no n x n array.  Every check runs before the first write, so a
-    pair that fails one leaves H and ``work`` as they were.
-    """
-    _curvature(s, y)
-    HU = np.empty((H.shape[0], 2))
-    HU[:, 0] = H @ Bs
-    HU[:, 1] = H @ y
-    s = HU[:, 0]
-    yHy, m11, m12, m22, det = _woodbury_m(s, y, Bs, HU[:, 1], lam)
-    M_inv = np.array([[m22, -m12], [-m12, m11]]) / det
-    H -= np.matmul(HU @ M_inv, HU.T, out=work)
-    return H, _psi_step(s, y, Bs, yHy, lam)
+    def __matmul__(self, v):
+        return self.H @ v
+
+    def update(self, s, y, Bs, lam):
+        """Two-phase ``b_form``, or BFGS at ``lam`` 0: the inverse of B + U C U' of
+        :func:`_psi_step`, written over H.
+
+        By Woodbury, H_next = H - HU M^{-1} (HU)' with U = [Bs, y] and the M of
+        :func:`_woodbury_m`, where s = H Bs, the loop's alpha_bar p_bar
+        recomputed: s'Bs = Bs'H Bs > 0, and the psi step that takes this s and
+        y'Hy tracks H_next.  HU is filled by two matrix-vector products, not one
+        product with [Bs, y], which rounds differently.  The update is certified
+        by M's inertia; H_next's rounding asymmetry is accepted, unsymmetrized.
+
+        The correction T = HU M^{-1} (HU)' is written into ``work``, whose
+        contents are never read, so the update allocates no n x n array.  Every
+        check runs before the first write, so a pair that fails one leaves H and
+        ``work`` as they were.
+        """
+        _curvature(s, y)
+        H = self.H
+        HU = np.empty((H.shape[0], 2))
+        HU[:, 0] = H @ Bs
+        HU[:, 1] = H @ y
+        s = HU[:, 0]
+        yHy, m11, m12, m22, det = _woodbury_m(s, y, Bs, HU[:, 1], lam)
+        M_inv = np.array([[m22, -m12], [-m12, m11]]) / det
+        H -= np.matmul(HU @ M_inv, HU.T, out=self.work)
+        return self, _psi_step(s, y, Bs, yHy, lam)
 
 
-def _h_form_literal(H, s, y, Bs, lam, work):
-    """Two-phase combination through the literal double inversion.
+class _LiteralH(_DenseH):
+    """Two-phase ``h_form_literal``, through the literal double inversion.  It needs
+    H next to H_bar, so its BFGS step writes over a copy, with its rank-one terms
+    in ``work``, and H_next replaces H."""
 
-    It needs H next to H_bar, so its BFGS step writes over a copy, with its
-    rank-one terms in ``work``, and H stays as it was.
-    """
-    H_next = combine_H_literal(H, bfgs_update_H(H.copy(), s, y, work), lam)
-    return H_next, _psi_step(s, y, Bs, float(y.dot(H @ y)), lam)
+    def update(self, s, y, Bs, lam):
+        H = self.H
+        self.H = combine_H_literal(H, bfgs_update_H(H.copy(), s, y, self.work), lam)
+        return self, _psi_step(s, y, Bs, float(y.dot(H @ y)), lam)
 
 
 class _CompactH:
@@ -376,8 +388,8 @@ class _CompactH:
     Every update appends two rows to R, and ``H @ v`` costs O(kn) for R's 2k
     rows.  ``rows`` holds R and ``sign`` its signs, +1 or -1; their first
     ``m`` are in use, and :meth:`reserve` doubles them when full, up to n.
-    :meth:`dense` gives the same H as an n x n array, for the solve that goes
-    dense when R would outgrow n.
+    :meth:`dense` gives the same H as an n x n array, for the update that
+    hands over to :class:`_DenseH` when R would outgrow n.
     """
 
     def __init__(self, n):
@@ -409,51 +421,42 @@ class _CompactH:
         H.flat[::n + 1] += 1.0
         return H
 
+    def update(self, s, y, Bs, lam):
+        """BFGS (``lam`` 0) or two-phase ``b_form``, written over the rows, or
+        :class:`_DenseH`'s update on :meth:`dense` when R would outgrow n.
 
-def _compact(H, s, y, Bs, lam, work):
-    """BFGS (``lam`` 0) or two-phase ``b_form`` on a :class:`_CompactH`, written over H;
-    ``work`` is unused (None), since nothing here is n x n.
-
-    The update is :func:`_b_form`'s, H_next = H - HU M^{-1} (HU)' with
-    HU = [s, Hy], s = H Bs, and the M of :func:`_woodbury_m`, in O(kn), under
-    the same inertia certificate.  It appends the two rows of the LDL'
-    factorization of M^{-1}: Hy/sqrt(m22) with sign +1 and
-    sqrt(m22/(-det M)) (s - (m12/m22) Hy) with sign -1.  Every check runs
-    before the first write.
-    """
-    _curvature(s, y)
-    m = H.m
-    R = H.rows[:m]
-    HU = np.stack((Bs, y))
-    W = HU @ R.T
-    W *= H.sign[:m]
-    HU -= W @ R
-    s, Hy = HU
-    yHy, m11, m12, m22, det = _woodbury_m(s, y, Bs, Hy, lam)
-    H.reserve(2)
-    H.rows[m] = Hy / math.sqrt(m22)
-    H.rows[m + 1] = math.sqrt(m22 / -det) * (s - m12 / m22 * Hy)
-    H.sign[m:m + 2] = 1.0, -1.0
-    H.m = m + 2
-    return H, _psi_step(s, y, Bs, yHy, lam)
+        The update is :class:`_DenseH`'s, H_next = H - HU M^{-1} (HU)' with
+        HU = [s, Hy], s = H Bs, and the M of :func:`_woodbury_m`, in O(kn), under
+        the same inertia certificate.  It appends the two rows of the LDL'
+        factorization of M^{-1}: Hy/sqrt(m22) with sign +1 and
+        sqrt(m22/(-det M)) (s - (m12/m22) Hy) with sign -1.  Every check runs
+        before the first write, the curvature floor before the handoff.
+        """
+        _curvature(s, y)
+        m = self.m
+        if m + 2 > self.rows.shape[1]:
+            return _DenseH(self.dense()).update(s, y, Bs, lam)
+        R = self.rows[:m]
+        HU = np.stack((Bs, y))
+        W = HU @ R.T
+        W *= self.sign[:m]
+        HU -= W @ R
+        s, Hy = HU
+        yHy, m11, m12, m22, det = _woodbury_m(s, y, Bs, Hy, lam)
+        self.reserve(2)
+        self.rows[m] = Hy / math.sqrt(m22)
+        self.rows[m + 1] = math.sqrt(m22 / -det) * (s - m12 / m22 * Hy)
+        self.sign[m:m + 2] = 1.0, -1.0
+        self.m = m + 2
+        return self, _psi_step(s, y, Bs, yHy, lam)
 
 
-def _realization(n, cfg: SolverConfig, two_phase: bool, compact=None):
-    """``(update, H_0, work)`` of a solve, or the dense one that its compact H goes on with.
-
-    :func:`_compact` on a :class:`_CompactH`, with no workspace, from
-    ``n >= COMPACT_MIN_N`` up for BFGS and two-phase ``b_form``.  Otherwise the
-    dense update, :func:`_b_form` (BFGS is lam = 0) or
-    :func:`_h_form_literal`, on ``np.eye(n)``, with the n x n workspace that
-    every update of the solve writes into; given ``compact``, the H of a
-    compact solve whose next update would take R past n rows, the same on
-    ``compact.dense()``.
-    """
-    b_form = not two_phase or cfg.mode == MODE_B_FORM
-    if compact is None and n >= COMPACT_MIN_N and b_form:
-        return _compact, _CompactH(n), None
-    update = _b_form if b_form else _h_form_literal
-    return update, np.eye(n) if compact is None else compact.dense(), np.empty((n, n))
+def _operator(n, cfg: SolverConfig, two_phase: bool):
+    """H_0 = I of a solve: :class:`_LiteralH` for two-phase ``h_form_literal``,
+    else :class:`_CompactH` from ``n >= COMPACT_MIN_N`` up, else :class:`_DenseH`."""
+    if two_phase and cfg.mode == MODE_H_FORM_LITERAL:
+        return _LiteralH(np.eye(n))
+    return _CompactH(n) if n >= COMPACT_MIN_N else _DenseH(np.eye(n))
 
 
 def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
@@ -461,7 +464,7 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
     cfg = cfg if cfg is not None else SolverConfig()
     lam = cfg.lam if two_phase else 0.0
     x = np.array(x0, dtype=float)
-    update, H, work = _realization(x.size, cfg, two_phase)
+    H = _operator(x.size, cfg, two_phase)
     psi = float(x.size)
     fx = float(f.evaluate(x))
     g = np.asarray(f.gradient(x), dtype=float)
@@ -472,8 +475,12 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
         return SolveResult(x, fx, _norm(g), f_evals, g_evals,
                            NON_FINITE, trace, updates)
     while True:
-        if _norm(g) <= cfg.tol:
+        g_norm = _norm(g)
+        if g_norm <= cfg.tol:
             termination = CONVERGED
+            break
+        if not math.isfinite(g_norm):
+            termination = NON_FINITE  # ||g|| overflows
             break
         if len(trace) >= cfg.max_iter:
             termination = MAX_ITER
@@ -490,11 +497,8 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
             x_bar = x + s
             y = first.grad_new - g
             try:
-                if work is None and H.m + 2 > x.size:
-                    # R would outgrow n: carry on dense from H = I - R' diag(sign) R
-                    update, H, work = _realization(x.size, cfg, two_phase, H)
                 # B p_bar = -g, so Bs = -alpha_bar g
-                H, d_psi = update(H, s, y, -first.alpha * g, lam, work)
+                H, d_psi = H.update(s, y, -first.alpha * g, lam)
                 psi, skipped = psi + d_psi, False
             except CurvatureError:
                 skipped = True  # H and psi stay as they are
@@ -522,7 +526,7 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
                                    second.status))
         updates.append(UpdateRecord(y, p, recorded_p_bar, psi, coupling))
         x, fx, g = x_next, second.f_new, second.grad_new
-    return SolveResult(x, fx, _norm(g), f_evals, g_evals,
+    return SolveResult(x, fx, g_norm, f_evals, g_evals,
                        termination, trace, updates)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 from qnbench import ObjectiveFunction
 from qnbench.linalg import inverse_spd
 from qnbench.objectives import FD_STEP
-from qnbench.solvers import _CompactH, _realization
+from qnbench.solvers import _CompactH, _operator
 
 
 def iterate_sequence(result):
@@ -17,17 +17,16 @@ def replay(objective, result, cfg, solver):
     """Yield ``(s, y, B, B_next)`` of each record of a run, rebuilt from its records.
 
     ``solver`` is ``"bfgs"`` or ``"two-phase"``, and ``cfg`` the run's config.
-    The updates are replayed through the run's own update function, initial
-    H and workspace, dense or compact, from psi = n, with the step and pair
-    formed as the solve forms them.  B is ``inverse_spd(H)`` of a dense H;
-    while H is compact, B is accumulated by :func:`b_next` from the replayed
-    pairs, apart from H's rows.  A compact H whose next update would take its
-    rows past n goes dense, as the solve's does.  The replayed y and psi_next
-    must equal the recorded ones bit for bit.
+    The updates are replayed through the run's own initial operator, dense or
+    compact, from psi = n, with the step and pair formed as the solve forms
+    them.  B is ``inverse_spd`` of a dense H; while H is compact, B is
+    accumulated by :func:`b_next` from the replayed pairs, apart from H's rows.
+    A compact H hands over to a dense one in its own update, as the solve's
+    does.  The replayed y and psi_next must equal the recorded ones bit for bit.
     """
     two_phase = solver == "two-phase"
     n = np.size(result.final_x)
-    update, H, work = _realization(n, cfg, two_phase)
+    H = _operator(n, cfg, two_phase)
     lam, psi = (cfg.lam if two_phase else 0.0), float(n)
     B = np.eye(n)
     for r, u in zip(result.trace, result.updates):
@@ -36,12 +35,10 @@ def replay(objective, result, cfg, solver):
         y = np.asarray(objective.gradient(r.x + s), dtype=float) - r.g
         B_next = B
         if not r.update_skipped:
-            if work is None and H.m + 2 > n:
-                update, H, work = _realization(n, cfg, two_phase, H)
             Bs = -a * r.g
-            H, d_psi = update(H, s, y, Bs, lam, work)
+            H, d_psi = H.update(s, y, Bs, lam)
             psi += d_psi
-            B_next = b_next(B, Bs, y, lam) if work is None else inverse_spd(H)
+            B_next = b_next(B, Bs, y, lam) if isinstance(H, _CompactH) else inverse_spd(H.H)
         assert np.array_equal(y, u.y)
         assert psi == u.psi_next
         yield s, y, B, B_next
@@ -79,6 +76,13 @@ def perturbed_quadratic_diagonal(n):
                              lambda x: float(np.sum(x)) ** 2 / 100.0 + float(np.sum(x**2 / i)),
                              lambda x: 2.0 * x / i + float(np.sum(x)) / 50.0,
                              np.full(n, 0.5))
+
+
+def hager(n):
+    """``sum(exp(x_i) - sqrt(i) x_i)`` from x = 1, minimized at ``log sqrt(i)`` (Andrei 2008)."""
+    root_i = np.sqrt(np.arange(1.0, n + 1.0))
+    return ObjectiveFunction(f"Hager n={n}", n, lambda x: float(np.sum(np.exp(x) - root_i * x)),
+                             lambda x: np.exp(x) - root_i, np.ones(n))
 
 
 def raydan2(n):

@@ -1,6 +1,8 @@
-"""The compact realization H = I - R' diag(sign) R, which BFGS and two-phase
-``b_form`` start on from n = COMPACT_MIN_N up.  Below COMPACT_MIN_N every solve
-is dense.  A compact solve whose R would outgrow n goes dense once, from H.dense()."""
+"""The compact operator ``_CompactH``, H = I - R' diag(sign) R, which BFGS and
+two-phase ``b_form`` start on from n = COMPACT_MIN_N up.  Below COMPACT_MIN_N
+every solve is dense.  The first applied pair that would take R past n rows
+hands the solve over, inside ``_CompactH.update``, to a ``_DenseH`` on
+H.dense(); a pair that the curvature floor skips leaves H compact."""
 
 import math
 import tracemalloc
@@ -20,9 +22,10 @@ from qnbench import (
 )
 from qnbench import solvers
 from qnbench.linalg import SPDError
-from qnbench.solvers import COMPACT_MIN_N, _b_form, _compact, _CompactH, _realization
+from qnbench.solvers import (COMPACT_MIN_N, CurvatureError, _CompactH, _DenseH, _LiteralH,
+                             _operator)
 
-from _util import (b_next, compact_from, curvature_pair, iterate_sequence,
+from _util import (b_next, compact_from, curvature_pair, hager, iterate_sequence,
                    perturbed_quadratic_diagonal, raydan2, replay)
 
 SOLVERS = [solve_bfgs, solve_two_phase]
@@ -33,24 +36,30 @@ SOLVER_IDS = ["bfgs", "two-phase"]
 def test_n_alone_selects_the_realization(two_phase):
     # no option and no budget rule: below COMPACT_MIN_N every solve is dense;
     # from COMPACT_MIN_N up BFGS and two-phase b_form start compact at any
-    # max_iter and hand over to their dense update once, _b_form (BFGS is lam = 0),
-    # and h_form_literal is dense
+    # max_iter, and their update hands over to a _DenseH once (BFGS is lam = 0);
+    # h_form_literal is dense
     n = COMPACT_MIN_N - 1
     for m in (1, n // 2, 500):
-        update, H, work = _realization(n, SolverConfig(max_iter=m), two_phase)
-        assert update is _b_form and np.array_equal(H, np.eye(n))
-        assert work.shape == (n, n) and not np.shares_memory(H, work)
+        H = _operator(n, SolverConfig(max_iter=m), two_phase)
+        assert type(H) is _DenseH and np.array_equal(H.H, np.eye(n))
+        assert H.work.shape == (n, n) and not np.shares_memory(H.H, H.work)
     n = COMPACT_MIN_N
     for m in (1, n // 2, n // 2 + 1, 500):
-        update, H, work = _realization(n, SolverConfig(max_iter=m), two_phase)
-        assert update is _compact and isinstance(H, _CompactH) and work is None
-    # a compact H that would outgrow n hands over to the dense update on H.dense()
-    update, H, work = _realization(n, SolverConfig(), two_phase, _CompactH(n))
-    assert update is _b_form and np.array_equal(H, np.eye(n)) and work.shape == (n, n)
+        H = _operator(n, SolverConfig(max_iter=m), two_phase)
+        assert type(H) is _CompactH and H.m == 0
+    # a compact H whose R is full hands over to the dense update on H.dense() = I,
+    # with its own workspace
+    s, y = curvature_pair(np.random.default_rng(3), n)
+    H, _ = compact_from(np.zeros((n, n)), np.ones(n)).update(s, y, s, 0.5)
+    want, _ = _DenseH(np.eye(n)).update(s, y, s, 0.5)
+    assert type(H) is _DenseH and np.array_equal(H.H, want.H)
+    assert H.work.shape == (n, n) and not np.shares_memory(H.H, H.work)
     # h_form_literal is dense at every n and budget, and the paper's n = 10 runs are dense
-    h_form = _realization(n, SolverConfig(max_iter=1, mode=MODE_H_FORM_LITERAL), True)
-    assert h_form[0] is not _compact and isinstance(h_form[1], np.ndarray)
-    assert _realization(10, SolverConfig(), two_phase)[0] is _b_form
+    for n in (10, COMPACT_MIN_N, 2 * COMPACT_MIN_N):
+        H = _operator(n, SolverConfig(max_iter=1, mode=MODE_H_FORM_LITERAL), True)
+        assert type(H) is _LiteralH and np.array_equal(H.H, np.eye(n))
+        assert H.work.shape == (n, n) and not np.shares_memory(H.H, H.work)
+    assert type(_operator(10, SolverConfig(), two_phase)) is _DenseH
 
 
 def _f_sequence(result):
@@ -79,7 +88,7 @@ def test_dense_is_the_inverse_of_the_represented_operator():
     assert np.array_equal(H.dense(), np.eye(n))
     for _ in range(15):
         Bs, y = curvature_pair(rng, n)
-        H, _ = _compact(H, H @ Bs, y, Bs, 0.5, None)
+        H, _ = H.update(H @ Bs, y, Bs, 0.5)
         B = b_next(B, Bs, y, 0.5)
         want = np.linalg.inv(B)
         assert np.abs(H.dense() - want).max() <= 1e-10 * np.abs(want).max()
@@ -88,18 +97,20 @@ def test_dense_is_the_inverse_of_the_represented_operator():
 @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVER_IDS)
 def test_a_compact_solve_that_outgrows_n_goes_dense_once(monkeypatch, solver):
     # with the threshold at n = 10, Generalized PSC1 starts compact and its
-    # sixth applied update would take R past 10 rows: the solve goes dense
-    # there, once, and runs the dense update from then on; the replay, which
-    # goes dense at the same update, gives psi_next to 1e-9 of psi(B_next)
+    # sixth applied update would take R past 10 rows: that compact update hands
+    # over, once, to the dense update on H.dense(), and the dense update runs
+    # from then on; the replay, which goes dense at the same update, gives
+    # psi_next to 1e-9 of psi(B_next).  Each call is recorded when it returns,
+    # with the type of the operator it returns
     name = "bfgs" if solver is solve_bfgs else "two-phase"
     monkeypatch.setattr(solvers, "COMPACT_MIN_N", 10)
-    returned = dict.fromkeys(("_compact", "_b_form"), 0)
-    for fn in returned:
-        def counted(*args, _name=fn, _wrapped=getattr(solvers, fn)):
-            out = _wrapped(*args)
-            returned[_name] += 1
+    calls = []
+    for cls in (_CompactH, _DenseH):
+        def counted(H, *args, _name=cls.__name__, _wrapped=cls.update):
+            out = _wrapped(H, *args)
+            calls.append((_name, type(out[0]).__name__))
             return out
-        monkeypatch.setattr(solvers, fn, counted)
+        monkeypatch.setattr(cls, "update", counted)
     densified = []
     dense = _CompactH.dense
     monkeypatch.setattr(_CompactH, "dense", lambda H: densified.append(H.m) or dense(H))
@@ -109,8 +120,59 @@ def test_a_compact_solve_that_outgrows_n_goes_dense_once(monkeypatch, solver):
     assert res.converged
     applied = sum(not r.update_skipped for r in res.trace)
     assert densified == [10]
-    assert returned == {"_compact": 5, "_b_form": applied - 5} and applied > 10
+    handoff = [("_DenseH", "_DenseH"), ("_CompactH", "_DenseH")]
+    assert calls == ([("_CompactH", "_CompactH")] * 5 + handoff
+                     + [("_DenseH", "_DenseH")] * (applied - 6)) and applied > 10
     steps = list(replay(f, res, cfg, name))
+    assert len(steps) == res.iterations
+    want = [psi(B_next) for _, _, _, B_next in steps]
+    assert [u.psi_next for u in res.updates] == pytest.approx(want, rel=1e-9)
+
+
+def test_a_skipped_pair_leaves_a_full_r_compact(monkeypatch):
+    # the curvature floor runs before the handoff: with R at n rows, a pair
+    # below the floor raises, builds no dense H and leaves the rows as they
+    # were, and the next applied pair hands over to a _DenseH on H.dense()
+    rng = np.random.default_rng(23)
+    n = 8
+    H, B = _CompactH(n), np.eye(n)
+    for _ in range(n // 2):
+        s, y = curvature_pair(rng, n)
+        H, _ = H.update(s, y, B @ s, 0.5)
+        B = b_next(B, B @ s, y, 0.5)
+    assert type(H) is _CompactH and H.m == n
+    densified = []
+    dense = _CompactH.dense
+    monkeypatch.setattr(_CompactH, "dense", lambda H: densified.append(H.m) or dense(H))
+    rows, sign = H.rows, H.sign
+    before = (rows.copy(), sign.copy())
+    s, y = curvature_pair(rng, n)
+    Bs = B @ s
+    with pytest.raises(CurvatureError):
+        H.update(s, -s, Bs, 0.5)
+    assert densified == [] and H.m == n and H.rows is rows and H.sign is sign
+    assert np.array_equal(rows, before[0]) and np.array_equal(sign, before[1])
+    H_next, _ = H.update(s, y, Bs, 0.5)
+    assert type(H_next) is _DenseH and densified == [n]
+    want = np.linalg.inv(b_next(B, Bs, y, 0.5))
+    assert np.abs(H_next.H - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_hager_at_the_threshold_hands_over_once(monkeypatch):
+    # BFGS on Hager at n = COMPACT_MIN_N = 100 runs past 50 applied updates, so
+    # R is full after the 50th and the 51st hands over: one dense() call, at
+    # m = 100, and the replay, which hands over at the same update, gives
+    # psi_next to 1e-9 of psi(B_next).  Its counts are not pinned, because
+    # Hager's flat tail depends on the BLAS thread count
+    densified = []
+    dense = _CompactH.dense
+    monkeypatch.setattr(_CompactH, "dense", lambda H: densified.append(H.m) or dense(H))
+    f = hager(COMPACT_MIN_N)
+    cfg = SolverConfig()
+    res = solve_bfgs(f, f.standard_start, cfg)
+    assert res.converged
+    assert densified == [COMPACT_MIN_N]
+    steps = list(replay(f, res, cfg, "bfgs"))
     assert len(steps) == res.iterations
     want = [psi(B_next) for _, _, _, B_next in steps]
     assert [u.psi_next for u in res.updates] == pytest.approx(want, rel=1e-9)
@@ -128,7 +190,7 @@ def test_compact_and_dense_paths_agree(monkeypatch, solver, build, counts):
     name = "bfgs" if solver is solve_bfgs else "two-phase"
     compact = solver(f, f.standard_start, SolverConfig())
     monkeypatch.setattr(solvers, "COMPACT_MIN_N", 201)
-    assert _realization(200, SolverConfig(), name == "two-phase")[0] is not _compact
+    assert type(_operator(200, SolverConfig(), name == "two-phase")) is _DenseH
     dense = solver(f, f.standard_start, SolverConfig())
     for res in (compact, dense):
         assert res.converged
@@ -161,7 +223,7 @@ def test_h_times_v_is_the_inverse_of_the_represented_operator(lam):
     for _ in range(12):  # 24 rows: the arrays double from 2 to 32
         Bs, y = curvature_pair(rng, n)
         s = H @ Bs
-        H, _ = _compact(H, s, y, Bs, lam, None)
+        H, _ = H.update(s, y, Bs, lam)
         B = b_next(B, Bs, y, lam)
         for v in rng.standard_normal((3, n)):
             want = np.linalg.solve(B, v)
@@ -177,7 +239,7 @@ def test_the_arrays_grow_no_further_than_n():
     H, B = _CompactH(n), np.eye(n)
     for _ in range(3):
         s, y = curvature_pair(rng, n)
-        H, _ = _compact(H, s, y, B @ s, 0.5, None)
+        H, _ = H.update(s, y, B @ s, 0.5)
         B = b_next(B, B @ s, y, 0.5)
     assert H.m == 6
     assert H.rows.shape == (6, n) and H.sign.size == 6
@@ -212,39 +274,39 @@ def test_an_uncertified_m_raises_before_it_writes(case):
     rows, sign = H.rows, H.sign
     before = (H.m, rows.copy(), sign.copy())
     with pytest.raises(SPDError, match="m22 = .* and det M = "):
-        _compact(H, H @ Bs, y, Bs, 0.5, None)
+        H.update(H @ Bs, y, Bs, 0.5)
     assert H.m == before[0] and H.rows is rows and H.sign is sign
     assert np.array_equal(rows, before[1]) and np.array_equal(sign, before[2])
     # the dense b_form on the same H runs the same certificate, before it
     # writes H or its workspace
-    H = H.dense()
-    kept, work = H.copy(), np.full_like(H, np.nan)
+    H = _DenseH(H.dense())
+    kept = H.H.copy()
+    H.work.fill(np.nan)
     with pytest.raises(SPDError, match="m22 = .* and det M = "):
-        _b_form(H, H @ Bs, y, Bs, 0.5, work)
-    assert np.array_equal(H, kept) and np.isnan(work).all()
+        H.update(H @ Bs, y, Bs, 0.5)
+    assert np.array_equal(H.H, kept) and np.isnan(H.work).all()
 
 
 def test_a_wrong_inertia_ends_the_solve_spd_failure(monkeypatch):
     # f = x'Gx/2 + x_3 from 0, with G = I but G_13 = G_31 = a, and the H above,
-    # held compact (the threshold at n = 4) or dense (its H.dense(), as a
-    # compact solve hands over to _b_form): p_bar = -e_3 descends, the unit
-    # step is exact, and the update meets the pair above, for either a and
-    # for BFGS (lam = 0, m22 = 2 - a^2) as for two-phase
-    realization = solvers._realization
+    # held compact, dense (its H.dense() in a _DenseH), or compact with R full,
+    # so that the update hands over to the dense one on H.dense():
+    # p_bar = -e_3 descends, the unit step is exact, and the update meets the
+    # pair above, for either a and for BFGS (lam = 0, m22 = 2 - a^2) as for
+    # two-phase
+    def full():
+        H = _indefinite()
+        return compact_from(np.vstack((H.rows[:2], np.zeros((2, 4)))), np.ones(4))
 
-    def dense_from_indefinite(n, cfg, two_phase):
-        update, H, work = realization(n, cfg, two_phase, _indefinite())
-        assert update is _b_form and isinstance(H, np.ndarray)
-        return update, H, work
+    def dense():
+        H = _DenseH(_indefinite().dense())
+        assert np.array_equal(H.H, full().dense())
+        return H
 
     b = np.eye(4)[2]
-    for dense in (False, True):
+    for initial in (_indefinite, dense, full):
         with monkeypatch.context() as patch:
-            patch.setattr(solvers, "_CompactH", lambda n: _indefinite())
-            if dense:
-                patch.setattr(solvers, "_realization", dense_from_indefinite)
-            else:
-                patch.setattr(solvers, "COMPACT_MIN_N", 4)
+            patch.setattr(solvers, "_operator", lambda n, cfg, two_phase: initial())
             for solver in SOLVERS:
                 for a in (1.8, 3.0):
                     G = np.eye(4)
@@ -270,7 +332,7 @@ def test_bfgs_passes_the_inertia_test_on_every_curvature_pair(monkeypatch):
         H, B = _CompactH(n), np.eye(n)
         for _ in range(n // 2):
             s, y = curvature_pair(rng, n)
-            H, _ = _compact(H, s, y, B @ s, 0.0, None)
+            H, _ = H.update(s, y, B @ s, 0.0)
             B = b_next(B, B @ s, y, 0.0)
         assert H.m == n
     assert len(seen) == 45
@@ -293,12 +355,12 @@ def test_a_compact_update_allocates_no_m_by_m_temporary():
             s = H @ Bs
             tracemalloc.start()
             try:
-                H, _ = _compact(H, s, y, Bs, 0.5, None)
+                H, _ = H.update(s, y, Bs, 0.5)
                 peaks[H.m - 2] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         else:
-            H, _ = _compact(H, H @ Bs, y, Bs, 0.5, None)
+            H, _ = H.update(H @ Bs, y, Bs, 0.5)
     assert sorted(peaks) == [20, 296]
     assert max(peaks.values()) < 8 * 8 * n
 

@@ -24,10 +24,9 @@ from qnbench.linalg import PIVOT_RTOL, SPDError, cholesky, inverse_spd
 from qnbench.linesearch import wolfe_search
 from qnbench.solvers import (
     CurvatureError,
-    _b_form,
-    _compact,
     _CompactH,
-    _h_form_literal,
+    _DenseH,
+    _LiteralH,
     _psi_step,
     bfgs_update_B,
     bfgs_update_H,
@@ -151,7 +150,7 @@ class TestBfgsUpdateH:
         with pytest.raises(CurvatureError):
             bfgs_update_H(H, s, -s, np.empty_like(H))
         with pytest.raises(CurvatureError):
-            _b_form(H, s, -s, s, 0.0, np.empty_like(H))  # the BFGS realization
+            _DenseH(H).update(s, -s, s, 0.0)  # the BFGS realization
         assert np.array_equal(H, before)
 
     def test_duality_with_b_update(self):
@@ -593,8 +592,8 @@ def test_woodbury_update_inverts_two_phase_combine(lam):
             if lam > 0.0:
                 B_next = two_phase_combine(B, B_next, lam)
             H, Bs = np.linalg.inv(B), B @ s
-            H_next, d_psi = _b_form(H.copy(), s, y, Bs, lam, np.empty_like(H))
-            assert np.abs(H_next @ B_next - np.eye(n)).max() <= 1e-13
+            H_next, d_psi = _DenseH(H.copy()).update(s, y, Bs, lam)
+            assert np.abs(H_next.H @ B_next - np.eye(n)).max() <= 1e-13
             # its psi step takes s = H Bs and y'Hy of the H it was given.  It
             # reads them from the columns of HU, whose dot products round
             # apart from these in the last bits: over the three lam, 60 of the
@@ -611,46 +610,48 @@ def test_woodbury_update_out_h_equals_the_pure_call(n):
         B = make_spd(rng, n)
         s, y = curvature_pair(rng, n)
         H = inverse_spd(B)
-        want, want_psi = _b_form(H.copy(), s, y, B @ s, 0.5, np.empty_like(H))
-        H_next, d_psi = _b_form(H, s, y, B @ s, 0.5, np.empty_like(H))
-        assert H_next is H
-        assert np.array_equal(H_next, want)
+        want, want_psi = _DenseH(H.copy()).update(s, y, B @ s, 0.5)
+        op = _DenseH(H)
+        H_next, d_psi = op.update(s, y, B @ s, 0.5)
+        assert H_next is op and op.H is H
+        assert np.array_equal(H, want.H)
         assert d_psi == want_psi
 
 
 def test_woodbury_update_checks_before_it_writes():
     rng = np.random.default_rng(90)
     B = make_spd(rng, 10)
-    H = inverse_spd(B)
-    before = H.copy()
-    work = np.full_like(H, np.nan)
+    op = _DenseH(inverse_spd(B))
+    before = op.H.copy()
+    op.work.fill(np.nan)
     s = rng.standard_normal(10)
     with pytest.raises(CurvatureError):
-        _b_form(H, s, -s, B @ s, 0.5, work)
+        op.update(s, -s, B @ s, 0.5)
     with pytest.raises(SPDError, match="s'Bs"):
-        _b_form(H, s, B @ s, np.zeros(10), 0.5, work)
-    assert np.array_equal(H, before) and np.isnan(work).all()
+        op.update(s, B @ s, np.zeros(10), 0.5)
+    assert np.array_equal(op.H, before) and np.isnan(op.work).all()
     # an indefinite H = diag(-1, 1) and Bs = -e_2, y = -(3 e_1 + e_2): s = -e_2,
     # so s'Bs = 1 and s'y = 1 pass, but y'Hy = -8, and at lam = 0.5
     # M = [[-1, 1], [1, -6]] has det M = 5 >= 0.  The inertia certificate
     # fails before the first write, where a certificate of H_next would come
     # after it
-    H = np.diag([-1.0, 1.0])
-    before, work = H.copy(), np.full((2, 2), np.nan)
+    op = _DenseH(np.diag([-1.0, 1.0]))
+    before = op.H.copy()
+    op.work.fill(np.nan)
     Bs, y = np.array([0.0, -1.0]), np.array([-3.0, -1.0])
     with pytest.raises(SPDError, match="m22 = .* and det M = 5"):
-        _b_form(H, H @ Bs, y, Bs, 0.5, work)
-    assert np.array_equal(H, before) and np.isnan(work).all()
+        op.update(op @ Bs, y, Bs, 0.5)
+    assert np.array_equal(op.H, before) and np.isnan(op.work).all()
 
 
-_WRITING_UPDATES = {"bfgs": (_b_form, np.eye), "b_form": (_b_form, np.eye),
-                    "compact": (_compact, _CompactH)}
+_WRITING_UPDATES = {"bfgs": lambda n: _DenseH(np.eye(n)), "b_form": lambda n: _DenseH(np.eye(n)),
+                    "compact": _CompactH}
 
 
 def _floats(H):
     """What an update writes: a dense H, or a compact H's rows and signs."""
-    if isinstance(H, np.ndarray):
-        return [H]
+    if isinstance(H, _DenseH):
+        return [H.H]
     return [H.rows[:H.m], H.sign[:H.m]]
 
 
@@ -658,91 +659,91 @@ def _same_floats(H, other):
     return all(np.array_equal(a, b) for a, b in zip(_floats(H), _floats(other), strict=True))
 
 
-def _workspace(H, fill):
-    """A dense H's n x n workspace, full of ``fill`` (``None``: fresh from
-    ``np.empty``), or None for a compact H, which has no n x n array."""
-    if not isinstance(H, np.ndarray):
-        return None
-    return np.empty_like(H) if fill is None else np.full_like(H, fill)
-
-
 @pytest.mark.parametrize("name", list(_WRITING_UPDATES))
 def test_updates_write_over_the_h_they_are_given(name):
     # one convention for every realization but the oracle: the update returns
-    # the H it was given, overwritten with the floats of the same call on a
-    # copy, and a pair that fails a check before the write leaves H (and the
-    # workspace) as it was.  A workspace full of NaN gives the floats of a fresh
-    # one, so nothing the workspace held before the call is read
-    update, initial = _WRITING_UPDATES[name]
+    # the operator it was given, overwritten with the floats of the same call
+    # on a copy, and a pair that fails a check before the write leaves H (and
+    # the workspace) as it was.  The copy's workspace holds the last update's
+    # correction and the operator's is full of NaN, and both give the same
+    # floats, so nothing the workspace held before the call is read
     lam = 0.0 if name == "bfgs" else 0.5
     rng = np.random.default_rng(31)
     n = 10
-    H, B = initial(n), np.eye(n)
+    H, B = _WRITING_UPDATES[name](n), np.eye(n)
     for _ in range(3):
         s, y = curvature_pair(rng, n)
-        H, _ = update(H, s, y, B @ s, lam, _workspace(H, None))
+        H, _ = H.update(s, y, B @ s, lam)
         B = b_next(B, B @ s, y, lam)
     s, y = curvature_pair(rng, n)
     Bs = B @ s
     kept = copy.deepcopy(H)
-    work = _workspace(H, np.nan)
+    dense = isinstance(H, _DenseH)
+    if dense:
+        H.work.fill(np.nan)
     with pytest.raises(CurvatureError):
-        update(H, s, -s, Bs, lam, work)
+        H.update(s, -s, Bs, lam)
     assert _same_floats(H, kept)
     if name != "compact":  # s'y passes its floor, s'Bs = 0 does not
         with pytest.raises(SPDError, match="s'Bs"):
-            update(H, s, y, np.zeros(n), lam, work)
+            H.update(s, y, np.zeros(n), lam)
         assert _same_floats(H, kept)
-    assert work is None or np.isnan(work).all()
-    want, want_psi = update(copy.deepcopy(H), s, y, Bs, lam, _workspace(H, None))
-    H_next, d_psi = update(H, s, y, Bs, lam, work)
+    assert not dense or np.isnan(H.work).all()
+    want, want_psi = copy.deepcopy(kept).update(s, y, Bs, lam)
+    H_next, d_psi = H.update(s, y, Bs, lam)
     assert H_next is H
     assert _same_floats(H_next, want) and not _same_floats(H_next, kept)
     assert d_psi == want_psi
 
 
 def test_h_form_literal_leaves_h_as_it_was():
-    # the oracle needs H next to H_bar, so its BFGS step writes over a copy
+    # the oracle needs H next to H_bar, so its BFGS step writes over a copy,
+    # and H_next replaces H in the operator
     rng = np.random.default_rng(32)
     B = make_spd(rng, 10)
     H = inverse_spd(B)
     before = H.copy()
     s, y = curvature_pair(rng, 10)
-    work = np.empty_like(H)
-    H_next, _ = _h_form_literal(H, s, y, B @ s, 0.5, work)
+    op = _LiteralH(H)
+    H_next, _ = op.update(s, y, B @ s, 0.5)
     assert np.array_equal(H, before)
-    assert not np.shares_memory(H_next, H) and not np.shares_memory(H_next, work)
+    assert H_next is op and op.work.shape == H.shape
+    assert not np.shares_memory(op.H, H) and not np.shares_memory(op.H, op.work)
 
 
 @pytest.mark.parametrize("solver, mode, max_iter, names", [
     (solve_bfgs, MODE_B_FORM, 6, set()),
     (solve_two_phase, MODE_B_FORM, 6, set()),
     (solve_two_phase, MODE_H_FORM_LITERAL, 6, {"bfgs_update_H", "combine_H_literal"}),
-    (solve_bfgs, MODE_B_FORM, 5, {"_compact"}),
-    (solve_two_phase, MODE_B_FORM, 5, {"_compact"}),
+    (solve_bfgs, MODE_B_FORM, 5, {"_CompactH.update"}),
+    (solve_two_phase, MODE_B_FORM, 5, {"_CompactH.update"}),
     (solve_two_phase, MODE_H_FORM_LITERAL, 5, {"bfgs_update_H", "combine_H_literal"}),
 ], ids=["bfgs", "b_form", "h_form_literal", "compact-bfgs", "compact-b_form",
         "h_form_literal-max_iter-5"])
 def test_updates_look_up_their_primitives_in_the_solvers_module(monkeypatch, solver, mode,
                                                                 max_iter, names):
     # the per-layer tracer patches these names in qnbench.solvers, so an update
-    # function that bound one of them early would drop out of the traced counts.
+    # that bound one of them early would drop out of the traced counts.
     # A call counts when it returns, so a pair the curvature floor skips does not.
     # At n = 10 every solve runs the dense updates, and dense BFGS and b_form
-    # call none of these: _b_form updates and certifies by itself, through the
-    # 2 x 2 M, so no Cholesky runs.  With the threshold at 10,
+    # call none of these: _DenseH.update updates and certifies by itself,
+    # through the 2 x 2 M, so no Cholesky runs.  With the threshold at 10,
     # max_iter 5 (ten rows at most, so R never outgrows n) runs BFGS and b_form
-    # on the compact one, which the loop looks up as qnbench.solvers._compact;
-    # h_form_literal stays dense
-    if names == {"_compact"}:
+    # on the compact operator, whose update the loop finds as
+    # qnbench.solvers._CompactH.update; h_form_literal stays dense
+    if names == {"_CompactH.update"}:
         monkeypatch.setattr(solvers, "COMPACT_MIN_N", 10)
-    returned = dict.fromkeys(("bfgs_update_H", "combine_H_literal", "cholesky", "_compact"), 0)
-    for name in returned:
-        def counted(*args, _name=name, _wrapped=getattr(solvers, name), **kwargs):
+    owners = {"bfgs_update_H": solvers, "combine_H_literal": solvers, "cholesky": solvers,
+              "_CompactH.update": solvers._CompactH}
+    returned = dict.fromkeys(owners, 0)
+    for name, owner in owners.items():
+        attr = name.rpartition(".")[2]
+
+        def counted(*args, _name=name, _wrapped=getattr(owner, attr), **kwargs):
             out = _wrapped(*args, **kwargs)
             returned[_name] += 1
             return out
-        monkeypatch.setattr(solvers, name, counted)
+        monkeypatch.setattr(owner, attr, counted)
     objective = lookup("Raydan2").objective
     res = solver(objective, objective.standard_start,
                  SolverConfig(max_iter=max_iter, mode=mode))
@@ -752,24 +753,26 @@ def test_updates_look_up_their_primitives_in_the_solvers_module(monkeypatch, sol
 
 
 @pytest.mark.parametrize("solver, mode, name", [
-    (solve_bfgs, MODE_B_FORM, "_b_form"),
-    (solve_two_phase, MODE_B_FORM, "_b_form"),
-    (solve_two_phase, MODE_H_FORM_LITERAL, "_h_form_literal"),
+    (solve_bfgs, MODE_B_FORM, "_DenseH"),
+    (solve_two_phase, MODE_B_FORM, "_DenseH"),
+    (solve_two_phase, MODE_H_FORM_LITERAL, "_LiteralH"),
 ], ids=["bfgs", "b_form", "h_form_literal"])
 def test_the_loop_looks_up_its_dense_update_in_the_solvers_module(monkeypatch, solver, mode,
                                                                   name):
-    # as it looks up _compact: a patch on the update's name in qnbench.solvers,
-    # the tracer's way of counting, sees every applied update.  At n = 10 every
-    # solve runs dense; a pair the curvature floor skips returns no update
+    # as it looks up _CompactH.update: a patch on the operator's update, found
+    # by its class's name in qnbench.solvers, the tracer's way of counting, sees
+    # every applied update.  At n = 10 every solve runs dense; a pair the
+    # curvature floor skips returns no update
     returned = []
-    wrapped = getattr(solvers, name)
+    cls = getattr(solvers, name)
+    wrapped = cls.update
 
     def counted(*args):
         out = wrapped(*args)
         returned.append(out)
         return out
 
-    monkeypatch.setattr(solvers, name, counted)
+    monkeypatch.setattr(cls, "update", counted)
     objective = lookup("Raydan2").objective
     res = solver(objective, objective.standard_start, SolverConfig(max_iter=6, mode=mode))
     applied = sum(not r.update_skipped for r in res.trace)
@@ -789,8 +792,8 @@ def test_woodbury_update_survives_a_step_rounded_away():
     y = np.array([1.0, 4.0]) * s  # a quadratic's gradient difference, s'y > 0
     assert float(g @ p_bar) < 0.0 < float(g @ s)
     B = np.linalg.inv(H)
-    H_next, d_psi = _b_form(H, s, y, -alpha_bar * g, 0.5, np.empty((2, 2)))
-    assert psi(B) + d_psi == pytest.approx(psi(inverse_spd(H_next)), rel=1e-9)
+    H_next, d_psi = _DenseH(H).update(s, y, -alpha_bar * g, 0.5)
+    assert psi(B) + d_psi == pytest.approx(psi(inverse_spd(H_next.H)), rel=1e-9)
 
 
 def test_a_stiff_spd_update_is_accepted():
@@ -808,7 +811,8 @@ def test_a_stiff_spd_update_is_accepted():
         assert res.termination == CONVERGED
         assert (res.iterations, res.f_evals, res.g_evals) == counts
     s = np.array([0.0, -0.5])  # B = I, so Bs = s
-    H_next, d_psi = _b_form(np.eye(2), s, G * s, s, 0.5, np.empty((2, 2)))
+    H_next, d_psi = _DenseH(np.eye(2)).update(s, G * s, s, 0.5)
+    H_next = H_next.H
     assert H_next[0, 0] == 1.0 and H_next[0, 1] == H_next[1, 0] == 0.0
     assert 0.0 < H_next[1, 1] < PIVOT_RTOL
     assert math.isfinite(d_psi)

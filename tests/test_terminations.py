@@ -4,8 +4,9 @@ Property tests over BFGS and both two-phase forms: separable convex
 quadratics converge, linear objectives (unbounded below) run out of
 iterations, objectives that are +inf everywhere but the start exhaust the
 line search, a non-finite f or gradient at the start ends the solve before
-the first direction, and a direction whose slope g'p overflows ends it
-``spd_failure``.
+the first direction, and a gradient whose norm overflows ends it
+``non_finite``.  A finite ``||g||`` whose slope g'Hg overflows still ends
+``spd_failure``; naming that as an overflow is left for ROADMAP item 11.
 """
 
 import numpy as np
@@ -20,9 +21,9 @@ from qnbench import (
     MODE_B_FORM,
     MODE_H_FORM_LITERAL,
     NON_FINITE,
-    SPD_FAILURE,
     ObjectiveFunction,
     SolverConfig,
+    lookup,
     solve_bfgs,
     solve_two_phase,
 )
@@ -130,11 +131,11 @@ def test_non_finite_start_is_named(solver, n, where, bad, index):
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
-def test_direction_without_finite_slope_ends_spd_failure(solver):
+def test_direction_without_finite_slope_ends_non_finite(solver):
     # 0.5 ||x||^2 from (1, 1), but with a gradient of -1e160 (1, 1) at x = 0:
     # the first step lands on 0, y'y overflows, so the curvature floor
-    # skips the update, and the next slope g'p = -g'Hg overflows to -inf,
-    # which the line search rejects as no descent
+    # skips the update, and the next gradient's norm overflows to inf, which
+    # ends the solve before its slope g'p = -g'Hg, -inf too, is formed
     def gradient(x):
         return np.full(2, -1e160) if not np.any(x) else np.array(x, dtype=float)
 
@@ -142,6 +143,26 @@ def test_direction_without_finite_slope_ends_spd_failure(solver):
                                   gradient, np.ones(2))
     with np.errstate(over="ignore"):
         res = solve(solver, objective)
-    assert res.termination == SPD_FAILURE
+    assert res.termination == NON_FINITE
     assert (res.iterations, res.f_evals, res.g_evals) == (1, 2, 2)
     assert res.trace[0].update_skipped
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("name, counts", [("Diagonal 7", (314, 630, 629)),
+                                          ("HIMMELH", (6, 22, 13))])
+def test_overflowing_gradient_norm_ends_non_finite(solver, name, counts):
+    # from 10 x0 both suite problems run off towards f = -inf; every pair
+    # fails the curvature floor, so the three solvers take the same steps,
+    # until ||g|| overflows at a finite gradient and ends the solve
+    objective = lookup(name).objective
+    x0 = 10.0 * objective.standard_start
+    with np.errstate(over="ignore"):
+        if solver == "bfgs":
+            res = solve_bfgs(objective, x0)
+        else:
+            res = solve_two_phase(objective, x0, SolverConfig(mode=solver))
+        assert np.isfinite(objective.gradient(res.final_x)).all()
+    assert res.termination == NON_FINITE and res.final_grad_norm == np.inf
+    assert (res.iterations, res.f_evals, res.g_evals) == counts
+    assert all(r.update_skipped for r in res.trace)
