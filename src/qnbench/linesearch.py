@@ -39,7 +39,11 @@ EXHAUSTED = "exhausted"
 
 
 class DescentDirectionError(ValueError):
-    """The supplied direction is not a descent direction (g'p >= 0)."""
+    """The direction's slope g'p, kept as ``slope``, is not finite and negative."""
+
+    def __init__(self, slope):
+        super().__init__(f"directional derivative {slope!r} is not negative")
+        self.slope = slope
 
 
 @dataclass(frozen=True)
@@ -87,7 +91,7 @@ def wolfe_search(f, x, p, f_x, g_x) -> LineSearchOutcome:
     p = np.asarray(p, dtype=float)
     slope = float(np.dot(g_x, p))
     if not math.isfinite(slope) or slope >= 0.0:
-        raise DescentDirectionError(f"directional derivative {slope!r} is not negative")
+        raise DescentDirectionError(slope)
     curvature_floor = WOLFE.c2 * slope
 
     f_count = 0

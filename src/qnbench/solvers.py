@@ -26,8 +26,8 @@ writes by one test, the inertia of its 2 x 2 M.  An update writes over its
 operator and returns it, or returns the operator that goes on from it.  A
 dense operator holds H and one n x n workspace ``work``, allocated with it,
 into which its update writes the correction, so a dense iteration allocates
-no n x n array.  ``h_form_literal``, which needs H next to H_bar, hands
-``bfgs_update_H`` a copy of H and replaces H with H_next.
+no n x n array.  ``h_form_literal`` holds H alone and replaces it with its
+formula's H_next, built from new arrays.
 ``B p_bar = -g`` spares every product with B: ``Bs = -alpha_bar g`` gives
 ``b_form``'s update and the change in psi(B) by the trace and determinant
 identities, with BFGS as lam = 0.
@@ -54,10 +54,10 @@ and ``SolveResult`` are frozen dataclasses with slots: each holds its fields
 and no per-instance dict.
 
 A run ends ``converged``, ``max_iter``, ``line_search_exhausted``,
-``spd_failure`` (no descent direction, or an update that fails its SPD
-certificate) or ``non_finite`` (f or the gradient is not finite at x0, or
-``||g||`` is not finite at an iterate, as when it overflows).  A finite
-``||g||`` whose slope ``g'Hg`` overflows still ends ``spd_failure``.
+``spd_failure`` (a finite slope ``g'p`` that is not negative, or an update
+that fails its SPD certificate) or ``non_finite`` (f or the gradient is not
+finite at x0, or ``||g||`` or the slope ``g'p`` is not finite at an iterate,
+as when it overflows).
 """
 
 from __future__ import annotations
@@ -221,41 +221,22 @@ def bfgs_update_B(B, s, y):
     return B - np.multiply.outer(Bs, Bs) / sBs + np.multiply.outer(y, y) / sy
 
 
-def bfgs_update_H(H, s, y, work):
-    """Inverse-Hessian update (I - r sy')H(I - r ys') + r ss', r = 1/(y's), in O(n^2),
-    written over H: ``h_form_literal``'s BFGS step.
+def bfgs_update_H(H, s, y):
+    """Inverse-Hessian update (I - r sy')H(I - r ys') + r ss', r = 1/(y's), in O(n^2):
+    ``h_form_literal``'s BFGS step, as a new array, with H left as it was.
 
     The product is evaluated in its own order, as two rank-one corrections:
     first the left factor, A = H - r s(Hy)', then the right factor with r ss',
     A - (r Ay - r s)s'.  That is two matrix-vector products and two outer
-    products, against two n x n products for the dense form.  The output's
-    rounding asymmetry is accepted, unsymmetrized.
-
-    Each rank-one term is ``np.einsum("i,j->ij", a, b, out=work)``, not
-    ``np.multiply.outer(a, b, out=work)``: numpy runs a broadcast ufunc outer
-    with ``out=`` through its buffered iterator, which at n = 300 allocates two
-    64 KB iteration buffers and takes 118-153 us per term, where einsum writes
-    the same products a_i b_j in 57-70 us and allocates none.
-    einsum sums into a zeroed output, so a product of -0.0 is written as +0.0:
-    an entry of the result that is exactly zero may differ in sign from the
-    outer's, and no other entry differs.
-
-    H, a float n x n array, is returned overwritten.  The rank-one terms are
-    written into ``work``, a float n x n array other than H, whose contents are
-    never read: A = H + T with T = -r s(Hy)', then the second correction into
-    the same T, so the update allocates no n x n array.  The curvature check
-    runs before the first write, so a pair that fails it leaves H and ``work``
-    as they were.  Pass ``H.copy()`` to keep H.
+    products, against two n x n products for the dense form.  The curvature
+    check comes first.  The output's rounding asymmetry is accepted,
+    unsymmetrized.
     """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
     rho = 1.0 / _curvature(s, y)
-    T = np.einsum("i,j->ij", s, H @ y, out=work)
-    T *= -rho
-    H += T  # (I - r sy')H
-    np.einsum("i,j->ij", rho * (H @ y) - rho * s, s, out=T)
-    H -= T  # ... (I - r ys') + r ss'
-    return H
+    A = H - rho * np.outer(s, H @ y)  # (I - r sy')H
+    return A - np.outer(rho * (A @ y) - rho * s, s)  # ... (I - r ys') + r ss'
 
 
 def two_phase_combine(B, B_bar, lam: float):
@@ -371,14 +352,20 @@ class _DenseH:
         return self, _psi_step(s, y, Bs, yHy, lam)
 
 
-class _LiteralH(_DenseH):
-    """Two-phase ``h_form_literal``, through the literal double inversion.  It needs
-    H next to H_bar, so its BFGS step writes over a copy, with its rank-one terms
-    in ``work``, and H_next replaces H."""
+class _LiteralH:
+    """Two-phase ``h_form_literal``, through the literal double inversion
+    ``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}`` of H and its BFGS update H_bar;
+    H_next replaces H."""
+
+    def __init__(self, H):
+        self.H = H
+
+    def __matmul__(self, v):
+        return self.H @ v
 
     def update(self, s, y, Bs, lam):
         H = self.H
-        self.H = combine_H_literal(H, bfgs_update_H(H.copy(), s, y, self.work), lam)
+        self.H = combine_H_literal(H, bfgs_update_H(H, s, y), lam)
         return self, _psi_step(s, y, Bs, float(y.dot(H @ y)), lam)
 
 
@@ -513,9 +500,12 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
                     termination = LINE_SEARCH_EXHAUSTED
                     break
                 x_next = x + second.alpha * p
-        except (DescentDirectionError, SPDError):
-            # g'p not finite and negative, or an update that fails its certificate
-            termination = SPD_FAILURE
+        except DescentDirectionError as err:
+            # g'p not negative, or not finite, as when g'Hg overflows
+            termination = SPD_FAILURE if math.isfinite(err.slope) else NON_FINITE
+            break
+        except SPDError:
+            termination = SPD_FAILURE  # an update that fails its certificate
             break
 
         alpha_bar = status_bar = recorded_p_bar = coupling = None

@@ -102,23 +102,6 @@ def bfgs_update_H_dense(H, s, y):
     return left @ H @ left.T + rho * np.outer(s, s)
 
 
-def bfgs_update_H_outer(H, s, y, work):
-    """The inverse BFGS update with its rank-one terms formed by ``np.multiply.outer``.
-
-    The same operands, order and in-place steps as the library's
-    ``bfgs_update_H``, with numpy's buffered ufunc outer in place of einsum:
-    an oracle the library's update must match byte for byte wherever no
-    product a_i b_j is -0.0, and under ``==`` everywhere.
-    """
-    rho = 1.0 / float(np.dot(s, y))
-    T = np.multiply.outer(s, H @ y, out=work)
-    T *= -rho
-    H += T
-    np.multiply.outer(rho * (H @ y) - rho * s, s, out=T)
-    H -= T
-    return H
-
-
 def fd_gradient_fresh_steps(f, x):
     """Central differences with fresh probe points, an oracle for ``fd_gradient``.
 

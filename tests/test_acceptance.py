@@ -24,7 +24,8 @@ from qnbench.linesearch import WOLFE, WOLFE_SATISFIED
 from qnbench.objectives import default_check_points
 from qnbench.solvers import bfgs_update_B, bfgs_update_H, two_phase_combine
 
-from _util import make_spd, curvature_pair, iterate_sequence, quadratic_hessian
+from _util import (curvature_pair, hager, iterate_sequence, make_spd,
+                   perturbed_quadratic_diagonal, quadratic_hessian, raydan2)
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +90,7 @@ def test_criterion_4_update_identity_suite():
         assert np.linalg.norm(B_bar @ s - y) <= 1e-10 * np.linalg.norm(y)
 
         H = make_spd(rng, n)
-        H_bar = bfgs_update_H(H, s, y, np.empty((n, n)))
+        H_bar = bfgs_update_H(H, s, y)
         assert np.linalg.norm(H_bar @ y - s) <= 1e-10 * np.linalg.norm(s)
 
         combined = two_phase_combine(B, B_bar, lam)
@@ -116,19 +117,24 @@ def test_criterion_4_update_identity_suite():
 
 
 MODE_EQUIVALENCE_PROBLEMS = ("Quadratic QF1", "Raydan2", "Hager", "Tridia", "Diagonal 1")
+# the oracle beyond the paper's n = 10, below COMPACT_MIN_N, so b_form is dense
+MODE_EQUIVALENCE_SCALED = [make(n) for make in (hager, raydan2, perturbed_quadratic_diagonal)
+                           for n in (30, 60)]
 
 
 def test_criterion_5_mode_equivalence_oracle():
     cfg_h = SolverConfig(mode=MODE_H_FORM_LITERAL)
-    for name in MODE_EQUIVALENCE_PROBLEMS:
-        objective = lookup(name).objective
+    objectives = [lookup(name).objective for name in MODE_EQUIVALENCE_PROBLEMS]
+    for objective in objectives + MODE_EQUIVALENCE_SCALED:
+        name = objective.name
         res_b = solve_two_phase(objective, objective.standard_start)
         res_h = solve_two_phase(objective, objective.standard_start, cfg_h)
         assert res_b.iterations == res_h.iterations, name
         for xb, xh in zip(iterate_sequence(res_b), iterate_sequence(res_h)):
             assert np.max(np.abs(xb - xh)) <= 1e-6, name
     print(f"\nACCEPTANCE 5: PASS — b-form and literal h-form iterates agree "
-          f"within 1e-6 per coordinate on {len(MODE_EQUIVALENCE_PROBLEMS)} problems")
+          f"within 1e-6 per coordinate on {len(MODE_EQUIVALENCE_PROBLEMS)} problems at n = 10 "
+          f"and {len(MODE_EQUIVALENCE_SCALED)} at n = 30 and 60")
 
 
 def test_criterion_6_superlinear_diagnostics():

@@ -62,8 +62,9 @@ class TestWolfeSearch:
     def test_non_descent_direction_rejected(self):
         f = sphere(2)
         x = np.array([1.0, 0.0])
-        with pytest.raises(DescentDirectionError):
+        with pytest.raises(DescentDirectionError) as err:
             wolfe_search(f, x, np.array([0.0, 1.0]), 0.5, f.gradient(x))  # g'p = 0
+        assert err.value.slope == 0.0  # the solve reads it to name its termination
 
     def test_ascent_direction_rejected(self):
         f = sphere(2)

@@ -4,10 +4,12 @@ Property tests over BFGS and both two-phase forms: separable convex
 quadratics converge, linear objectives (unbounded below) run out of
 iterations, objectives that are +inf everywhere but the start exhaust the
 line search, a non-finite f or gradient at the start ends the solve before
-the first direction, and a gradient whose norm overflows ends it
-``non_finite``.  A finite ``||g||`` whose slope g'Hg overflows still ends
-``spd_failure``; naming that as an overflow is left for ROADMAP item 11.
+the first direction, and a gradient whose norm overflows, or a finite
+``||g||`` whose slope g'p = -g'Hg overflows, ends it ``non_finite``.  A finite
+slope that is not negative ends it ``spd_failure``.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -21,12 +23,15 @@ from qnbench import (
     MODE_B_FORM,
     MODE_H_FORM_LITERAL,
     NON_FINITE,
+    SPD_FAILURE,
     ObjectiveFunction,
     SolverConfig,
     lookup,
     solve_bfgs,
     solve_two_phase,
 )
+from qnbench import solvers
+from qnbench.solvers import _DenseH
 
 SOLVERS = ("bfgs", MODE_B_FORM, MODE_H_FORM_LITERAL)
 SETTINGS = settings(derandomize=True, max_examples=15, deadline=None, database=None)
@@ -166,3 +171,22 @@ def test_overflowing_gradient_norm_ends_non_finite(solver, name, counts):
     assert res.termination == NON_FINITE and res.final_grad_norm == np.inf
     assert (res.iterations, res.f_evals, res.g_evals) == counts
     assert all(r.update_skipped for r in res.trace)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("scale, termination", [(1e290, NON_FINITE), (-1.0, SPD_FAILURE)],
+                         ids=["overflowing-slope", "ascent-slope"])
+def test_an_overflowing_slope_is_not_an_spd_failure(monkeypatch, solver, scale, termination):
+    # 0.5 ||x||^2 from 1e10 (1, ..., 1) at n = 10, from H_0 = scale I, so
+    # ||g|| = 3.16e10 is finite.  At scale 1e290, g'p = -g'Hg overflows to -inf:
+    # an overflow, not an SPD failure.  At scale -1, g'p = g'g is finite and
+    # positive: no descent direction, which stays an SPD failure
+    monkeypatch.setattr(solvers, "_operator",
+                        lambda n, cfg, two_phase: _DenseH(scale * np.eye(n)))
+    objective = ObjectiveFunction("sphere", 10, lambda x: 0.5 * float(x @ x),
+                                  lambda x: np.array(x, dtype=float), np.full(10, 1e10))
+    with np.errstate(over="ignore"):
+        res = solve(solver, objective)
+    assert res.termination == termination
+    assert (res.iterations, res.f_evals, res.g_evals) == (0, 1, 1)
+    assert res.final_grad_norm == pytest.approx(math.sqrt(10) * 1e10)
