@@ -51,7 +51,12 @@ is ``alpha_bar p_bar`` of the same iteration (``alpha p`` for BFGS), and B is
 not kept, because ``B p_bar = -g`` is what the direction quality reads.  A
 solve keeps two records per iteration until its trace is read, so the records
 and ``SolveResult`` are frozen dataclasses with slots: each holds its fields
-and no per-instance dict.
+and no per-instance dict.  The loop copies an iteration's vectors into the
+rows of one array, x, g, y and p, and p_bar for two-phase, which both of its
+records hold, ``IterateRecord(vectors, f, ...)`` and
+``UpdateRecord(vectors, psi_next, coupling)``, and whose rows they read as
+views: one ndarray header per iteration, not one per vector, which at n = 10
+is more than half of a vector's bytes.
 
 A run ends ``converged``, ``max_iter``, ``line_search_exhausted``,
 ``spd_failure`` (a finite slope ``g'p`` that is not negative, or an update
@@ -132,41 +137,63 @@ class SolverConfig:
 class IterateRecord:
     """State at the start of an iteration plus the step that left it.
 
-    The iteration's k is the record's index in ``SolveResult.trace``.  ``g`` is
-    the gradient at ``x``.  ``alpha_bar`` and ``status_bar`` are None for the
+    ``vectors`` is the iteration's array of vectors, shared with its
+    :class:`UpdateRecord`: rows x, g, y and p, and p_bar as a fifth row for the
+    two-phase method.  ``x`` and ``g``, the gradient at x, are views of its
+    first two rows.  The iteration's k is the record's index in
+    ``SolveResult.trace``.  ``alpha_bar`` and ``status_bar`` are None for the
     BFGS baseline, which has no intermediate phase.
     """
 
-    x: np.ndarray
+    vectors: np.ndarray
     f: float
-    g: np.ndarray
     alpha_bar: float | None
     alpha: float
     update_skipped: bool
     status_bar: str | None
     status: str
 
+    @property
+    def x(self) -> np.ndarray:
+        return self.vectors[0]
+
+    @property
+    def g(self) -> np.ndarray:
+        return self.vectors[1]
+
 
 @dataclass(frozen=True, slots=True)
 class UpdateRecord:
     """Operator update data for one iteration, kept for diagnostics.
 
-    ``y = grad(x_bar) - g`` is the update's gradient difference at
-    ``x_bar = x + s``; its step s is ``alpha_bar p_bar`` (``alpha p`` for
-    BFGS), from the same iteration's :class:`IterateRecord`.  ``psi_next`` is
+    ``vectors`` is the same array as the iteration's :class:`IterateRecord`'s,
+    and ``y``, ``p`` and ``p_bar`` are views of its rows 2, 3 and 4; ``p_bar``
+    is None for BFGS, whose array has four rows.  ``y = grad(x_bar) - g`` is
+    the update's gradient difference at ``x_bar = x + s``; its step s is
+    ``alpha_bar p_bar`` (``alpha p`` for BFGS).  ``psi_next`` is
     ``tr B - ln det B`` of the operator after the update, for every solver and
     mode; psi before it is the previous record's ``psi_next``, or n for the
-    first record.  ``coupling`` is
-    ``(p - p_bar)' grad(x_bar)`` for the two-phase method (None for BFGS); its
-    sign is a recorded hypothesis flag, never enforced.  A skipped update shows
-    in the same iteration's ``IterateRecord.update_skipped``.
+    first record.  ``coupling`` is ``(p - p_bar)' grad(x_bar)`` for the
+    two-phase method (None for BFGS); its sign is a recorded hypothesis flag,
+    never enforced.  A skipped update shows in the same iteration's
+    ``IterateRecord.update_skipped``.
     """
 
-    y: np.ndarray
-    p: np.ndarray
-    p_bar: np.ndarray | None
+    vectors: np.ndarray
     psi_next: float
     coupling: float | None
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.vectors[2]
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.vectors[3]
+
+    @property
+    def p_bar(self) -> np.ndarray | None:
+        return self.vectors[4] if len(self.vectors) == 5 else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -451,6 +478,8 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
     cfg = cfg if cfg is not None else SolverConfig()
     lam = cfg.lam if two_phase else 0.0
     x = np.array(x0, dtype=float)
+    if x.shape != (f.dimension,):
+        raise ValueError(f"{f.name}: x0 has shape {x.shape}, expected ({f.dimension},)")
     H = _operator(x.size, cfg, two_phase)
     psi = float(x.size)
     fx = float(f.evaluate(x))
@@ -508,13 +537,16 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
             termination = SPD_FAILURE  # an update that fails its certificate
             break
 
-        alpha_bar = status_bar = recorded_p_bar = coupling = None
+        alpha_bar = status_bar = coupling = None
         if two_phase:
-            alpha_bar, status_bar, recorded_p_bar = first.alpha, first.status, p_bar
+            alpha_bar, status_bar = first.alpha, first.status
             coupling = float(np.dot(p - p_bar, first.grad_new))
-        trace.append(IterateRecord(x, fx, g, alpha_bar, second.alpha, skipped, status_bar,
+            vectors = np.array((x, g, y, p, p_bar))
+        else:
+            vectors = np.array((x, g, y, p))
+        trace.append(IterateRecord(vectors, fx, alpha_bar, second.alpha, skipped, status_bar,
                                    second.status))
-        updates.append(UpdateRecord(y, p, recorded_p_bar, psi, coupling))
+        updates.append(UpdateRecord(vectors, psi, coupling))
         x, fx, g = x_next, second.f_new, second.grad_new
     return SolveResult(x, fx, g_norm, f_evals, g_evals,
                        termination, trace, updates)
@@ -529,7 +561,8 @@ def solve_bfgs(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
     f : ObjectiveFunction
         Objective with analytic gradient (gradient-checked beforehand).
     x0 : array_like
-        Starting point.
+        Starting point, of shape ``(f.dimension,)``; another shape raises
+        ``ValueError`` before any evaluation.
     cfg : SolverConfig, optional
         ``lam``, ``tol``, ``max_iter`` and ``mode``; benchmark defaults when omitted.
     """

@@ -44,8 +44,9 @@ class TestPsi:
 
 
 def _fake_trace(points):
-    return [IterateRecord(np.asarray(x, dtype=float), 0.0, np.ones(len(x)), None, 1.0, False,
-                          None, "wolfe_satisfied")
+    # rows x, g, y, p, as a BFGS iteration's vectors
+    return [IterateRecord(np.array((x, np.ones(len(x)), np.zeros(len(x)), np.zeros(len(x))),
+                                   dtype=float), 0.0, None, 1.0, False, None, "wolfe_satisfied")
             for x in points]
 
 

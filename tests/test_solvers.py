@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -41,6 +42,7 @@ from _util import (
     curvature_pair,
     iterate_sequence,
     make_spd,
+    perturbed_quadratic_diagonal,
     replay,
     sphere,
 )
@@ -101,6 +103,62 @@ def test_records_are_slotted(default_runs, kind):
         setattr(record, dataclasses.fields(record)[1].name, 0.0)
     twin = dataclasses.replace(record)
     assert twin is not record and twin == record
+
+
+@pytest.mark.parametrize("n", [10, solvers.COMPACT_MIN_N], ids=["dense", "compact"])
+@pytest.mark.parametrize("solver", [solve_bfgs, solve_two_phase], ids=["bfgs", "two-phase"])
+def test_an_iteration_keeps_its_vectors_in_one_array(solver, n):
+    # both records of an iteration hold one array, rows x, g, y, p and, for
+    # two-phase, p_bar, and each vector is a view of its row
+    f = perturbed_quadratic_diagonal(n)
+    result = solver(f, f.standard_start)
+    rows = 5 if solver is solve_two_phase else 4
+    assert result.iterations > 1
+    nexts = [r.x for r in result.trace[1:]] + [result.final_x]
+    for r, u, x_next in zip(result.trace, result.updates, nexts):
+        vectors = r.vectors
+        assert u.vectors is vectors
+        assert vectors.shape == (rows, n) and vectors.dtype == np.float64
+        views = (r.x, r.g, u.y, u.p, u.p_bar)
+        for row, view in enumerate(views[:rows]):
+            assert view.base is vectors and view.ctypes.data == vectors[row].ctypes.data
+        if rows == 4:
+            assert u.p_bar is None
+        assert np.array_equal(r.x + r.alpha * u.p, x_next)
+
+
+@pytest.mark.parametrize("solver, bound", [(solve_bfgs, 740), (solve_two_phase, 870)],
+                         ids=["bfgs", "two-phase"])
+def test_a_held_result_retains_few_bytes_per_iteration(solver, bound):
+    # a solve keeps its records until its trace is read, so the bytes a held
+    # n = 10 result retains per iteration are what the paper's 60-run suite
+    # holds at once.  Generalized PSC1 retains 642 (BFGS, 99 iterations) and
+    # 752 (two-phase, 130) on Python 3.11 and numpy 2.4, and the bounds allow
+    # 15 % over them; one ndarray per vector, with its own header, reads 987
+    # and 1,208, which they reject.  The first solve warms the caches
+    f = lookup("Generalized PSC1").objective
+    tracemalloc.start()
+    try:
+        solver(f, f.standard_start)
+        before = tracemalloc.get_traced_memory()[0]
+        result = solver(f, f.standard_start)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / result.iterations <= bound
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 5), (10, 1), ()],
+                         ids=["short", "matrix", "column", "scalar"])
+@pytest.mark.parametrize("solver", [solve_bfgs, solve_two_phase], ids=["bfgs", "two-phase"])
+def test_an_x0_of_the_wrong_shape_is_rejected_before_any_evaluation(solver, shape):
+    def never(x):
+        raise AssertionError("evaluated")
+
+    f = dataclasses.replace(lookup("Raydan2").objective, evaluate=never, gradient=never)
+    with pytest.raises(ValueError, match=re.escape(f"Raydan2: x0 has shape {shape}, "
+                                                   "expected (10,)")):
+        solver(f, np.ones(shape))
 
 
 class TestBfgsUpdateB:
