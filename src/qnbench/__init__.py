@@ -25,7 +25,6 @@ from qnbench.solvers import (
     IterateRecord,
     SolveResult,
     SolverConfig,
-    UpdateRecord,
     solve_bfgs,
     solve_two_phase,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "SolverConfig",
     "SuiteProblem",
     "UnknownProblemError",
-    "UpdateRecord",
     "check_gradient",
     "diagnose_run",
     "lookup",

@@ -73,22 +73,22 @@ def diagnose_run(result: SolveResult, x_star, hess_star=None) -> ConvergenceDiag
 
     ``psi_series`` is psi(B_0) = n followed by the recorded ``psi_next`` of
     each update, psi(B_1) .. psi(B_m), for either solver and either mode; it
-    is empty for a run with no updates.  ``dir_quality`` is
+    is empty for a run with no records.  ``dir_quality`` is
     only populated when the exact limiting Hessian is supplied, which for
     quadratic objectives is the constant Hessian; it has one value per
     two-phase iteration, from the recorded g and p_bar, and none for BFGS.
     """
     psi_series = []
-    if result.updates:
-        psi_series = [float(result.final_x.size)] + [u.psi_next for u in result.updates]
+    if result.trace:
+        psi_series = [float(result.final_x.size)] + [r.psi_next for r in result.trace]
     q_ratios = superlinear_ratio_series(result.trace, x_star, result.final_x)
     if hess_star is not None:
         dir_quality = [
-            direction_quality(r.g, hess_star, u.p_bar)
-            for r, u in zip(result.trace, result.updates)
-            if u.p_bar is not None
+            direction_quality(r.g, hess_star, r.p_bar)
+            for r in result.trace
+            if r.p_bar is not None
         ]
     else:
         dir_quality = []
-    flags = [u.coupling < 0.0 for u in result.updates if u.coupling is not None]
+    flags = [r.coupling < 0.0 for r in result.trace if r.coupling is not None]
     return ConvergenceDiagnostics(psi_series, q_ratios, dir_quality, flags)

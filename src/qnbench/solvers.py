@@ -49,14 +49,13 @@ repeat is derived where it is read: k is the record's index, ``||g||`` and
 record's ``psi_next`` (n for B_0 = I).  The step ``s`` is not kept, because it
 is ``alpha_bar p_bar`` of the same iteration (``alpha p`` for BFGS), and B is
 not kept, because ``B p_bar = -g`` is what the direction quality reads.  A
-solve keeps two records per iteration until its trace is read, so the records
-and ``SolveResult`` are frozen dataclasses with slots: each holds its fields
-and no per-instance dict.  The loop copies an iteration's vectors into the
-rows of one array, x, g, y and p, and p_bar for two-phase, which both of its
-records hold, ``IterateRecord(vectors, f, ...)`` and
-``UpdateRecord(vectors, psi_next, coupling)``, and whose rows they read as
-views: one ndarray header per iteration, not one per vector, which at n = 10
-is more than half of a vector's bytes.
+solve keeps one :class:`IterateRecord` per iteration until its trace is read,
+so the bytes a record holds are what a held run costs.  The loop copies an
+iteration's vectors into the rows of one array, x, g, y and p, and p_bar for
+two-phase, and its f, psi_next and coupling into that array's last column, so
+an iteration holds one ndarray header and no float object of its own.  The
+step lengths and statuses stay fields, mostly shared objects (the unit step
+and a status string), and ``dataclasses.replace`` can change them.
 
 A run ends ``converged``, ``max_iter``, ``line_search_exhausted``,
 ``spd_failure`` (a finite slope ``g'p`` that is not negative, or an update
@@ -135,18 +134,29 @@ class SolverConfig:
 
 @dataclass(frozen=True, slots=True)
 class IterateRecord:
-    """State at the start of an iteration plus the step that left it.
+    """One iteration: the state at its start, its steps and its update.
 
-    ``vectors`` is the iteration's array of vectors, shared with its
-    :class:`UpdateRecord`: rows x, g, y and p, and p_bar as a fifth row for the
-    two-phase method.  ``x`` and ``g``, the gradient at x, are views of its
-    first two rows.  The iteration's k is the record's index in
-    ``SolveResult.trace``.  ``alpha_bar`` and ``status_bar`` are None for the
-    BFGS baseline, which has no intermediate phase.
+    ``values`` is the iteration's float array of shape ``(rows, n + 1)``.
+    Its first n columns hold the vectors, as rows x, g, y and p, and p_bar as
+    a fifth row for the two-phase method; ``x``, ``g``, ``y``, ``p`` and
+    ``p_bar`` are views of them.  Its last column holds f, ``psi_next`` and,
+    for two-phase, ``coupling``, read back as floats; its other cells are NaN.
+    The iteration's k is the record's index in ``SolveResult.trace``.
+
+    g is the gradient at x, and ``y = grad(x_bar) - g`` the update's
+    gradient difference at ``x_bar = x + s``, whose step s is
+    ``alpha_bar p_bar`` (``alpha p`` for BFGS).  ``psi_next`` is
+    ``tr B - ln det B`` of the operator after the update, for every solver
+    and mode; psi before it is the previous record's ``psi_next``, or n for
+    the first record.  ``coupling`` is ``(p - p_bar)' grad(x_bar)``; its sign
+    is a recorded hypothesis flag, never enforced.  ``alpha_bar``,
+    ``status_bar``, ``p_bar`` and ``coupling`` are None for the BFGS
+    baseline, which has no intermediate phase.  The step lengths, the skip
+    flag and the statuses are fields, not cells, so that
+    ``dataclasses.replace`` can change them.
     """
 
-    vectors: np.ndarray
-    f: float
+    values: np.ndarray
     alpha_bar: float | None
     alpha: float
     update_skipped: bool
@@ -155,45 +165,35 @@ class IterateRecord:
 
     @property
     def x(self) -> np.ndarray:
-        return self.vectors[0]
+        return self.values[0, :-1]
 
     @property
     def g(self) -> np.ndarray:
-        return self.vectors[1]
-
-
-@dataclass(frozen=True, slots=True)
-class UpdateRecord:
-    """Operator update data for one iteration, kept for diagnostics.
-
-    ``vectors`` is the same array as the iteration's :class:`IterateRecord`'s,
-    and ``y``, ``p`` and ``p_bar`` are views of its rows 2, 3 and 4; ``p_bar``
-    is None for BFGS, whose array has four rows.  ``y = grad(x_bar) - g`` is
-    the update's gradient difference at ``x_bar = x + s``; its step s is
-    ``alpha_bar p_bar`` (``alpha p`` for BFGS).  ``psi_next`` is
-    ``tr B - ln det B`` of the operator after the update, for every solver and
-    mode; psi before it is the previous record's ``psi_next``, or n for the
-    first record.  ``coupling`` is ``(p - p_bar)' grad(x_bar)`` for the
-    two-phase method (None for BFGS); its sign is a recorded hypothesis flag,
-    never enforced.  A skipped update shows in the same iteration's
-    ``IterateRecord.update_skipped``.
-    """
-
-    vectors: np.ndarray
-    psi_next: float
-    coupling: float | None
+        return self.values[1, :-1]
 
     @property
     def y(self) -> np.ndarray:
-        return self.vectors[2]
+        return self.values[2, :-1]
 
     @property
     def p(self) -> np.ndarray:
-        return self.vectors[3]
+        return self.values[3, :-1]
 
     @property
     def p_bar(self) -> np.ndarray | None:
-        return self.vectors[4] if len(self.vectors) == 5 else None
+        return self.values[4, :-1] if len(self.values) == 5 else None
+
+    @property
+    def f(self) -> float:
+        return float(self.values[0, -1])
+
+    @property
+    def psi_next(self) -> float:
+        return float(self.values[1, -1])
+
+    @property
+    def coupling(self) -> float | None:
+        return float(self.values[2, -1]) if len(self.values) == 5 else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,7 +205,12 @@ class SolveResult:
     g_evals: int
     termination: str
     trace: list[IterateRecord]
-    updates: list[UpdateRecord]
+
+    @property
+    def updates(self) -> list[IterateRecord]:
+        """``trace`` itself, for readers that zip the two, as ``perfbench/checks.py``
+        does: an iteration's update is read from its one record."""
+        return self.trace
 
     @property
     def iterations(self) -> int:
@@ -480,16 +485,15 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
     x = np.array(x0, dtype=float)
     if x.shape != (f.dimension,):
         raise ValueError(f"{f.name}: x0 has shape {x.shape}, expected ({f.dimension},)")
-    H = _operator(x.size, cfg, two_phase)
-    psi = float(x.size)
+    n = x.size
+    H = _operator(n, cfg, two_phase)
+    psi = float(n)
     fx = float(f.evaluate(x))
     g = np.asarray(f.gradient(x), dtype=float)
     f_evals, g_evals = 1, 1
     trace: list[IterateRecord] = []
-    updates: list[UpdateRecord] = []
     if not (math.isfinite(fx) and np.isfinite(g).all()):
-        return SolveResult(x, fx, _norm(g), f_evals, g_evals,
-                           NON_FINITE, trace, updates)
+        return SolveResult(x, fx, _norm(g), f_evals, g_evals, NON_FINITE, trace)
     while True:
         g_norm = _norm(g)
         if g_norm <= cfg.tol:
@@ -537,19 +541,21 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
             termination = SPD_FAILURE  # an update that fails its certificate
             break
 
-        alpha_bar = status_bar = coupling = None
+        alpha_bar = status_bar = None
         if two_phase:
             alpha_bar, status_bar = first.alpha, first.status
             coupling = float(np.dot(p - p_bar, first.grad_new))
-            vectors = np.array((x, g, y, p, p_bar))
+            values = np.empty((5, n + 1))
+            values[:, :n] = x, g, y, p, p_bar
+            values[:, n] = fx, psi, coupling, math.nan, math.nan
         else:
-            vectors = np.array((x, g, y, p))
-        trace.append(IterateRecord(vectors, fx, alpha_bar, second.alpha, skipped, status_bar,
+            values = np.empty((4, n + 1))
+            values[:, :n] = x, g, y, p
+            values[:, n] = fx, psi, math.nan, math.nan
+        trace.append(IterateRecord(values, alpha_bar, second.alpha, skipped, status_bar,
                                    second.status))
-        updates.append(UpdateRecord(vectors, psi, coupling))
         x, fx, g = x_next, second.f_new, second.grad_new
-    return SolveResult(x, fx, g_norm, f_evals, g_evals,
-                       termination, trace, updates)
+    return SolveResult(x, fx, g_norm, f_evals, g_evals, termination, trace)
 
 
 def solve_bfgs(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
@@ -595,11 +601,12 @@ def trace_to_csv(result: SolveResult) -> str:
     def fmt(value):
         return "" if value is None else repr(float(value))
 
-    for k, (r, u) in enumerate(zip(result.trace, result.updates)):
-        grad_norm = _norm(r.g)
+    for k, r in enumerate(result.trace):
+        g, p_bar = r.g, r.p_bar
+        grad_norm = _norm(g)
         cos_theta = None
-        if u.p_bar is not None:
-            cos_theta = -float(np.dot(r.g, u.p_bar)) / (grad_norm * _norm(u.p_bar))
+        if p_bar is not None:
+            cos_theta = -float(np.dot(g, p_bar)) / (grad_norm * _norm(p_bar))
         skipped = "true" if r.update_skipped else "false"
         out.write(f"{k},{fmt(r.f)},{fmt(grad_norm)},{fmt(r.alpha_bar)},"
                   f"{fmt(r.alpha)},{fmt(cos_theta)},{skipped}\n")

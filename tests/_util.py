@@ -29,8 +29,8 @@ def replay(objective, result, cfg, solver):
     H = _operator(n, cfg, two_phase)
     lam, psi = (cfg.lam if two_phase else 0.0), float(n)
     B = np.eye(n)
-    for r, u in zip(result.trace, result.updates):
-        a, d = (r.alpha_bar, u.p_bar) if two_phase else (r.alpha, u.p)
+    for r in result.trace:
+        a, d = (r.alpha_bar, r.p_bar) if two_phase else (r.alpha, r.p)
         s = a * d
         y = np.asarray(objective.gradient(r.x + s), dtype=float) - r.g
         B_next = B
@@ -39,8 +39,8 @@ def replay(objective, result, cfg, solver):
             H, d_psi = H.update(s, y, Bs, lam)
             psi += d_psi
             B_next = b_next(B, Bs, y, lam) if isinstance(H, _CompactH) else inverse_spd(H.H)
-        assert np.array_equal(y, u.y)
-        assert psi == u.psi_next
+        assert np.array_equal(y, r.y)
+        assert float.hex(psi) == float.hex(r.psi_next)
         yield s, y, B, B_next
         B = B_next
 

@@ -167,12 +167,12 @@ def test_criterion_8_wolfe_reverification(bench_run):
     checked = 0
     for (problem_name, _solver), result in collected.items():
         objective = lookup(problem_name).objective
-        for record, update in zip(result.trace, result.updates):
+        for record in result.trace:
             steps = []
-            if record.status_bar == WOLFE_SATISFIED and update.p_bar is not None:
-                steps.append((update.p_bar, record.alpha_bar))
+            if record.status_bar == WOLFE_SATISFIED and record.p_bar is not None:
+                steps.append((record.p_bar, record.alpha_bar))
             if record.status == WOLFE_SATISFIED and not record.update_skipped:
-                steps.append((update.p, record.alpha))
+                steps.append((record.p, record.alpha))
             for p, alpha in steps:
                 x = record.x
                 f_x = objective.evaluate(x)

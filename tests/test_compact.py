@@ -126,7 +126,7 @@ def test_a_compact_solve_that_outgrows_n_goes_dense_once(monkeypatch, solver):
     steps = list(replay(f, res, cfg, name))
     assert len(steps) == res.iterations
     want = [psi(B_next) for _, _, _, B_next in steps]
-    assert [u.psi_next for u in res.updates] == pytest.approx(want, rel=1e-9)
+    assert [r.psi_next for r in res.trace] == pytest.approx(want, rel=1e-9)
 
 
 def test_a_skipped_pair_leaves_a_full_r_compact(monkeypatch):
@@ -175,7 +175,7 @@ def test_hager_at_the_threshold_hands_over_once(monkeypatch):
     steps = list(replay(f, res, cfg, "bfgs"))
     assert len(steps) == res.iterations
     want = [psi(B_next) for _, _, _, B_next in steps]
-    assert [u.psi_next for u in res.updates] == pytest.approx(want, rel=1e-9)
+    assert [r.psi_next for r in res.trace] == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVER_IDS)
@@ -212,7 +212,7 @@ def test_carried_psi_is_psi_of_the_represented_operator(solver, build):
     steps = list(replay(f, res, cfg, name))
     assert len(steps) == res.iterations
     want = [psi(B_next) for _, _, _, B_next in steps]
-    assert [u.psi_next for u in res.updates] == pytest.approx(want, rel=1e-9)
+    assert [r.psi_next for r in res.trace] == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 0.9])

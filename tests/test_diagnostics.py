@@ -44,9 +44,14 @@ class TestPsi:
 
 
 def _fake_trace(points):
-    # rows x, g, y, p, as a BFGS iteration's vectors
-    return [IterateRecord(np.array((x, np.ones(len(x)), np.zeros(len(x)), np.zeros(len(x))),
-                                   dtype=float), 0.0, None, 1.0, False, None, "wolfe_satisfied")
+    # rows x, g, y, p, as a BFGS iteration's values, with f = 0, psi_next = n
+    # and two NaN cells in the last column
+    def values(x):
+        n = len(x)
+        return np.column_stack(((x, np.ones(n), np.zeros(n), np.zeros(n)),
+                                (0.0, n, math.nan, math.nan)))
+
+    return [IterateRecord(values(x), None, 1.0, False, None, "wolfe_satisfied")
             for x in points]
 
 
@@ -103,7 +108,7 @@ class TestDirectionQuality:
         p = lookup("Quadratic QF1")
         res = solve_two_phase(p.objective, p.objective.standard_start)
         hess = quadratic_hessian(p.objective)
-        series = [direction_quality(r.g, hess, u.p_bar) for r, u in zip(res.trace, res.updates)]
+        series = [direction_quality(r.g, hess, r.p_bar) for r in res.trace]
         assert series[-1] <= 0.5 * series[0]
 
 
@@ -163,8 +168,8 @@ class TestDiagnoseRun:
         dir_quality = diagnose_run(res, p.known_optimum.x, hess).dir_quality
         assert len(dir_quality) == res.iterations > 0
         steps = replay(p.objective, res, cfg, "two-phase")
-        for value, u, (_, _, B, _) in zip(dir_quality, res.updates, steps):
-            expected = np.linalg.norm((B - hess) @ u.p_bar) / np.linalg.norm(u.p_bar)
+        for value, r, (_, _, B, _) in zip(dir_quality, res.trace, steps):
+            expected = np.linalg.norm((B - hess) @ r.p_bar) / np.linalg.norm(r.p_bar)
             assert value == pytest.approx(expected, rel=1e-12), name
 
     def test_psi_positive_across_every_suite_run(self, default_runs):

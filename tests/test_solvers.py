@@ -81,19 +81,17 @@ def test_solver_config_defaults_read_on_the_class():
     assert SolverConfig.max_iter == 500
 
 
-@pytest.mark.parametrize("kind", ["IterateRecord", "UpdateRecord", "SolveResult",
-                                  "LineSearchOutcome"])
+@pytest.mark.parametrize("kind", ["IterateRecord", "SolveResult", "LineSearchOutcome"])
 def test_records_are_slotted(default_runs, kind):
-    # a solve keeps one IterateRecord and one UpdateRecord per iteration until
-    # its trace is read, so each holds its fields in slots, with no per-instance
-    # dict, and stays frozen; perfbench's tests build wrong results with replace
+    # a solve keeps one IterateRecord per iteration until its trace is read, so
+    # each record holds its fields in slots, with no per-instance dict, and
+    # stays frozen; perfbench's tests build wrong results with replace
     result = default_runs[("Raydan2", "two-phase")]
     objective = lookup("Raydan2").objective
     x = objective.standard_start
     g = objective.gradient(x)
     record = {
         "IterateRecord": result.trace[0],
-        "UpdateRecord": result.updates[0],
         "SolveResult": result,
         "LineSearchOutcome": wolfe_search(objective, x, -g, objective.evaluate(x), g),
     }[kind]
@@ -105,37 +103,62 @@ def test_records_are_slotted(default_runs, kind):
     assert twin is not record and twin == record
 
 
+def test_a_record_is_rebuilt_with_other_step_lengths_and_statuses(default_runs):
+    # perfbench's tests build a wrong solve by replacing the first record's
+    # alpha and status, so these stay fields, not cells of the record's array
+    record = default_runs[("Raydan2", "two-phase")].trace[0]
+    twin = dataclasses.replace(record, alpha_bar=2.0, alpha=64.0, update_skipped=True,
+                               status_bar="armijo_only", status="wolfe_satisfied")
+    assert (twin.alpha_bar, twin.alpha, twin.update_skipped, twin.status_bar, twin.status) == (
+        2.0, 64.0, True, "armijo_only", "wolfe_satisfied")
+    assert twin.values is record.values
+    assert float.hex(twin.f) == float.hex(record.f)
+
+
 @pytest.mark.parametrize("n", [10, solvers.COMPACT_MIN_N], ids=["dense", "compact"])
 @pytest.mark.parametrize("solver", [solve_bfgs, solve_two_phase], ids=["bfgs", "two-phase"])
 def test_an_iteration_keeps_its_vectors_in_one_array(solver, n):
-    # both records of an iteration hold one array, rows x, g, y, p and, for
-    # two-phase, p_bar, and each vector is a view of its row
+    # an iteration has one record, whose array has rows x, g, y, p and, for
+    # two-phase, p_bar, with f, psi_next and the coupling in its last column;
+    # each vector is a view of its row, and each scalar reads back bit for bit
     f = perturbed_quadratic_diagonal(n)
     result = solver(f, f.standard_start)
-    rows = 5 if solver is solve_two_phase else 4
+    two_phase = solver is solve_two_phase
+    rows = 5 if two_phase else 4
     assert result.iterations > 1
+    assert result.updates is result.trace
     nexts = [r.x for r in result.trace[1:]] + [result.final_x]
-    for r, u, x_next in zip(result.trace, result.updates, nexts):
-        vectors = r.vectors
-        assert u.vectors is vectors
-        assert vectors.shape == (rows, n) and vectors.dtype == np.float64
-        views = (r.x, r.g, u.y, u.p, u.p_bar)
+    # replay asserts that each record's y and psi_next are the replayed ones,
+    # bit for bit
+    steps = replay(f, result, SolverConfig(), "two-phase" if two_phase else "bfgs")
+    for r, (s, _, _, _), x_next in zip(result.trace, steps, nexts, strict=True):
+        values = r.values
+        assert values.shape == (rows, n + 1) and values.dtype == np.float64
+        views = (r.x, r.g, r.y, r.p, r.p_bar)
         for row, view in enumerate(views[:rows]):
-            assert view.base is vectors and view.ctypes.data == vectors[row].ctypes.data
-        if rows == 4:
-            assert u.p_bar is None
-        assert np.array_equal(r.x + r.alpha * u.p, x_next)
+            assert view.base is values and view.ctypes.data == values[row].ctypes.data
+            assert view.shape == (n,)
+        assert np.array_equal(r.x + r.alpha * r.p, x_next)
+        assert float.hex(r.f) == float.hex(float(f.evaluate(r.x)))
+        if two_phase:
+            coupling = float(np.dot(r.p - r.p_bar, f.gradient(r.x + s)))
+            assert float.hex(r.coupling) == float.hex(coupling)
+            assert np.isnan(values[3:, n]).all()
+        else:
+            assert r.p_bar is None and r.coupling is None
+            assert np.isnan(values[2:, n]).all()
 
 
-@pytest.mark.parametrize("solver, bound", [(solve_bfgs, 740), (solve_two_phase, 870)],
+@pytest.mark.parametrize("solver, bound", [(solve_bfgs, 620), (solve_two_phase, 720)],
                          ids=["bfgs", "two-phase"])
 def test_a_held_result_retains_few_bytes_per_iteration(solver, bound):
     # a solve keeps its records until its trace is read, so the bytes a held
     # n = 10 result retains per iteration are what the paper's 60-run suite
-    # holds at once.  Generalized PSC1 retains 642 (BFGS, 99 iterations) and
-    # 752 (two-phase, 130) on Python 3.11 and numpy 2.4, and the bounds allow
-    # 15 % over them; one ndarray per vector, with its own header, reads 987
-    # and 1,208, which they reject.  The first solve warms the caches
+    # holds at once.  Generalized PSC1 retains 571 (BFGS, 99 iterations) and
+    # 659 (two-phase, 130) on Python 3.11 and numpy 2.4, and the bounds allow
+    # about 9 % over them.  Two records per iteration sharing one array of the
+    # vectors, with f, psi_next and the coupling as float objects, read 642
+    # and 752, which they reject.  The first solve warms the caches
     f = lookup("Generalized PSC1").objective
     tracemalloc.start()
     try:
@@ -556,13 +579,13 @@ def test_replay_reproduces_every_record(default_runs, h_form_runs):
     # the records keep no s and no operator; the replay rebuilds both, and it
     # asserts that its y and psi_next equal the recorded ones bit for bit
     for name, solver, mode, res, steps in _replayed_runs(default_runs, h_form_runs):
-        assert len(list(steps)) == len(res.updates) == res.iterations, (name, solver, mode)
+        assert len(list(steps)) == res.iterations, (name, solver, mode)
 
 
 def _assert_psi_series_is_psi_of_replayed_operators(runs, rel):
     """``diagnose_run``'s psi series against psi(B_0) .. psi(B_m) of the replay."""
     for name, solver, mode, res, steps in runs:
-        assert res.updates, (name, solver, mode)
+        assert res.trace, (name, solver, mode)
         operators = [psi(B_next) for _, _, _, B_next in steps]
         B_0 = np.eye(res.final_x.size)
         series = diagnose_run(res, res.final_x).psi_series
