@@ -20,14 +20,15 @@ the combination in B applied to H by the Woodbury formula, which is
 two-phase's ``b_form`` and, at lam = 0, BFGS; :class:`_LiteralH`, two-phase
 ``h_form_literal``, the literal ``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``,
 kept for cross-validation; and :class:`_CompactH`, the same Woodbury update on
-H = I - R' diag(sign) R (every update adds two signed rows to R) instead of a
-dense H.  Every ``b_form`` update, dense or compact, is certified before it
-writes by one test, the inertia of its 2 x 2 M.  An update writes over its
-operator and returns it, or returns the operator that goes on from it.  A
-dense operator holds H and one n x n workspace ``work``, allocated with it,
-into which its update writes the correction, so a dense iteration allocates
-no n x n array.  ``h_form_literal`` holds H alone and replaces it with its
-formula's H_next, built from new arrays.
+H = I - R' diag(1, -1, 1, -1, ...) R (every update adds a row of sign +1 and
+one of sign -1 to R) instead of a dense H.  Every ``b_form`` update, dense or
+compact, is certified before it writes by one test, the inertia of its 2 x 2
+M.  An update writes over its operator and returns it, or returns the
+operator that goes on from it.  Each operator holds only what its update
+reads: a dense one H alone, a compact one R and its row count m.  A dense
+``b_form`` update subtracts one transient n x n correction from H;
+``h_form_literal``, a :class:`_DenseH` with its own update, replaces H with
+its formula's H_next, built from new arrays.
 ``B p_bar = -g`` spares every product with B: ``Bs = -alpha_bar g`` gives
 ``b_form``'s update and the change in psi(B) by the trace and determinant
 identities, with BFGS as lam = 0.
@@ -35,8 +36,9 @@ identities, with BFGS as lam = 0.
 n alone picks the realization (:func:`_operator`).  Every solve below
 ``COMPACT_MIN_N`` is dense, whatever its budget.  From there up, BFGS and
 two-phase ``b_form`` start compact, and the compact update hands over to a
-dense operator on H = I - R' diag(sign) R once, at the first applied pair that
-would take R past n rows; until then an iteration needs no n x n array.
+dense operator on H = I - R' diag(1, -1, ...) R once, at the first applied
+pair that would take R past n rows; until then an iteration needs no n x n
+array.
 ``h_form_literal`` is dense at every n.  The realizations represent the same
 operators but round differently, so ``b_form`` and ``h_form_literal`` may part
 on a flat tail.
@@ -126,8 +128,10 @@ class SolverConfig:
             raise ValueError(f"lam must be in (0, 1), got {self.lam}")
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        # a NaN or infinite budget would never end a solve; bool is no count
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int)
+                or self.max_iter < 1):
+            raise ValueError(f"max_iter must be an int >= 1, got {self.max_iter!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -347,11 +351,10 @@ def _woodbury_m(s, y, Bs, Hy, lam):
 
 
 class _DenseH:
-    """H = B^{-1} as the n x n array ``H``, with the workspace ``work`` of its updates."""
+    """H = B^{-1} as the n x n array ``H``."""
 
     def __init__(self, H):
         self.H = H
-        self.work = np.empty_like(H)
 
     def __matmul__(self, v):
         return self.H @ v
@@ -366,11 +369,8 @@ class _DenseH:
         y'Hy tracks H_next.  HU is filled by two matrix-vector products, not one
         product with [Bs, y], which rounds differently.  The update is certified
         by M's inertia; H_next's rounding asymmetry is accepted, unsymmetrized.
-
-        The correction T = HU M^{-1} (HU)' is written into ``work``, whose
-        contents are never read, so the update allocates no n x n array.  Every
-        check runs before the first write, so a pair that fails one leaves H and
-        ``work`` as they were.
+        The correction HU M^{-1} (HU)' is one transient n x n array.  Every check
+        runs before the first write, so a pair that fails one leaves H as it was.
         """
         _curvature(s, y)
         H = self.H
@@ -380,20 +380,14 @@ class _DenseH:
         s = HU[:, 0]
         yHy, m11, m12, m22, det = _woodbury_m(s, y, Bs, HU[:, 1], lam)
         M_inv = np.array([[m22, -m12], [-m12, m11]]) / det
-        H -= np.matmul(HU @ M_inv, HU.T, out=self.work)
+        H -= (HU @ M_inv) @ HU.T
         return self, _psi_step(s, y, Bs, yHy, lam)
 
 
-class _LiteralH:
+class _LiteralH(_DenseH):
     """Two-phase ``h_form_literal``, through the literal double inversion
     ``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}`` of H and its BFGS update H_bar;
     H_next replaces H."""
-
-    def __init__(self, H):
-        self.H = H
-
-    def __matmul__(self, v):
-        return self.H @ v
 
     def update(self, s, y, Bs, lam):
         H = self.H
@@ -402,11 +396,11 @@ class _LiteralH:
 
 
 class _CompactH:
-    """H = B^{-1} = I - R' diag(sign) R, held without an n x n array.
+    """H = B^{-1} = I - R' diag(1, -1, 1, -1, ...) R, held without an n x n array.
 
-    Every update appends two rows to R, and ``H @ v`` costs O(kn) for R's 2k
-    rows.  ``rows`` holds R and ``sign`` its signs, +1 or -1; their first
-    ``m`` are in use, and :meth:`reserve` doubles them when full, up to n.
+    Every update appends two rows to R, the first with sign +1 and the second
+    with sign -1, and ``H @ v`` costs O(kn) for R's 2k rows.  ``rows`` holds R,
+    whose first ``m`` rows are in use; its odd rows are the ones with sign -1.
     :meth:`dense` gives the same H as an n x n array, for the update that
     hands over to :class:`_DenseH` when R would outgrow n.
     """
@@ -414,28 +408,20 @@ class _CompactH:
     def __init__(self, n):
         self.m = 0
         self.rows = np.empty((2, n))
-        self.sign = np.empty(2)
 
     def __matmul__(self, v):
         R = self.rows[:self.m]
-        return v - (self.sign[:self.m] * (R @ v)) @ R
-
-    def reserve(self, extra):
-        """Room for ``extra`` more rows, by doubling, but not past n: the solve
-        runs compact only while R never needs more than n rows."""
-        m, cap = self.m, self.sign.size
-        if m + extra > cap:
-            n = self.rows.shape[1]
-            cap = max(min(2 * cap, n), m + extra)
-            rows, sign = np.empty((cap, n)), np.empty(cap)
-            rows[:m], sign[:m] = self.rows[:m], self.sign[:m]
-            self.rows, self.sign = rows, sign
+        w = R @ v
+        w[1::2] *= -1.0
+        return v - w @ R
 
     def dense(self):
-        """H = I - R' diag(sign) R as a new n x n array."""
+        """H = I - R' diag(1, -1, ...) R as a new n x n array."""
         m, n = self.m, self.rows.shape[1]
         R = self.rows[:m]
-        H = (R.T * self.sign[:m]) @ R
+        S = R.copy()
+        S[1::2] *= -1.0
+        H = S.T @ R
         np.negative(H, out=H)
         H.flat[::n + 1] += 1.0
         return H
@@ -448,24 +434,27 @@ class _CompactH:
         HU = [s, Hy], s = H Bs, and the M of :func:`_woodbury_m`, in O(kn), under
         the same inertia certificate.  It appends the two rows of the LDL'
         factorization of M^{-1}: Hy/sqrt(m22) with sign +1 and
-        sqrt(m22/(-det M)) (s - (m12/m22) Hy) with sign -1.  Every check runs
-        before the first write, the curvature floor before the handoff.
+        sqrt(m22/(-det M)) (s - (m12/m22) Hy) with sign -1.  When R is full, its
+        array doubles, but not past n: the solve runs compact only while R never
+        needs more than n rows.  Every check runs before the first write, the
+        curvature floor before the handoff.
         """
         _curvature(s, y)
-        m = self.m
-        if m + 2 > self.rows.shape[1]:
+        m, n = self.m, self.rows.shape[1]
+        if m + 2 > n:
             return _DenseH(self.dense()).update(s, y, Bs, lam)
         R = self.rows[:m]
         HU = np.stack((Bs, y))
         W = HU @ R.T
-        W *= self.sign[:m]
+        W[:, 1::2] *= -1.0
         HU -= W @ R
         s, Hy = HU
         yHy, m11, m12, m22, det = _woodbury_m(s, y, Bs, Hy, lam)
-        self.reserve(2)
+        if m + 2 > len(self.rows):
+            self.rows = np.empty((min(2 * len(self.rows), n), n))
+            self.rows[:m] = R
         self.rows[m] = Hy / math.sqrt(m22)
         self.rows[m + 1] = math.sqrt(m22 / -det) * (s - m12 / m22 * Hy)
-        self.sign[m:m + 2] = 1.0, -1.0
         self.m = m + 2
         return self, _psi_step(s, y, Bs, yHy, lam)
 
@@ -579,9 +568,10 @@ def solve_two_phase(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
     """Two-phase quasi-Newton iteration (see the module docstring), from B = I.
 
     Parameters as in :func:`solve_bfgs`; ``cfg.mode`` chooses between
-    ``b_form``, the combination in B applied to the compact H = I - R' diag(sign) R
-    from ``n >= COMPACT_MIN_N`` until R would outgrow n, and otherwise to a
-    dense H by a Woodbury update, and the literal inverse form, dense at every n.
+    ``b_form``, the combination in B applied to the compact
+    H = I - R' diag(1, -1, ...) R from ``n >= COMPACT_MIN_N`` until R would
+    outgrow n, and otherwise to a dense H by a Woodbury update, and the literal
+    inverse form, dense at every n.
     """
     return _solve(f, x0, cfg, two_phase=True)
 

@@ -58,14 +58,12 @@ def b_next(B, Bs, y, lam):
     return B + mu * (np.outer(y, y) / s.dot(y) - np.outer(Bs, Bs) / s.dot(Bs))
 
 
-def compact_from(R, sign):
-    """A compact H = I - R' diag(sign) R holding the rows of ``R`` and the signs
-    as given, whatever H they represent."""
-    R = np.asarray(R, dtype=float)
-    H = _CompactH(R.shape[1])
-    H.reserve(R.shape[0])
-    H.m = R.shape[0]
-    H.rows[:H.m], H.sign[:H.m] = R, sign
+def compact_from(R):
+    """A compact H = I - R' diag(1, -1, 1, -1, ...) R holding a copy of the rows
+    of ``R``, in (+, -) pairs, whatever H they represent."""
+    H = _CompactH(np.shape(R)[1])
+    H.rows = np.array(R, dtype=float)
+    H.m = H.rows.shape[0]
     return H
 
 

@@ -1,4 +1,4 @@
-"""The compact operator ``_CompactH``, H = I - R' diag(sign) R, which BFGS and
+"""The compact operator ``_CompactH``, H = I - R' diag(1, -1, 1, -1, ...) R, which BFGS and
 two-phase ``b_form`` start on from n = COMPACT_MIN_N up.  Below COMPACT_MIN_N
 every solve is dense.  The first applied pair that would take R past n rows
 hands the solve over, inside ``_CompactH.update``, to a ``_DenseH`` on
@@ -37,27 +37,31 @@ def test_n_alone_selects_the_realization(two_phase):
     # no option and no budget rule: below COMPACT_MIN_N every solve is dense;
     # from COMPACT_MIN_N up BFGS and two-phase b_form start compact at any
     # max_iter, and their update hands over to a _DenseH once (BFGS is lam = 0);
-    # h_form_literal is dense
+    # h_form_literal is dense.  Each realization holds only what its update
+    # reads: a dense one H, and a compact one m and R, whose odd rows have sign -1
     n = COMPACT_MIN_N - 1
     for m in (1, n // 2, 500):
         H = _operator(n, SolverConfig(max_iter=m), two_phase)
         assert type(H) is _DenseH and np.array_equal(H.H, np.eye(n))
-        assert H.work.shape == (n, n) and not np.shares_memory(H.H, H.work)
+        assert vars(H).keys() == {"H"}
     n = COMPACT_MIN_N
     for m in (1, n // 2, n // 2 + 1, 500):
         H = _operator(n, SolverConfig(max_iter=m), two_phase)
         assert type(H) is _CompactH and H.m == 0
-    # a compact H whose R is full hands over to the dense update on H.dense() = I,
-    # with its own workspace
+        assert vars(H).keys() == {"m", "rows"}
+    # a compact H whose R is full hands over to the dense update on H.dense() = I
     s, y = curvature_pair(np.random.default_rng(3), n)
-    H, _ = compact_from(np.zeros((n, n)), np.ones(n)).update(s, y, s, 0.5)
+    H, _ = compact_from(np.zeros((n, n))).update(s, y, s, 0.5)
     want, _ = _DenseH(np.eye(n)).update(s, y, s, 0.5)
     assert type(H) is _DenseH and np.array_equal(H.H, want.H)
-    assert H.work.shape == (n, n) and not np.shares_memory(H.H, H.work)
-    # h_form_literal is dense at every n and budget, and the paper's n = 10 runs are dense
+    assert vars(H).keys() == {"H"}
+    # h_form_literal is dense at every n and budget, and the paper's n = 10 runs
+    # are dense; it is a _DenseH with its own update and nothing else
+    assert [k for k in vars(_LiteralH) if not k.startswith("__")] == ["update"]
     for n in (10, COMPACT_MIN_N, 2 * COMPACT_MIN_N):
         H = _operator(n, SolverConfig(max_iter=1, mode=MODE_H_FORM_LITERAL), True)
         assert type(H) is _LiteralH and np.array_equal(H.H, np.eye(n))
+        assert isinstance(H, _DenseH) and vars(H).keys() == {"H"}
         assert vars(H).keys() == {"H"}
     assert type(_operator(10, SolverConfig(), two_phase)) is _DenseH
 
@@ -144,14 +148,14 @@ def test_a_skipped_pair_leaves_a_full_r_compact(monkeypatch):
     densified = []
     dense = _CompactH.dense
     monkeypatch.setattr(_CompactH, "dense", lambda H: densified.append(H.m) or dense(H))
-    rows, sign = H.rows, H.sign
-    before = (rows.copy(), sign.copy())
+    rows = H.rows
+    before = rows.copy()
     s, y = curvature_pair(rng, n)
     Bs = B @ s
     with pytest.raises(CurvatureError):
         H.update(s, -s, Bs, 0.5)
-    assert densified == [] and H.m == n and H.rows is rows and H.sign is sign
-    assert np.array_equal(rows, before[0]) and np.array_equal(sign, before[1])
+    assert densified == [] and H.m == n and H.rows is rows
+    assert np.array_equal(rows, before)
     H_next, _ = H.update(s, y, Bs, 0.5)
     assert type(H_next) is _DenseH and densified == [n]
     want = np.linalg.inv(b_next(B, Bs, y, 0.5))
@@ -220,7 +224,7 @@ def test_h_times_v_is_the_inverse_of_the_represented_operator(lam):
     rng = np.random.default_rng(11)
     n = 50
     H, B = _CompactH(n), np.eye(n)
-    for _ in range(12):  # 24 rows: the arrays double from 2 to 32
+    for _ in range(12):  # 24 rows: R's array doubles from 2 to 32
         Bs, y = curvature_pair(rng, n)
         s = H @ Bs
         H, _ = H.update(s, y, Bs, lam)
@@ -228,12 +232,12 @@ def test_h_times_v_is_the_inverse_of_the_represented_operator(lam):
         for v in rng.standard_normal((3, n)):
             want = np.linalg.solve(B, v)
             assert np.linalg.norm(H @ v - want) <= 1e-10 * np.linalg.norm(want)
-    assert H.m == 24 and H.rows.shape[0] == H.sign.size == 32
+    assert H.m == 24 and H.rows.shape[0] == 32
 
 
 def test_the_arrays_grow_no_further_than_n():
     # the solve runs compact only while R needs at most n rows, so doubling
-    # stops at n: three updates at n = 6 grow the arrays from 2 to 4 to 6, not 8
+    # stops at n: three updates at n = 6 grow R's array from 2 to 4 to 6, not 8
     rng = np.random.default_rng(13)
     n = 6
     H, B = _CompactH(n), np.eye(n)
@@ -242,14 +246,16 @@ def test_the_arrays_grow_no_further_than_n():
         H, _ = H.update(s, y, B @ s, 0.5)
         B = b_next(B, B @ s, y, 0.5)
     assert H.m == 6
-    assert H.rows.shape == (6, n) and H.sign.size == 6
+    assert H.rows.shape == (6, n)
 
 
 def _indefinite():
-    """The compact H = diag(-1, 1/2, 1, 1) (n = 4), the inverse of no SPD B:
-    rows sqrt(2) e_1 and e_2/sqrt(2), both with sign +1."""
-    return compact_from([[math.sqrt(2.0), 0.0, 0.0, 0.0], [0.0, math.sqrt(0.5), 0.0, 0.0]],
-                        [1.0, 1.0])
+    """The compact H = diag(-1, 1/2, 1, 1, 1, 1) (n = 6), the inverse of no SPD B:
+    rows sqrt(2) e_1, 0, e_2/sqrt(2) and 0, so sqrt(2) e_1 and e_2/sqrt(2) have
+    sign +1.  Its four rows leave room for one update before R is full."""
+    R = np.zeros((4, 6))
+    R[0, 0], R[2, 1] = math.sqrt(2.0), math.sqrt(0.5)
+    return compact_from(R)
 
 
 # Along Bs = -e_3 and y = -(a e_1 + e_3), the H above gives s = -e_3, so
@@ -266,25 +272,24 @@ def test_an_uncertified_m_raises_before_it_writes(case):
         # H = I, held as two zero rows, and a pair at scale 1e-85: s'Bs, s'y
         # and m22 are near 1e-170, but m11 m22 and m12^2 underflow to 0, so
         # det M = -0.0, where the second row would divide by zero
-        H = compact_from(np.zeros((2, 4)), [1.0, 1.0])
-        Bs, y = 1e-85 * np.array([1.0, 2.0, 0.0, 0.0]), 1e-85 * np.array([2.0, 1.0, 1.0, 0.0])
+        H = compact_from(np.zeros((2, 6)))
+        Bs = 1e-85 * np.array([1.0, 2.0, 0.0, 0.0, 0.0, 0.0])
+        y = 1e-85 * np.array([2.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     else:
         a = 1.8 if case == "m22-not-positive" else 3.0
-        H, Bs, y = _indefinite(), -np.eye(4)[2], -np.array([a, 0.0, 1.0, 0.0])
-    rows, sign = H.rows, H.sign
-    before = (H.m, rows.copy(), sign.copy())
+        H, Bs, y = _indefinite(), -np.eye(6)[2], -np.array([a, 0.0, 1.0, 0.0, 0.0, 0.0])
+    rows = H.rows
+    before = (H.m, rows.copy())
     with pytest.raises(SPDError, match="m22 = .* and det M = "):
         H.update(H @ Bs, y, Bs, 0.5)
-    assert H.m == before[0] and H.rows is rows and H.sign is sign
-    assert np.array_equal(rows, before[1]) and np.array_equal(sign, before[2])
-    # the dense b_form on the same H runs the same certificate, before it
-    # writes H or its workspace
+    assert H.m == before[0] and H.rows is rows
+    assert np.array_equal(rows, before[1])
+    # the dense b_form on the same H runs the same certificate, before it writes H
     H = _DenseH(H.dense())
     kept = H.H.copy()
-    H.work.fill(np.nan)
     with pytest.raises(SPDError, match="m22 = .* and det M = "):
         H.update(H @ Bs, y, Bs, 0.5)
-    assert np.array_equal(H.H, kept) and np.isnan(H.work).all()
+    assert np.array_equal(H.H, kept)
 
 
 def test_a_wrong_inertia_ends_the_solve_spd_failure(monkeypatch):
@@ -295,25 +300,24 @@ def test_a_wrong_inertia_ends_the_solve_spd_failure(monkeypatch):
     # pair above, for either a and for BFGS (lam = 0, m22 = 2 - a^2) as for
     # two-phase
     def full():
-        H = _indefinite()
-        return compact_from(np.vstack((H.rows[:2], np.zeros((2, 4)))), np.ones(4))
+        return compact_from(np.vstack((_indefinite().rows, np.zeros((2, 6)))))
 
     def dense():
         H = _DenseH(_indefinite().dense())
         assert np.array_equal(H.H, full().dense())
         return H
 
-    b = np.eye(4)[2]
+    b = np.eye(6)[2]
     for initial in (_indefinite, dense, full):
         with monkeypatch.context() as patch:
             patch.setattr(solvers, "_operator", lambda n, cfg, two_phase: initial())
             for solver in SOLVERS:
                 for a in (1.8, 3.0):
-                    G = np.eye(4)
+                    G = np.eye(6)
                     G[0, 2] = G[2, 0] = a
-                    f = ObjectiveFunction("indefinite quadratic", 4,
+                    f = ObjectiveFunction("indefinite quadratic", 6,
                                           lambda x, G=G: 0.5 * float(x @ G @ x) + x[2],
-                                          lambda x, G=G: G @ x + b, np.zeros(4))
+                                          lambda x, G=G: G @ x + b, np.zeros(6))
                     res = solver(f, f.standard_start, SolverConfig(max_iter=2))
                     assert res.termination == SPD_FAILURE
                     assert res.iterations == 0
@@ -343,7 +347,8 @@ def test_a_compact_update_allocates_no_m_by_m_temporary():
     # an update allocates a few vectors of length n or m, and the solve keeps
     # m <= n, so its peak does not grow with m past a few n: at n = 300 one
     # update peaks below 8n floats with R at 20 rows and at 296, where one
-    # m x m array at m = 296 is 292n floats
+    # m x m array at m = 296 is 292n floats.  R's array has room for both
+    # updates' rows, so neither peak holds its doubling
     rng = np.random.default_rng(19)
     n = 300
     H = _CompactH(n)
@@ -351,7 +356,7 @@ def test_a_compact_update_allocates_no_m_by_m_temporary():
     for k in range(149):
         Bs, y = curvature_pair(rng, n)
         if k in (10, 148):
-            H.reserve(2)
+            assert H.rows.shape[0] >= H.m + 2
             s = H @ Bs
             tracemalloc.start()
             try:
