@@ -4,7 +4,7 @@ The top level holds what the README's Library section uses and the types of
 the values those names take or return.  Every other name is imported from its
 own module: ``qnbench.bench`` (runs, table, profiles), ``qnbench.linalg``,
 ``qnbench.linesearch`` (the search and its fixed constants ``WOLFE``), and
-the update primitives in ``qnbench.solvers``.
+the update primitives and the modes in ``qnbench.solvers``.
 """
 
 from qnbench.diagnostics import (
@@ -18,8 +18,6 @@ from qnbench.solvers import (
     CONVERGED,
     LINE_SEARCH_EXHAUSTED,
     MAX_ITER,
-    MODE_B_FORM,
-    MODE_H_FORM_LITERAL,
     NON_FINITE,
     SPD_FAILURE,
     IterateRecord,
@@ -40,8 +38,6 @@ __all__ = [
     "KnownOptimum",
     "LINE_SEARCH_EXHAUSTED",
     "MAX_ITER",
-    "MODE_B_FORM",
-    "MODE_H_FORM_LITERAL",
     "NON_FINITE",
     "ObjectiveFunction",
     "SPD_FAILURE",

@@ -23,12 +23,7 @@ from qnbench.bench import (
     records_to_csv,
     run_suite,
 )
-from qnbench.solvers import (
-    MODE_B_FORM,
-    MODE_H_FORM_LITERAL,
-    SolverConfig,
-    trace_to_csv,
-)
+from qnbench.solvers import SolverConfig, trace_to_csv
 from qnbench.suite import (
     GradientCheckError,
     UnknownProblemError,
@@ -37,8 +32,6 @@ from qnbench.suite import (
     manifest_csv,
     suite,
 )
-
-_MODES = {"b-form": MODE_B_FORM, "h-form": MODE_H_FORM_LITERAL}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--tol", type=float, default=SolverConfig.tol,
                        help="gradient-norm stopping tolerance")
     solve.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
-    solve.add_argument("--mode", choices=sorted(_MODES), default="b-form",
-                       help="operator realization for the two-phase solver")
     solve.add_argument("--trace", metavar="PATH", help="write the iterate trace CSV")
 
     bench = sub.add_parser("bench", help="run both solvers over the whole suite")
@@ -84,8 +75,7 @@ def _cmd_solve(args) -> int:
         print(f"qnbench solve: {err.args[0]}", file=sys.stderr)
         return 2
     try:
-        cfg = SolverConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter,
-                           mode=_MODES[args.mode])
+        cfg = SolverConfig(lam=args.lam, tol=args.tol, max_iter=args.max_iter)
     except ValueError as err:
         print(f"qnbench solve: {err}", file=sys.stderr)
         return 2
@@ -96,8 +86,7 @@ def _cmd_solve(args) -> int:
                  if args.trace else None)
         result = SOLVER_FUNCS[args.solver](objective, objective.standard_start, cfg)
         print(f"problem:         {problem.name} (n={objective.dimension})")
-        mode = f" ({args.mode})" if args.solver == "two-phase" else ""  # BFGS has no mode
-        print(f"solver:          {args.solver}{mode}")
+        print(f"solver:          {args.solver}")
         print(f"termination:     {result.termination}")
         print(f"iterations:      {result.iterations}")
         print(f"final f:         {result.final_f:.12g}")

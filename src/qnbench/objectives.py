@@ -94,7 +94,9 @@ def check_gradient(f: ObjectiveFunction, points: Sequence[np.ndarray]) -> Gradie
     """Compare the analytic gradient against central differences at ``points``.
 
     The per-point relative error is ``||g_analytic - g_fd|| / max(1, ||g_analytic||)``;
-    the report keeps the worst error and the coordinate where it occurred.
+    the report keeps the worst error and the coordinate where it occurred.  An
+    analytic gradient of a shape other than ``(f.dimension,)``, or with a
+    non-finite entry, raises ``ValueError``.
     """
     points = list(points)
     if not points:
@@ -105,6 +107,9 @@ def check_gradient(f: ObjectiveFunction, points: Sequence[np.ndarray]) -> Gradie
         x = np.asarray(x, dtype=float)
         approx = fd_gradient(f, x)
         exact = np.asarray(f.gradient(x), dtype=float)
+        if exact.shape != (f.dimension,):  # else diff would broadcast
+            raise ValueError(
+                f"{f.name}: gradient has shape {exact.shape}, expected ({f.dimension},)")
         finite = np.isfinite(exact)
         if not finite.all():
             i = int(np.argmin(finite))

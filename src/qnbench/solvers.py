@@ -113,9 +113,12 @@ class CurvatureError(ValueError):
 @dataclass(frozen=True)
 class SolverConfig:
     """Tunable scalars shared by both solvers; ``lam`` and ``mode`` only affect
-    the two-phase method.  ``wolfe`` is the line search's fixed ``WOLFE``,
-    readable here but not a field.  Unlike the records, it has no slots:
-    ``cli.py`` reads the defaults on the class."""
+    the two-phase method.  ``mode`` is ``MODE_B_FORM``, the paper's update,
+    or ``MODE_H_FORM_LITERAL``, the literal inverse form, an oracle that the
+    tests and the ``hform10`` benchmark run against ``b_form``; neither the
+    CLI nor the top-level package offers it.  ``wolfe`` is the line search's
+    fixed ``WOLFE``, readable here but not a field.  Unlike the records, it has
+    no slots: ``cli.py`` reads the defaults on the class."""
 
     lam: float = 0.5
     tol: float = 1e-6
@@ -479,6 +482,8 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
     psi = float(n)
     fx = float(f.evaluate(x))
     g = np.asarray(f.gradient(x), dtype=float)
+    if g.shape != x.shape:
+        raise ValueError(f"{f.name}: gradient has shape {g.shape}, expected ({n},)")
     f_evals, g_evals = 1, 1
     trace: list[IterateRecord] = []
     if not (math.isfinite(fx) and np.isfinite(g).all()):
@@ -557,9 +562,11 @@ def solve_bfgs(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
         Objective with analytic gradient (gradient-checked beforehand).
     x0 : array_like
         Starting point, of shape ``(f.dimension,)``; another shape raises
-        ``ValueError`` before any evaluation.
+        ``ValueError`` before any evaluation, and so does a gradient of
+        another shape at x0, after its evaluation.
     cfg : SolverConfig, optional
-        ``lam``, ``tol``, ``max_iter`` and ``mode``; benchmark defaults when omitted.
+        ``tol`` and ``max_iter``; benchmark defaults when omitted.  BFGS reads
+        neither ``lam`` nor ``mode``.
     """
     return _solve(f, x0, cfg, two_phase=False)
 
@@ -567,11 +574,13 @@ def solve_bfgs(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
 def solve_two_phase(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
     """Two-phase quasi-Newton iteration (see the module docstring), from B = I.
 
-    Parameters as in :func:`solve_bfgs`; ``cfg.mode`` chooses between
-    ``b_form``, the combination in B applied to the compact
-    H = I - R' diag(1, -1, ...) R from ``n >= COMPACT_MIN_N`` until R would
-    outgrow n, and otherwise to a dense H by a Woodbury update, and the literal
-    inverse form, dense at every n.
+    Parameters as in :func:`solve_bfgs`, and ``cfg.lam``, the mixing weight.
+    The default ``cfg.mode``, ``b_form``, applies the combination in B to the
+    compact H = I - R' diag(1, -1, ...) R from ``n >= COMPACT_MIN_N`` until R
+    would outgrow n, and otherwise to a dense H by a Woodbury update.
+    ``SolverConfig(mode=qnbench.solvers.MODE_H_FORM_LITERAL)`` runs the literal
+    inverse form instead, dense at every n: a cross-validation oracle, not a
+    faster or more accurate solve.
     """
     return _solve(f, x0, cfg, two_phase=True)
 

@@ -568,12 +568,14 @@ def _build_problems():
 
 
 class GradientCheckError(RuntimeError):
-    """A suite problem's gradient check failed or met a non-finite value."""
+    """A suite problem's gradient check failed, met a non-finite value or met a
+    gradient of the wrong shape."""
 
 
 def gradient_reports() -> list[tuple[SuiteProblem, GradientCheckReport]]:
     """Every problem with its gradient check; :class:`GradientCheckError`
-    names the first problem whose check fails or meets a non-finite value."""
+    names the first problem whose check fails, meets a non-finite value or
+    meets a gradient of the wrong shape."""
     checked = []
     for problem in _build_problems():
         try:

@@ -175,6 +175,18 @@ def sphere(n=10):
     )
 
 
+# (n, gradient shape) of a sum whose all-ones gradient has the wrong shape;
+# broadcast against the length-n central differences, each would read as exact
+WRONG_GRADIENT_SHAPES = [(4, (1,)), (1, ()), (3, (3, 1))]
+WRONG_GRADIENT_IDS = ["short", "scalar", "column"]
+
+
+def sum_with_gradient_shape(n, shape):
+    """``sum(x)`` in n variables whose gradient is all ones of ``shape``."""
+    return ObjectiveFunction("sum", n, lambda x: float(x.sum()), lambda x: np.ones(shape),
+                             np.ones(n))
+
+
 def diagonal_quadratic(diag, start):
     diag = np.asarray(diag, dtype=float)
     return ObjectiveFunction(

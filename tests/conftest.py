@@ -1,6 +1,7 @@
 import pytest
 
-from qnbench import MODE_H_FORM_LITERAL, SolverConfig, solve_bfgs, solve_two_phase, suite
+from qnbench import SolverConfig, solve_bfgs, solve_two_phase, suite
+from qnbench.solvers import MODE_H_FORM_LITERAL
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from qnbench import (
-    MODE_H_FORM_LITERAL,
     SolverConfig,
     check_gradient,
     diagnose_run,
@@ -22,7 +21,8 @@ from qnbench.bench import dolan_more, emit_table, run_suite, table_fixture_recor
 from qnbench.linalg import cholesky
 from qnbench.linesearch import WOLFE, WOLFE_SATISFIED
 from qnbench.objectives import default_check_points
-from qnbench.solvers import bfgs_update_B, bfgs_update_H, two_phase_combine
+from qnbench.solvers import (MODE_H_FORM_LITERAL, bfgs_update_B, bfgs_update_H,
+                             two_phase_combine)
 
 from _util import (curvature_pair, hager, iterate_sequence, make_spd,
                    perturbed_quadratic_diagonal, quadratic_hessian, raydan2)

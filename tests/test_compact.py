@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from qnbench import (
-    MODE_H_FORM_LITERAL,
     SPD_FAILURE,
     ObjectiveFunction,
     SolverConfig,
@@ -22,8 +21,8 @@ from qnbench import (
 )
 from qnbench import solvers
 from qnbench.linalg import SPDError
-from qnbench.solvers import (COMPACT_MIN_N, CurvatureError, _CompactH, _DenseH, _LiteralH,
-                             _operator)
+from qnbench.solvers import (COMPACT_MIN_N, MODE_H_FORM_LITERAL, CurvatureError, _CompactH,
+                             _DenseH, _LiteralH, _operator)
 
 from _util import (b_next, compact_from, curvature_pair, hager, iterate_sequence,
                    perturbed_quadratic_diagonal, raydan2, replay)

@@ -11,8 +11,8 @@ import io
 import sys
 from pathlib import Path
 
-from qnbench import (MODE_B_FORM, MODE_H_FORM_LITERAL, SolverConfig, solve_bfgs,
-                     solve_two_phase, suite)
+from qnbench import SolverConfig, solve_bfgs, solve_two_phase, suite
+from qnbench.solvers import MODE_B_FORM, MODE_H_FORM_LITERAL
 
 COUNTS = Path(__file__).resolve().parent / "data" / "suite_counts.csv"
 HEADER = ("problem", "solver", "mode", "termination", "iterations", "f_evals", "g_evals")

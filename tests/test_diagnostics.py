@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from qnbench import (
-    MODE_B_FORM,
-    MODE_H_FORM_LITERAL,
     IterateRecord,
     SolverConfig,
     diagnose_run,
@@ -15,6 +13,7 @@ from qnbench import (
     superlinear_ratio_series,
 )
 from qnbench.diagnostics import direction_quality
+from qnbench.solvers import MODE_B_FORM, MODE_H_FORM_LITERAL
 from qnbench.linalg import SPDError
 
 from _util import make_spd, quadratic_hessian, replay

@@ -53,7 +53,7 @@ class TestCholesky:
             cholesky(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
     @pytest.mark.parametrize("n", [2, 10, 300])
-    def test_out_holds_the_factor_of_np_linalg_cholesky(self, n):
+    def test_equals_np_linalg_cholesky(self, n):
         rng = np.random.default_rng(60 + n)
         for _ in range(3):
             a = make_spd(rng, n)
@@ -64,7 +64,7 @@ class TestCholesky:
         (np.diag([1.0, 1e-15]), "pivot"),
         (np.diag([1.0, 1e-15, 1e-16]), "pivot .* at column 1 is below"),
     ], ids=["indefinite", "pivot-at-limit", "first-failing-column"])
-    def test_out_failures_raise(self, a, match):
+    def test_failures_raise_spd_error(self, a, match):
         # LAPACK's failure on an indefinite matrix is an SPDError, not numpy's
         # LinAlgError; a pivot at the limit is rejected by the pivot test, whose
         # message names the first column that fails it
@@ -73,7 +73,7 @@ class TestCholesky:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 1), (1, 1)], ids=["off-diagonal", "diagonal"])
-    def test_non_finite_rejected_before_out_is_written(self, bad, where):
+    def test_non_finite_rejected_before_lapack(self, bad, where):
         # rejected by its own check, before LAPACK sees it
         a = np.eye(2)
         a[where] = a[where[::-1]] = bad

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from qnbench import ObjectiveFunction, check_gradient, suite
 from qnbench.objectives import FD_STEP, default_check_points, fd_gradient
 
-from _util import fd_gradient_fresh_steps, sphere
+from _util import (WRONG_GRADIENT_IDS, WRONG_GRADIENT_SHAPES, fd_gradient_fresh_steps, sphere,
+                   sum_with_gradient_shape)
 
 
 def _objective(name, n, fun, grad, start=None):
@@ -140,6 +143,14 @@ class TestCheckGradient:
                          lambda x: np.array([np.inf, 0.0]))
         with pytest.raises(ValueError, match="analytic"):
             check_gradient(bad, [np.ones(2)])
+
+    @pytest.mark.parametrize("n, shape", WRONG_GRADIENT_SHAPES, ids=WRONG_GRADIENT_IDS)
+    def test_gradient_of_the_wrong_shape_raises(self, n, shape):
+        # broadcasting would compare ones(shape) with the central differences
+        # ones(n) and report no error at all
+        with pytest.raises(ValueError, match=re.escape(
+                f"sum: gradient has shape {shape}, expected ({n},)")):
+            check_gradient(sum_with_gradient_shape(n, shape), [np.zeros(n)])
 
     def test_worst_coordinate_identified(self):
         # gradient wrong only in coordinate 1

@@ -10,8 +10,6 @@ import pytest
 from qnbench import (
     CONVERGED,
     MAX_ITER,
-    MODE_B_FORM,
-    MODE_H_FORM_LITERAL,
     ObjectiveFunction,
     SolverConfig,
     diagnose_run,
@@ -24,6 +22,8 @@ from qnbench import solvers
 from qnbench.linalg import PIVOT_RTOL, SPDError, cholesky, inverse_spd
 from qnbench.linesearch import wolfe_search
 from qnbench.solvers import (
+    MODE_B_FORM,
+    MODE_H_FORM_LITERAL,
     CurvatureError,
     _CompactH,
     _DenseH,
@@ -37,6 +37,8 @@ from qnbench.solvers import (
 )
 
 from _util import (
+    WRONG_GRADIENT_IDS,
+    WRONG_GRADIENT_SHAPES,
     bfgs_update_H_dense,
     b_next,
     curvature_pair,
@@ -45,6 +47,7 @@ from _util import (
     perturbed_quadratic_diagonal,
     replay,
     sphere,
+    sum_with_gradient_shape,
 )
 
 
@@ -183,6 +186,15 @@ def test_an_x0_of_the_wrong_shape_is_rejected_before_any_evaluation(solver, shap
     with pytest.raises(ValueError, match=re.escape(f"Raydan2: x0 has shape {shape}, "
                                                    "expected (10,)")):
         solver(f, np.ones(shape))
+
+
+@pytest.mark.parametrize("n, shape", WRONG_GRADIENT_SHAPES, ids=WRONG_GRADIENT_IDS)
+@pytest.mark.parametrize("solver", [solve_bfgs, solve_two_phase], ids=["bfgs", "two-phase"])
+def test_a_gradient_of_the_wrong_shape_at_x0_is_rejected(solver, n, shape):
+    f = sum_with_gradient_shape(n, shape)
+    with pytest.raises(ValueError, match=re.escape(
+            f"sum: gradient has shape {shape}, expected ({n},)")):
+        solver(f, f.standard_start)
 
 
 class TestBfgsUpdateB:
@@ -640,7 +652,7 @@ def test_woodbury_update_inverts_two_phase_combine(lam):
 
 
 @pytest.mark.parametrize("n", [2, 10, 300])
-def test_woodbury_update_out_h_equals_the_pure_call(n):
+def test_woodbury_update_in_place_equals_the_update_of_a_copy(n):
     # the update writes over its H; the pure result is the call on H.copy()
     rng = np.random.default_rng(80 + n)
     for _ in range(5):

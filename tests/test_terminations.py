@@ -20,8 +20,6 @@ from qnbench import (
     CONVERGED,
     LINE_SEARCH_EXHAUSTED,
     MAX_ITER,
-    MODE_B_FORM,
-    MODE_H_FORM_LITERAL,
     NON_FINITE,
     SPD_FAILURE,
     ObjectiveFunction,
@@ -31,7 +29,7 @@ from qnbench import (
     solve_two_phase,
 )
 from qnbench import solvers
-from qnbench.solvers import _DenseH
+from qnbench.solvers import MODE_B_FORM, MODE_H_FORM_LITERAL, _DenseH
 
 SOLVERS = ("bfgs", MODE_B_FORM, MODE_H_FORM_LITERAL)
 SETTINGS = settings(derandomize=True, max_examples=15, deadline=None, database=None)
