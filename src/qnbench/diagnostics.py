@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qnbench.linalg import cholesky, log_determinant_spd
-from qnbench.solvers import SolveResult
+from qnbench.solvers import SolveResult, _norm
 
 RATIO_DENOM_FLOOR = 1e-12
 
@@ -40,13 +40,14 @@ def superlinear_ratio_series(trace, x_star, final_x=None):
 
     ``final_x`` extends the trace with the terminal iterate, giving the last
     ratio.  Ratios whose denominator underflows ``RATIO_DENOM_FLOOR`` are
-    dropped.
+    dropped.  Each norm is ``solvers._norm``, bit-equal to ``np.linalg.norm``
+    without its wrapper.
     """
     x_star = np.asarray(x_star, dtype=float)
     xs = [np.asarray(r.x, dtype=float) for r in trace]
     if final_x is not None:
         xs.append(np.asarray(final_x, dtype=float))
-    errs = [float(np.linalg.norm(x - x_star)) for x in xs]
+    errs = [_norm(x - x_star) for x in xs]
     return [
         errs[k + 1] / errs[k]
         for k in range(len(errs) - 1)

@@ -21,9 +21,14 @@ conditions hold (Nocedal & Wright, *Numerical Optimization*, section 3.5),
 so the next contractions may still reach a Wolfe step.
 
 Each trial builds its point ``x + a p`` once, and a trial that passes Armijo
-takes its gradient at that same array.  One ``np.errstate`` per search, around
-the whole trial loop, silences overflow and invalid-value warnings in both
-evaluations, so a non-finite trial contracts quietly.
+takes its gradient at that same array.  The unit trial is ``x + p``, since
+``1.0 * p`` is p exactly.  A trial's gradient g is tested for finiteness only
+when its slope g'p is not finite: a finite g'p proves g finite, because an
+inf or NaN entry makes its term, and so the sum, inf or NaN.  A finite g whose
+g'p overflows is still tested and still compared with the curvature floor, so
+the rule changes no outcome.  One ``np.errstate`` per search, around the whole
+trial loop, silences overflow and invalid-value warnings in both evaluations,
+so a non-finite trial contracts quietly.
 """
 
 from __future__ import annotations
@@ -89,7 +94,7 @@ def wolfe_search(f, x, p, f_x, g_x) -> LineSearchOutcome:
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
-    slope = float(np.dot(g_x, p))
+    slope = float(p.dot(g_x))
     if not math.isfinite(slope) or slope >= 0.0:
         raise DescentDirectionError(slope)
     curvature_floor = WOLFE.c2 * slope
@@ -102,14 +107,15 @@ def wolfe_search(f, x, p, f_x, g_x) -> LineSearchOutcome:
     armijo_fallback = None
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(WOLFE.max_trials):
-            x_trial = x + alpha * p
+            x_trial = x + p if alpha == 1.0 else x + alpha * p
             f_trial = float(f.evaluate(x_trial))
             f_count += 1
             if math.isfinite(f_trial) and f_trial <= f_x + WOLFE.c1 * alpha * slope:
                 g_trial = np.asarray(f.gradient(x_trial), dtype=float)
                 g_count += 1
-                if np.isfinite(g_trial).all():
-                    if float(g_trial.dot(p)) >= curvature_floor:
+                gp = float(g_trial.dot(p))
+                if math.isfinite(gp) or np.isfinite(g_trial).all():
+                    if gp >= curvature_floor:
                         return LineSearchOutcome(
                             alpha, f_trial, g_trial, f_count, g_count, WOLFE_SATISFIED
                         )

@@ -239,12 +239,16 @@ def _norm(v):
 
 
 def _curvature(s, y):
-    """s'y, or :class:`CurvatureError` at or below the floor of UPDATE_SKIP_TOL."""
-    sy = float(s.dot(y))
-    floor = UPDATE_SKIP_TOL * _norm(s) * _norm(y)
+    """s'y and y'y, or :class:`CurvatureError` at or below the floor of UPDATE_SKIP_TOL.
+
+    y'y is the square of the floor's ``||y||``, handed on so that the psi step
+    need not dot y with itself again.
+    """
+    sy, yy = float(s.dot(y)), float(y.dot(y))
+    floor = UPDATE_SKIP_TOL * _norm(s) * math.sqrt(yy)
     if sy <= floor:
         raise CurvatureError(f"s'y = {sy:.3e} fails the curvature floor {floor:.3e}")
-    return sy
+    return sy, yy
 
 
 def bfgs_update_B(B, s, y):
@@ -252,7 +256,7 @@ def bfgs_update_B(B, s, y):
     B = np.asarray(B, dtype=float)
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    sy = _curvature(s, y)
+    sy, _ = _curvature(s, y)
     Bs = B @ s
     sBs = float(np.dot(s, Bs))
     if sBs <= 0.0:
@@ -273,7 +277,7 @@ def bfgs_update_H(H, s, y):
     """
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
-    rho = 1.0 / _curvature(s, y)
+    rho = 1.0 / _curvature(s, y)[0]
     A = H - rho * np.outer(s, H @ y)  # (I - r sy')H
     return A - np.outer(rho * (A @ y) - rho * s, s)  # ... (I - r ys') + r ss'
 
@@ -296,8 +300,9 @@ def combine_H_literal(H, H_bar, lam: float):
     return inverse_spd(two_phase_combine(H_inv, H_bar_inv, lam))
 
 
-def _psi_step(s, y, Bs, yHy, lam):
-    """Change in psi(B) = tr B - ln det B under B_next = lam B + (1 - lam) B_bfgs(B, s, y).
+def _psi_step(sy, sBs, yHy, yy, BsBs, lam):
+    """Change in psi(B) = tr B - ln det B under B_next = lam B + (1 - lam) B_bfgs(B, s, y),
+    from the update's inner products s'y, s'Bs, y'Hy, y'y and ||Bs||^2.
 
     The update is B + U C U' with U = [Bs, y] and
     C = diag(-(1 - lam)/s'Bs, (1 - lam)/s'y), so the trace gains
@@ -306,15 +311,16 @@ def _psi_step(s, y, Bs, yHy, lam):
     lam (1 + (1 - lam) y'Hy/s'y) + (1 - lam)^2 s'y/s'Bs: a sum of positive
     terms, so no cancellation.  The change is the trace's gain less the
     factor's logarithm.  BFGS is lam = 0, where the lam term adds +0.0 to a
-    positive sum, so any finite y'Hy gives the same float.
+    positive sum, so any finite y'Hy gives the same float.  The updates hand
+    over what they have dotted already: s'y, s'Bs and y'Hy from
+    :func:`_woodbury_m` and y'y from the curvature floor.
     """
-    sy, sBs = float(s.dot(y)), float(s.dot(Bs))
     if not sBs > 0.0:
         # s'Bs = -alpha^2 g'p with g'p < 0, but the sum can cancel in floating
         # point and lose its sign; psi is then unknown, not an error
         return math.nan
     mu = 1.0 - lam
-    d_trace = mu * (float(y.dot(y)) / sy - float(Bs.dot(Bs)) / sBs)
+    d_trace = mu * (yy / sy - BsBs / sBs)
     det = mu * mu * sy / sBs + lam * (1.0 + mu * yHy / sy)
     return d_trace - math.log(det)
 
@@ -326,8 +332,8 @@ def _psi_step(s, y, Bs, yHy, lam):
 
 
 def _woodbury_m(s, y, Bs, Hy, lam):
-    """y'Hy, the entries m11, m12, m22 of M = C^{-1} + U'HU, and det M, from s = H Bs and Hy,
-    once M's inertia certifies the update.
+    """s'y, s'Bs and y'Hy, then m11 and m22 of M = C^{-1} + U'HU, whose m12 is s'y, and
+    det M, from s = H Bs and Hy, once M's inertia certifies the update.
 
     With U = [Bs, y] and the C of :func:`_psi_step`,
     M = [[-lam s'Bs/(1 - lam), s'y], [s'y, s'y/(1 - lam) + y'Hy]] (Nocedal &
@@ -339,6 +345,7 @@ def _woodbury_m(s, y, Bs, Hy, lam):
     :meth:`_CompactH.update`'s rows real) and det M is below
     -PIVOT_RTOL (|m11 m22| + m12^2), which also rejects an M whose products
     underflow to 0.  BFGS, lam = 0, has m11 = -0.0 and det M = -(s'y)^2.
+    The update hands s'y, s'Bs and y'Hy of this same s on to :func:`_psi_step`.
     """
     sy, sBs, yHy = float(s.dot(y)), float(s.dot(Bs)), float(y.dot(Hy))
     if sBs <= 0.0:
@@ -350,7 +357,7 @@ def _woodbury_m(s, y, Bs, Hy, lam):
     if not (m12 > 0.0 and m22 > 0.0 and det < -floor):
         raise SPDError(f"s'y = {m12:.3e}, m22 = {m22:.3e} and det M = {det:.3e} fail "
                        f"s'y > 0, m22 > 0 and det M < {-floor:.3e}")
-    return yHy, m11, m12, m22, det
+    return sy, sBs, yHy, m11, m22, det
 
 
 class _DenseH:
@@ -368,23 +375,25 @@ class _DenseH:
 
         By Woodbury, H_next = H - HU M^{-1} (HU)' with U = [Bs, y] and the M of
         :func:`_woodbury_m`, where s = H Bs, the loop's alpha_bar p_bar
-        recomputed: s'Bs = Bs'H Bs > 0, and the psi step that takes this s and
-        y'Hy tracks H_next.  HU is filled by two matrix-vector products, not one
-        product with [Bs, y], which rounds differently.  The update is certified
-        by M's inertia; H_next's rounding asymmetry is accepted, unsymmetrized.
-        The correction HU M^{-1} (HU)' is one transient n x n array.  Every check
-        runs before the first write, so a pair that fails one leaves H as it was.
+        recomputed: s'Bs = Bs'H Bs > 0, and the psi step that takes this s's
+        products and y'Hy tracks H_next.  HU is filled by two matrix-vector
+        products, not one product with [Bs, y], which rounds differently.  M^{-1}
+        is built with its entries already divided by det M.  The update is
+        certified by M's inertia; H_next's rounding asymmetry is accepted,
+        unsymmetrized.  The correction HU M^{-1} (HU)' is one transient n x n
+        array.  Every check runs before the first write, so a pair that fails
+        one leaves H as it was.
         """
-        _curvature(s, y)
+        _, yy = _curvature(s, y)
         H = self.H
         HU = np.empty((H.shape[0], 2))
         HU[:, 0] = H @ Bs
         HU[:, 1] = H @ y
-        s = HU[:, 0]
-        yHy, m11, m12, m22, det = _woodbury_m(s, y, Bs, HU[:, 1], lam)
-        M_inv = np.array([[m22, -m12], [-m12, m11]]) / det
+        sy, sBs, yHy, m11, m22, det = _woodbury_m(HU[:, 0], y, Bs, HU[:, 1], lam)
+        m12_inv = -sy / det
+        M_inv = np.array([[m22 / det, m12_inv], [m12_inv, m11 / det]])
         H -= (HU @ M_inv) @ HU.T
-        return self, _psi_step(s, y, Bs, yHy, lam)
+        return self, _psi_step(sy, sBs, yHy, yy, float(Bs.dot(Bs)), lam)
 
 
 class _LiteralH(_DenseH):
@@ -395,7 +404,8 @@ class _LiteralH(_DenseH):
     def update(self, s, y, Bs, lam):
         H = self.H
         self.H = combine_H_literal(H, bfgs_update_H(H, s, y), lam)
-        return self, _psi_step(s, y, Bs, float(y.dot(H @ y)), lam)
+        return self, _psi_step(float(s.dot(y)), float(s.dot(Bs)), float(y.dot(H @ y)),
+                               float(y.dot(y)), float(Bs.dot(Bs)), lam)
 
 
 class _CompactH:
@@ -442,24 +452,26 @@ class _CompactH:
         needs more than n rows.  Every check runs before the first write, the
         curvature floor before the handoff.
         """
-        _curvature(s, y)
+        _, yy = _curvature(s, y)
         m, n = self.m, self.rows.shape[1]
         if m + 2 > n:
             return _DenseH(self.dense()).update(s, y, Bs, lam)
         R = self.rows[:m]
-        HU = np.stack((Bs, y))
+        HU = np.empty((2, n))
+        HU[0] = Bs
+        HU[1] = y
         W = HU @ R.T
         W[:, 1::2] *= -1.0
         HU -= W @ R
         s, Hy = HU
-        yHy, m11, m12, m22, det = _woodbury_m(s, y, Bs, Hy, lam)
+        sy, sBs, yHy, _, m22, det = _woodbury_m(s, y, Bs, Hy, lam)
         if m + 2 > len(self.rows):
             self.rows = np.empty((min(2 * len(self.rows), n), n))
             self.rows[:m] = R
         self.rows[m] = Hy / math.sqrt(m22)
-        self.rows[m + 1] = math.sqrt(m22 / -det) * (s - m12 / m22 * Hy)
+        self.rows[m + 1] = math.sqrt(m22 / -det) * (s - sy / m22 * Hy)
         self.m = m + 2
-        return self, _psi_step(s, y, Bs, yHy, lam)
+        return self, _psi_step(sy, sBs, yHy, yy, float(Bs.dot(Bs)), lam)
 
 
 def _operator(n, cfg: SolverConfig, two_phase: bool):
@@ -471,7 +483,14 @@ def _operator(n, cfg: SolverConfig, two_phase: bool):
 
 
 def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
-    """The iteration loop of both solvers, from H = B = I and psi(I) = n."""
+    """The iteration loop of both solvers, from H = B = I and psi(I) = n.
+
+    Each iteration builds its next iterate once: ``x + s`` when the first step
+    is accepted, as by BFGS and by two-phase after a skipped update, and
+    otherwise ``x + alpha p`` from the second search.  The point
+    ``x_bar = x + s`` of the pair is never built for its own sake: the first
+    search has evaluated the gradient there already.
+    """
     cfg = cfg if cfg is not None else SolverConfig()
     lam = cfg.lam if two_phase else 0.0
     x = np.array(x0, dtype=float)
@@ -508,7 +527,6 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
                 termination = LINE_SEARCH_EXHAUSTED
                 break
             s = first.alpha * p_bar
-            x_bar = x + s
             y = first.grad_new - g
             try:
                 # B p_bar = -g, so Bs = -alpha_bar g
@@ -517,7 +535,7 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
             except CurvatureError:
                 skipped = True  # H and psi stay as they are
             # BFGS, and two-phase after a skipped update, accept the first step
-            p, second, x_next = p_bar, first, x_bar
+            p, second = p_bar, first
             if two_phase and not skipped:
                 p = -(H @ g)
                 second = wolfe_search(f, x, p, fx, g)
@@ -526,7 +544,6 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
                 if second.status == EXHAUSTED:
                     termination = LINE_SEARCH_EXHAUSTED
                     break
-                x_next = x + second.alpha * p
         except DescentDirectionError as err:
             # g'p not negative, or not finite, as when g'Hg overflows
             termination = SPD_FAILURE if math.isfinite(err.slope) else NON_FINITE
@@ -538,7 +555,7 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
         alpha_bar = status_bar = None
         if two_phase:
             alpha_bar, status_bar = first.alpha, first.status
-            coupling = float(np.dot(p - p_bar, first.grad_new))
+            coupling = float((p - p_bar).dot(first.grad_new))
             values = np.empty((5, n + 1))
             values[:, :n] = x, g, y, p, p_bar
             values[:, n] = fx, psi, coupling, math.nan, math.nan
@@ -548,7 +565,8 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
             values[:, n] = fx, psi, math.nan, math.nan
         trace.append(IterateRecord(values, alpha_bar, second.alpha, skipped, status_bar,
                                    second.status))
-        x, fx, g = x_next, second.f_new, second.grad_new
+        x = x + s if second is first else x + second.alpha * p
+        fx, g = second.f_new, second.grad_new
     return SolveResult(x, fx, g_norm, f_evals, g_evals, termination, trace)
 
 

@@ -60,7 +60,11 @@ class SuiteProblem:
 # disjoint pairs (x_{2i-1}, x_{2i}).  Sums and running sums call the array's
 # own ``.sum()`` and ``.cumsum()``, and gradients start from
 # ``np.zeros(x.shape)``: the arithmetic of ``np.sum``, ``np.cumsum`` and
-# ``np.zeros_like``, without their Python wrappers.
+# ``np.zeros_like``, without their Python wrappers.  An objective computes a
+# subexpression it reads more than once, such as x^2 or 2 t, a single time,
+# by the same operations in the same order, so its floats are those of the
+# formula written out; a power other than 2 is never rebuilt from x^2, which
+# would round differently.
 
 _IDX = np.arange(1.0, DIMENSION + 1.0)
 
@@ -99,11 +103,11 @@ def _biggsb1(x):
 
 
 def _biggsb1_grad(x):
-    d = x[1:] - x[:-1]
+    two_d = 2.0 * (x[1:] - x[:-1])
     g = np.zeros(x.shape)
     g[0] = 2.0 * (x[0] - 1.0)
-    g[:-1] -= 2.0 * d
-    g[1:] += 2.0 * d
+    g[:-1] -= two_d
+    g[1:] += two_d
     g[-1] += 2.0 * (x[-1] - 1.0)
     return g
 
@@ -165,23 +169,25 @@ def _dixmaanl(x):
     + 0.26 sum_{i<=2m} x_i^2 x_{i+m}^4 + 0.26 sum_{i<=m} x_i x_{i+2m} (i/n)^2,
     with m = n // 3."""
     m = _DIXMAAN_M
-    q = x[1:] + x[1:] ** 2
+    x2 = x**2
+    q = x[1:] + x2[1:]
     value = 1.0
-    value += float((x**2 * _DIXMAAN_W).sum())
-    value += 0.26 * float((x[:-1] ** 2 * q**2).sum())
-    value += 0.26 * float((x[: 2 * m] ** 2 * x[m: 3 * m] ** 4).sum())
+    value += float((x2 * _DIXMAAN_W).sum())
+    value += 0.26 * float((x2[:-1] * q**2).sum())
+    value += 0.26 * float((x2[: 2 * m] * x[m: 3 * m] ** 4).sum())
     value += 0.26 * float((x[:m] * x[2 * m: 3 * m] * _DIXMAAN_W[:m]).sum())
     return value
 
 
 def _dixmaanl_grad(x):
     m = _DIXMAAN_M
-    q = x[1:] + x[1:] ** 2
+    x2 = x**2
+    q = x[1:] + x2[1:]
     g = 2.0 * x * _DIXMAAN_W
     g[:-1] += 0.52 * x[:-1] * q**2
-    g[1:] += 0.52 * x[:-1] ** 2 * q * (1.0 + 2.0 * x[1:])
+    g[1:] += 0.52 * x2[:-1] * q * (1.0 + 2.0 * x[1:])
     g[: 2 * m] += 0.52 * x[: 2 * m] * x[m: 3 * m] ** 4
-    g[m: 3 * m] += 1.04 * x[: 2 * m] ** 2 * x[m: 3 * m] ** 3
+    g[m: 3 * m] += 1.04 * x2[: 2 * m] * x[m: 3 * m] ** 3
     g[:m] += 0.26 * x[2 * m: 3 * m] * _DIXMAAN_W[:m]
     g[2 * m: 3 * m] += 0.26 * x[:m] * _DIXMAAN_W[:m]
     return g
@@ -216,10 +222,10 @@ def _edensch(x):
 
 def _edensch_grad(x):
     a, b = x[:-1], x[1:]
-    r = a * b - 2.0 * b
+    two_r, d = 2.0 * (a * b - 2.0 * b), a - 2.0
     g = np.zeros(x.shape)
-    g[:-1] += 4.0 * (a - 2.0) ** 3 + 2.0 * r * b
-    g[1:] += 2.0 * r * (a - 2.0) + 2.0 * (b + 1.0)
+    g[:-1] += 4.0 * d**3 + two_r * b
+    g[1:] += two_r * d + 2.0 * (b + 1.0)
     return g
 
 
@@ -232,10 +238,10 @@ def _engval1(x):
 
 def _engval1_grad(x):
     a, b = x[:-1], x[1:]
-    t = a**2 + b**2
+    four_t = 4.0 * (a**2 + b**2)
     g = np.zeros(x.shape)
-    g[:-1] += 4.0 * t * a - 4.0
-    g[1:] += 4.0 * t * b
+    g[:-1] += four_t * a - 4.0
+    g[1:] += four_t * b
     return g
 
 
@@ -250,12 +256,14 @@ def _extended_beale(x):
 
 def _extended_beale_grad(x):
     u, v = x[0::2], x[1::2]
-    r1 = 1.5 - u * (1.0 - v)
-    r2 = 2.25 - u * (1.0 - v**2)
-    r3 = 2.625 - u * (1.0 - v**3)
+    v2, v3 = v**2, v**3
+    a1, a2, a3 = 1.0 - v, 1.0 - v2, 1.0 - v3
+    r1 = 1.5 - u * a1
+    r2 = 2.25 - u * a2
+    r3 = 2.625 - u * a3
     g = np.zeros(x.shape)
-    g[0::2] = -2.0 * (r1 * (1.0 - v) + r2 * (1.0 - v**2) + r3 * (1.0 - v**3))
-    g[1::2] = 2.0 * u * (r1 + 2.0 * v * r2 + 3.0 * v**2 * r3)
+    g[0::2] = -2.0 * (r1 * a1 + r2 * a2 + r3 * a3)
+    g[1::2] = 2.0 * u * (r1 + 2.0 * v * r2 + 3.0 * v2 * r3)
     return g
 
 
@@ -267,9 +275,10 @@ def _extended_denschnb(x):
 
 def _extended_denschnb_grad(x):
     u, v = x[0::2], x[1::2]
+    d = u - 2.0
     g = np.zeros(x.shape)
-    g[0::2] = 2.0 * (u - 2.0) * (1.0 + v**2)
-    g[1::2] = 2.0 * (u - 2.0) ** 2 * v + 2.0 * (v + 1.0)
+    g[0::2] = 2.0 * d * (1.0 + v**2)
+    g[1::2] = 2.0 * d**2 * v + 2.0 * (v + 1.0)
     return g
 
 
@@ -287,7 +296,8 @@ def _extended_freudenstein_roth_grad(x):
     r2 = -29.0 + u + ((v + 1.0) * v - 14.0) * v
     g = np.zeros(x.shape)
     g[0::2] = 2.0 * (r1 + r2)
-    g[1::2] = 2.0 * r1 * (10.0 * v - 3.0 * v**2 - 2.0) + 2.0 * r2 * (3.0 * v**2 + 2.0 * v - 14.0)
+    three_v2 = 3.0 * v**2
+    g[1::2] = 2.0 * r1 * (10.0 * v - three_v2 - 2.0) + 2.0 * r2 * (three_v2 + 2.0 * v - 14.0)
     return g
 
 
@@ -300,10 +310,10 @@ def _extended_psc1(x):
 
 def _extended_psc1_grad(x):
     u, v = x[0::2], x[1::2]
-    t = u**2 + v**2 + u * v
+    two_t, two_u, two_v = 2.0 * (u**2 + v**2 + u * v), 2.0 * u, 2.0 * v
     g = np.zeros(x.shape)
-    g[0::2] = 2.0 * t * (2.0 * u + v) + np.sin(2.0 * u)
-    g[1::2] = 2.0 * t * (2.0 * v + u) - np.sin(2.0 * v)
+    g[0::2] = two_t * (two_u + v) + np.sin(two_u)
+    g[1::2] = two_t * (two_v + u) - np.sin(two_v)
     return g
 
 
@@ -332,10 +342,10 @@ def _extended_tridiagonal2(x):
 
 def _extended_tridiagonal2_grad(x):
     a, b = x[:-1], x[1:]
-    r = a * b - 1.0
+    two_r = 2.0 * (a * b - 1.0)
     g = np.zeros(x.shape)
-    g[:-1] += 2.0 * r * b + 0.1 * (b + 1.0)
-    g[1:] += 2.0 * r * a + 0.1 * (a + 1.0)
+    g[:-1] += two_r * b + 0.1 * (b + 1.0)
+    g[1:] += two_r * a + 0.1 * (a + 1.0)
     return g
 
 
@@ -346,10 +356,10 @@ def _fletcher(x):
 
 
 def _fletcher_grad(x):
-    r = x[1:] - x[:-1] + 1.0 - x[:-1] ** 2
+    r200 = 200.0 * (x[1:] - x[:-1] + 1.0 - x[:-1] ** 2)
     g = np.zeros(x.shape)
-    g[:-1] += 200.0 * r * (-1.0 - 2.0 * x[:-1])
-    g[1:] += 200.0 * r
+    g[:-1] += r200 * (-1.0 - 2.0 * x[:-1])
+    g[1:] += r200
     return g
 
 
@@ -362,10 +372,10 @@ def _generalized_psc1(x):
 
 def _generalized_psc1_grad(x):
     a, b = x[:-1], x[1:]
-    t = a**2 + b**2 + a * b
+    two_t, two_a, two_b = 2.0 * (a**2 + b**2 + a * b), 2.0 * a, 2.0 * b
     g = np.zeros(x.shape)
-    g[:-1] += 2.0 * t * (2.0 * a + b) + np.sin(2.0 * a)
-    g[1:] += 2.0 * t * (2.0 * b + a) - np.sin(2.0 * b)
+    g[:-1] += two_t * (two_a + b) + np.sin(two_a)
+    g[1:] += two_t * (two_b + a) - np.sin(two_b)
     return g
 
 
@@ -427,11 +437,11 @@ def _perturbed_tridiagonal_quadratic(x):
 
 
 def _perturbed_tridiagonal_quadratic_grad(x):
-    t = x[:-2] + x[1:-1] + x[2:]
+    t50 = (x[:-2] + x[1:-1] + x[2:]) / 50.0
     g = 2.0 * _IDX * x
-    g[:-2] += t / 50.0
-    g[1:-1] += t / 50.0
-    g[2:] += t / 50.0
+    g[:-2] += t50
+    g[1:-1] += t50
+    g[2:] += t50
     return g
 
 

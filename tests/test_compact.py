@@ -339,7 +339,8 @@ def test_bfgs_passes_the_inertia_test_on_every_curvature_pair(monkeypatch):
             B = b_next(B, B @ s, y, 0.0)
         assert H.m == n
     assert len(seen) == 45
-    assert all(det == -(m12 * m12) for _, _, m12, _, det in seen)
+    # M's m12 is s'y, the first value _woodbury_m returns
+    assert all(det == -(m12 * m12) for m12, _, _, _, _, det in seen)
 
 
 def test_a_compact_update_allocates_no_m_by_m_temporary():

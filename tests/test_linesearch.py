@@ -249,3 +249,52 @@ def test_one_errstate_covers_the_trial_values_and_gradients():
     assert out.status == WOLFE_SATISFIED
     assert out.alpha == 0.125
     assert (out.f_evals, out.g_evals) == (4, 2)
+
+
+# A trial's gradient is tested for finiteness only when its slope g'p is not
+# finite.  Each case below pins the outcome of the search that tested every
+# trial gradient, (alpha, status, f_evals, g_evals).
+
+
+def _outcome(out):
+    return out.alpha, out.status, out.f_evals, out.g_evals
+
+
+def test_an_infinite_gradient_entry_where_p_is_zero_contracts():
+    # 0.5 x_1^2 from x = (1, 0) along p = (-0.5, 0): the unit and the half
+    # trial pass Armijo, but their gradients have inf in the entry where p is
+    # 0, so g'p is inf * 0 = NaN and each contracts; the quarter step
+    # satisfies both.  Were NaN read as a failed curvature test, the search
+    # would end at the half step with the unit step as armijo_only
+    def grad(x):
+        return np.array([x[0], np.inf if x[0] < 0.8 else 0.0])
+
+    f = ObjectiveFunction("inf where p = 0", 2, lambda x: 0.5 * float(x[0] ** 2), grad,
+                          np.zeros(2))
+    out = wolfe_search(f, np.array([1.0, 0.0]), np.array([-0.5, 0.0]), 0.5,
+                       np.array([1.0, 0.0]))
+    assert _outcome(out) == (0.25, WOLFE_SATISFIED, 3, 3)
+
+
+def test_a_nan_gradient_never_passes():
+    # linear descent with a NaN gradient at every trial: every trial passes
+    # Armijo and contracts, and the budget runs out with no fallback
+    f = _scalar_objective(lambda x: -float(x[0]), lambda x: np.full(1, np.nan))
+    out = wolfe_search(f, np.zeros(1), np.array([1.0]), 0.0, np.array([-1.0]))
+    assert _outcome(out) == (0.5 ** 59, EXHAUSTED, 60, 60)
+    assert out.grad_new is None
+
+
+@pytest.mark.parametrize("sign, expected", [(1.0, (1.0, WOLFE_SATISFIED, 1, 1)),
+                                            (-1.0, (1.0, ARMIJO_ONLY, 2, 2))],
+                         ids=["plus", "minus"])
+def test_a_finite_gradient_whose_slope_overflows_is_compared_with_the_floor(sign, expected):
+    # linear descent along p = (1, 1) with the finite gradient sign * 1e308 (1, 1):
+    # g'p overflows to sign * inf.  +inf passes the curvature floor at the
+    # unit step; -inf fails it at the unit step and at the half step, which
+    # ends the search with the unit step as the Armijo-only fallback
+    f = ObjectiveFunction("overflowing slope", 2, lambda x: -float(x.sum()),
+                          lambda x: np.full(2, sign * 1e308), np.zeros(2))
+    out = wolfe_search(f, np.zeros(2), np.ones(2), 0.0, np.full(2, -1.0))
+    assert _outcome(out) == expected
+    assert np.isfinite(out.grad_new).all()

@@ -643,11 +643,13 @@ def test_woodbury_update_inverts_two_phase_combine(lam):
             H, Bs = np.linalg.inv(B), B @ s
             H_next, d_psi = _DenseH(H.copy()).update(s, y, Bs, lam)
             assert np.abs(H_next.H @ B_next - np.eye(n)).max() <= 1e-13
-            # its psi step takes s = H Bs and y'Hy of the H it was given.  It
-            # reads them from the columns of HU, whose dot products round
-            # apart from these in the last bits: over the three lam, 60 of the
-            # 120 cases differ, by at most 1.9e-14 relative
-            want = _psi_step(H @ Bs, y, Bs, y @ (H @ y), lam)
+            # its psi step takes the products of s = H Bs and y'Hy of the H it
+            # was given.  It reads them from the columns of HU, whose dot
+            # products round apart from these in the last bits: over the three
+            # lam, 60 of the 120 cases differ, by at most 1.9e-14 relative
+            HBs = H @ Bs
+            want = _psi_step(float(HBs.dot(y)), float(HBs.dot(Bs)), y @ (H @ y),
+                             float(y.dot(y)), float(Bs.dot(Bs)), lam)
             assert d_psi == pytest.approx(want, rel=1e-13)
 
 
