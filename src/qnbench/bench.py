@@ -72,8 +72,8 @@ def run_suite(problems=None, solvers=("bfgs", "two-phase"),
     ``results`` dict is supplied it collects the first :class:`SolveResult`
     per pair under the key ``(problem_name, solver_name)``.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+    if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
+        raise ValueError(f"runs must be an int >= 1, got {runs!r}")
     problems = suite() if problems is None else list(problems)
     cfg = cfg if cfg is not None else SolverConfig()
     records = []

@@ -26,9 +26,9 @@ takes its gradient at that same array.  The unit trial is ``x + p``, since
 when its slope g'p is not finite: a finite g'p proves g finite, because an
 inf or NaN entry makes its term, and so the sum, inf or NaN.  A finite g whose
 g'p overflows is still tested and still compared with the curvature floor, so
-the rule changes no outcome.  One ``np.errstate`` per search, around the whole
-trial loop, silences overflow and invalid-value warnings in both evaluations,
-so a non-finite trial contracts quietly.
+the rule changes no outcome.  The search sets no floating-point state: its
+caller's holds, and a solve's one ``np.errstate`` lets a non-finite trial
+contract quietly.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def wolfe_search(f, x, p, f_x, g_x) -> LineSearchOutcome:
     same fallback is returned, and with no Armijo-passing step at all the
     status is ``exhausted``.  Non-finite trial values or gradients reject the trial and
     contract, so overflowing evaluations shrink the step instead of aborting
-    the run.
+    the run.  The search runs under its caller's floating-point state.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -99,31 +99,27 @@ def wolfe_search(f, x, p, f_x, g_x) -> LineSearchOutcome:
         raise DescentDirectionError(slope)
     curvature_floor = WOLFE.c2 * slope
 
-    f_count = 0
-    g_count = 0
-    alpha = 1.0
-    last_alpha = alpha
+    f_count = g_count = 0
+    alpha = last_alpha = 1.0
     last_f = float(f_x)
     armijo_fallback = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(WOLFE.max_trials):
-            x_trial = x + p if alpha == 1.0 else x + alpha * p
-            f_trial = float(f.evaluate(x_trial))
-            f_count += 1
-            if math.isfinite(f_trial) and f_trial <= f_x + WOLFE.c1 * alpha * slope:
-                g_trial = np.asarray(f.gradient(x_trial), dtype=float)
-                g_count += 1
-                gp = float(g_trial.dot(p))
-                if math.isfinite(gp) or np.isfinite(g_trial).all():
-                    if gp >= curvature_floor:
-                        return LineSearchOutcome(
-                            alpha, f_trial, g_trial, f_count, g_count, WOLFE_SATISFIED
-                        )
-                    if armijo_fallback is not None:
-                        break
-                    armijo_fallback = (alpha, f_trial, g_trial)
-            last_alpha, last_f = alpha, f_trial
-            alpha *= WOLFE.backtrack
+    for _ in range(WOLFE.max_trials):
+        x_trial = x + p if alpha == 1.0 else x + alpha * p
+        f_trial = float(f.evaluate(x_trial))
+        f_count += 1
+        if math.isfinite(f_trial) and f_trial <= f_x + WOLFE.c1 * alpha * slope:
+            g_trial = np.asarray(f.gradient(x_trial), dtype=float)
+            g_count += 1
+            gp = float(g_trial.dot(p))
+            if math.isfinite(gp) or np.isfinite(g_trial).all():
+                if gp >= curvature_floor:
+                    return LineSearchOutcome(alpha, f_trial, g_trial, f_count, g_count,
+                                             WOLFE_SATISFIED)
+                if armijo_fallback is not None:
+                    break
+                armijo_fallback = (alpha, f_trial, g_trial)
+        last_alpha, last_f = alpha, f_trial
+        alpha *= WOLFE.backtrack
 
     if armijo_fallback is not None:
         alpha, f_trial, g_trial = armijo_fallback

@@ -61,9 +61,10 @@ and a status string), and ``dataclasses.replace`` can change them.
 
 A run ends ``converged``, ``max_iter``, ``line_search_exhausted``,
 ``spd_failure`` (a finite slope ``g'p`` that is not negative, or an update
-that fails its SPD certificate) or ``non_finite`` (f or the gradient is not
-finite at x0, or ``||g||`` or the slope ``g'p`` is not finite at an iterate,
-as when it overflows).
+that fails its SPD certificate) or ``non_finite`` (f is not finite at x0, or
+``||g||`` or the slope ``g'p`` is not finite at an iterate, x0 included, as
+when g is not finite or overflows).  One ``np.errstate`` per solve keeps its
+overflow and invalid values from escaping as warnings.
 """
 
 from __future__ import annotations
@@ -489,7 +490,9 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
     is accepted, as by BFGS and by two-phase after a skipped update, and
     otherwise ``x + alpha p`` from the second search.  The point
     ``x_bar = x + s`` of the pair is never built for its own sake: the first
-    search has evaluated the gradient there already.
+    search has evaluated the gradient there already.  One ``np.errstate``, from
+    the evaluation at x0 to the return, silences overflow and invalid values;
+    a non-finite gradient at x0 ends the solve through the ``||g||`` test.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     lam = cfg.lam if two_phase else 0.0
@@ -499,75 +502,76 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
     n = x.size
     H = _operator(n, cfg, two_phase)
     psi = float(n)
-    fx = float(f.evaluate(x))
-    g = np.asarray(f.gradient(x), dtype=float)
-    if g.shape != x.shape:
-        raise ValueError(f"{f.name}: gradient has shape {g.shape}, expected ({n},)")
     f_evals, g_evals = 1, 1
     trace: list[IterateRecord] = []
-    if not (math.isfinite(fx) and np.isfinite(g).all()):
-        return SolveResult(x, fx, _norm(g), f_evals, g_evals, NON_FINITE, trace)
-    while True:
-        g_norm = _norm(g)
-        if g_norm <= cfg.tol:
-            termination = CONVERGED
-            break
-        if not math.isfinite(g_norm):
-            termination = NON_FINITE  # ||g|| overflows
-            break
-        if len(trace) >= cfg.max_iter:
-            termination = MAX_ITER
-            break
-        p_bar = -(H @ g)
-        try:
-            first = wolfe_search(f, x, p_bar, fx, g)
-            f_evals += first.f_evals
-            g_evals += first.g_evals
-            if first.status == EXHAUSTED:
-                termination = LINE_SEARCH_EXHAUSTED
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = float(f.evaluate(x))
+        g = np.asarray(f.gradient(x), dtype=float)
+        if g.shape != x.shape:
+            raise ValueError(f"{f.name}: gradient has shape {g.shape}, expected ({n},)")
+        if not math.isfinite(fx):
+            return SolveResult(x, fx, _norm(g), f_evals, g_evals, NON_FINITE, trace)
+        while True:
+            g_norm = _norm(g)
+            if g_norm <= cfg.tol:
+                termination = CONVERGED
                 break
-            s = first.alpha * p_bar
-            y = first.grad_new - g
+            if not math.isfinite(g_norm):
+                termination = NON_FINITE  # g is not finite, or ||g|| overflows
+                break
+            if len(trace) >= cfg.max_iter:
+                termination = MAX_ITER
+                break
+            p_bar = -(H @ g)
             try:
-                # B p_bar = -g, so Bs = -alpha_bar g
-                H, d_psi = H.update(s, y, -first.alpha * g, lam)
-                psi, skipped = psi + d_psi, False
-            except CurvatureError:
-                skipped = True  # H and psi stay as they are
-            # BFGS, and two-phase after a skipped update, accept the first step
-            p, second = p_bar, first
-            if two_phase and not skipped:
-                p = -(H @ g)
-                second = wolfe_search(f, x, p, fx, g)
-                f_evals += second.f_evals
-                g_evals += second.g_evals
-                if second.status == EXHAUSTED:
+                first = wolfe_search(f, x, p_bar, fx, g)
+                f_evals += first.f_evals
+                g_evals += first.g_evals
+                if first.status == EXHAUSTED:
                     termination = LINE_SEARCH_EXHAUSTED
                     break
-        except DescentDirectionError as err:
-            # g'p not negative, or not finite, as when g'Hg overflows
-            termination = SPD_FAILURE if math.isfinite(err.slope) else NON_FINITE
-            break
-        except SPDError:
-            termination = SPD_FAILURE  # an update that fails its certificate
-            break
+                s = first.alpha * p_bar
+                y = first.grad_new - g
+                try:
+                    # B p_bar = -g, so Bs = -alpha_bar g
+                    H, d_psi = H.update(s, y, -first.alpha * g, lam)
+                    psi, skipped = psi + d_psi, False
+                except CurvatureError:
+                    skipped = True  # H and psi stay as they are
+                # BFGS, and two-phase after a skipped update, accept the first step
+                p, second = p_bar, first
+                if two_phase and not skipped:
+                    p = -(H @ g)
+                    second = wolfe_search(f, x, p, fx, g)
+                    f_evals += second.f_evals
+                    g_evals += second.g_evals
+                    if second.status == EXHAUSTED:
+                        termination = LINE_SEARCH_EXHAUSTED
+                        break
+            except DescentDirectionError as err:
+                # g'p not negative, or not finite, as when g'Hg overflows
+                termination = SPD_FAILURE if math.isfinite(err.slope) else NON_FINITE
+                break
+            except SPDError:
+                termination = SPD_FAILURE  # an update that fails its certificate
+                break
 
-        alpha_bar = status_bar = None
-        if two_phase:
-            alpha_bar, status_bar = first.alpha, first.status
-            coupling = float((p - p_bar).dot(first.grad_new))
-            values = np.empty((5, n + 1))
-            values[:, :n] = x, g, y, p, p_bar
-            values[:, n] = fx, psi, coupling, math.nan, math.nan
-        else:
-            values = np.empty((4, n + 1))
-            values[:, :n] = x, g, y, p
-            values[:, n] = fx, psi, math.nan, math.nan
-        trace.append(IterateRecord(values, alpha_bar, second.alpha, skipped, status_bar,
-                                   second.status))
-        x = x + s if second is first else x + second.alpha * p
-        fx, g = second.f_new, second.grad_new
-    return SolveResult(x, fx, g_norm, f_evals, g_evals, termination, trace)
+            alpha_bar = status_bar = None
+            if two_phase:
+                alpha_bar, status_bar = first.alpha, first.status
+                coupling = float((p - p_bar).dot(first.grad_new))
+                values = np.empty((5, n + 1))
+                values[:, :n] = x, g, y, p, p_bar
+                values[:, n] = fx, psi, coupling, math.nan, math.nan
+            else:
+                values = np.empty((4, n + 1))
+                values[:, :n] = x, g, y, p
+                values[:, n] = fx, psi, math.nan, math.nan
+            trace.append(IterateRecord(values, alpha_bar, second.alpha, skipped, status_bar,
+                                       second.status))
+            x = x + s if second is first else x + second.alpha * p
+            fx, g = second.f_new, second.grad_new
+        return SolveResult(x, fx, g_norm, f_evals, g_evals, termination, trace)
 
 
 def solve_bfgs(f, x0, cfg: SolverConfig | None = None) -> SolveResult:

@@ -13,6 +13,13 @@ and the n-parametric Hager, Perturbed Quadratic Diagonal and Raydan2 of
 operator runs; each from its standard start x0 and from 10 x0.  The last line
 digests all the lines above it.  The library is imported from ``src/`` next to
 this directory, with one BLAS thread.  pytest does not collect this file.
+
+Each solve holds its own ``np.errstate``, so no solve here writes a
+RuntimeWarning to stderr, and CI runs
+
+    python -W error::RuntimeWarning tests/solve_digests.py > /dev/null
+
+to fail on any floating-point warning that escapes a solve.
 """
 
 import os

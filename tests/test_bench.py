@@ -93,8 +93,11 @@ class TestRunSuite:
         assert collected[("Raydan2", "two-phase")].converged
 
     def test_runs_validated(self):
-        with pytest.raises(ValueError):
-            run_suite([lookup("Raydan2")], runs=0)
+        # an int >= 1 only: a float, a string or a bool is no run count, and
+        # each is rejected before any solve
+        for runs in (0, 2.0, float("nan"), "3", True):
+            with pytest.raises(ValueError, match="runs must be an int >= 1"):
+                run_suite([lookup("Raydan2")], runs=runs)
 
 
 class TestDolanMore:

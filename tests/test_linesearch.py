@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qnbench import ObjectiveFunction, lookup
+from qnbench import MAX_ITER, ObjectiveFunction, SolverConfig, lookup, solve_bfgs
 from qnbench.linesearch import (
     ARMIJO_ONLY,
     EXHAUSTED,
@@ -24,6 +24,13 @@ class TestWolfeParams:
 
 def _scalar_objective(fun, grad):
     return ObjectiveFunction("scalar", 1, fun, grad, np.zeros(1))
+
+
+def _search_in_a_solve(f, x, p, f_x, g_x):
+    """``wolfe_search`` under the one ``np.errstate`` that a solve holds around it:
+    the search sets no floating-point state of its own."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return wolfe_search(f, x, p, f_x, g_x)
 
 
 class TestWolfeSearch:
@@ -151,7 +158,7 @@ class TestWolfeSearch:
         f = _scalar_objective(lambda x: float(np.exp(x[0]) - 2.0 * x[0]),
                               lambda x: np.exp(x) - 2.0)
         x = np.zeros(1)
-        out = wolfe_search(f, x, np.array([2000.0]), 1.0, np.array([-1.0]))
+        out = _search_in_a_solve(f, x, np.array([2000.0]), 1.0, np.array([-1.0]))
         assert out.status == WOLFE_SATISFIED
         assert np.isfinite(out.f_new)
         assert out.alpha < 1.0
@@ -227,28 +234,28 @@ def test_gradient_receives_the_evaluated_trial_point(name):
 
 
 def test_one_errstate_covers_the_trial_values_and_gradients():
-    # 0.5 x^2 from x = -1 along p = 4.  At alpha = 1 the value overflows, at
-    # 1/2 Armijo fails, at 1/4 Armijo holds but the gradient is NaN, and 1/8
-    # satisfies both conditions.  Neither non-finite evaluation may escape
-    # the search as a RuntimeWarning.
+    # 2 x^2 from x = -1, whose first direction is p = 4.  At alpha = 1 the
+    # value overflows, at 1/2 Armijo fails, at 1/4 Armijo holds but the
+    # gradient is NaN, and 1/8 satisfies both conditions.  Neither non-finite
+    # evaluation may escape the solve as a RuntimeWarning: the search sets no
+    # floating-point state, and the solve's one np.errstate covers it.
     def fun(x):
-        return float(np.exp(1000.0)) if x[0] > 1.0 else 0.5 * float(x @ x)
+        return float(np.exp(1000.0)) if x[0] > 1.0 else 2.0 * float(x @ x)
 
     def grad(x):
-        return np.full(1, np.inf) - np.inf if x[0] > -0.1 else x.copy()
+        return np.full(1, np.inf) - np.inf if x[0] > -0.1 else 4.0 * x
 
-    f = _scalar_objective(fun, grad)
+    f = ObjectiveFunction("scalar", 1, fun, grad, -np.ones(1))
     with pytest.warns(RuntimeWarning, match="overflow"):
         fun(np.array([3.0]))
     with pytest.warns(RuntimeWarning, match="invalid"):
         grad(np.array([0.0]))
-    x = np.array([-1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = wolfe_search(f, x, np.array([4.0]), fun(x), grad(x))
-    assert out.status == WOLFE_SATISFIED
-    assert out.alpha == 0.125
-    assert (out.f_evals, out.g_evals) == (4, 2)
+        res = solve_bfgs(f, f.standard_start, SolverConfig(max_iter=1))
+    assert res.termination == MAX_ITER
+    assert (res.trace[0].alpha, res.trace[0].status) == (0.125, WOLFE_SATISFIED)
+    assert (res.f_evals, res.g_evals) == (1 + 4, 1 + 2)
 
 
 # A trial's gradient is tested for finiteness only when its slope g'p is not
@@ -258,6 +265,7 @@ def test_one_errstate_covers_the_trial_values_and_gradients():
 
 def _outcome(out):
     return out.alpha, out.status, out.f_evals, out.g_evals
+
 
 
 def test_an_infinite_gradient_entry_where_p_is_zero_contracts():
@@ -271,8 +279,8 @@ def test_an_infinite_gradient_entry_where_p_is_zero_contracts():
 
     f = ObjectiveFunction("inf where p = 0", 2, lambda x: 0.5 * float(x[0] ** 2), grad,
                           np.zeros(2))
-    out = wolfe_search(f, np.array([1.0, 0.0]), np.array([-0.5, 0.0]), 0.5,
-                       np.array([1.0, 0.0]))
+    out = _search_in_a_solve(f, np.array([1.0, 0.0]), np.array([-0.5, 0.0]), 0.5,
+                             np.array([1.0, 0.0]))
     assert _outcome(out) == (0.25, WOLFE_SATISFIED, 3, 3)
 
 
@@ -295,6 +303,6 @@ def test_a_finite_gradient_whose_slope_overflows_is_compared_with_the_floor(sign
     # ends the search with the unit step as the Armijo-only fallback
     f = ObjectiveFunction("overflowing slope", 2, lambda x: -float(x.sum()),
                           lambda x: np.full(2, sign * 1e308), np.zeros(2))
-    out = wolfe_search(f, np.zeros(2), np.ones(2), 0.0, np.full(2, -1.0))
+    out = _search_in_a_solve(f, np.zeros(2), np.ones(2), 0.0, np.full(2, -1.0))
     assert _outcome(out) == expected
     assert np.isfinite(out.grad_new).all()

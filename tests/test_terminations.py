@@ -6,10 +6,12 @@ iterations, objectives that are +inf everywhere but the start exhaust the
 line search, a non-finite f or gradient at the start ends the solve before
 the first direction, and a gradient whose norm overflows, or a finite
 ``||g||`` whose slope g'p = -g'Hg overflows, ends it ``non_finite``.  A finite
-slope that is not negative ends it ``spd_failure``.
+slope that is not negative ends it ``spd_failure``.  No overflow escapes a
+solve as a RuntimeWarning, which pyproject.toml makes an error.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +136,23 @@ def test_non_finite_start_is_named(solver, n, where, bad, index):
 
 
 @pytest.mark.parametrize("solver", SOLVERS)
+def test_overflow_at_the_start_ends_non_finite_without_a_warning(solver):
+    # sum(exp(x)) from x0 = 1000 (1, 1, 1): f and every gradient entry
+    # overflow to inf, which warns outside a solve.  The solve ends before
+    # its first direction, and the overflow stays inside it
+    objective = ObjectiveFunction("exp", 3, lambda x: float(np.exp(x).sum()), np.exp,
+                                  np.full(3, 1000.0))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        objective.evaluate(objective.standard_start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve(solver, objective)
+    assert res.termination == NON_FINITE and res.final_f == math.inf
+    assert (res.iterations, res.f_evals, res.g_evals) == (0, 1, 1)
+    assert res.final_grad_norm == math.inf
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
 def test_direction_without_finite_slope_ends_non_finite(solver):
     # 0.5 ||x||^2 from (1, 1), but with a gradient of -1e160 (1, 1) at x = 0:
     # the first step lands on 0, y'y overflows, so the curvature floor
@@ -144,8 +163,7 @@ def test_direction_without_finite_slope_ends_non_finite(solver):
 
     objective = ObjectiveFunction("overflowing slope", 2, lambda x: 0.5 * float(x @ x),
                                   gradient, np.ones(2))
-    with np.errstate(over="ignore"):
-        res = solve(solver, objective)
+    res = solve(solver, objective)
     assert res.termination == NON_FINITE
     assert (res.iterations, res.f_evals, res.g_evals) == (1, 2, 2)
     assert res.trace[0].update_skipped
@@ -160,12 +178,11 @@ def test_overflowing_gradient_norm_ends_non_finite(solver, name, counts):
     # until ||g|| overflows at a finite gradient and ends the solve
     objective = lookup(name).objective
     x0 = 10.0 * objective.standard_start
-    with np.errstate(over="ignore"):
-        if solver == "bfgs":
-            res = solve_bfgs(objective, x0)
-        else:
-            res = solve_two_phase(objective, x0, SolverConfig(mode=solver))
-        assert np.isfinite(objective.gradient(res.final_x)).all()
+    if solver == "bfgs":
+        res = solve_bfgs(objective, x0)
+    else:
+        res = solve_two_phase(objective, x0, SolverConfig(mode=solver))
+    assert np.isfinite(objective.gradient(res.final_x)).all()
     assert res.termination == NON_FINITE and res.final_grad_norm == np.inf
     assert (res.iterations, res.f_evals, res.g_evals) == counts
     assert all(r.update_skipped for r in res.trace)
@@ -183,8 +200,7 @@ def test_an_overflowing_slope_is_not_an_spd_failure(monkeypatch, solver, scale, 
                         lambda n, cfg, two_phase: _DenseH(scale * np.eye(n)))
     objective = ObjectiveFunction("sphere", 10, lambda x: 0.5 * float(x @ x),
                                   lambda x: np.array(x, dtype=float), np.full(10, 1e10))
-    with np.errstate(over="ignore"):
-        res = solve(solver, objective)
+    res = solve(solver, objective)
     assert res.termination == termination
     assert (res.iterations, res.f_evals, res.g_evals) == (0, 1, 1)
     assert res.final_grad_norm == pytest.approx(math.sqrt(10) * 1e10)
