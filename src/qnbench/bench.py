@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from xml.sax.saxutils import escape, quoteattr
 
-from qnbench.solvers import SolveResult, SolverConfig, solve_bfgs, solve_two_phase
+from qnbench.solvers import SolveResult, SolverConfig, _count, solve_bfgs, solve_two_phase
 from qnbench.suite import suite
 
 SOLVER_FUNCS = {
@@ -70,10 +70,12 @@ def run_suite(problems=None, solvers=("bfgs", "two-phase"),
     Failures are recorded, never raised: a solver that raises gives a
     non-converged record whose ``error`` names the exception.  When a
     ``results`` dict is supplied it collects the first :class:`SolveResult`
-    per pair under the key ``(problem_name, solver_name)``.
+    per pair under the key ``(problem_name, solver_name)``.  An unknown solver
+    name, or a ``runs`` that is no int >= 1, raises ``ValueError`` before any solve.
     """
-    if isinstance(runs, bool) or not isinstance(runs, int) or runs < 1:
-        raise ValueError(f"runs must be an int >= 1, got {runs!r}")
+    runs, solvers = _count("runs", runs), tuple(solvers)
+    if unknown := [name for name in solvers if name not in SOLVER_FUNCS]:
+        raise ValueError(f"unknown solvers {unknown}; known: {sorted(SOLVER_FUNCS)}")
     problems = suite() if problems is None else list(problems)
     cfg = cfg if cfg is not None else SolverConfig()
     records = []
@@ -90,9 +92,9 @@ def run_suite(problems=None, solvers=("bfgs", "two-phase"),
                     result = solver(objective, objective.standard_start, cfg)
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
-                    times_ms.append((time.perf_counter() - start) * 1e3)
                     break
-                times_ms.append((time.perf_counter() - start) * 1e3)
+                finally:
+                    times_ms.append((time.perf_counter() - start) * 1e3)
                 if first is None:
                     first = result
             if error:

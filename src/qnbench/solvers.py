@@ -44,20 +44,21 @@ operators but round differently, so ``b_form`` and ``h_form_literal`` may part
 on a flat tail.
 
 Records keep vectors and scalars, never a matrix, and each fact once: an
-iterate's x, f and g, and its step's y, p, p_bar and psi_next.  What these
-repeat is derived where it is read: k is the record's index, ``||g||`` and
+iterate's x, f and g, and its step's p, p_bar and psi_next.  What these repeat
+is derived where it is read: k is the record's index, ``||g||`` and
 ``cos_theta = -g'p_bar / (||g|| ||p_bar||)`` are computed by
-:func:`trace_to_csv`, and psi of the operator before an update is the previous
-record's ``psi_next`` (n for B_0 = I).  The step ``s`` is not kept, because it
-is ``alpha_bar p_bar`` of the same iteration (``alpha p`` for BFGS), and B is
-not kept, because ``B p_bar = -g`` is what the direction quality reads.  A
-solve keeps one :class:`IterateRecord` per iteration until its trace is read,
-so the bytes a record holds are what a held run costs.  The loop copies an
-iteration's vectors into the rows of one array, x, g, y and p, and p_bar for
-two-phase, and its f, psi_next and coupling into that array's last column, so
-an iteration holds one ndarray header and no float object of its own.  The
-step lengths and statuses stay fields, mostly shared objects (the unit step
-and a status string), and ``dataclasses.replace`` can change them.
+:func:`trace_to_csv`, and psi before an update is the previous record's
+``psi_next`` (n for B_0 = I).  The step ``s`` is ``alpha_bar p_bar``
+(``alpha p`` for BFGS), B is read through ``B p_bar = -g``, and no reader reads
+the pair's y, which a replay re-derives as ``grad(x + s) - g``, so none of the
+three is kept.  A solve keeps one :class:`IterateRecord` per iteration until
+its trace is read, so the bytes a record holds are what a held run costs.  The
+loop copies an iteration's vectors into the rows of one array, x, g and p, and
+p_bar for two-phase, and its f, psi_next and coupling into that array's last
+column, so an iteration holds one ndarray header and no float object of its
+own.  The step lengths, the skip flag and the statuses stay fields, not cells,
+mostly shared objects (the unit step and a status string), so that
+``dataclasses.replace`` can change them.
 
 A run ends ``converged``, ``max_iter``, ``line_search_exhausted``,
 ``spd_failure`` (a finite slope ``g'p`` that is not negative, or an update
@@ -71,6 +72,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -132,36 +134,38 @@ class SolverConfig:
             raise ValueError(f"lam must be in (0, 1), got {self.lam}")
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
-        # a NaN or infinite budget would never end a solve; bool is no count
-        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, int)
-                or self.max_iter < 1):
-            raise ValueError(f"max_iter must be an int >= 1, got {self.max_iter!r}")
+        object.__setattr__(self, "max_iter", _count("max_iter", self.max_iter))
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+
+
+def _count(name, value) -> int:
+    """``value`` as an int >= 1, or ValueError: any integral value but a bool (a NaN or
+    infinite count would never end a loop)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1:
+        return operator.index(value)
+    raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
 class IterateRecord:
     """One iteration: the state at its start, its steps and its update.
 
-    ``values`` is the iteration's float array of shape ``(rows, n + 1)``.
-    Its first n columns hold the vectors, as rows x, g, y and p, and p_bar as
-    a fifth row for the two-phase method; ``x``, ``g``, ``y``, ``p`` and
-    ``p_bar`` are views of them.  Its last column holds f, ``psi_next`` and,
-    for two-phase, ``coupling``, read back as floats; its other cells are NaN.
-    The iteration's k is the record's index in ``SolveResult.trace``.
+    ``values`` is the iteration's float array, ``(3, n + 1)`` for BFGS and
+    ``(4, n + 1)`` for two-phase: rows x, g, p and, for two-phase, p_bar, of
+    which ``x``, ``g``, ``p`` and ``p_bar`` are views, and a last column of f,
+    ``psi_next`` and, for two-phase, ``coupling``, read back as floats, over
+    NaN.  The iteration's k is the record's index in ``SolveResult.trace``.
 
-    g is the gradient at x, and ``y = grad(x_bar) - g`` the update's
-    gradient difference at ``x_bar = x + s``, whose step s is
-    ``alpha_bar p_bar`` (``alpha p`` for BFGS).  ``psi_next`` is
-    ``tr B - ln det B`` of the operator after the update, for every solver
-    and mode; psi before it is the previous record's ``psi_next``, or n for
-    the first record.  ``coupling`` is ``(p - p_bar)' grad(x_bar)``; its sign
-    is a recorded hypothesis flag, never enforced.  ``alpha_bar``,
-    ``status_bar``, ``p_bar`` and ``coupling`` are None for the BFGS
-    baseline, which has no intermediate phase.  The step lengths, the skip
-    flag and the statuses are fields, not cells, so that
-    ``dataclasses.replace`` can change them.
+    g is the gradient at x, and ``x_bar = x + s`` ends the update's step
+    ``s = alpha_bar p_bar`` (``alpha p`` for BFGS); the pair's
+    ``y = grad(x_bar) - g`` is not kept, since a replay re-derives it.
+    ``psi_next`` is ``tr B - ln det B`` of the operator after the update, for
+    every solver and mode; psi before it is the previous record's ``psi_next``,
+    or n for the first record.  ``coupling`` is ``(p - p_bar)' grad(x_bar)``;
+    its sign is a recorded hypothesis flag, never enforced.  ``alpha_bar``,
+    ``status_bar``, ``p_bar`` and ``coupling`` are None for the BFGS baseline,
+    which has no intermediate phase.
     """
 
     values: np.ndarray
@@ -180,16 +184,12 @@ class IterateRecord:
         return self.values[1, :-1]
 
     @property
-    def y(self) -> np.ndarray:
+    def p(self) -> np.ndarray:
         return self.values[2, :-1]
 
     @property
-    def p(self) -> np.ndarray:
-        return self.values[3, :-1]
-
-    @property
     def p_bar(self) -> np.ndarray | None:
-        return self.values[4, :-1] if len(self.values) == 5 else None
+        return self.values[3, :-1] if len(self.values) == 4 else None
 
     @property
     def f(self) -> float:
@@ -201,7 +201,7 @@ class IterateRecord:
 
     @property
     def coupling(self) -> float | None:
-        return float(self.values[2, -1]) if len(self.values) == 5 else None
+        return float(self.values[2, -1]) if len(self.values) == 4 else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -557,16 +557,13 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
                 break
 
             alpha_bar = status_bar = None
+            rows, column = (x, g, p), (fx, psi, math.nan)
             if two_phase:
                 alpha_bar, status_bar = first.alpha, first.status
                 coupling = float((p - p_bar).dot(first.grad_new))
-                values = np.empty((5, n + 1))
-                values[:, :n] = x, g, y, p, p_bar
-                values[:, n] = fx, psi, coupling, math.nan, math.nan
-            else:
-                values = np.empty((4, n + 1))
-                values[:, :n] = x, g, y, p
-                values[:, n] = fx, psi, math.nan, math.nan
+                rows, column = (x, g, p, p_bar), (fx, psi, coupling, math.nan)
+            values = np.empty((len(rows), n + 1))
+            values[:, :n], values[:, n] = rows, column
             trace.append(IterateRecord(values, alpha_bar, second.alpha, skipped, status_bar,
                                        second.status))
             x = x + s if second is first else x + second.alpha * p

@@ -5,8 +5,11 @@
 
 Run it on two trees and compare the outputs with ``diff``.  A digest covers
 the solve's termination, its iteration, f and g counts, the final f and
-``||g||`` as ``float.hex``, the final x's bytes, and each record's ``values``
-bytes, step lengths, skip flag and statuses.  The solves are the 30 suite
+``||g||`` as ``float.hex``, the final x's bytes, and each record's named
+fields: the bytes of x, g, p and p_bar, f, ``psi_next`` and the coupling as
+``float.hex``, the step lengths, the skip flag and the statuses.  It reads
+the fields, not the array that holds them, so it compares two trees whose
+records lay their values out differently.  The solves are the 30 suite
 problems under BFGS, two-phase ``b_form`` and two-phase ``h_form_literal``,
 and the n-parametric Hager, Perturbed Quadratic Diagonal and Raydan2 of
 ``_util`` at n = 100 and 300 under BFGS and ``b_form``, where the compact
@@ -56,9 +59,11 @@ def digest(result) -> str:
                        _hex(result.final_grad_norm)]).encode())
     h.update(np.ascontiguousarray(result.final_x, dtype=float).tobytes())
     for r in result.trace:
-        h.update(r.values.tobytes())
-        h.update(" ".join([_hex(r.alpha_bar), _hex(r.alpha), str(r.update_skipped),
-                           str(r.status_bar), r.status]).encode())
+        for v in (r.x, r.g, r.p, r.p_bar):
+            h.update(b"-" if v is None else v.tobytes())
+        h.update(" ".join([_hex(r.f), _hex(r.psi_next), _hex(r.coupling), _hex(r.alpha_bar),
+                           _hex(r.alpha), str(r.update_skipped), str(r.status_bar),
+                           r.status]).encode())
     return h.hexdigest()
 
 

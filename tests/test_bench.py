@@ -92,12 +92,29 @@ class TestRunSuite:
         assert ("Raydan2", "two-phase") in collected
         assert collected[("Raydan2", "two-phase")].converged
 
-    def test_runs_validated(self):
+    def test_runs_validated(self, monkeypatch):
         # an int >= 1 only: a float, a string or a bool is no run count, and
-        # each is rejected before any solve
-        for runs in (0, 2.0, float("nan"), "3", True):
+        # each is rejected before any solve; a numpy integer is a count
+        calls = _count_solver_calls(monkeypatch)
+        for runs in (0, 2.0, float("nan"), "3", True, np.int64(0), np.float64(2.0), np.True_):
             with pytest.raises(ValueError, match="runs must be an int >= 1"):
                 run_suite([lookup("Raydan2")], runs=runs)
+        assert not calls
+        records = run_suite([lookup("Raydan2")], solvers=("bfgs",), runs=np.int64(2))
+        assert calls == _grid(["Raydan2"], 2, ["bfgs"]) and records[0].converged
+
+    def test_unknown_solver_rejected_before_any_solve(self, monkeypatch):
+        calls = _count_solver_calls(monkeypatch)
+        with pytest.raises(ValueError, match=r"unknown solvers \['nope'\]; "
+                                             r"known: \['bfgs', 'two-phase'\]"):
+            run_suite([lookup("Raydan2"), lookup("Hager")], solvers=("bfgs", "nope"), runs=1)
+        assert not calls
+
+    def test_a_one_shot_solver_iterable_runs_on_every_problem(self, monkeypatch):
+        # the names are checked before any solve, which must not use them up
+        calls = _count_solver_calls(monkeypatch)
+        records = run_suite([lookup("Raydan2"), lookup("Hager")], solvers=iter(["bfgs"]), runs=1)
+        assert len(records) == 2 and calls == _grid(["Raydan2", "Hager"], 1, ["bfgs"])
 
 
 class TestDolanMore:

@@ -43,12 +43,11 @@ class TestPsi:
 
 
 def _fake_trace(points):
-    # rows x, g, y, p, as a BFGS iteration's values, with f = 0, psi_next = n
-    # and two NaN cells in the last column
+    # rows x, g, p, as a BFGS iteration's values, with f = 0, psi_next = n
+    # and one NaN cell in the last column
     def values(x):
         n = len(x)
-        return np.column_stack(((x, np.ones(n), np.zeros(n), np.zeros(n)),
-                                (0.0, n, math.nan, math.nan)))
+        return np.column_stack(((x, np.ones(n), np.zeros(n)), (0.0, n, math.nan)))
 
     return [IterateRecord(values(x), None, 1.0, False, None, "wolfe_satisfied")
             for x in points]
