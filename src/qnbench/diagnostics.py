@@ -41,18 +41,29 @@ def superlinear_ratio_series(trace, x_star, final_x=None):
     ``final_x`` extends the trace with the terminal iterate, giving the last
     ratio.  Ratios whose denominator underflows ``RATIO_DENOM_FLOOR`` are
     dropped.  Each norm is ``solvers._norm``, bit-equal to ``np.linalg.norm``
-    without its wrapper.
+    without its wrapper.  An ``x_star`` of another shape than the iterates'
+    ``(n,)`` raises ``ValueError``, where it would broadcast.
     """
-    x_star = np.asarray(x_star, dtype=float)
     xs = [np.asarray(r.x, dtype=float) for r in trace]
     if final_x is not None:
         xs.append(np.asarray(final_x, dtype=float))
+    if not xs:
+        return []
+    x_star = _shaped("x_star", x_star, xs[0].shape)
     errs = [_norm(x - x_star) for x in xs]
     return [
         errs[k + 1] / errs[k]
         for k in range(len(errs) - 1)
         if errs[k] > RATIO_DENOM_FLOOR
     ]
+
+
+def _shaped(name, value, shape):
+    """``value`` as a float array, or ValueError unless it has ``shape``."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+    return value
 
 
 def direction_quality(g, hess_star, p_bar) -> float:
@@ -78,10 +89,15 @@ def diagnose_run(result: SolveResult, x_star, hess_star=None) -> ConvergenceDiag
     only populated when the exact limiting Hessian is supplied, which for
     quadratic objectives is the constant Hessian; it has one value per
     two-phase iteration, from the recorded g and p_bar, and none for BFGS.
+    An ``x_star`` of another shape than ``(n,)``, or a ``hess_star`` of
+    another than ``(n, n)``, raises ``ValueError``.
     """
+    n = result.final_x.size
+    if hess_star is not None:
+        hess_star = _shaped("hess_star", hess_star, (n, n))
     psi_series = []
     if result.trace:
-        psi_series = [float(result.final_x.size)] + [r.psi_next for r in result.trace]
+        psi_series = [float(n)] + [r.psi_next for r in result.trace]
     q_ratios = superlinear_ratio_series(result.trace, x_star, result.final_x)
     if hess_star is not None:
         dir_quality = [

@@ -43,8 +43,10 @@ def cholesky(a):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     # NaN propagates through min and max, and an infinity is an extreme, so
-    # this is isfinite(a).all() without an n x n temporary
-    if not (math.isfinite(a.min()) and math.isfinite(a.max())):
+    # this is isfinite(a).all() without an n x n temporary; the ufuncs' reduce
+    # is what a.min() and a.max() call, without numpy's Python-level wrappers
+    if not (math.isfinite(np.minimum.reduce(a, axis=None))
+            and math.isfinite(np.maximum.reduce(a, axis=None))):
         raise ValueError("matrix entries must be finite")
     limit = PIVOT_RTOL * max(a.diagonal().tolist())
     try:

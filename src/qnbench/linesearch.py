@@ -22,13 +22,14 @@ so the next contractions may still reach a Wolfe step.
 
 Each trial builds its point ``x + a p`` once, and a trial that passes Armijo
 takes its gradient at that same array.  The unit trial is ``x + p``, since
-``1.0 * p`` is p exactly.  A trial's gradient g is tested for finiteness only
-when its slope g'p is not finite: a finite g'p proves g finite, because an
-inf or NaN entry makes its term, and so the sum, inf or NaN.  A finite g whose
-g'p overflows is still tested and still compared with the curvature floor, so
-the rule changes no outcome.  The search sets no floating-point state: its
-caller's holds, and a solve's one ``np.errstate`` lets a non-finite trial
-contract quietly.
+``1.0 * p`` is p exactly.  A search looks up the objective's ``evaluate`` and
+``gradient``, and ``c1``, once, not once per trial.  A trial's gradient g is
+tested for finiteness only when its slope g'p is not finite: a finite g'p
+proves g finite, because an inf or NaN entry makes its term, and so the sum,
+inf or NaN.  A finite g whose g'p overflows is still tested and still compared
+with the curvature floor, so the rule changes no outcome.  The search sets no
+floating-point state: its caller's holds, and a solve's one ``np.errstate``
+lets a non-finite trial contract quietly.
 """
 
 from __future__ import annotations
@@ -94,9 +95,11 @@ def wolfe_search(f, x, p, f_x, g_x) -> LineSearchOutcome:
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
+    isfinite = math.isfinite
     slope = float(p.dot(g_x))
-    if not math.isfinite(slope) or slope >= 0.0:
+    if not isfinite(slope) or slope >= 0.0:
         raise DescentDirectionError(slope)
+    evaluate, gradient, c1 = f.evaluate, f.gradient, WOLFE.c1
     curvature_floor = WOLFE.c2 * slope
 
     f_count = g_count = 0
@@ -105,13 +108,13 @@ def wolfe_search(f, x, p, f_x, g_x) -> LineSearchOutcome:
     armijo_fallback = None
     for _ in range(WOLFE.max_trials):
         x_trial = x + p if alpha == 1.0 else x + alpha * p
-        f_trial = float(f.evaluate(x_trial))
+        f_trial = float(evaluate(x_trial))
         f_count += 1
-        if math.isfinite(f_trial) and f_trial <= f_x + WOLFE.c1 * alpha * slope:
-            g_trial = np.asarray(f.gradient(x_trial), dtype=float)
+        if isfinite(f_trial) and f_trial <= f_x + c1 * alpha * slope:
+            g_trial = np.asarray(gradient(x_trial), dtype=float)
             g_count += 1
             gp = float(g_trial.dot(p))
-            if math.isfinite(gp) or np.isfinite(g_trial).all():
+            if isfinite(gp) or np.isfinite(g_trial).all():
                 if gp >= curvature_floor:
                     return LineSearchOutcome(alpha, f_trial, g_trial, f_count, g_count,
                                              WOLFE_SATISFIED)

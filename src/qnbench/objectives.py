@@ -96,15 +96,19 @@ def check_gradient(f: ObjectiveFunction, points: Sequence[np.ndarray]) -> Gradie
     The per-point relative error is ``||g_analytic - g_fd|| / max(1, ||g_analytic||)``;
     the report keeps the worst error and the coordinate where it occurred.  An
     analytic gradient of a shape other than ``(f.dimension,)``, or with a
-    non-finite entry, raises ``ValueError``.
+    non-finite entry, raises ``ValueError``, and so does a point of another
+    shape, before any evaluation.
     """
-    points = list(points)
+    points = [np.asarray(x, dtype=float) for x in points]
     if not points:
         raise ValueError("points must be nonempty")
+    for i, x in enumerate(points):
+        if x.shape != (f.dimension,):
+            raise ValueError(
+                f"{f.name}: check point {i} has shape {x.shape}, expected ({f.dimension},)")
     worst = 0.0
     worst_coord = 0
     for x in points:
-        x = np.asarray(x, dtype=float)
         approx = fd_gradient(f, x)
         exact = np.asarray(f.gradient(x), dtype=float)
         if exact.shape != (f.dimension,):  # else diff would broadcast

@@ -31,7 +31,9 @@ reads: a dense one H alone, a compact one R and its row count m.  A dense
 its formula's H_next, built from new arrays.
 ``B p_bar = -g`` spares every product with B: ``Bs = -alpha_bar g`` gives
 ``b_form``'s update and the change in psi(B) by the trace and determinant
-identities, with BFGS as lam = 0.
+identities, with BFGS as lam = 0.  After a unit first step the update is
+handed p_bar itself as s and ``-g`` as Bs, the bits of ``1.0 * p_bar`` and
+``-1.0 * g`` with no scaled copy; no update writes either.
 
 n alone picks the realization (:func:`_operator`).  Every solve below
 ``COMPACT_MIN_N`` is dense, whatever its budget.  From there up, BFGS and
@@ -72,6 +74,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import ClassVar
@@ -120,8 +123,10 @@ class SolverConfig:
     or ``MODE_H_FORM_LITERAL``, the literal inverse form, an oracle that the
     tests and the ``hform10`` benchmark run against ``b_form``; neither the
     CLI nor the top-level package offers it.  ``wolfe`` is the line search's
-    fixed ``WOLFE``, readable here but not a field.  Unlike the records, it has
-    no slots: ``cli.py`` reads the defaults on the class."""
+    fixed ``WOLFE``, readable here but not a field.  ``lam`` and ``tol`` are
+    stored as floats; a bool or a value that is not a real number raises
+    ``ValueError``, as does a ``max_iter`` that is not an int >= 1.  Unlike the
+    records, it has no slots: ``cli.py`` reads the defaults on the class."""
 
     lam: float = 0.5
     tol: float = 1e-6
@@ -130,13 +135,24 @@ class SolverConfig:
     wolfe: ClassVar[WolfeParams] = WOLFE
 
     def __post_init__(self):
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError(f"lam must be in (0, 1), got {self.lam}")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be finite and positive, got {self.tol}")
+        lam, tol = _real("lam", self.lam), _real("tol", self.tol)
+        if not 0.0 < lam < 1.0:
+            raise ValueError(f"lam must be in (0, 1), got {self.lam!r}")
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "max_iter", _count("max_iter", self.max_iter))
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+
+
+def _real(name, value) -> float:
+    """``value`` as a float, or ValueError: any real number but a bool (``tol=True``
+    would be a tolerance of 1)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _count(name, value) -> int:
@@ -279,8 +295,8 @@ def bfgs_update_H(H, s, y):
     s = np.asarray(s, dtype=float)
     y = np.asarray(y, dtype=float)
     rho = 1.0 / _curvature(s, y)[0]
-    A = H - rho * np.outer(s, H @ y)  # (I - r sy')H
-    return A - np.outer(rho * (A @ y) - rho * s, s)  # ... (I - r ys') + r ss'
+    A = H - rho * np.multiply.outer(s, H @ y)  # (I - r sy')H
+    return A - np.multiply.outer(rho * (A @ y) - rho * s, s)  # ... (I - r ys') + r ss'
 
 
 def two_phase_combine(B, B_bar, lam: float):
@@ -488,11 +504,14 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
 
     Each iteration builds its next iterate once: ``x + s`` when the first step
     is accepted, as by BFGS and by two-phase after a skipped update, and
-    otherwise ``x + alpha p`` from the second search.  The point
-    ``x_bar = x + s`` of the pair is never built for its own sake: the first
-    search has evaluated the gradient there already.  One ``np.errstate``, from
-    the evaluation at x0 to the return, silences overflow and invalid values;
-    a non-finite gradient at x0 ends the solve through the ``||g||`` test.
+    otherwise ``x + alpha p`` from the second search, ``x + p`` at a unit
+    step.  A unit first step hands p_bar and ``-g`` themselves to the update
+    as s and Bs, with no copy; each is bit for bit the product it replaces.
+    The point ``x_bar = x + s`` of the pair is never built for its own sake:
+    the first search has evaluated the gradient there already.  One
+    ``np.errstate``, from the evaluation at x0 to the return, silences
+    overflow and invalid values; a non-finite gradient at x0 ends the solve
+    through the ``||g||`` test.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     lam = cfg.lam if two_phase else 0.0
@@ -530,11 +549,15 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
                 if first.status == EXHAUSTED:
                     termination = LINE_SEARCH_EXHAUSTED
                     break
-                s = first.alpha * p_bar
+                # B p_bar = -g, so Bs = -alpha_bar g; a unit step hands over p_bar
+                # and -g themselves, the bits of 1.0 * p_bar and -1.0 * g
+                if first.alpha == 1.0:
+                    s, Bs = p_bar, -g
+                else:
+                    s, Bs = first.alpha * p_bar, -first.alpha * g
                 y = first.grad_new - g
                 try:
-                    # B p_bar = -g, so Bs = -alpha_bar g
-                    H, d_psi = H.update(s, y, -first.alpha * g, lam)
+                    H, d_psi = H.update(s, y, Bs, lam)
                     psi, skipped = psi + d_psi, False
                 except CurvatureError:
                     skipped = True  # H and psi stay as they are
@@ -566,7 +589,10 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
             values[:, :n], values[:, n] = rows, column
             trace.append(IterateRecord(values, alpha_bar, second.alpha, skipped, status_bar,
                                        second.status))
-            x = x + s if second is first else x + second.alpha * p
+            if second is first:
+                x = x + s
+            else:
+                x = x + p if second.alpha == 1.0 else x + second.alpha * p
             fx, g = second.f_new, second.grad_new
         return SolveResult(x, fx, g_norm, f_evals, g_evals, termination, trace)
 

@@ -57,21 +57,24 @@ class SuiteProblem:
 
 # --- problem definitions ---------------------------------------------------
 # Chained functions pair x_i with x_{i+1}; "extended" functions act on the
-# disjoint pairs (x_{2i-1}, x_{2i}).  Sums and running sums call the array's
-# own ``.sum()`` and ``.cumsum()``, and gradients start from
-# ``np.zeros(x.shape)``: the arithmetic of ``np.sum``, ``np.cumsum`` and
-# ``np.zeros_like``, without their Python wrappers.  An objective computes a
-# subexpression it reads more than once, such as x^2 or 2 t, a single time,
-# by the same operations in the same order, so its floats are those of the
-# formula written out; a power other than 2 is never rebuilt from x^2, which
-# would round differently.
+# disjoint pairs (x_{2i-1}, x_{2i}).  Sums call ``_sum``, which is
+# ``np.add.reduce``, running sums the array's own ``.cumsum()``, and gradients
+# start from ``np.zeros(x.shape)``: the arithmetic of ``np.sum``, ``np.cumsum``
+# and ``np.zeros_like``, without their Python wrappers.  ``ndarray.sum`` is no
+# such shortcut: it runs numpy's Python-level ``_methods._sum``, which calls
+# ``np.add.reduce``, so ``_sum`` gives its floats bit for bit.  An objective
+# computes a subexpression it reads more than once, such as x^2 or 2 t, a
+# single time, by the same operations in the same order, so its floats are
+# those of the formula written out; a power other than 2 is never rebuilt from
+# x^2, which would round differently.
 
+_sum = np.add.reduce
 _IDX = np.arange(1.0, DIMENSION + 1.0)
 
 
 def _almost_perturbed_quadratic(x):
     """sum i x_i^2 + (x_1 + x_n)^2 / 100."""
-    return float((_IDX * x**2).sum() + (x[0] + x[-1]) ** 2 / 100.0)
+    return float(_sum(_IDX * x**2) + (x[0] + x[-1]) ** 2 / 100.0)
 
 
 def _almost_perturbed_quadratic_grad(x):
@@ -85,21 +88,21 @@ def _almost_perturbed_quadratic_grad(x):
 def _arwhead(x):
     """sum_{i<n} ((x_i^2 + x_n^2)^2 - 4 x_i + 3)."""
     t = x[:-1] ** 2 + x[-1] ** 2
-    return float((t**2 - 4.0 * x[:-1] + 3.0).sum())
+    return float(_sum(t**2 - 4.0 * x[:-1] + 3.0))
 
 
 def _arwhead_grad(x):
     t = x[:-1] ** 2 + x[-1] ** 2
     g = np.zeros(x.shape)
     g[:-1] = 4.0 * t * x[:-1] - 4.0
-    g[-1] = 4.0 * float(t.sum()) * x[-1]
+    g[-1] = 4.0 * float(_sum(t)) * x[-1]
     return g
 
 
 def _biggsb1(x):
     """(x_1 - 1)^2 + sum (x_{i+1} - x_i)^2 + (1 - x_n)^2."""
     d = x[1:] - x[:-1]
-    return float((x[0] - 1.0) ** 2 + (d**2).sum() + (1.0 - x[-1]) ** 2)
+    return float((x[0] - 1.0) ** 2 + _sum(d**2) + (1.0 - x[-1]) ** 2)
 
 
 def _biggsb1_grad(x):
@@ -114,7 +117,7 @@ def _biggsb1_grad(x):
 
 def _diagonal1(x):
     """sum (exp(x_i) - i x_i)."""
-    return float((np.exp(x) - _IDX * x).sum())
+    return float(_sum(np.exp(x) - _IDX * x))
 
 
 def _diagonal1_grad(x):
@@ -123,7 +126,7 @@ def _diagonal1_grad(x):
 
 def _diagonal2(x):
     """sum (exp(x_i) - x_i / i)."""
-    return float((np.exp(x) - x / _IDX).sum())
+    return float(_sum(np.exp(x) - x / _IDX))
 
 
 def _diagonal2_grad(x):
@@ -132,7 +135,7 @@ def _diagonal2_grad(x):
 
 def _diagonal3(x):
     """sum (exp(x_i) - i sin(x_i))."""
-    return float((np.exp(x) - _IDX * np.sin(x)).sum())
+    return float(_sum(np.exp(x) - _IDX * np.sin(x)))
 
 
 def _diagonal3_grad(x):
@@ -141,7 +144,7 @@ def _diagonal3_grad(x):
 
 def _diagonal7(x):
     """sum (exp(x_i) - 2 x_i - x_i^2)."""
-    return float((np.exp(x) - 2.0 * x - x**2).sum())
+    return float(_sum(np.exp(x) - 2.0 * x - x**2))
 
 
 def _diagonal7_grad(x):
@@ -150,7 +153,7 @@ def _diagonal7_grad(x):
 
 def _diagonal9(x):
     """sum_{i<n} (exp(x_i) - i x_i) + 10000 x_n^2."""
-    return float((np.exp(x[:-1]) - _IDX[:-1] * x[:-1]).sum() + 1e4 * x[-1] ** 2)
+    return float(_sum(np.exp(x[:-1]) - _IDX[:-1] * x[:-1]) + 1e4 * x[-1] ** 2)
 
 
 def _diagonal9_grad(x):
@@ -172,10 +175,10 @@ def _dixmaanl(x):
     x2 = x**2
     q = x[1:] + x2[1:]
     value = 1.0
-    value += float((x2 * _DIXMAAN_W).sum())
-    value += 0.26 * float((x2[:-1] * q**2).sum())
-    value += 0.26 * float((x2[: 2 * m] * x[m: 3 * m] ** 4).sum())
-    value += 0.26 * float((x[:m] * x[2 * m: 3 * m] * _DIXMAAN_W[:m]).sum())
+    value += float(_sum(x2 * _DIXMAAN_W))
+    value += 0.26 * float(_sum(x2[:-1] * q**2))
+    value += 0.26 * float(_sum(x2[: 2 * m] * x[m: 3 * m] ** 4))
+    value += 0.26 * float(_sum(x[:m] * x[2 * m: 3 * m] * _DIXMAAN_W[:m]))
     return value
 
 
@@ -206,7 +209,7 @@ _DQDRTIC_C = _dqdrtic_coeffs()
 
 def _dqdrtic(x):
     """sum_{i<=n-2} (x_i^2 + 100 x_{i+1}^2 + 100 x_{i+2}^2)."""
-    return float((_DQDRTIC_C * x**2).sum())
+    return float(_sum(_DQDRTIC_C * x**2))
 
 
 def _dqdrtic_grad(x):
@@ -217,7 +220,7 @@ def _edensch(x):
     """16 + sum ((x_i - 2)^4 + (x_i x_{i+1} - 2 x_{i+1})^2 + (x_{i+1} + 1)^2)."""
     a, b = x[:-1], x[1:]
     r = a * b - 2.0 * b
-    return float(16.0 + ((a - 2.0) ** 4 + r**2 + (b + 1.0) ** 2).sum())
+    return float(16.0 + _sum((a - 2.0) ** 4 + r**2 + (b + 1.0) ** 2))
 
 
 def _edensch_grad(x):
@@ -233,7 +236,7 @@ def _engval1(x):
     """sum (x_i^2 + x_{i+1}^2)^2 + sum (3 - 4 x_i) over i < n."""
     a, b = x[:-1], x[1:]
     t = a**2 + b**2
-    return float((t**2).sum() + (3.0 - 4.0 * a).sum())
+    return float(_sum(t**2) + _sum(3.0 - 4.0 * a))
 
 
 def _engval1_grad(x):
@@ -251,7 +254,7 @@ def _extended_beale(x):
     r1 = 1.5 - u * (1.0 - v)
     r2 = 2.25 - u * (1.0 - v**2)
     r3 = 2.625 - u * (1.0 - v**3)
-    return float((r1**2 + r2**2 + r3**2).sum())
+    return float(_sum(r1**2 + r2**2 + r3**2))
 
 
 def _extended_beale_grad(x):
@@ -270,7 +273,7 @@ def _extended_beale_grad(x):
 def _extended_denschnb(x):
     """pairwise (u - 2)^2 + (u - 2)^2 v^2 + (v + 1)^2."""
     u, v = x[0::2], x[1::2]
-    return float(((u - 2.0) ** 2 * (1.0 + v**2) + (v + 1.0) ** 2).sum())
+    return float(_sum((u - 2.0) ** 2 * (1.0 + v**2) + (v + 1.0) ** 2))
 
 
 def _extended_denschnb_grad(x):
@@ -287,7 +290,7 @@ def _extended_freudenstein_roth(x):
     u, v = x[0::2], x[1::2]
     r1 = -13.0 + u + ((5.0 - v) * v - 2.0) * v
     r2 = -29.0 + u + ((v + 1.0) * v - 14.0) * v
-    return float((r1**2 + r2**2).sum())
+    return float(_sum(r1**2 + r2**2))
 
 
 def _extended_freudenstein_roth_grad(x):
@@ -305,7 +308,7 @@ def _extended_psc1(x):
     """pairwise (u^2 + v^2 + u v)^2 + sin^2(u) + cos^2(v)."""
     u, v = x[0::2], x[1::2]
     t = u**2 + v**2 + u * v
-    return float((t**2 + np.sin(u) ** 2 + np.cos(v) ** 2).sum())
+    return float(_sum(t**2 + np.sin(u) ** 2 + np.cos(v) ** 2))
 
 
 def _extended_psc1_grad(x):
@@ -320,7 +323,7 @@ def _extended_psc1_grad(x):
 def _extended_tridiagonal1(x):
     """pairwise (u + v - 3)^2 + (u - v + 1)^4."""
     u, v = x[0::2], x[1::2]
-    return float(((u + v - 3.0) ** 2 + (u - v + 1.0) ** 4).sum())
+    return float(_sum((u + v - 3.0) ** 2 + (u - v + 1.0) ** 4))
 
 
 def _extended_tridiagonal1_grad(x):
@@ -337,7 +340,7 @@ def _extended_tridiagonal2(x):
     """sum (x_i x_{i+1} - 1)^2 + 0.1 (x_i + 1)(x_{i+1} + 1)."""
     a, b = x[:-1], x[1:]
     r = a * b - 1.0
-    return float((r**2 + 0.1 * (a + 1.0) * (b + 1.0)).sum())
+    return float(_sum(r**2 + 0.1 * (a + 1.0) * (b + 1.0)))
 
 
 def _extended_tridiagonal2_grad(x):
@@ -352,7 +355,7 @@ def _extended_tridiagonal2_grad(x):
 def _fletcher(x):
     """chained 100 (x_{i+1} - x_i + 1 - x_i^2)^2."""
     r = x[1:] - x[:-1] + 1.0 - x[:-1] ** 2
-    return float(100.0 * (r**2).sum())
+    return float(100.0 * _sum(r**2))
 
 
 def _fletcher_grad(x):
@@ -367,7 +370,7 @@ def _generalized_psc1(x):
     """chained (x_i^2 + x_{i+1}^2 + x_i x_{i+1})^2 + sin^2(x_i) + cos^2(x_{i+1})."""
     a, b = x[:-1], x[1:]
     t = a**2 + b**2 + a * b
-    return float((t**2 + np.sin(a) ** 2 + np.cos(b) ** 2).sum())
+    return float(_sum(t**2 + np.sin(a) ** 2 + np.cos(b) ** 2))
 
 
 def _generalized_psc1_grad(x):
@@ -384,7 +387,7 @@ _SQRT_IDX = np.sqrt(_IDX)
 
 def _hager(x):
     """sum (exp(x_i) - sqrt(i) x_i)."""
-    return float((np.exp(x) - _SQRT_IDX * x).sum())
+    return float(_sum(np.exp(x) - _SQRT_IDX * x))
 
 
 def _hager_grad(x):
@@ -394,7 +397,7 @@ def _hager_grad(x):
 def _himmelh(x):
     """pairwise (-3u - 2v + 2 + u^3 + v^2)."""
     u, v = x[0::2], x[1::2]
-    return float((-3.0 * u - 2.0 * v + 2.0 + u**3 + v**2).sum())
+    return float(_sum(-3.0 * u - 2.0 * v + 2.0 + u**3 + v**2))
 
 
 def _himmelh_grad(x):
@@ -408,7 +411,7 @@ def _himmelh_grad(x):
 def _partial_perturbed_quadratic(x):
     """x_1^2 + sum i x_i^2 + (1/100) sum_i (x_1 + ... + x_i)^2."""
     c = x.cumsum()
-    return float(x[0] ** 2 + (_IDX * x**2).sum() + (c**2).sum() / 100.0)
+    return float(x[0] ** 2 + _sum(_IDX * x**2) + _sum(c**2) / 100.0)
 
 
 def _partial_perturbed_quadratic_grad(x):
@@ -421,19 +424,19 @@ def _partial_perturbed_quadratic_grad(x):
 
 def _perturbed_quadratic_diagonal(x):
     """(sum x_i)^2 / 100 + sum x_i^2 / i."""
-    s = float(x.sum())
-    return float(s * s / 100.0 + (x**2 / _IDX).sum())
+    s = float(_sum(x))
+    return float(s * s / 100.0 + _sum(x**2 / _IDX))
 
 
 def _perturbed_quadratic_diagonal_grad(x):
-    s = float(x.sum())
+    s = float(_sum(x))
     return 2.0 * x / _IDX + s / 50.0
 
 
 def _perturbed_tridiagonal_quadratic(x):
     """sum i x_i^2 + (1/100) sum_{1<i<n} (x_{i-1} + x_i + x_{i+1})^2."""
     t = x[:-2] + x[1:-1] + x[2:]
-    return float((_IDX * x**2).sum() + (t**2).sum() / 100.0)
+    return float(_sum(_IDX * x**2) + _sum(t**2) / 100.0)
 
 
 def _perturbed_tridiagonal_quadratic_grad(x):
@@ -447,7 +450,7 @@ def _perturbed_tridiagonal_quadratic_grad(x):
 
 def _quadratic_qf1(x):
     """0.5 sum i x_i^2 - x_n."""
-    return float(0.5 * (_IDX * x**2).sum() - x[-1])
+    return float(0.5 * _sum(_IDX * x**2) - x[-1])
 
 
 def _quadratic_qf1_grad(x):
@@ -458,7 +461,7 @@ def _quadratic_qf1_grad(x):
 
 def _quadratic_qf2(x):
     """0.5 sum i (x_i^2 - 1)^2 - x_n."""
-    return float(0.5 * (_IDX * (x**2 - 1.0) ** 2).sum() - x[-1])
+    return float(0.5 * _sum(_IDX * (x**2 - 1.0) ** 2) - x[-1])
 
 
 def _quadratic_qf2_grad(x):
@@ -469,7 +472,7 @@ def _quadratic_qf2_grad(x):
 
 def _raydan1(x):
     """sum (i/10) (exp(x_i) - x_i)."""
-    return float((_IDX / 10.0 * (np.exp(x) - x)).sum())
+    return float(_sum(_IDX / 10.0 * (np.exp(x) - x)))
 
 
 def _raydan1_grad(x):
@@ -478,7 +481,7 @@ def _raydan1_grad(x):
 
 def _raydan2(x):
     """sum (exp(x_i) - x_i)."""
-    return float((np.exp(x) - x).sum())
+    return float(_sum(np.exp(x) - x))
 
 
 def _raydan2_grad(x):
@@ -491,7 +494,7 @@ _TRIDIA_I = np.arange(2.0, DIMENSION + 1.0)
 def _tridia(x):
     """(x_1 - 1)^2 + sum_{i>=2} i (2 x_i - x_{i-1})^2."""
     r = 2.0 * x[1:] - x[:-1]
-    return float((x[0] - 1.0) ** 2 + (_TRIDIA_I * r**2).sum())
+    return float((x[0] - 1.0) ** 2 + _sum(_TRIDIA_I * r**2))
 
 
 def _tridia_grad(x):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,6 +78,15 @@ class TestSuperlinearRatios:
         ratios = superlinear_ratio_series(trace, np.zeros(1))
         assert len(ratios) == 1  # only the 1.0 -> 1e-14 ratio survives
 
+    @pytest.mark.parametrize("shape", [(1,), (5,), (10, 1)])
+    def test_x_star_of_the_wrong_shape_rejected(self, shape):
+        # a (1,) x_star would broadcast against every iterate and give ratios
+        p = lookup("Raydan2")
+        res = solve_two_phase(p.objective, p.objective.standard_start)
+        with pytest.raises(ValueError, match=re.escape(
+                f"x_star has shape {shape}, expected (10,)")):
+            superlinear_ratio_series(res.trace, np.zeros(shape), res.final_x)
+
     def test_two_phase_run_on_qf1_ends_superlinearly(self):
         p = lookup("Quadratic QF1")
         res = solve_two_phase(p.objective, p.objective.standard_start)
@@ -147,6 +157,22 @@ class TestDiagnoseRun:
             argmin = int(np.argmin(q))
             assert argmin >= 0.75 * (len(q) - 1), name
             assert q[-1] <= 0.1, name
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (10, 1)])
+    def test_x_star_of_the_wrong_shape_rejected(self, shape):
+        p = lookup("Raydan2")
+        res = solve_two_phase(p.objective, p.objective.standard_start)
+        with pytest.raises(ValueError, match=re.escape(
+                f"x_star has shape {shape}, expected (10,)")):
+            diagnose_run(res, np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(5, 5), (10,), (10, 11)])
+    def test_hess_star_of_the_wrong_shape_rejected(self, shape):
+        p = lookup("Raydan2")
+        res = solve_two_phase(p.objective, p.objective.standard_start)
+        with pytest.raises(ValueError, match=re.escape(
+                f"hess_star has shape {shape}, expected (10, 10)")):
+            diagnose_run(res, p.known_optimum.x, np.zeros(shape))
 
     def test_without_hessian_no_direction_series(self):
         p = lookup("Raydan2")

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from qnbench import ObjectiveFunction, check_gradient, suite
+from qnbench import ObjectiveFunction, check_gradient, lookup, suite
 from qnbench.objectives import FD_STEP, default_check_points, fd_gradient
 
 from _util import (WRONG_GRADIENT_IDS, WRONG_GRADIENT_SHAPES, fd_gradient_fresh_steps, sphere,
@@ -151,6 +151,19 @@ class TestCheckGradient:
         with pytest.raises(ValueError, match=re.escape(
                 f"sum: gradient has shape {shape}, expected ({n},)")):
             check_gradient(sum_with_gradient_shape(n, shape), [np.zeros(n)])
+
+    @pytest.mark.parametrize("shape", [(3,), (10, 1), ()])
+    def test_check_point_of_the_wrong_shape_rejected(self, shape):
+        # a (3,) point was reported as a gradient of the wrong shape, and a
+        # (10, 1) one failed inside the central differences
+        f = lookup("Raydan2").objective
+        calls = []
+        counted = _objective(f.name, f.dimension, lambda x: calls.append(None) or f.evaluate(x),
+                             f.gradient)
+        with pytest.raises(ValueError, match=re.escape(
+                f"Raydan2: check point 1 has shape {shape}, expected (10,)")):
+            check_gradient(counted, [f.standard_start, np.zeros(shape)])
+        assert calls == []
 
     def test_worst_coordinate_identified(self):
         # gradient wrong only in coordinate 1

@@ -65,6 +65,8 @@ class TestSolverConfig:
         {"max_iter": 0}, {"max_iter": math.nan}, {"max_iter": math.inf}, {"max_iter": 2.5},
         {"max_iter": True}, {"max_iter": "10"}, {"max_iter": np.int64(0)},
         {"max_iter": np.float64(10.0)}, {"max_iter": np.True_}, {"mode": "inverse"},
+        {"tol": True}, {"tol": np.True_}, {"tol": "1e-6"}, {"tol": None}, {"tol": 1e-6j},
+        {"lam": "0.5"}, {"lam": None}, {"lam": 0.5j}, {"lam": np.True_},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
