@@ -70,13 +70,20 @@ def direction_quality(g, hess_star, p_bar) -> float:
     """||(B - hess_star) p_bar|| / ||p_bar|| of the direction p_bar = -B^{-1} g.
 
     ``B p_bar = -g``, so the residual is ``-g - hess_star p_bar`` and B itself
-    is never needed.
+    is never needed.  A ``p_bar`` that is not a vector, or a ``g`` or
+    ``hess_star`` of another shape than ``p_bar``'s ``(n,)`` and ``(n, n)``,
+    raises ``ValueError``, where it would broadcast or fail inside numpy.
     """
     p_bar = np.asarray(p_bar, dtype=float)
+    if p_bar.ndim != 1:
+        raise ValueError(f"p_bar has shape {p_bar.shape}, expected a vector (n,)")
+    n = p_bar.size
+    g = _shaped("g", g, (n,))
+    hess_star = _shaped("hess_star", hess_star, (n, n))
     norm_p = float(np.linalg.norm(p_bar))
     if norm_p == 0.0:
         raise ValueError("p_bar must be nonzero")
-    residual = -np.asarray(g, dtype=float) - np.asarray(hess_star, dtype=float) @ p_bar
+    residual = -g - hess_star @ p_bar
     return float(np.linalg.norm(residual)) / norm_p
 
 

@@ -70,9 +70,13 @@ def fd_gradient(f: ObjectiveFunction, x):
     i is ``x[i] +/- h``, the same float addition as ``(x +/- h e_i)[i]``,
     and every other coordinate keeps the bits of x: a ``-0.0`` stays
     ``-0.0``, where adding ``0 e_j`` would give ``+0.0``.  x is never written.
+    An x of another shape than ``(f.dimension,)`` raises ``ValueError``
+    before any evaluation.
     """
     h = FD_STEP
     x = np.asarray(x, dtype=float)
+    if x.shape != (f.dimension,):
+        raise ValueError(f"{f.name}: point has shape {x.shape}, expected ({f.dimension},)")
     probe = x.copy()
     grad = np.empty_like(x)
     for i, xi in enumerate(x.tolist()):

@@ -15,7 +15,7 @@ rejects the pair, the update is skipped and the first step is accepted.
 The loop holds H = B^{-1}, from which every direction is ``-H g``, and
 ``psi(B) = tr B - ln det B``, from H = I and psi = n.  A realization is an
 operator object, and the loop uses two things of it: ``H @ g`` and
-``H, d_psi = H.update(s, y, Bs, lam)``.  There are three: :class:`_DenseH`,
+``d_psi = H.update(s, y, Bs, lam)``.  There are three: :class:`_DenseH`,
 the combination in B applied to H by the Woodbury formula, which is
 two-phase's ``b_form`` and, at lam = 0, BFGS; :class:`_LiteralH`, two-phase
 ``h_form_literal``, the literal ``(lam H^{-1} + (1 - lam) H_bar^{-1})^{-1}``,
@@ -23,8 +23,8 @@ kept for cross-validation; and :class:`_CompactH`, the same Woodbury update on
 H = I - R' diag(1, -1, 1, -1, ...) R (every update adds a row of sign +1 and
 one of sign -1 to R) instead of a dense H.  Every ``b_form`` update, dense or
 compact, is certified before it writes by one test, the inertia of its 2 x 2
-M.  An update writes over its operator and returns it, or returns the
-operator that goes on from it.  Each operator holds only what its update
+M.  An update writes over its operator and returns the change in psi; no
+update replaces its operator.  Each operator holds only what its update
 reads: a dense one H alone, a compact one R and its row count m.  A dense
 ``b_form`` update subtracts one transient n x n correction from H;
 ``h_form_literal``, a :class:`_DenseH` with its own update, replaces H with
@@ -35,12 +35,11 @@ identities, with BFGS as lam = 0.  After a unit first step the update is
 handed p_bar itself as s and ``-g`` as Bs, the bits of ``1.0 * p_bar`` and
 ``-1.0 * g`` with no scaled copy; no update writes either.
 
-n alone picks the realization (:func:`_operator`).  Every solve below
-``COMPACT_MIN_N`` is dense, whatever its budget.  From there up, BFGS and
-two-phase ``b_form`` start compact, and the compact update hands over to a
-dense operator on H = I - R' diag(1, -1, ...) R once, at the first applied
-pair that would take R past n rows; until then an iteration needs no n x n
-array.
+n alone picks the realization (:func:`_operator`) for the whole solve.  Every
+solve below ``COMPACT_MIN_N`` is dense, whatever its budget.  From there up,
+BFGS and two-phase ``b_form`` run compact to the end, so no iteration needs an
+n x n array; past k = n/2 applied updates R has more rows than n, and an
+iteration costs O(kn) where a dense one would cost O(n^2).
 ``h_form_literal`` is dense at every n.  The realizations represent the same
 operators but round differently, so ``b_form`` and ``h_form_literal`` may part
 on a flat tail.
@@ -410,7 +409,7 @@ class _DenseH:
         m12_inv = -sy / det
         M_inv = np.array([[m22 / det, m12_inv], [m12_inv, m11 / det]])
         H -= (HU @ M_inv) @ HU.T
-        return self, _psi_step(sy, sBs, yHy, yy, float(Bs.dot(Bs)), lam)
+        return _psi_step(sy, sBs, yHy, yy, float(Bs.dot(Bs)), lam)
 
 
 class _LiteralH(_DenseH):
@@ -421,8 +420,8 @@ class _LiteralH(_DenseH):
     def update(self, s, y, Bs, lam):
         H = self.H
         self.H = combine_H_literal(H, bfgs_update_H(H, s, y), lam)
-        return self, _psi_step(float(s.dot(y)), float(s.dot(Bs)), float(y.dot(H @ y)),
-                               float(y.dot(y)), float(Bs.dot(Bs)), lam)
+        return _psi_step(float(s.dot(y)), float(s.dot(Bs)), float(y.dot(H @ y)),
+                         float(y.dot(y)), float(Bs.dot(Bs)), lam)
 
 
 class _CompactH:
@@ -431,8 +430,6 @@ class _CompactH:
     Every update appends two rows to R, the first with sign +1 and the second
     with sign -1, and ``H @ v`` costs O(kn) for R's 2k rows.  ``rows`` holds R,
     whose first ``m`` rows are in use; its odd rows are the ones with sign -1.
-    :meth:`dense` gives the same H as an n x n array, for the update that
-    hands over to :class:`_DenseH` when R would outgrow n.
     """
 
     def __init__(self, n):
@@ -445,34 +442,18 @@ class _CompactH:
         w[1::2] *= -1.0
         return v - w @ R
 
-    def dense(self):
-        """H = I - R' diag(1, -1, ...) R as a new n x n array."""
-        m, n = self.m, self.rows.shape[1]
-        R = self.rows[:m]
-        S = R.copy()
-        S[1::2] *= -1.0
-        H = S.T @ R
-        np.negative(H, out=H)
-        H.flat[::n + 1] += 1.0
-        return H
-
     def update(self, s, y, Bs, lam):
-        """BFGS (``lam`` 0) or two-phase ``b_form``, written over the rows, or
-        :class:`_DenseH`'s update on :meth:`dense` when R would outgrow n.
+        """BFGS (``lam`` 0) or two-phase ``b_form``, written over the rows.
 
         The update is :class:`_DenseH`'s, H_next = H - HU M^{-1} (HU)' with
         HU = [s, Hy], s = H Bs, and the M of :func:`_woodbury_m`, in O(kn), under
         the same inertia certificate.  It appends the two rows of the LDL'
         factorization of M^{-1}: Hy/sqrt(m22) with sign +1 and
         sqrt(m22/(-det M)) (s - (m12/m22) Hy) with sign -1.  When R is full, its
-        array doubles, but not past n: the solve runs compact only while R never
-        needs more than n rows.  Every check runs before the first write, the
-        curvature floor before the handoff.
+        array doubles.  Every check runs before the first write.
         """
         _, yy = _curvature(s, y)
         m, n = self.m, self.rows.shape[1]
-        if m + 2 > n:
-            return _DenseH(self.dense()).update(s, y, Bs, lam)
         R = self.rows[:m]
         HU = np.empty((2, n))
         HU[0] = Bs
@@ -483,12 +464,12 @@ class _CompactH:
         s, Hy = HU
         sy, sBs, yHy, _, m22, det = _woodbury_m(s, y, Bs, Hy, lam)
         if m + 2 > len(self.rows):
-            self.rows = np.empty((min(2 * len(self.rows), n), n))
+            self.rows = np.empty((2 * len(self.rows), n))
             self.rows[:m] = R
         self.rows[m] = Hy / math.sqrt(m22)
         self.rows[m + 1] = math.sqrt(m22 / -det) * (s - sy / m22 * Hy)
         self.m = m + 2
-        return self, _psi_step(sy, sBs, yHy, yy, float(Bs.dot(Bs)), lam)
+        return _psi_step(sy, sBs, yHy, yy, float(Bs.dot(Bs)), lam)
 
 
 def _operator(n, cfg: SolverConfig, two_phase: bool):
@@ -557,8 +538,8 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
                     s, Bs = first.alpha * p_bar, -first.alpha * g
                 y = first.grad_new - g
                 try:
-                    H, d_psi = H.update(s, y, Bs, lam)
-                    psi, skipped = psi + d_psi, False
+                    psi += H.update(s, y, Bs, lam)
+                    skipped = False
                 except CurvatureError:
                     skipped = True  # H and psi stay as they are
                 # BFGS, and two-phase after a skipped update, accept the first step
@@ -599,7 +580,7 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
 
 def solve_bfgs(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
     """Standard BFGS from H = I, as the ``b_form`` update at lam = 0; compact from
-    ``n >= COMPACT_MIN_N`` until R would outgrow n, else dense (see the module docstring).
+    ``n >= COMPACT_MIN_N`` up, else dense (see the module docstring).
 
     Parameters
     ----------
@@ -621,8 +602,8 @@ def solve_two_phase(f, x0, cfg: SolverConfig | None = None) -> SolveResult:
 
     Parameters as in :func:`solve_bfgs`, and ``cfg.lam``, the mixing weight.
     The default ``cfg.mode``, ``b_form``, applies the combination in B to the
-    compact H = I - R' diag(1, -1, ...) R from ``n >= COMPACT_MIN_N`` until R
-    would outgrow n, and otherwise to a dense H by a Woodbury update.
+    compact H = I - R' diag(1, -1, ...) R from ``n >= COMPACT_MIN_N`` up, and
+    otherwise to a dense H by a Woodbury update.
     ``SolverConfig(mode=qnbench.solvers.MODE_H_FORM_LITERAL)`` runs the literal
     inverse form instead, dense at every n: a cross-validation oracle, not a
     faster or more accurate solve.

@@ -21,8 +21,7 @@ def replay(objective, result, cfg, solver):
     compact, from psi = n, with the step and pair formed as the solve forms
     them.  B is ``inverse_spd`` of a dense H; while H is compact, B is
     accumulated by :func:`b_next` from the replayed pairs, apart from H's rows.
-    A compact H hands over to a dense one in its own update, as the solve's
-    does.  Records keep no y, so y is re-derived from the objective; the
+    Records keep no y, so y is re-derived from the objective; the
     replayed psi_next, which reads y through s'y, y'y and y'Hy, must equal the
     recorded one bit for bit.
     """
@@ -38,8 +37,7 @@ def replay(objective, result, cfg, solver):
         B_next = B
         if not r.update_skipped:
             Bs = -a * r.g
-            H, d_psi = H.update(s, y, Bs, lam)
-            psi += d_psi
+            psi += H.update(s, y, Bs, lam)
             B_next = b_next(B, Bs, y, lam) if isinstance(H, _CompactH) else inverse_spd(H.H)
         assert float.hex(psi) == float.hex(r.psi_next)
         yield s, y, B, B_next
@@ -57,6 +55,14 @@ def b_next(B, Bs, y, lam):
     s = np.linalg.solve(B, Bs)
     mu = 1.0 - lam
     return B + mu * (np.outer(y, y) / s.dot(y) - np.outer(Bs, Bs) / s.dot(Bs))
+
+
+def compact_dense(H):
+    """A compact H = I - R' diag(1, -1, 1, -1, ...) R as a new n x n array, an
+    oracle for what its rows represent."""
+    R = H.rows[:H.m]
+    signs = np.where(np.arange(H.m) % 2 == 0, 1.0, -1.0)
+    return np.eye(R.shape[1]) - (R.T * signs) @ R
 
 
 def compact_from(R):

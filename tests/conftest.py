@@ -1,7 +1,18 @@
-import pytest
+"""Session fixtures.  Before numpy loads, numpy's bundled OpenBLAS is pinned to one
+thread and to its Haswell kernel (AVX2 and FMA), under which ``data/suite_counts.csv``
+was made; another kernel rounds differently and moves rows.  A variable already
+set wins."""
 
-from qnbench import SolverConfig, solve_bfgs, solve_two_phase, suite
-from qnbench.solvers import MODE_H_FORM_LITERAL
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+os.environ.setdefault("OPENBLAS_CORETYPE", "Haswell")
+
+import pytest  # noqa: E402
+
+from qnbench import SolverConfig, solve_bfgs, solve_two_phase, suite  # noqa: E402
+from qnbench.solvers import MODE_H_FORM_LITERAL  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,9 @@ and the n-parametric Hager, Perturbed Quadratic Diagonal and Raydan2 of
 ``_util`` at n = 100 and 300 under BFGS and ``b_form``, where the compact
 operator runs; each from its standard start x0 and from 10 x0.  The last line
 digests all the lines above it.  The library is imported from ``src/`` next to
-this directory, with one BLAS thread.  pytest does not collect this file.
+this directory, with one BLAS thread and, unless ``OPENBLAS_CORETYPE`` is set,
+OpenBLAS's Haswell kernel, as in the tests (``conftest.py``): two trees compare
+only under the same kernel.  pytest does not collect this file.
 
 Each solve holds its own ``np.errstate``, so no solve here writes a
 RuntimeWarning to stderr, and CI runs
@@ -29,6 +31,7 @@ import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+os.environ.setdefault("OPENBLAS_CORETYPE", "Haswell")
 
 import hashlib  # noqa: E402
 import sys  # noqa: E402

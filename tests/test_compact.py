@@ -1,8 +1,6 @@
-"""The compact operator ``_CompactH``, H = I - R' diag(1, -1, 1, -1, ...) R, which BFGS and
-two-phase ``b_form`` start on from n = COMPACT_MIN_N up.  Below COMPACT_MIN_N
-every solve is dense.  The first applied pair that would take R past n rows
-hands the solve over, inside ``_CompactH.update``, to a ``_DenseH`` on
-H.dense(); a pair that the curvature floor skips leaves H compact."""
+"""The compact operator ``_CompactH``, H = I - R' diag(1, -1, 1, -1, ...) R, on which BFGS
+and two-phase ``b_form`` run from n = COMPACT_MIN_N up, for the whole solve,
+however many rows R gains.  Below COMPACT_MIN_N every solve is dense."""
 
 import math
 import tracemalloc
@@ -21,10 +19,10 @@ from qnbench import (
 )
 from qnbench import solvers
 from qnbench.linalg import SPDError
-from qnbench.solvers import (COMPACT_MIN_N, MODE_H_FORM_LITERAL, CurvatureError, _CompactH,
-                             _DenseH, _LiteralH, _operator)
+from qnbench.solvers import (COMPACT_MIN_N, MODE_H_FORM_LITERAL, _CompactH, _DenseH, _LiteralH,
+                             _operator)
 
-from _util import (b_next, compact_from, curvature_pair, hager, iterate_sequence,
+from _util import (b_next, compact_dense, compact_from, curvature_pair, iterate_sequence,
                    perturbed_quadratic_diagonal, raydan2, replay)
 
 SOLVERS = [solve_bfgs, solve_two_phase]
@@ -34,10 +32,10 @@ SOLVER_IDS = ["bfgs", "two-phase"]
 @pytest.mark.parametrize("two_phase", [False, True], ids=SOLVER_IDS)
 def test_n_alone_selects_the_realization(two_phase):
     # no option and no budget rule: below COMPACT_MIN_N every solve is dense;
-    # from COMPACT_MIN_N up BFGS and two-phase b_form start compact at any
-    # max_iter, and their update hands over to a _DenseH once (BFGS is lam = 0);
-    # h_form_literal is dense.  Each realization holds only what its update
-    # reads: a dense one H, and a compact one m and R, whose odd rows have sign -1
+    # from COMPACT_MIN_N up BFGS and two-phase b_form run compact at any
+    # max_iter (BFGS is lam = 0); h_form_literal is dense.  Each realization
+    # holds only what its update reads: a dense one H, and a compact one m and
+    # R, whose odd rows have sign -1
     n = COMPACT_MIN_N - 1
     for m in (1, n // 2, 500):
         H = _operator(n, SolverConfig(max_iter=m), two_phase)
@@ -48,12 +46,6 @@ def test_n_alone_selects_the_realization(two_phase):
         H = _operator(n, SolverConfig(max_iter=m), two_phase)
         assert type(H) is _CompactH and H.m == 0
         assert vars(H).keys() == {"m", "rows"}
-    # a compact H whose R is full hands over to the dense update on H.dense() = I
-    s, y = curvature_pair(np.random.default_rng(3), n)
-    H, _ = compact_from(np.zeros((n, n))).update(s, y, s, 0.5)
-    want, _ = _DenseH(np.eye(n)).update(s, y, s, 0.5)
-    assert type(H) is _DenseH and np.array_equal(H.H, want.H)
-    assert vars(H).keys() == {"H"}
     # h_form_literal is dense at every n and budget, and the paper's n = 10 runs
     # are dense; it is a _DenseH with its own update and nothing else
     assert [k for k in vars(_LiteralH) if not k.startswith("__")] == ["update"]
@@ -88,94 +80,35 @@ def test_dense_is_the_inverse_of_the_represented_operator():
     rng = np.random.default_rng(17)
     n = 40
     H, B = _CompactH(n), np.eye(n)
-    assert np.array_equal(H.dense(), np.eye(n))
+    assert np.array_equal(compact_dense(H), np.eye(n))
     for _ in range(15):
         Bs, y = curvature_pair(rng, n)
-        H, _ = H.update(H @ Bs, y, Bs, 0.5)
+        H.update(H @ Bs, y, Bs, 0.5)
         B = b_next(B, Bs, y, 0.5)
         want = np.linalg.inv(B)
-        assert np.abs(H.dense() - want).max() <= 1e-10 * np.abs(want).max()
+        assert np.abs(compact_dense(H) - want).max() <= 1e-10 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVER_IDS)
-def test_a_compact_solve_that_outgrows_n_goes_dense_once(monkeypatch, solver):
-    # with the threshold at n = 10, Generalized PSC1 starts compact and its
-    # sixth applied update would take R past 10 rows: that compact update hands
-    # over, once, to the dense update on H.dense(), and the dense update runs
-    # from then on; the replay, which goes dense at the same update, gives
-    # psi_next to 1e-9 of psi(B_next).  Each call is recorded when it returns,
-    # with the type of the operator it returns
+def test_a_compact_solve_stays_compact_past_n_over_2_updates(monkeypatch, solver):
+    # with the threshold at n = 10, Generalized PSC1 starts compact and runs
+    # past 5 applied updates, where R has more rows than n: the solve keeps the
+    # _CompactH it started on, with two rows per applied update, and the
+    # replay, compact too, gives psi_next to 1e-9 of psi(B_next)
     name = "bfgs" if solver is solve_bfgs else "two-phase"
     monkeypatch.setattr(solvers, "COMPACT_MIN_N", 10)
-    calls = []
-    for cls in (_CompactH, _DenseH):
-        def counted(H, *args, _name=cls.__name__, _wrapped=cls.update):
-            out = _wrapped(H, *args)
-            calls.append((_name, type(out[0]).__name__))
-            return out
-        monkeypatch.setattr(cls, "update", counted)
-    densified = []
-    dense = _CompactH.dense
-    monkeypatch.setattr(_CompactH, "dense", lambda H: densified.append(H.m) or dense(H))
+    made = []
+    make = solvers._operator
+    monkeypatch.setattr(solvers, "_operator", lambda *args: made.append(make(*args)) or made[-1])
     f = lookup("Generalized PSC1").objective
     cfg = SolverConfig()
     res = solver(f, f.standard_start, cfg)
     assert res.converged
     applied = sum(not r.update_skipped for r in res.trace)
-    assert densified == [10]
-    handoff = [("_DenseH", "_DenseH"), ("_CompactH", "_DenseH")]
-    assert calls == ([("_CompactH", "_CompactH")] * 5 + handoff
-                     + [("_DenseH", "_DenseH")] * (applied - 6)) and applied > 10
+    [H] = made
+    assert applied > 5
+    assert type(H) is _CompactH and H.m == 2 * applied
     steps = list(replay(f, res, cfg, name))
-    assert len(steps) == res.iterations
-    want = [psi(B_next) for _, _, _, B_next in steps]
-    assert [r.psi_next for r in res.trace] == pytest.approx(want, rel=1e-9)
-
-
-def test_a_skipped_pair_leaves_a_full_r_compact(monkeypatch):
-    # the curvature floor runs before the handoff: with R at n rows, a pair
-    # below the floor raises, builds no dense H and leaves the rows as they
-    # were, and the next applied pair hands over to a _DenseH on H.dense()
-    rng = np.random.default_rng(23)
-    n = 8
-    H, B = _CompactH(n), np.eye(n)
-    for _ in range(n // 2):
-        s, y = curvature_pair(rng, n)
-        H, _ = H.update(s, y, B @ s, 0.5)
-        B = b_next(B, B @ s, y, 0.5)
-    assert type(H) is _CompactH and H.m == n
-    densified = []
-    dense = _CompactH.dense
-    monkeypatch.setattr(_CompactH, "dense", lambda H: densified.append(H.m) or dense(H))
-    rows = H.rows
-    before = rows.copy()
-    s, y = curvature_pair(rng, n)
-    Bs = B @ s
-    with pytest.raises(CurvatureError):
-        H.update(s, -s, Bs, 0.5)
-    assert densified == [] and H.m == n and H.rows is rows
-    assert np.array_equal(rows, before)
-    H_next, _ = H.update(s, y, Bs, 0.5)
-    assert type(H_next) is _DenseH and densified == [n]
-    want = np.linalg.inv(b_next(B, Bs, y, 0.5))
-    assert np.abs(H_next.H - want).max() <= 1e-10 * np.abs(want).max()
-
-
-def test_hager_at_the_threshold_hands_over_once(monkeypatch):
-    # BFGS on Hager at n = COMPACT_MIN_N = 100 runs past 50 applied updates, so
-    # R is full after the 50th and the 51st hands over: one dense() call, at
-    # m = 100, and the replay, which hands over at the same update, gives
-    # psi_next to 1e-9 of psi(B_next).  Its counts are not pinned, because
-    # Hager's flat tail depends on the BLAS thread count
-    densified = []
-    dense = _CompactH.dense
-    monkeypatch.setattr(_CompactH, "dense", lambda H: densified.append(H.m) or dense(H))
-    f = hager(COMPACT_MIN_N)
-    cfg = SolverConfig()
-    res = solve_bfgs(f, f.standard_start, cfg)
-    assert res.converged
-    assert densified == [COMPACT_MIN_N]
-    steps = list(replay(f, res, cfg, "bfgs"))
     assert len(steps) == res.iterations
     want = [psi(B_next) for _, _, _, B_next in steps]
     assert [r.psi_next for r in res.trace] == pytest.approx(want, rel=1e-9)
@@ -225,27 +158,12 @@ def test_h_times_v_is_the_inverse_of_the_represented_operator(lam):
     H, B = _CompactH(n), np.eye(n)
     for _ in range(12):  # 24 rows: R's array doubles from 2 to 32
         Bs, y = curvature_pair(rng, n)
-        s = H @ Bs
-        H, _ = H.update(s, y, Bs, lam)
+        H.update(H @ Bs, y, Bs, lam)
         B = b_next(B, Bs, y, lam)
         for v in rng.standard_normal((3, n)):
             want = np.linalg.solve(B, v)
             assert np.linalg.norm(H @ v - want) <= 1e-10 * np.linalg.norm(want)
     assert H.m == 24 and H.rows.shape[0] == 32
-
-
-def test_the_arrays_grow_no_further_than_n():
-    # the solve runs compact only while R needs at most n rows, so doubling
-    # stops at n: three updates at n = 6 grow R's array from 2 to 4 to 6, not 8
-    rng = np.random.default_rng(13)
-    n = 6
-    H, B = _CompactH(n), np.eye(n)
-    for _ in range(3):
-        s, y = curvature_pair(rng, n)
-        H, _ = H.update(s, y, B @ s, 0.5)
-        B = b_next(B, B @ s, y, 0.5)
-    assert H.m == 6
-    assert H.rows.shape == (6, n)
 
 
 def _indefinite():
@@ -284,7 +202,7 @@ def test_an_uncertified_m_raises_before_it_writes(case):
     assert H.m == before[0] and H.rows is rows
     assert np.array_equal(rows, before[1])
     # the dense b_form on the same H runs the same certificate, before it writes H
-    H = _DenseH(H.dense())
+    H = _DenseH(compact_dense(H))
     kept = H.H.copy()
     with pytest.raises(SPDError, match="m22 = .* and det M = "):
         H.update(H @ Bs, y, Bs, 0.5)
@@ -293,8 +211,8 @@ def test_an_uncertified_m_raises_before_it_writes(case):
 
 def test_a_wrong_inertia_ends_the_solve_spd_failure(monkeypatch):
     # f = x'Gx/2 + x_3 from 0, with G = I but G_13 = G_31 = a, and the H above,
-    # held compact, dense (its H.dense() in a _DenseH), or compact with R full,
-    # so that the update hands over to the dense one on H.dense():
+    # held compact, dense, or compact with R's array full, so that the update
+    # would double it:
     # p_bar = -e_3 descends, the unit step is exact, and the update meets the
     # pair above, for either a and for BFGS (lam = 0, m22 = 2 - a^2) as for
     # two-phase
@@ -302,8 +220,8 @@ def test_a_wrong_inertia_ends_the_solve_spd_failure(monkeypatch):
         return compact_from(np.vstack((_indefinite().rows, np.zeros((2, 6)))))
 
     def dense():
-        H = _DenseH(_indefinite().dense())
-        assert np.array_equal(H.H, full().dense())
+        H = _DenseH(compact_dense(_indefinite()))
+        assert np.array_equal(H.H, compact_dense(full()))
         return H
 
     b = np.eye(6)[2]
@@ -335,7 +253,7 @@ def test_bfgs_passes_the_inertia_test_on_every_curvature_pair(monkeypatch):
         H, B = _CompactH(n), np.eye(n)
         for _ in range(n // 2):
             s, y = curvature_pair(rng, n)
-            H, _ = H.update(s, y, B @ s, 0.0)
+            H.update(s, y, B @ s, 0.0)
             B = b_next(B, B @ s, y, 0.0)
         assert H.m == n
     assert len(seen) == 45
@@ -344,8 +262,8 @@ def test_bfgs_passes_the_inertia_test_on_every_curvature_pair(monkeypatch):
 
 
 def test_a_compact_update_allocates_no_m_by_m_temporary():
-    # an update allocates a few vectors of length n or m, and the solve keeps
-    # m <= n, so its peak does not grow with m past a few n: at n = 300 one
+    # an update allocates a few vectors of length n or m, and no m x m array,
+    # so its peak does not grow with m past a few n: at n = 300 one
     # update peaks below 8n floats with R at 20 rows and at 296, where one
     # m x m array at m = 296 is 292n floats.  R's array has room for both
     # updates' rows, so neither peak holds its doubling
@@ -360,12 +278,12 @@ def test_a_compact_update_allocates_no_m_by_m_temporary():
             s = H @ Bs
             tracemalloc.start()
             try:
-                H, _ = H.update(s, y, Bs, 0.5)
+                H.update(s, y, Bs, 0.5)
                 peaks[H.m - 2] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         else:
-            H, _ = H.update(H @ Bs, y, Bs, 0.5)
+            H.update(H @ Bs, y, Bs, 0.5)
     assert sorted(peaks) == [20, 296]
     assert max(peaks.values()) < 8 * 8 * n
 
@@ -373,7 +291,7 @@ def test_a_compact_update_allocates_no_m_by_m_temporary():
 @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVER_IDS)
 def test_compact_peak_memory_is_linear_in_k_n(solver):
     # one n x n at n = 2000 is 32 MB; the compact solve holds R (2k rows,
-    # doubled when full, up to n), its signs and the records, a few n-vectors
+    # doubled when full) and the records, a few n-vectors
     # per iteration
     n = 2000
     f = perturbed_quadratic_diagonal(n)

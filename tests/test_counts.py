@@ -2,20 +2,50 @@
 
 ``data/suite_counts.csv`` pins (termination, iterations, f_evals, g_evals) of
 the 90 suite runs at the library defaults: BFGS, two-phase ``b_form`` and
-two-phase ``h_form_literal`` on each of the 30 problems.  A change that moves
-a count regenerates the file and lists every moved row in CHANGES.md.
+two-phase ``h_form_literal`` on each of the 30 problems, under OpenBLAS's
+Haswell kernel and one BLAS thread, which ``conftest.py`` pins.  A change that
+moves a count regenerates the file and lists every moved row in CHANGES.md.
 """
 
 import csv
+import ctypes
 import io
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from qnbench import SolverConfig, solve_bfgs, solve_two_phase, suite
 from qnbench.solvers import MODE_B_FORM, MODE_H_FORM_LITERAL
 
 COUNTS = Path(__file__).resolve().parent / "data" / "suite_counts.csv"
 HEADER = ("problem", "solver", "mode", "termination", "iterations", "f_evals", "g_evals")
+# the OpenBLAS kernel that conftest.py pins and the counts were made under
+PINNED_KERNEL = "Haswell"
+
+
+def _openblas_kernel():
+    """The kernel that numpy's bundled scipy-openblas runs, or None when numpy bundles
+    no such library.  Opening the loaded library again returns the same handle."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*.so"))
+    if not found:
+        return None
+    corename = ctypes.CDLL(str(found[0])).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def test_the_pinned_blas_kernel_is_loaded():
+    # another kernel rounds the BLAS products differently and moves pinned
+    # rows, so a foreign kernel fails here by name, not as "rows moved"
+    kernel = _openblas_kernel()
+    if kernel is None:
+        pytest.skip("numpy bundles no scipy-openblas, so its kernel cannot be read")
+    assert kernel == PINNED_KERNEL, (
+        f"OpenBLAS runs its {kernel} kernel, not {PINNED_KERNEL}: the pinned counts "
+        f"hold under {PINNED_KERNEL} only (set OPENBLAS_CORETYPE={PINNED_KERNEL})")
 
 
 def count_rows(runs):
@@ -32,7 +62,8 @@ def _read_pinned():
 
 
 def test_suite_counts_match_the_pinned_file(default_runs, h_form_runs):
-    """Regenerate with ``PYTHONPATH=src python tests/test_counts.py > tests/data/suite_counts.csv``."""
+    """Regenerate with ``OPENBLAS_CORETYPE=Haswell OPENBLAS_NUM_THREADS=1 PYTHONPATH=src
+    python tests/test_counts.py > tests/data/suite_counts.csv``."""
     runs = [(name, solver, "" if solver == "bfgs" else MODE_B_FORM, result)
             for (name, solver), result in default_runs.items()]
     runs += [(name, "two-phase", MODE_H_FORM_LITERAL, result)
@@ -47,6 +78,9 @@ def test_suite_counts_match_the_pinned_file(default_runs, h_form_runs):
 
 
 def main():
+    kernel = _openblas_kernel()
+    if kernel not in (None, PINNED_KERNEL):
+        sys.exit(f"OpenBLAS runs its {kernel} kernel: set OPENBLAS_CORETYPE={PINNED_KERNEL}")
     h_form = SolverConfig(mode=MODE_H_FORM_LITERAL)
     runs = []
     for problem in suite():

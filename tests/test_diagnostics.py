@@ -112,6 +112,18 @@ class TestDirectionQuality:
         with pytest.raises(ValueError):
             direction_quality(np.zeros(2), np.eye(2), np.zeros(2))
 
+    @pytest.mark.parametrize("g, hess_star, p_bar, name", [
+        (np.ones(10), np.eye(5), np.ones(10), "hess_star"),
+        (np.ones(3), np.eye(10), np.ones(10), "g"),
+        (np.ones((10, 1)), np.eye(10), np.ones(10), "g"),
+        (np.ones(10), np.eye(10), np.ones((10, 1)), "p_bar"),
+    ], ids=["hess_star-order-5", "g-short", "g-column", "p_bar-column"])
+    def test_a_wrong_shape_is_named(self, g, hess_star, p_bar, name):
+        # each would broadcast, or fail inside numpy with a message that names
+        # no argument
+        with pytest.raises(ValueError, match=f"^{name} has shape"):
+            direction_quality(g, hess_star, p_bar)
+
     def test_eventually_decreasing_on_quadratic(self):
         p = lookup("Quadratic QF1")
         res = solve_two_phase(p.objective, p.objective.standard_start)

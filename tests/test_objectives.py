@@ -50,6 +50,18 @@ class TestFdGradient:
         with pytest.raises(ValueError, match="non-finite"):
             fd_gradient(bad, np.zeros(1))
 
+    @pytest.mark.parametrize("shape", [(3,), (10, 1)], ids=["short", "column"])
+    def test_a_point_of_another_shape_raises_before_any_evaluation(self, shape):
+        # a (3,) point would give a 3-vector of zeros, and a (10, 1) point a
+        # TypeError from the probe loop
+        f = lookup("Raydan2").objective
+        calls = []
+        counted = ObjectiveFunction(f.name, f.dimension, lambda x: calls.append(1) or f.evaluate(x),
+                                    f.gradient, f.standard_start)
+        with pytest.raises(ValueError, match=re.escape(f"point has shape {shape}, expected (10,)")):
+            fd_gradient(counted, np.ones(shape))
+        assert calls == []
+
 
 class TestFdGradientProbes:
     """``fd_gradient`` rewrites one probe array in place; its values must be

@@ -651,7 +651,8 @@ def test_woodbury_update_inverts_two_phase_combine(lam):
             if lam > 0.0:
                 B_next = two_phase_combine(B, B_next, lam)
             H, Bs = np.linalg.inv(B), B @ s
-            H_next, d_psi = _DenseH(H.copy()).update(s, y, Bs, lam)
+            H_next = _DenseH(H.copy())
+            d_psi = H_next.update(s, y, Bs, lam)
             assert np.abs(H_next.H @ B_next - np.eye(n)).max() <= 1e-13
             # its psi step takes the products of s = H Bs and y'Hy of the H it
             # was given.  It reads them from the columns of HU, whose dot
@@ -671,10 +672,11 @@ def test_woodbury_update_in_place_equals_the_update_of_a_copy(n):
         B = make_spd(rng, n)
         s, y = curvature_pair(rng, n)
         H = inverse_spd(B)
-        want, want_psi = _DenseH(H.copy()).update(s, y, B @ s, 0.5)
+        want = _DenseH(H.copy())
+        want_psi = want.update(s, y, B @ s, 0.5)
         op = _DenseH(H)
-        H_next, d_psi = op.update(s, y, B @ s, 0.5)
-        assert H_next is op and op.H is H
+        d_psi = op.update(s, y, B @ s, 0.5)
+        assert op.H is H
         assert np.array_equal(H, want.H)
         assert d_psi == want_psi
 
@@ -718,16 +720,17 @@ def _same_floats(H, other):
 
 @pytest.mark.parametrize("name", list(_WRITING_UPDATES))
 def test_updates_write_over_the_h_they_are_given(name):
-    # one convention for every realization but the oracle: the update returns
-    # the operator it was given, overwritten with the floats of the same call
-    # on a copy, and a pair that fails a check before the write leaves H as it was
+    # one convention for every realization but the oracle: the update
+    # overwrites the operator it was given with the floats of the same call on
+    # a copy and returns the change in psi, and a pair that fails a check
+    # before the write leaves H as it was
     lam = 0.0 if name == "bfgs" else 0.5
     rng = np.random.default_rng(31)
     n = 10
     H, B = _WRITING_UPDATES[name](n), np.eye(n)
     for _ in range(3):
         s, y = curvature_pair(rng, n)
-        H, _ = H.update(s, y, B @ s, lam)
+        H.update(s, y, B @ s, lam)
         B = b_next(B, B @ s, y, lam)
     s, y = curvature_pair(rng, n)
     Bs = B @ s
@@ -739,10 +742,10 @@ def test_updates_write_over_the_h_they_are_given(name):
         with pytest.raises(SPDError, match="s'Bs"):
             H.update(s, y, np.zeros(n), lam)
         assert _same_floats(H, kept)
-    want, want_psi = copy.deepcopy(kept).update(s, y, Bs, lam)
-    H_next, d_psi = H.update(s, y, Bs, lam)
-    assert H_next is H
-    assert _same_floats(H_next, want) and not _same_floats(H_next, kept)
+    want = copy.deepcopy(kept)
+    want_psi = want.update(s, y, Bs, lam)
+    d_psi = H.update(s, y, Bs, lam)
+    assert _same_floats(H, want) and not _same_floats(H, kept)
     assert d_psi == want_psi
 
 
@@ -755,9 +758,9 @@ def test_h_form_literal_leaves_h_as_it_was():
     before = H.copy()
     s, y = curvature_pair(rng, 10)
     op = _LiteralH(H)
-    H_next, _ = op.update(s, y, B @ s, 0.5)
+    op.update(s, y, B @ s, 0.5)
     assert np.array_equal(H, before)
-    assert H_next is op and vars(op).keys() == {"H"}
+    assert vars(op).keys() == {"H"}
     assert not np.shares_memory(op.H, H)
 
 
@@ -778,8 +781,7 @@ def test_updates_look_up_their_primitives_in_the_solvers_module(monkeypatch, sol
     # At n = 10 every solve runs the dense updates, and dense BFGS and b_form
     # call none of these: _DenseH.update updates and certifies by itself,
     # through the 2 x 2 M, so no Cholesky runs.  With the threshold at 10,
-    # max_iter 5 (ten rows at most, so R never outgrows n) runs BFGS and b_form
-    # on the compact operator, whose update the loop finds as
+    # max_iter 5 runs BFGS and b_form on the compact operator, whose update the loop finds as
     # qnbench.solvers._CompactH.update; h_form_literal stays dense
     if names == {"_CompactH.update"}:
         monkeypatch.setattr(solvers, "COMPACT_MIN_N", 10)
@@ -842,8 +844,9 @@ def test_woodbury_update_survives_a_step_rounded_away():
     y = np.array([1.0, 4.0]) * s  # a quadratic's gradient difference, s'y > 0
     assert float(g @ p_bar) < 0.0 < float(g @ s)
     B = np.linalg.inv(H)
-    H_next, d_psi = _DenseH(H).update(s, y, -alpha_bar * g, 0.5)
-    assert psi(B) + d_psi == pytest.approx(psi(inverse_spd(H_next.H)), rel=1e-9)
+    op = _DenseH(H)
+    d_psi = op.update(s, y, -alpha_bar * g, 0.5)
+    assert psi(B) + d_psi == pytest.approx(psi(inverse_spd(op.H)), rel=1e-9)
 
 
 def test_a_stiff_spd_update_is_accepted():
@@ -861,8 +864,9 @@ def test_a_stiff_spd_update_is_accepted():
         assert res.termination == CONVERGED
         assert (res.iterations, res.f_evals, res.g_evals) == counts
     s = np.array([0.0, -0.5])  # B = I, so Bs = s
-    H_next, d_psi = _DenseH(np.eye(2)).update(s, G * s, s, 0.5)
-    H_next = H_next.H
+    op = _DenseH(np.eye(2))
+    d_psi = op.update(s, G * s, s, 0.5)
+    H_next = op.H
     assert H_next[0, 0] == 1.0 and H_next[0, 1] == H_next[1, 0] == 0.0
     assert 0.0 < H_next[1, 1] < PIVOT_RTOL
     assert math.isfinite(d_psi)
