@@ -61,7 +61,7 @@ class ProfileCurve:
     points: list[tuple[float, float]]  # (tau, P), tau >= 1, P in [0, 1]
 
 
-def run_suite(problems=None, solvers=("bfgs", "two-phase"),
+def run_suite(problems=None, solvers=tuple(SOLVER_FUNCS),
               cfg: SolverConfig | None = None, runs: int = 5,
               results: dict | None = None) -> list[BenchmarkRecord]:
     """Execute every (problem, solver) pair ``runs`` times, sequentially.

@@ -115,10 +115,9 @@ def _cmd_bench(args) -> int:
         table = emit_table(records)
         print(table, end="")
         converged = {s: sum(1 for r in records if r.solver == s and r.converged)
-                     for s in ("bfgs", "two-phase")}
+                     for s in SOLVER_FUNCS}
         total = len(suite())
-        print(f"\nconverged: bfgs {converged['bfgs']}/{total}, "
-              f"two-phase {converged['two-phase']}/{total}")
+        print("\nconverged: " + ", ".join(f"{s} {c}/{total}" for s, c in converged.items()))
         if out:
             out.write(records_to_csv(records))
             print(f"results written: {args.out}")

@@ -37,14 +37,18 @@ class ObjectiveFunction:
     standard_start: np.ndarray
 
     def __post_init__(self):
-        start = np.asarray(self.standard_start, dtype=float)
-        if start.shape != (self.dimension,):
-            raise ValueError(
-                f"{self.name}: start has shape {start.shape}, expected ({self.dimension},)"
-            )
+        start = _vector(self, self.standard_start, "start")
         if not np.all(np.isfinite(start)):
             raise ValueError(f"{self.name}: start must be finite")
         object.__setattr__(self, "standard_start", start)
+
+
+def _vector(f: ObjectiveFunction, value, what: str) -> np.ndarray:
+    """``value`` as a float vector of shape ``(f.dimension,)``, else ValueError."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != (f.dimension,):
+        raise ValueError(f"{f.name}: {what} has shape {value.shape}, expected ({f.dimension},)")
+    return value
 
 
 @dataclass(frozen=True)
@@ -74,9 +78,7 @@ def fd_gradient(f: ObjectiveFunction, x):
     before any evaluation.
     """
     h = FD_STEP
-    x = np.asarray(x, dtype=float)
-    if x.shape != (f.dimension,):
-        raise ValueError(f"{f.name}: point has shape {x.shape}, expected ({f.dimension},)")
+    x = _vector(f, x, "point")
     probe = x.copy()
     grad = np.empty_like(x)
     for i, xi in enumerate(x.tolist()):
@@ -103,21 +105,14 @@ def check_gradient(f: ObjectiveFunction, points: Sequence[np.ndarray]) -> Gradie
     non-finite entry, raises ``ValueError``, and so does a point of another
     shape, before any evaluation.
     """
-    points = [np.asarray(x, dtype=float) for x in points]
+    points = [_vector(f, x, f"check point {i}") for i, x in enumerate(points)]
     if not points:
         raise ValueError("points must be nonempty")
-    for i, x in enumerate(points):
-        if x.shape != (f.dimension,):
-            raise ValueError(
-                f"{f.name}: check point {i} has shape {x.shape}, expected ({f.dimension},)")
     worst = 0.0
     worst_coord = 0
     for x in points:
         approx = fd_gradient(f, x)
-        exact = np.asarray(f.gradient(x), dtype=float)
-        if exact.shape != (f.dimension,):  # else diff would broadcast
-            raise ValueError(
-                f"{f.name}: gradient has shape {exact.shape}, expected ({f.dimension},)")
+        exact = _vector(f, f.gradient(x), "gradient")  # else diff would broadcast
         finite = np.isfinite(exact)
         if not finite.all():
             i = int(np.argmin(finite))

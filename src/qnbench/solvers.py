@@ -88,6 +88,7 @@ from qnbench.linalg import (
     solve_spd,  # unused here, but perfbench/tracer.py patches solvers.solve_spd
 )
 from qnbench.linesearch import EXHAUSTED, WOLFE, DescentDirectionError, WolfeParams, wolfe_search
+from qnbench.objectives import _vector
 
 MODE_B_FORM = "b_form"
 MODE_H_FORM_LITERAL = "h_form_literal"
@@ -496,9 +497,7 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
     """
     cfg = cfg if cfg is not None else SolverConfig()
     lam = cfg.lam if two_phase else 0.0
-    x = np.array(x0, dtype=float)
-    if x.shape != (f.dimension,):
-        raise ValueError(f"{f.name}: x0 has shape {x.shape}, expected ({f.dimension},)")
+    x = _vector(f, np.array(x0, dtype=float), "x0")
     n = x.size
     H = _operator(n, cfg, two_phase)
     psi = float(n)
@@ -506,9 +505,7 @@ def _solve(f, x0, cfg: SolverConfig | None, two_phase: bool) -> SolveResult:
     trace: list[IterateRecord] = []
     with np.errstate(over="ignore", invalid="ignore"):
         fx = float(f.evaluate(x))
-        g = np.asarray(f.gradient(x), dtype=float)
-        if g.shape != x.shape:
-            raise ValueError(f"{f.name}: gradient has shape {g.shape}, expected ({n},)")
+        g = _vector(f, f.gradient(x), "gradient")
         if not math.isfinite(fx):
             return SolveResult(x, fx, _norm(g), f_evals, g_evals, NON_FINITE, trace)
         while True:

@@ -1,10 +1,12 @@
-"""The 30 benchmark problems, each at dimension 10 with its standard start.
+"""The 30 benchmark problems, each registered at dimension 10 with its standard start.
 
-Formulas and starting points follow the usual unconstrained test-function
-collections; each function's docstring records the exact form implemented.
-Every registered problem is validated on first access: the analytic gradient
-must agree with central differences at the standard start and at five seeded
-perturbations of it.
+Hager, Perturbed Quadratic Diagonal and Raydan2 are private builders of n that
+return ``(f, g, start)``; their n = 10 results are the registered problems, and
+the tests build them at larger n.  Formulas and starting points follow the
+usual unconstrained test-function collections; each function's docstring
+records the exact form implemented.  Every registered problem is validated on
+first access: the analytic gradient must agree with central differences at the
+standard start and at five seeded perturbations of it.
 
 Problems carry reference iteration counts for the two solvers; these are
 fixtures for the profile generator, not targets the solvers must reproduce.
@@ -382,16 +384,10 @@ def _generalized_psc1_grad(x):
     return g
 
 
-_SQRT_IDX = np.sqrt(_IDX)
-
-
-def _hager(x):
-    """sum (exp(x_i) - sqrt(i) x_i)."""
-    return float(_sum(np.exp(x) - _SQRT_IDX * x))
-
-
-def _hager_grad(x):
-    return np.exp(x) - _SQRT_IDX
+def _hager(n):
+    """sum (exp(x_i) - sqrt(i) x_i), from x = 1."""
+    root_i = np.sqrt(np.arange(1.0, n + 1.0))
+    return lambda x: float(_sum(np.exp(x) - root_i * x)), lambda x: np.exp(x) - root_i, np.ones(n)
 
 
 def _himmelh(x):
@@ -422,15 +418,15 @@ def _partial_perturbed_quadratic_grad(x):
     return g
 
 
-def _perturbed_quadratic_diagonal(x):
-    """(sum x_i)^2 / 100 + sum x_i^2 / i."""
-    s = float(_sum(x))
-    return float(s * s / 100.0 + _sum(x**2 / _IDX))
+def _perturbed_quadratic_diagonal(n):
+    """(sum x_i)^2 / 100 + sum x_i^2 / i, from x = 0.5."""
+    i = np.arange(1.0, n + 1.0)
 
+    def f(x):
+        s = float(_sum(x))
+        return float(s * s / 100.0 + _sum(x**2 / i))
 
-def _perturbed_quadratic_diagonal_grad(x):
-    s = float(_sum(x))
-    return 2.0 * x / _IDX + s / 50.0
+    return f, lambda x: 2.0 * x / i + float(_sum(x)) / 50.0, np.full(n, 0.5)
 
 
 def _perturbed_tridiagonal_quadratic(x):
@@ -479,13 +475,9 @@ def _raydan1_grad(x):
     return _IDX / 10.0 * (np.exp(x) - 1.0)
 
 
-def _raydan2(x):
-    """sum (exp(x_i) - x_i)."""
-    return float(_sum(np.exp(x) - x))
-
-
-def _raydan2_grad(x):
-    return np.exp(x) - 1.0
+def _raydan2(n):
+    """sum (exp(x_i) - x_i), from x = 1."""
+    return lambda x: float(_sum(np.exp(x) - x)), lambda x: np.exp(x) - 1.0, np.ones(n)
 
 
 _TRIDIA_I = np.arange(2.0, DIMENSION + 1.0)
@@ -557,19 +549,19 @@ def _build_problems():
         ("Fletcher", _fletcher, _fletcher_grad, np.zeros(DIMENSION), 28, 25, _ones()),
         ("Generalized PSC1", _generalized_psc1, _generalized_psc1_grad,
          _pairs(3.0, 0.1), 23, 14, None),
-        ("Hager", _hager, _hager_grad, _ones(), 17, 8, 0.5 * np.log(i)),
+        ("Hager", *_hager(DIMENSION), 17, 8, 0.5 * np.log(i)),
         ("HIMMELH", _himmelh, _himmelh_grad, _ones(1.5), 7, 6, _ones()),
         ("Partial Perturbed Quadratic", _partial_perturbed_quadratic,
          _partial_perturbed_quadratic_grad, _ones(0.5), 16, 16, np.zeros(DIMENSION)),
-        ("Perturbed Quadratic Diagonal", _perturbed_quadratic_diagonal,
-         _perturbed_quadratic_diagonal_grad, _ones(0.5), 10, 5, np.zeros(DIMENSION)),
+        ("Perturbed Quadratic Diagonal", *_perturbed_quadratic_diagonal(DIMENSION), 10, 5,
+         np.zeros(DIMENSION)),
         ("Perturbed Tridiagonal Quadratic", _perturbed_tridiagonal_quadratic,
          _perturbed_tridiagonal_quadratic_grad, _ones(0.5), 18, 14, np.zeros(DIMENSION)),
         ("Quadratic QF1", _quadratic_qf1, _quadratic_qf1_grad, _ones(), 16, 11,
          np.concatenate([np.zeros(DIMENSION - 1), [1.0 / DIMENSION]])),
         ("Quadratic QF2", _quadratic_qf2, _quadratic_qf2_grad, _ones(0.5), 23, 17, None),
         ("Raydan1", _raydan1, _raydan1_grad, _ones(), 18, 16, np.zeros(DIMENSION)),
-        ("Raydan2", _raydan2, _raydan2_grad, _ones(), 7, 5, np.zeros(DIMENSION)),
+        ("Raydan2", *_raydan2(DIMENSION), 7, 5, np.zeros(DIMENSION)),
         ("Tridia", _tridia, _tridia_grad, _ones(), 15, 16, 0.5 ** np.arange(DIMENSION)),
     ]
     problems = []

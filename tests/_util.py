@@ -6,6 +6,7 @@ from qnbench import ObjectiveFunction
 from qnbench.linalg import inverse_spd
 from qnbench.objectives import FD_STEP
 from qnbench.solvers import _CompactH, _operator
+from qnbench.suite import _hager, _perturbed_quadratic_diagonal, _raydan2
 
 
 def iterate_sequence(result):
@@ -75,25 +76,19 @@ def compact_from(R):
 
 
 def perturbed_quadratic_diagonal(n):
-    """``(sum x)^2 / 100 + sum x_i^2 / i`` from x = 0.5, minimized at 0 (Andrei 2008)."""
-    i = np.arange(1.0, n + 1.0)
+    """``qnbench.suite``'s Perturbed Quadratic Diagonal in n variables, named with its n."""
     return ObjectiveFunction(f"Perturbed Quadratic Diagonal n={n}", n,
-                             lambda x: float(np.sum(x)) ** 2 / 100.0 + float(np.sum(x**2 / i)),
-                             lambda x: 2.0 * x / i + float(np.sum(x)) / 50.0,
-                             np.full(n, 0.5))
+                             *_perturbed_quadratic_diagonal(n))
 
 
 def hager(n):
-    """``sum(exp(x_i) - sqrt(i) x_i)`` from x = 1, minimized at ``log sqrt(i)`` (Andrei 2008)."""
-    root_i = np.sqrt(np.arange(1.0, n + 1.0))
-    return ObjectiveFunction(f"Hager n={n}", n, lambda x: float(np.sum(np.exp(x) - root_i * x)),
-                             lambda x: np.exp(x) - root_i, np.ones(n))
+    """``qnbench.suite``'s Hager in n variables, named with its n."""
+    return ObjectiveFunction(f"Hager n={n}", n, *_hager(n))
 
 
 def raydan2(n):
-    """``sum(exp(x_i) - x_i)`` from x = 1, minimized at 0 (Andrei 2008)."""
-    return ObjectiveFunction(f"Raydan2 n={n}", n, lambda x: float(np.sum(np.exp(x) - x)),
-                             lambda x: np.exp(x) - 1.0, np.ones(n))
+    """``qnbench.suite``'s Raydan2 in n variables, named with its n."""
+    return ObjectiveFunction(f"Raydan2 n={n}", n, *_raydan2(n))
 
 
 def bfgs_update_H_dense(H, s, y):

@@ -1,18 +1,26 @@
 """Session fixtures.  Before numpy loads, numpy's bundled OpenBLAS is pinned to one
-thread and to its Haswell kernel (AVX2 and FMA), under which ``data/suite_counts.csv``
-was made; another kernel rounds differently and moves rows.  A variable already
-set wins."""
+thread and to ``PINNED_KERNEL``, under which ``data/suite_counts.csv`` was made and
+which ``test_counts.py`` and ``solve_digests.py`` read from here; another kernel
+rounds differently and moves rows.  A variable already set wins."""
 
 import os
 
+PINNED_KERNEL = "Haswell"  # needs AVX2 and FMA
+
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
-os.environ.setdefault("OPENBLAS_CORETYPE", "Haswell")
+os.environ.setdefault("OPENBLAS_CORETYPE", PINNED_KERNEL)
 
 import pytest  # noqa: E402
 
 from qnbench import SolverConfig, solve_bfgs, solve_two_phase, suite  # noqa: E402
 from qnbench.solvers import MODE_H_FORM_LITERAL  # noqa: E402
+
+
+@pytest.fixture(scope="session")
+def pinned_kernel():
+    """``PINNED_KERNEL``; ``import conftest`` can find perfbench's own conftest instead."""
+    return PINNED_KERNEL
 
 
 @pytest.fixture(scope="session")

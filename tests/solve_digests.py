@@ -11,12 +11,12 @@ fields: the bytes of x, g, p and p_bar, f, ``psi_next`` and the coupling as
 the fields, not the array that holds them, so it compares two trees whose
 records lay their values out differently.  The solves are the 30 suite
 problems under BFGS, two-phase ``b_form`` and two-phase ``h_form_literal``,
-and the n-parametric Hager, Perturbed Quadratic Diagonal and Raydan2 of
-``_util`` at n = 100 and 300 under BFGS and ``b_form``, where the compact
+and Hager, Perturbed Quadratic Diagonal and Raydan2 from ``qnbench.suite``'s
+builders of n at n = 100 and 300 under BFGS and ``b_form``, where the compact
 operator runs; each from its standard start x0 and from 10 x0.  The last line
 digests all the lines above it.  The library is imported from ``src/`` next to
 this directory, with one BLAS thread and, unless ``OPENBLAS_CORETYPE`` is set,
-OpenBLAS's Haswell kernel, as in the tests (``conftest.py``): two trees compare
+the OpenBLAS kernel that the tests' ``conftest.py`` pins: two trees compare
 only under the same kernel.  pytest does not collect this file.
 
 Each solve holds its own ``np.errstate``, so no solve here writes a
@@ -31,7 +31,6 @@ import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-os.environ.setdefault("OPENBLAS_CORETYPE", "Haswell")
 
 import hashlib  # noqa: E402
 import sys  # noqa: E402
@@ -39,6 +38,7 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+import conftest  # noqa: E402,F401  pins the BLAS kernel before numpy loads
 
 import numpy as np  # noqa: E402
 

@@ -2,10 +2,13 @@
 
 ``data/suite_counts.csv`` pins (termination, iterations, f_evals, g_evals) of
 the 90 suite runs at the library defaults: BFGS, two-phase ``b_form`` and
-two-phase ``h_form_literal`` on each of the 30 problems, under OpenBLAS's
-Haswell kernel and one BLAS thread, which ``conftest.py`` pins.  A change that
+two-phase ``h_form_literal`` on each of the 30 problems, under the OpenBLAS
+kernel and the one BLAS thread that ``conftest.py`` pins.  A change that
 moves a count regenerates the file and lists every moved row in CHANGES.md.
 """
+
+if __name__ == "__main__":  # pytest has loaded conftest.py already; a script pins here
+    from conftest import PINNED_KERNEL
 
 import csv
 import ctypes
@@ -21,8 +24,6 @@ from qnbench.solvers import MODE_B_FORM, MODE_H_FORM_LITERAL
 
 COUNTS = Path(__file__).resolve().parent / "data" / "suite_counts.csv"
 HEADER = ("problem", "solver", "mode", "termination", "iterations", "f_evals", "g_evals")
-# the OpenBLAS kernel that conftest.py pins and the counts were made under
-PINNED_KERNEL = "Haswell"
 
 
 def _openblas_kernel():
@@ -37,15 +38,15 @@ def _openblas_kernel():
     return corename().decode()
 
 
-def test_the_pinned_blas_kernel_is_loaded():
+def test_the_pinned_blas_kernel_is_loaded(pinned_kernel):
     # another kernel rounds the BLAS products differently and moves pinned
     # rows, so a foreign kernel fails here by name, not as "rows moved"
     kernel = _openblas_kernel()
     if kernel is None:
         pytest.skip("numpy bundles no scipy-openblas, so its kernel cannot be read")
-    assert kernel == PINNED_KERNEL, (
-        f"OpenBLAS runs its {kernel} kernel, not {PINNED_KERNEL}: the pinned counts "
-        f"hold under {PINNED_KERNEL} only (set OPENBLAS_CORETYPE={PINNED_KERNEL})")
+    assert kernel == pinned_kernel, (
+        f"OpenBLAS runs its {kernel} kernel, not {pinned_kernel}: the pinned counts "
+        f"hold under {pinned_kernel} only (set OPENBLAS_CORETYPE={pinned_kernel})")
 
 
 def count_rows(runs):
@@ -62,8 +63,8 @@ def _read_pinned():
 
 
 def test_suite_counts_match_the_pinned_file(default_runs, h_form_runs):
-    """Regenerate with ``OPENBLAS_CORETYPE=Haswell OPENBLAS_NUM_THREADS=1 PYTHONPATH=src
-    python tests/test_counts.py > tests/data/suite_counts.csv``."""
+    """Regenerate with ``PYTHONPATH=src python tests/test_counts.py >
+    tests/data/suite_counts.csv``."""
     runs = [(name, solver, "" if solver == "bfgs" else MODE_B_FORM, result)
             for (name, solver), result in default_runs.items()]
     runs += [(name, "two-phase", MODE_H_FORM_LITERAL, result)

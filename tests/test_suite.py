@@ -7,7 +7,7 @@ import pytest
 
 from qnbench import CONVERGED, UnknownProblemError, check_gradient, lookup, suite
 from qnbench.objectives import default_check_points
-from qnbench.suite import manifest_csv
+from qnbench.suite import _hager, _perturbed_quadratic_diagonal, _raydan2, manifest_csv
 
 EXPECTED_ORDER = [
     "Almost Perturbed Quadratic", "ARWHEAD", "BIGGSB1", "Diagonal 1",
@@ -96,6 +96,18 @@ class TestValues:
             assert np.linalg.norm(grad) <= 1e-8, p.name
             value = p.objective.evaluate(p.known_optimum.x)
             assert abs(value - p.known_optimum.f) <= 1e-10, p.name
+
+    @pytest.mark.parametrize("n", [30, 300, 1000])
+    @pytest.mark.parametrize("build, optimum", [  # closed-form (x*, f*) over i = 1 .. n
+        (_hager, lambda i: (0.5 * np.log(i), float(np.sum(np.sqrt(i) * (1.0 - 0.5 * np.log(i)))))),
+        (_perturbed_quadratic_diagonal, lambda i: (np.zeros(i.size), 0.0)),
+        (_raydan2, lambda i: (np.zeros(i.size), float(i.size))),
+    ], ids=["hager", "pqd", "raydan2"])
+    def test_any_n_optima_are_stationary(self, build, optimum, n):
+        f, g, _ = build(n)
+        x_star, f_star = optimum(np.arange(1.0, n + 1.0))
+        assert np.linalg.norm(g(x_star)) <= 1e-8
+        assert abs(f(x_star) - f_star) <= 1e-10
 
 
 class TestGradientGate:
