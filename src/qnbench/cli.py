@@ -50,11 +50,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="gradient-norm stopping tolerance")
     solve.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     solve.add_argument("--trace", metavar="PATH", help="write the iterate trace CSV")
+    solve.set_defaults(run=_cmd_solve)
 
     bench = sub.add_parser("bench", help="run both solvers over the whole suite")
     bench.add_argument("--runs", type=int, default=5, help="timed runs per pair")
     bench.add_argument("--out", metavar="PATH", help="write the results CSV")
     bench.add_argument("--table", metavar="PATH", help="write the Markdown table")
+    bench.set_defaults(run=_cmd_bench)
 
     profile = sub.add_parser("profile", help="performance profiles from a results CSV")
     profile.add_argument("--in", dest="infile", required=True, metavar="PATH")
@@ -62,9 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--out", required=True, metavar="PATH",
                          help="write the profile CSV")
     profile.add_argument("--svg", metavar="PATH", help="write a step-plot SVG")
+    profile.set_defaults(run=_cmd_profile)
 
-    sub.add_parser("check", help="gradient-check every suite function")
-    sub.add_parser("list", help="print the suite manifest CSV")
+    check = sub.add_parser("check", help="gradient-check every suite function")
+    check.set_defaults(run=_cmd_check)
+    listing = sub.add_parser("list", help="print the suite manifest CSV")
+    listing.set_defaults(run=_cmd_list)
     return parser
 
 
@@ -170,15 +175,6 @@ def _cmd_list(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "bench": _cmd_bench,
-    "profile": _cmd_profile,
-    "check": _cmd_check,
-    "list": _cmd_list,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -186,7 +182,7 @@ def main(argv=None) -> int:
     except SystemExit as exit_:  # argparse exits 2 on usage errors, 0 on --help
         return int(exit_.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except OSError as err:  # an unreadable input or unwritable output path
         print(f"qnbench {args.command}: {err}", file=sys.stderr)
         return 2

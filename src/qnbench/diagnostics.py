@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qnbench.linalg import cholesky, log_determinant_spd
+from qnbench.objectives import _shaped
 from qnbench.solvers import SolveResult, _norm
 
 RATIO_DENOM_FLOOR = 1e-12
@@ -56,14 +57,6 @@ def superlinear_ratio_series(trace, x_star, final_x=None):
         for k in range(len(errs) - 1)
         if errs[k] > RATIO_DENOM_FLOOR
     ]
-
-
-def _shaped(name, value, shape):
-    """``value`` as a float array, or ValueError unless it has ``shape``."""
-    value = np.asarray(value, dtype=float)
-    if value.shape != shape:
-        raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
-    return value
 
 
 def direction_quality(g, hess_star, p_bar) -> float:

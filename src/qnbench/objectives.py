@@ -43,12 +43,17 @@ class ObjectiveFunction:
         object.__setattr__(self, "standard_start", start)
 
 
+def _shaped(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a float array, or ValueError unless it has ``shape``."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+    return value
+
+
 def _vector(f: ObjectiveFunction, value, what: str) -> np.ndarray:
     """``value`` as a float vector of shape ``(f.dimension,)``, else ValueError."""
-    value = np.asarray(value, dtype=float)
-    if value.shape != (f.dimension,):
-        raise ValueError(f"{f.name}: {what} has shape {value.shape}, expected ({f.dimension},)")
-    return value
+    return _shaped(f"{f.name}: {what}", value, (int(f.dimension),))
 
 
 @dataclass(frozen=True)

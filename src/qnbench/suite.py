@@ -69,9 +69,31 @@ class SuiteProblem:
 # single time, by the same operations in the same order, so its floats are
 # those of the formula written out; a power other than 2 is never rebuilt from
 # x^2, which would round differently.
+#
+# An extended gradient returns ``_extended_grad`` of its partials in
+# u = x_{2i-1} and v = x_{2i}, and a chained one ``_chained_grad`` of its
+# partials in x_i and x_{i+1}.  ARWHEAD, BIGGSB1, Diagonal 9 and Tridia have
+# end terms that fit neither layout.
 
 _sum = np.add.reduce
 _IDX = np.arange(1.0, DIMENSION + 1.0)
+
+
+def _extended_grad(x, du, dv):
+    """The gradient whose entries 0, 2, 4, ... are ``du`` and 1, 3, 5, ... ``dv``."""
+    g = np.zeros(x.shape)
+    g[0::2] = du
+    g[1::2] = dv
+    return g
+
+
+def _chained_grad(x, da, db):
+    """The gradient ``da`` on x_1 .. x_{n-1} plus ``db`` on x_2 .. x_n; the sum
+    onto zeros gives +0.0 where a partial alone is -0.0."""
+    g = np.zeros(x.shape)
+    g[:-1] += da
+    g[1:] += db
+    return g
 
 
 def _almost_perturbed_quadratic(x):
@@ -228,10 +250,7 @@ def _edensch(x):
 def _edensch_grad(x):
     a, b = x[:-1], x[1:]
     two_r, d = 2.0 * (a * b - 2.0 * b), a - 2.0
-    g = np.zeros(x.shape)
-    g[:-1] += 4.0 * d**3 + two_r * b
-    g[1:] += two_r * d + 2.0 * (b + 1.0)
-    return g
+    return _chained_grad(x, 4.0 * d**3 + two_r * b, two_r * d + 2.0 * (b + 1.0))
 
 
 def _engval1(x):
@@ -244,10 +263,7 @@ def _engval1(x):
 def _engval1_grad(x):
     a, b = x[:-1], x[1:]
     four_t = 4.0 * (a**2 + b**2)
-    g = np.zeros(x.shape)
-    g[:-1] += four_t * a - 4.0
-    g[1:] += four_t * b
-    return g
+    return _chained_grad(x, four_t * a - 4.0, four_t * b)
 
 
 def _extended_beale(x):
@@ -266,10 +282,8 @@ def _extended_beale_grad(x):
     r1 = 1.5 - u * a1
     r2 = 2.25 - u * a2
     r3 = 2.625 - u * a3
-    g = np.zeros(x.shape)
-    g[0::2] = -2.0 * (r1 * a1 + r2 * a2 + r3 * a3)
-    g[1::2] = 2.0 * u * (r1 + 2.0 * v * r2 + 3.0 * v2 * r3)
-    return g
+    return _extended_grad(x, -2.0 * (r1 * a1 + r2 * a2 + r3 * a3),
+                          2.0 * u * (r1 + 2.0 * v * r2 + 3.0 * v2 * r3))
 
 
 def _extended_denschnb(x):
@@ -281,10 +295,7 @@ def _extended_denschnb(x):
 def _extended_denschnb_grad(x):
     u, v = x[0::2], x[1::2]
     d = u - 2.0
-    g = np.zeros(x.shape)
-    g[0::2] = 2.0 * d * (1.0 + v**2)
-    g[1::2] = 2.0 * d**2 * v + 2.0 * (v + 1.0)
-    return g
+    return _extended_grad(x, 2.0 * d * (1.0 + v**2), 2.0 * d**2 * v + 2.0 * (v + 1.0))
 
 
 def _extended_freudenstein_roth(x):
@@ -299,11 +310,9 @@ def _extended_freudenstein_roth_grad(x):
     u, v = x[0::2], x[1::2]
     r1 = -13.0 + u + ((5.0 - v) * v - 2.0) * v
     r2 = -29.0 + u + ((v + 1.0) * v - 14.0) * v
-    g = np.zeros(x.shape)
-    g[0::2] = 2.0 * (r1 + r2)
     three_v2 = 3.0 * v**2
-    g[1::2] = 2.0 * r1 * (10.0 * v - three_v2 - 2.0) + 2.0 * r2 * (three_v2 + 2.0 * v - 14.0)
-    return g
+    dv = 2.0 * r1 * (10.0 * v - three_v2 - 2.0) + 2.0 * r2 * (three_v2 + 2.0 * v - 14.0)
+    return _extended_grad(x, 2.0 * (r1 + r2), dv)
 
 
 def _extended_psc1(x):
@@ -316,10 +325,8 @@ def _extended_psc1(x):
 def _extended_psc1_grad(x):
     u, v = x[0::2], x[1::2]
     two_t, two_u, two_v = 2.0 * (u**2 + v**2 + u * v), 2.0 * u, 2.0 * v
-    g = np.zeros(x.shape)
-    g[0::2] = two_t * (two_u + v) + np.sin(two_u)
-    g[1::2] = two_t * (two_v + u) - np.sin(two_v)
-    return g
+    return _extended_grad(x, two_t * (two_u + v) + np.sin(two_u),
+                          two_t * (two_v + u) - np.sin(two_v))
 
 
 def _extended_tridiagonal1(x):
@@ -332,10 +339,7 @@ def _extended_tridiagonal1_grad(x):
     u, v = x[0::2], x[1::2]
     a = 2.0 * (u + v - 3.0)
     b = 4.0 * (u - v + 1.0) ** 3
-    g = np.zeros(x.shape)
-    g[0::2] = a + b
-    g[1::2] = a - b
-    return g
+    return _extended_grad(x, a + b, a - b)
 
 
 def _extended_tridiagonal2(x):
@@ -348,10 +352,7 @@ def _extended_tridiagonal2(x):
 def _extended_tridiagonal2_grad(x):
     a, b = x[:-1], x[1:]
     two_r = 2.0 * (a * b - 1.0)
-    g = np.zeros(x.shape)
-    g[:-1] += two_r * b + 0.1 * (b + 1.0)
-    g[1:] += two_r * a + 0.1 * (a + 1.0)
-    return g
+    return _chained_grad(x, two_r * b + 0.1 * (b + 1.0), two_r * a + 0.1 * (a + 1.0))
 
 
 def _fletcher(x):
@@ -362,10 +363,7 @@ def _fletcher(x):
 
 def _fletcher_grad(x):
     r200 = 200.0 * (x[1:] - x[:-1] + 1.0 - x[:-1] ** 2)
-    g = np.zeros(x.shape)
-    g[:-1] += r200 * (-1.0 - 2.0 * x[:-1])
-    g[1:] += r200
-    return g
+    return _chained_grad(x, r200 * (-1.0 - 2.0 * x[:-1]), r200)
 
 
 def _generalized_psc1(x):
@@ -378,10 +376,8 @@ def _generalized_psc1(x):
 def _generalized_psc1_grad(x):
     a, b = x[:-1], x[1:]
     two_t, two_a, two_b = 2.0 * (a**2 + b**2 + a * b), 2.0 * a, 2.0 * b
-    g = np.zeros(x.shape)
-    g[:-1] += two_t * (two_a + b) + np.sin(two_a)
-    g[1:] += two_t * (two_b + a) - np.sin(two_b)
-    return g
+    return _chained_grad(x, two_t * (two_a + b) + np.sin(two_a),
+                         two_t * (two_b + a) - np.sin(two_b))
 
 
 def _hager(n):
@@ -398,10 +394,7 @@ def _himmelh(x):
 
 def _himmelh_grad(x):
     u, v = x[0::2], x[1::2]
-    g = np.zeros(x.shape)
-    g[0::2] = -3.0 + 3.0 * u**2
-    g[1::2] = -2.0 + 2.0 * v
-    return g
+    return _extended_grad(x, -3.0 + 3.0 * u**2, -2.0 + 2.0 * v)
 
 
 def _partial_perturbed_quadratic(x):

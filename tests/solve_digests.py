@@ -22,9 +22,9 @@ only under the same kernel.  pytest does not collect this file.
 Each solve holds its own ``np.errstate``, so no solve here writes a
 RuntimeWarning to stderr, and CI runs
 
-    python -W error::RuntimeWarning tests/solve_digests.py > /dev/null
+    python -W error::RuntimeWarning -W error::DeprecationWarning tests/solve_digests.py > /dev/null
 
-to fail on any floating-point warning that escapes a solve.
+to fail on any floating-point or deprecation warning that escapes a solve.
 """
 
 import os

@@ -118,6 +118,20 @@ class TestGradientGate:
             assert report.probe_points == 6
 
 
+class TestObjectiveContract:
+    @pytest.mark.parametrize("name", EXPECTED_ORDER)
+    def test_calls_neither_write_nor_keep_their_point(self, name):
+        objective = lookup(name).objective
+        for point in default_check_points(objective):
+            x = point.copy()  # the first point is the suite's own start
+            x.flags.writeable = False
+            objective.evaluate(x)
+            g = objective.gradient(x)
+            assert x.tobytes() == point.tobytes()
+            assert g.flags.writeable
+            assert not np.shares_memory(g, x)
+
+
 class TestConvergenceGate:
     def test_both_solvers_converge_everywhere(self, default_runs):
         for p in suite():
