@@ -18,7 +18,8 @@ import time
 from dataclasses import dataclass
 from xml.sax.saxutils import escape, quoteattr
 
-from qnbench.solvers import SolveResult, SolverConfig, _count, solve_bfgs, solve_two_phase
+from qnbench.objectives import _count
+from qnbench.solvers import SolveResult, SolverConfig, solve_bfgs, solve_two_phase
 from qnbench.suite import suite
 
 SOLVER_FUNCS = {

@@ -7,6 +7,7 @@ exists to verify those gradients before a function is trusted anywhere else.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,7 +28,8 @@ class ObjectiveFunction:
     harness may call them from several runs without coordination.  Neither
     may keep or write its argument: the gradient check rewrites one probe
     array between calls to ``evaluate``, and the line search passes one
-    trial point to both.
+    trial point to both.  ``dimension`` is stored as an int; one that is not
+    an int >= 1 raises ``ValueError``.
     """
 
     name: str
@@ -37,10 +39,19 @@ class ObjectiveFunction:
     standard_start: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "dimension", _count(f"{self.name}: dimension", self.dimension))
         start = _vector(self, self.standard_start, "start")
         if not np.all(np.isfinite(start)):
             raise ValueError(f"{self.name}: start must be finite")
         object.__setattr__(self, "standard_start", start)
+
+
+def _count(name, value) -> int:
+    """``value`` as an int >= 1, or ValueError: any integral value but a bool (a NaN or
+    infinite count would never end a loop)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1:
+        return operator.index(value)
+    raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
 def _shaped(name: str, value, shape: tuple) -> np.ndarray:
@@ -53,7 +64,7 @@ def _shaped(name: str, value, shape: tuple) -> np.ndarray:
 
 def _vector(f: ObjectiveFunction, value, what: str) -> np.ndarray:
     """``value`` as a float vector of shape ``(f.dimension,)``, else ValueError."""
-    return _shaped(f"{f.name}: {what}", value, (int(f.dimension),))
+    return _shaped(f"{f.name}: {what}", value, (f.dimension,))
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,6 @@ from __future__ import annotations
 import io
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -88,7 +87,7 @@ from qnbench.linalg import (
     solve_spd,  # unused here, but perfbench/tracer.py patches solvers.solve_spd
 )
 from qnbench.linesearch import EXHAUSTED, WOLFE, DescentDirectionError, WolfeParams, wolfe_search
-from qnbench.objectives import _vector
+from qnbench.objectives import _count, _vector
 
 MODE_B_FORM = "b_form"
 MODE_H_FORM_LITERAL = "h_form_literal"
@@ -153,14 +152,6 @@ def _real(name, value) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
-def _count(name, value) -> int:
-    """``value`` as an int >= 1, or ValueError: any integral value but a bool (a NaN or
-    infinite count would never end a loop)."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1:
-        return operator.index(value)
-    raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,15 +1,16 @@
 """The 30 benchmark problems, each registered at dimension 10 with its standard start.
 
-Hager, Perturbed Quadratic Diagonal and Raydan2 are private builders of n that
-return ``(f, g, start)``; their n = 10 results are the registered problems, and
-the tests build them at larger n.  Formulas and starting points follow the
-usual unconstrained test-function collections; each function's docstring
-records the exact form implemented.  Every registered problem is validated on
-first access: the analytic gradient must agree with central differences at the
-standard start and at five seeded perturbations of it.
+``_build_problems(n)`` defines every problem once, for any even n >= 4; its
+n = 10 result is the registered suite, and the tests build it at other n.
+Formulas and starting points follow Andrei's collection of unconstrained test
+functions (2008); each function's docstring records the exact form
+implemented.  Every registered problem is validated on first access: the
+analytic gradient must agree with central differences at the standard start
+and at five seeded perturbations of it.
 
-Problems carry reference iteration counts for the two solvers; these are
-fixtures for the profile generator, not targets the solvers must reproduce.
+Problems carry reference iteration counts for the two solvers, those at
+n = 10 whatever n is; these are fixtures for the profile generator, not
+targets the solvers must reproduce.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import numpy as np
 
 from qnbench.objectives import (GradientCheckReport, ObjectiveFunction, check_gradient,
                                 default_check_points)
-
-DIMENSION = 10
 
 
 class UnknownProblemError(KeyError):
@@ -58,6 +57,10 @@ class SuiteProblem:
 
 
 # --- problem definitions ---------------------------------------------------
+# A formula that reads n is a builder of n: it returns ``(f, g)``, which close
+# over the arrays it builds once, never once per evaluation.  The others are
+# plain ``f`` and ``g`` functions.
+#
 # Chained functions pair x_i with x_{i+1}; "extended" functions act on the
 # disjoint pairs (x_{2i-1}, x_{2i}).  Sums call ``_sum``, which is
 # ``np.add.reduce``, running sums the array's own ``.cumsum()``, and gradients
@@ -76,7 +79,6 @@ class SuiteProblem:
 # end terms that fit neither layout.
 
 _sum = np.add.reduce
-_IDX = np.arange(1.0, DIMENSION + 1.0)
 
 
 def _extended_grad(x, du, dv):
@@ -96,17 +98,18 @@ def _chained_grad(x, da, db):
     return g
 
 
-def _almost_perturbed_quadratic(x):
+def _almost_perturbed_quadratic(n):
     """sum i x_i^2 + (x_1 + x_n)^2 / 100."""
-    return float(_sum(_IDX * x**2) + (x[0] + x[-1]) ** 2 / 100.0)
+    i = np.arange(1.0, n + 1.0)
 
+    def grad(x):
+        g = 2.0 * i * x
+        t = (x[0] + x[-1]) / 50.0
+        g[0] += t
+        g[-1] += t
+        return g
 
-def _almost_perturbed_quadratic_grad(x):
-    g = 2.0 * _IDX * x
-    t = (x[0] + x[-1]) / 50.0
-    g[0] += t
-    g[-1] += t
-    return g
+    return lambda x: float(_sum(i * x**2) + (x[0] + x[-1]) ** 2 / 100.0), grad
 
 
 def _arwhead(x):
@@ -139,31 +142,23 @@ def _biggsb1_grad(x):
     return g
 
 
-def _diagonal1(x):
+def _diagonal1(n):
     """sum (exp(x_i) - i x_i)."""
-    return float(_sum(np.exp(x) - _IDX * x))
+    i = np.arange(1.0, n + 1.0)
+    return lambda x: float(_sum(np.exp(x) - i * x)), lambda x: np.exp(x) - i
 
 
-def _diagonal1_grad(x):
-    return np.exp(x) - _IDX
-
-
-def _diagonal2(x):
+def _diagonal2(n):
     """sum (exp(x_i) - x_i / i)."""
-    return float(_sum(np.exp(x) - x / _IDX))
+    i = np.arange(1.0, n + 1.0)
+    return lambda x: float(_sum(np.exp(x) - x / i)), lambda x: np.exp(x) - 1.0 / i
 
 
-def _diagonal2_grad(x):
-    return np.exp(x) - 1.0 / _IDX
-
-
-def _diagonal3(x):
+def _diagonal3(n):
     """sum (exp(x_i) - i sin(x_i))."""
-    return float(_sum(np.exp(x) - _IDX * np.sin(x)))
-
-
-def _diagonal3_grad(x):
-    return np.exp(x) - _IDX * np.cos(x)
+    i = np.arange(1.0, n + 1.0)
+    return (lambda x: float(_sum(np.exp(x) - i * np.sin(x))),
+            lambda x: np.exp(x) - i * np.cos(x))
 
 
 def _diagonal7(x):
@@ -175,69 +170,58 @@ def _diagonal7_grad(x):
     return np.exp(x) - 2.0 - 2.0 * x
 
 
-def _diagonal9(x):
+def _diagonal9(n):
     """sum_{i<n} (exp(x_i) - i x_i) + 10000 x_n^2."""
-    return float(_sum(np.exp(x[:-1]) - _IDX[:-1] * x[:-1]) + 1e4 * x[-1] ** 2)
+    i = np.arange(1.0, n)
+
+    def grad(x):
+        g = np.zeros(x.shape)
+        g[:-1] = np.exp(x[:-1]) - i
+        g[-1] = 2e4 * x[-1]
+        return g
+
+    return lambda x: float(_sum(np.exp(x[:-1]) - i * x[:-1]) + 1e4 * x[-1] ** 2), grad
 
 
-def _diagonal9_grad(x):
-    g = np.zeros(x.shape)
-    g[:-1] = np.exp(x[:-1]) - _IDX[:-1]
-    g[-1] = 2e4 * x[-1]
-    return g
-
-
-_DIXMAAN_M = DIMENSION // 3
-_DIXMAAN_W = (_IDX / DIMENSION) ** 2
-
-
-def _dixmaanl(x):
+def _dixmaanl(n):
     """1 + sum x_i^2 (i/n)^2 + 0.26 sum x_i^2 (x_{i+1} + x_{i+1}^2)^2
     + 0.26 sum_{i<=2m} x_i^2 x_{i+m}^4 + 0.26 sum_{i<=m} x_i x_{i+2m} (i/n)^2,
     with m = n // 3."""
-    m = _DIXMAAN_M
-    x2 = x**2
-    q = x[1:] + x2[1:]
-    value = 1.0
-    value += float(_sum(x2 * _DIXMAAN_W))
-    value += 0.26 * float(_sum(x2[:-1] * q**2))
-    value += 0.26 * float(_sum(x2[: 2 * m] * x[m: 3 * m] ** 4))
-    value += 0.26 * float(_sum(x[:m] * x[2 * m: 3 * m] * _DIXMAAN_W[:m]))
-    return value
+    m = n // 3
+    w = (np.arange(1.0, n + 1.0) / n) ** 2
+
+    def f(x):
+        x2 = x**2
+        q = x[1:] + x2[1:]
+        value = 1.0
+        value += float(_sum(x2 * w))
+        value += 0.26 * float(_sum(x2[:-1] * q**2))
+        value += 0.26 * float(_sum(x2[: 2 * m] * x[m: 3 * m] ** 4))
+        value += 0.26 * float(_sum(x[:m] * x[2 * m: 3 * m] * w[:m]))
+        return value
+
+    def grad(x):
+        x2 = x**2
+        q = x[1:] + x2[1:]
+        g = 2.0 * x * w
+        g[:-1] += 0.52 * x[:-1] * q**2
+        g[1:] += 0.52 * x2[:-1] * q * (1.0 + 2.0 * x[1:])
+        g[: 2 * m] += 0.52 * x[: 2 * m] * x[m: 3 * m] ** 4
+        g[m: 3 * m] += 1.04 * x2[: 2 * m] * x[m: 3 * m] ** 3
+        g[:m] += 0.26 * x[2 * m: 3 * m] * w[:m]
+        g[2 * m: 3 * m] += 0.26 * x[:m] * w[:m]
+        return g
+
+    return f, grad
 
 
-def _dixmaanl_grad(x):
-    m = _DIXMAAN_M
-    x2 = x**2
-    q = x[1:] + x2[1:]
-    g = 2.0 * x * _DIXMAAN_W
-    g[:-1] += 0.52 * x[:-1] * q**2
-    g[1:] += 0.52 * x2[:-1] * q * (1.0 + 2.0 * x[1:])
-    g[: 2 * m] += 0.52 * x[: 2 * m] * x[m: 3 * m] ** 4
-    g[m: 3 * m] += 1.04 * x2[: 2 * m] * x[m: 3 * m] ** 3
-    g[:m] += 0.26 * x[2 * m: 3 * m] * _DIXMAAN_W[:m]
-    g[2 * m: 3 * m] += 0.26 * x[:m] * _DIXMAAN_W[:m]
-    return g
-
-
-def _dqdrtic_coeffs():
-    c = np.zeros(DIMENSION)
-    c[: DIMENSION - 2] += 1.0
-    c[1: DIMENSION - 1] += 100.0
-    c[2:] += 100.0
-    return c
-
-
-_DQDRTIC_C = _dqdrtic_coeffs()
-
-
-def _dqdrtic(x):
+def _dqdrtic(n):
     """sum_{i<=n-2} (x_i^2 + 100 x_{i+1}^2 + 100 x_{i+2}^2)."""
-    return float(_sum(_DQDRTIC_C * x**2))
-
-
-def _dqdrtic_grad(x):
-    return 2.0 * _DQDRTIC_C * x
+    c = np.zeros(n)
+    c[:-2] += 1.0
+    c[1:-1] += 100.0
+    c[2:] += 100.0
+    return lambda x: float(_sum(c * x**2)), lambda x: 2.0 * c * x
 
 
 def _edensch(x):
@@ -381,9 +365,9 @@ def _generalized_psc1_grad(x):
 
 
 def _hager(n):
-    """sum (exp(x_i) - sqrt(i) x_i), from x = 1."""
+    """sum (exp(x_i) - sqrt(i) x_i)."""
     root_i = np.sqrt(np.arange(1.0, n + 1.0))
-    return lambda x: float(_sum(np.exp(x) - root_i * x)), lambda x: np.exp(x) - root_i, np.ones(n)
+    return lambda x: float(_sum(np.exp(x) - root_i * x)), lambda x: np.exp(x) - root_i
 
 
 def _himmelh(x):
@@ -397,170 +381,176 @@ def _himmelh_grad(x):
     return _extended_grad(x, -3.0 + 3.0 * u**2, -2.0 + 2.0 * v)
 
 
-def _partial_perturbed_quadratic(x):
+def _partial_perturbed_quadratic(n):
     """x_1^2 + sum i x_i^2 + (1/100) sum_i (x_1 + ... + x_i)^2."""
-    c = x.cumsum()
-    return float(x[0] ** 2 + _sum(_IDX * x**2) + _sum(c**2) / 100.0)
+    i = np.arange(1.0, n + 1.0)
 
+    def f(x):
+        c = x.cumsum()
+        return float(x[0] ** 2 + _sum(i * x**2) + _sum(c**2) / 100.0)
 
-def _partial_perturbed_quadratic_grad(x):
-    c = x.cumsum()
-    tail = c[::-1].cumsum()[::-1]  # tail_j = sum_{i >= j} c_i
-    g = 2.0 * _IDX * x + tail / 50.0
-    g[0] += 2.0 * x[0]
-    return g
+    def grad(x):
+        c = x.cumsum()
+        tail = c[::-1].cumsum()[::-1]  # tail_j = sum_{i >= j} c_i
+        g = 2.0 * i * x + tail / 50.0
+        g[0] += 2.0 * x[0]
+        return g
+
+    return f, grad
 
 
 def _perturbed_quadratic_diagonal(n):
-    """(sum x_i)^2 / 100 + sum x_i^2 / i, from x = 0.5."""
+    """(sum x_i)^2 / 100 + sum x_i^2 / i."""
     i = np.arange(1.0, n + 1.0)
 
     def f(x):
         s = float(_sum(x))
         return float(s * s / 100.0 + _sum(x**2 / i))
 
-    return f, lambda x: 2.0 * x / i + float(_sum(x)) / 50.0, np.full(n, 0.5)
+    return f, lambda x: 2.0 * x / i + float(_sum(x)) / 50.0
 
 
-def _perturbed_tridiagonal_quadratic(x):
+def _perturbed_tridiagonal_quadratic(n):
     """sum i x_i^2 + (1/100) sum_{1<i<n} (x_{i-1} + x_i + x_{i+1})^2."""
-    t = x[:-2] + x[1:-1] + x[2:]
-    return float(_sum(_IDX * x**2) + _sum(t**2) / 100.0)
+    i = np.arange(1.0, n + 1.0)
+
+    def f(x):
+        t = x[:-2] + x[1:-1] + x[2:]
+        return float(_sum(i * x**2) + _sum(t**2) / 100.0)
+
+    def grad(x):
+        t50 = (x[:-2] + x[1:-1] + x[2:]) / 50.0
+        g = 2.0 * i * x
+        g[:-2] += t50
+        g[1:-1] += t50
+        g[2:] += t50
+        return g
+
+    return f, grad
 
 
-def _perturbed_tridiagonal_quadratic_grad(x):
-    t50 = (x[:-2] + x[1:-1] + x[2:]) / 50.0
-    g = 2.0 * _IDX * x
-    g[:-2] += t50
-    g[1:-1] += t50
-    g[2:] += t50
-    return g
-
-
-def _quadratic_qf1(x):
+def _quadratic_qf1(n):
     """0.5 sum i x_i^2 - x_n."""
-    return float(0.5 * _sum(_IDX * x**2) - x[-1])
+    i = np.arange(1.0, n + 1.0)
+
+    def grad(x):
+        g = i * x
+        g[-1] -= 1.0
+        return g
+
+    return lambda x: float(0.5 * _sum(i * x**2) - x[-1]), grad
 
 
-def _quadratic_qf1_grad(x):
-    g = _IDX * x
-    g[-1] -= 1.0
-    return g
-
-
-def _quadratic_qf2(x):
+def _quadratic_qf2(n):
     """0.5 sum i (x_i^2 - 1)^2 - x_n."""
-    return float(0.5 * _sum(_IDX * (x**2 - 1.0) ** 2) - x[-1])
+    i = np.arange(1.0, n + 1.0)
+
+    def grad(x):
+        g = 2.0 * i * x * (x**2 - 1.0)
+        g[-1] -= 1.0
+        return g
+
+    return lambda x: float(0.5 * _sum(i * (x**2 - 1.0) ** 2) - x[-1]), grad
 
 
-def _quadratic_qf2_grad(x):
-    g = 2.0 * _IDX * x * (x**2 - 1.0)
-    g[-1] -= 1.0
-    return g
-
-
-def _raydan1(x):
+def _raydan1(n):
     """sum (i/10) (exp(x_i) - x_i)."""
-    return float(_sum(_IDX / 10.0 * (np.exp(x) - x)))
+    c = np.arange(1.0, n + 1.0) / 10.0
+    return lambda x: float(_sum(c * (np.exp(x) - x))), lambda x: c * (np.exp(x) - 1.0)
 
 
-def _raydan1_grad(x):
-    return _IDX / 10.0 * (np.exp(x) - 1.0)
+def _raydan2(x):
+    """sum (exp(x_i) - x_i)."""
+    return float(_sum(np.exp(x) - x))
 
 
-def _raydan2(n):
-    """sum (exp(x_i) - x_i), from x = 1."""
-    return lambda x: float(_sum(np.exp(x) - x)), lambda x: np.exp(x) - 1.0, np.ones(n)
+def _raydan2_grad(x):
+    return np.exp(x) - 1.0
 
 
-_TRIDIA_I = np.arange(2.0, DIMENSION + 1.0)
-
-
-def _tridia(x):
+def _tridia(n):
     """(x_1 - 1)^2 + sum_{i>=2} i (2 x_i - x_{i-1})^2."""
-    r = 2.0 * x[1:] - x[:-1]
-    return float((x[0] - 1.0) ** 2 + _sum(_TRIDIA_I * r**2))
+    i = np.arange(2.0, n + 1.0)
 
+    def f(x):
+        r = 2.0 * x[1:] - x[:-1]
+        return float((x[0] - 1.0) ** 2 + _sum(i * r**2))
 
-def _tridia_grad(x):
-    r = 2.0 * x[1:] - x[:-1]
-    g = np.zeros(x.shape)
-    g[0] = 2.0 * (x[0] - 1.0)
-    g[1:] += 4.0 * _TRIDIA_I * r
-    g[:-1] -= 2.0 * _TRIDIA_I * r
-    return g
+    def grad(x):
+        r = 2.0 * x[1:] - x[:-1]
+        g = np.zeros(x.shape)
+        g[0] = 2.0 * (x[0] - 1.0)
+        g[1:] += 4.0 * i * r
+        g[:-1] -= 2.0 * i * r
+        return g
+
+    return f, grad
 
 
 # --- registration ----------------------------------------------------------
 
 
-def _ones(value=1.0):
-    return np.full(DIMENSION, float(value))
+def _build_problems(n=10):
+    """The 30 problems in n variables, in table order, each from its standard
+    start.  n must be even, for the extended problems' pairs, and >= 4; the
+    reference counts are those at n = 10 whatever n is."""
+    i = np.arange(1.0, n + 1.0)
 
+    def full(value):
+        return np.full(n, value)
 
-def _pairs(u, v):
-    return np.tile([float(u), float(v)], DIMENSION // 2)
+    def pairs(u, v):
+        return np.tile([u, v], n // 2)
 
-
-def _optimum(x, fun):
-    x = np.asarray(x, dtype=float)
-    return KnownOptimum(x, float(fun(x)))
-
-
-def _build_problems():
-    i = _IDX
     defs = [
         # (name, fun, grad, start, reference bfgs iters, reference two-phase iters, optimum x)
-        ("Almost Perturbed Quadratic", _almost_perturbed_quadratic,
-         _almost_perturbed_quadratic_grad, _ones(0.5), 18, 15, np.zeros(DIMENSION)),
-        ("ARWHEAD", _arwhead, _arwhead_grad, _ones(), 7, 7,
-         np.concatenate([np.ones(DIMENSION - 1), [0.0]])),
-        ("BIGGSB1", _biggsb1, _biggsb1_grad, np.zeros(DIMENSION), 12, 11, _ones()),
-        ("Diagonal 1", _diagonal1, _diagonal1_grad, _ones(1.0 / DIMENSION), 17, 13,
-         np.log(i)),
-        ("Diagonal 2", _diagonal2, _diagonal2_grad, 1.0 / i, 23, 22, -np.log(i)),
-        ("Diagonal 3", _diagonal3, _diagonal3_grad, _ones(), 19, 14, None),
-        ("Diagonal 7", _diagonal7, _diagonal7_grad, _ones(), 5, 7, None),
-        ("Diagonal 9", _diagonal9, _diagonal9_grad, _ones(), 22, 14,
-         np.concatenate([np.log(i[:-1]), [0.0]])),
-        ("DIXMAANL", _dixmaanl, _dixmaanl_grad, _ones(2.0), 12, 11, np.zeros(DIMENSION)),
-        ("DQDRTIC", _dqdrtic, _dqdrtic_grad, _ones(3.0), 13, 20, np.zeros(DIMENSION)),
-        ("EDENSCH", _edensch, _edensch_grad, np.zeros(DIMENSION), 23, 18, None),
-        ("ENGVAL1", _engval1, _engval1_grad, _ones(2.0), 30, 25, None),
+        ("Almost Perturbed Quadratic", *_almost_perturbed_quadratic(n), full(0.5), 18, 15,
+         full(0.0)),
+        ("ARWHEAD", _arwhead, _arwhead_grad, full(1.0), 7, 7, np.append(np.ones(n - 1), 0.0)),
+        ("BIGGSB1", _biggsb1, _biggsb1_grad, full(0.0), 12, 11, full(1.0)),
+        ("Diagonal 1", *_diagonal1(n), full(1.0 / n), 17, 13, np.log(i)),
+        ("Diagonal 2", *_diagonal2(n), 1.0 / i, 23, 22, -np.log(i)),
+        ("Diagonal 3", *_diagonal3(n), full(1.0), 19, 14, None),
+        ("Diagonal 7", _diagonal7, _diagonal7_grad, full(1.0), 5, 7, None),
+        ("Diagonal 9", *_diagonal9(n), full(1.0), 22, 14, np.append(np.log(i[:-1]), 0.0)),
+        ("DIXMAANL", *_dixmaanl(n), full(2.0), 12, 11, full(0.0)),
+        ("DQDRTIC", *_dqdrtic(n), full(3.0), 13, 20, full(0.0)),
+        ("EDENSCH", _edensch, _edensch_grad, full(0.0), 23, 18, None),
+        ("ENGVAL1", _engval1, _engval1_grad, full(2.0), 30, 25, None),
         ("Extended Beale", _extended_beale, _extended_beale_grad,
-         _pairs(1.0, 0.8), 22, 20, _pairs(3.0, 0.5)),
+         pairs(1.0, 0.8), 22, 20, pairs(3.0, 0.5)),
         ("Extended DENSCHNB", _extended_denschnb, _extended_denschnb_grad,
-         _ones(), 7, 7, _pairs(2.0, -1.0)),
+         full(1.0), 7, 7, pairs(2.0, -1.0)),
         ("Extended Freudenstein and Roth", _extended_freudenstein_roth,
-         _extended_freudenstein_roth_grad, _pairs(0.5, -2.0), 10, 9, None),
+         _extended_freudenstein_roth_grad, pairs(0.5, -2.0), 10, 9, None),
         ("Extended PSC1", _extended_psc1, _extended_psc1_grad,
-         _pairs(3.0, 0.1), 13, 12, None),
+         pairs(3.0, 0.1), 13, 12, None),
         ("Extended Tridiagonal 1", _extended_tridiagonal1,
-         _extended_tridiagonal1_grad, _ones(2.0), 21, 20, _pairs(1.0, 2.0)),
+         _extended_tridiagonal1_grad, full(2.0), 21, 20, pairs(1.0, 2.0)),
         ("Extended Tridiagonal 2", _extended_tridiagonal2,
-         _extended_tridiagonal2_grad, _ones(), 11, 9, None),
-        ("Fletcher", _fletcher, _fletcher_grad, np.zeros(DIMENSION), 28, 25, _ones()),
+         _extended_tridiagonal2_grad, full(1.0), 11, 9, None),
+        ("Fletcher", _fletcher, _fletcher_grad, full(0.0), 28, 25, full(1.0)),
         ("Generalized PSC1", _generalized_psc1, _generalized_psc1_grad,
-         _pairs(3.0, 0.1), 23, 14, None),
-        ("Hager", *_hager(DIMENSION), 17, 8, 0.5 * np.log(i)),
-        ("HIMMELH", _himmelh, _himmelh_grad, _ones(1.5), 7, 6, _ones()),
-        ("Partial Perturbed Quadratic", _partial_perturbed_quadratic,
-         _partial_perturbed_quadratic_grad, _ones(0.5), 16, 16, np.zeros(DIMENSION)),
-        ("Perturbed Quadratic Diagonal", *_perturbed_quadratic_diagonal(DIMENSION), 10, 5,
-         np.zeros(DIMENSION)),
-        ("Perturbed Tridiagonal Quadratic", _perturbed_tridiagonal_quadratic,
-         _perturbed_tridiagonal_quadratic_grad, _ones(0.5), 18, 14, np.zeros(DIMENSION)),
-        ("Quadratic QF1", _quadratic_qf1, _quadratic_qf1_grad, _ones(), 16, 11,
-         np.concatenate([np.zeros(DIMENSION - 1), [1.0 / DIMENSION]])),
-        ("Quadratic QF2", _quadratic_qf2, _quadratic_qf2_grad, _ones(0.5), 23, 17, None),
-        ("Raydan1", _raydan1, _raydan1_grad, _ones(), 18, 16, np.zeros(DIMENSION)),
-        ("Raydan2", *_raydan2(DIMENSION), 7, 5, np.zeros(DIMENSION)),
-        ("Tridia", _tridia, _tridia_grad, _ones(), 15, 16, 0.5 ** np.arange(DIMENSION)),
+         pairs(3.0, 0.1), 23, 14, None),
+        ("Hager", *_hager(n), full(1.0), 17, 8, 0.5 * np.log(i)),
+        ("HIMMELH", _himmelh, _himmelh_grad, full(1.5), 7, 6, full(1.0)),
+        ("Partial Perturbed Quadratic", *_partial_perturbed_quadratic(n), full(0.5), 16, 16,
+         full(0.0)),
+        ("Perturbed Quadratic Diagonal", *_perturbed_quadratic_diagonal(n), full(0.5), 10, 5,
+         full(0.0)),
+        ("Perturbed Tridiagonal Quadratic", *_perturbed_tridiagonal_quadratic(n), full(0.5),
+         18, 14, full(0.0)),
+        ("Quadratic QF1", *_quadratic_qf1(n), full(1.0), 16, 11,
+         np.append(np.zeros(n - 1), 1.0 / n)),
+        ("Quadratic QF2", *_quadratic_qf2(n), full(0.5), 23, 17, None),
+        ("Raydan1", *_raydan1(n), full(1.0), 18, 16, full(0.0)),
+        ("Raydan2", _raydan2, _raydan2_grad, full(1.0), 7, 5, full(0.0)),
+        ("Tridia", *_tridia(n), full(1.0), 15, 16, 0.5 ** np.arange(n)),
     ]
     problems = []
     for name, fun, grad, start, bfgs_iters, twophase_iters, best_x in defs:
-        objective = ObjectiveFunction(name, DIMENSION, fun, grad, start)
-        optimum = _optimum(best_x, fun) if best_x is not None else None
+        objective = ObjectiveFunction(name, n, fun, grad, start)
+        optimum = None if best_x is None else KnownOptimum(best_x, float(fun(best_x)))
         problems.append(SuiteProblem(objective, bfgs_iters, twophase_iters, optimum))
     return problems
 

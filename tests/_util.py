@@ -1,12 +1,14 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
+
 import numpy as np
 
 from qnbench import ObjectiveFunction
 from qnbench.linalg import inverse_spd
 from qnbench.objectives import FD_STEP
 from qnbench.solvers import _CompactH, _operator
-from qnbench.suite import _hager, _perturbed_quadratic_diagonal, _raydan2
+from qnbench.suite import _build_problems
 
 
 def iterate_sequence(result):
@@ -75,20 +77,12 @@ def compact_from(R):
     return H
 
 
-def perturbed_quadratic_diagonal(n):
-    """``qnbench.suite``'s Perturbed Quadratic Diagonal in n variables, named with its n."""
-    return ObjectiveFunction(f"Perturbed Quadratic Diagonal n={n}", n,
-                             *_perturbed_quadratic_diagonal(n))
-
-
-def hager(n):
-    """``qnbench.suite``'s Hager in n variables, named with its n."""
-    return ObjectiveFunction(f"Hager n={n}", n, *_hager(n))
-
-
-def raydan2(n):
-    """``qnbench.suite``'s Raydan2 in n variables, named with its n."""
-    return ObjectiveFunction(f"Raydan2 n={n}", n, *_raydan2(n))
+def at_n(name, n):
+    """``qnbench.suite``'s problem ``name`` in n variables, its objective named
+    ``"<name> n=<n>"``."""
+    problem = next(p for p in _build_problems(n) if p.name == name)
+    objective = dataclasses.replace(problem.objective, name=f"{name} n={n}")
+    return dataclasses.replace(problem, objective=objective)
 
 
 def bfgs_update_H_dense(H, s, y):

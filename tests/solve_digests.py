@@ -11,9 +11,9 @@ fields: the bytes of x, g, p and p_bar, f, ``psi_next`` and the coupling as
 the fields, not the array that holds them, so it compares two trees whose
 records lay their values out differently.  The solves are the 30 suite
 problems under BFGS, two-phase ``b_form`` and two-phase ``h_form_literal``,
-and Hager, Perturbed Quadratic Diagonal and Raydan2 from ``qnbench.suite``'s
-builders of n at n = 100 and 300 under BFGS and ``b_form``, where the compact
-operator runs; each from its standard start x0 and from 10 x0.  The last line
+and Hager, Perturbed Quadratic Diagonal and Raydan2 as ``qnbench.suite``
+defines them for any n, at n = 100 and 300 under BFGS and ``b_form``, where the
+compact operator runs; each from its standard start x0 and from 10 x0.  The last line
 digests all the lines above it.  The library is imported from ``src/`` next to
 this directory, with one BLAS thread and, unless ``OPENBLAS_CORETYPE`` is set,
 the OpenBLAS kernel that the tests' ``conftest.py`` pins: two trees compare
@@ -45,7 +45,7 @@ import numpy as np  # noqa: E402
 from qnbench import SolverConfig, solve_bfgs, solve_two_phase, suite  # noqa: E402
 from qnbench.solvers import MODE_H_FORM_LITERAL  # noqa: E402
 
-from _util import hager, perturbed_quadratic_diagonal, raydan2  # noqa: E402
+from _util import at_n  # noqa: E402
 
 H_FORM = SolverConfig(mode=MODE_H_FORM_LITERAL)
 
@@ -75,7 +75,8 @@ def solves():
     runs = [("bfgs", solve_bfgs, None), ("b_form", solve_two_phase, None),
             ("h_form_literal", solve_two_phase, H_FORM)]
     objectives = [(p.objective, runs) for p in suite()]
-    objectives += [(make(n), runs[:2]) for make in (hager, perturbed_quadratic_diagonal, raydan2)
+    objectives += [(at_n(name, n).objective, runs[:2])
+                   for name in ("Hager", "Perturbed Quadratic Diagonal", "Raydan2")
                    for n in (100, 300)]
     for objective, objective_runs in objectives:
         for scale in (1.0, 10.0):

@@ -24,8 +24,7 @@ from qnbench.objectives import default_check_points
 from qnbench.solvers import (MODE_H_FORM_LITERAL, bfgs_update_B, bfgs_update_H,
                              two_phase_combine)
 
-from _util import (curvature_pair, hager, iterate_sequence, make_spd,
-                   perturbed_quadratic_diagonal, quadratic_hessian, raydan2)
+from _util import at_n, curvature_pair, iterate_sequence, make_spd, quadratic_hessian
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +117,8 @@ def test_criterion_4_update_identity_suite():
 
 MODE_EQUIVALENCE_PROBLEMS = ("Quadratic QF1", "Raydan2", "Hager", "Tridia", "Diagonal 1")
 # the oracle beyond the paper's n = 10, below COMPACT_MIN_N, so b_form is dense
-MODE_EQUIVALENCE_SCALED = [make(n) for make in (hager, raydan2, perturbed_quadratic_diagonal)
+MODE_EQUIVALENCE_SCALED = [at_n(name, n).objective
+                           for name in ("Hager", "Raydan2", "Perturbed Quadratic Diagonal")
                            for n in (30, 60)]
 
 

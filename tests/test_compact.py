@@ -22,8 +22,8 @@ from qnbench.linalg import SPDError
 from qnbench.solvers import (COMPACT_MIN_N, MODE_H_FORM_LITERAL, _CompactH, _DenseH, _LiteralH,
                              _operator)
 
-from _util import (b_next, compact_dense, compact_from, curvature_pair, iterate_sequence,
-                   perturbed_quadratic_diagonal, raydan2, replay)
+from _util import (at_n, b_next, compact_dense, compact_from, curvature_pair, iterate_sequence,
+                   replay)
 
 SOLVERS = [solve_bfgs, solve_two_phase]
 SOLVER_IDS = ["bfgs", "two-phase"]
@@ -115,14 +115,14 @@ def test_a_compact_solve_stays_compact_past_n_over_2_updates(monkeypatch, solver
 
 
 @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVER_IDS)
-@pytest.mark.parametrize("build, counts", [
-    (perturbed_quadratic_diagonal, {"bfgs": (60, 63, 61), "two-phase": (53, 109, 107)}),
-    (raydan2, {"bfgs": (7, 8, 8), "two-phase": (6, 13, 13)}),
+@pytest.mark.parametrize("name, counts", [
+    ("Perturbed Quadratic Diagonal", {"bfgs": (60, 63, 61), "two-phase": (53, 109, 107)}),
+    ("Raydan2", {"bfgs": (7, 8, 8), "two-phase": (6, 13, 13)}),
 ], ids=["pqd", "raydan2"])
-def test_compact_and_dense_paths_agree(monkeypatch, solver, build, counts):
+def test_compact_and_dense_paths_agree(monkeypatch, solver, name, counts):
     # both solvers start compact at n = 200 whatever the budget, so the dense
     # run raises the threshold past n
-    f = build(200)
+    f = at_n(name, 200).objective
     name = "bfgs" if solver is solve_bfgs else "two-phase"
     compact = solver(f, f.standard_start, SolverConfig())
     monkeypatch.setattr(solvers, "COMPACT_MIN_N", 201)
@@ -135,13 +135,13 @@ def test_compact_and_dense_paths_agree(monkeypatch, solver, build, counts):
 
 
 @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVER_IDS)
-@pytest.mark.parametrize("build", [perturbed_quadratic_diagonal, raydan2],
+@pytest.mark.parametrize("problem", ["Perturbed Quadratic Diagonal", "Raydan2"],
                          ids=["pqd", "raydan2"])
-def test_carried_psi_is_psi_of_the_represented_operator(solver, build):
+def test_carried_psi_is_psi_of_the_represented_operator(solver, problem):
     # the replay accumulates each B_next = B + U C U' from the replayed pair,
     # apart from the compact H, and asserts that the replayed psi_next is the
     # recorded one
-    f = build(200)
+    f = at_n(problem, 200).objective
     cfg = SolverConfig(max_iter=100)
     res = solver(f, f.standard_start, cfg)
     name = "bfgs" if solver is solve_bfgs else "two-phase"
@@ -294,7 +294,7 @@ def test_compact_peak_memory_is_linear_in_k_n(solver):
     # doubled when full) and the records, a few n-vectors
     # per iteration
     n = 2000
-    f = perturbed_quadratic_diagonal(n)
+    f = at_n("Perturbed Quadratic Diagonal", n).objective
     tracemalloc.start()
     try:
         res = solver(f, f.standard_start, SolverConfig(max_iter=n // 2))

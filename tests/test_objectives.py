@@ -198,6 +198,20 @@ class TestObjectiveFunction:
             ObjectiveFunction("inf", 2, lambda x: 0.0, lambda x: np.zeros(2),
                               np.array([1.0, np.inf]))
 
+    @pytest.mark.parametrize("dimension, size", [
+        (2.5, 2), (2.0, 2), (np.float64(2.0), 2), (True, 1), (np.True_, 1), (0, 0), ("2", 2),
+    ], ids=["float", "integral-float", "numpy-float", "bool", "numpy-bool", "zero", "str"])
+    def test_a_dimension_that_is_no_int_of_at_least_one_is_rejected(self, dimension, size):
+        # each start has the length that int(dimension) gives, so only the
+        # dimension's own check can reject it; records_to_csv would write n as
+        # 2.5, True or 2.0, a CSV that records_from_csv rejects
+        with pytest.raises(ValueError, match=r"^q: dimension must be an int >= 1"):
+            ObjectiveFunction("q", dimension, lambda x: 0.0, np.zeros, np.ones(size))
+
+    def test_a_numpy_integer_dimension_is_stored_as_an_int(self):
+        f = ObjectiveFunction("q", np.int64(2), lambda x: 0.0, np.zeros, np.ones(2))
+        assert f.dimension == 2 and type(f.dimension) is int
+
 
 def test_default_check_points_deterministic():
     f = sphere(4)

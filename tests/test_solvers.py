@@ -39,12 +39,12 @@ from qnbench.solvers import (
 from _util import (
     WRONG_GRADIENT_IDS,
     WRONG_GRADIENT_SHAPES,
+    at_n,
     bfgs_update_H_dense,
     b_next,
     curvature_pair,
     iterate_sequence,
     make_spd,
-    perturbed_quadratic_diagonal,
     replay,
     sphere,
     sum_with_gradient_shape,
@@ -133,7 +133,7 @@ def test_an_iteration_keeps_its_vectors_in_one_array(solver, n):
     # two-phase, p_bar, with f, psi_next and the coupling in its last column;
     # each vector is a view of its row, and each scalar reads back bit for bit.
     # The pair's y is no row and no field
-    f = perturbed_quadratic_diagonal(n)
+    f = at_n("Perturbed Quadratic Diagonal", n).objective
     result = solver(f, f.standard_start)
     two_phase = solver is solve_two_phase
     rows = 4 if two_phase else 3

@@ -7,7 +7,9 @@ import pytest
 
 from qnbench import CONVERGED, UnknownProblemError, check_gradient, lookup, suite
 from qnbench.objectives import default_check_points
-from qnbench.suite import _hager, _perturbed_quadratic_diagonal, _raydan2, manifest_csv
+from qnbench.suite import manifest_csv
+
+from _util import at_n
 
 EXPECTED_ORDER = [
     "Almost Perturbed Quadratic", "ARWHEAD", "BIGGSB1", "Diagonal 1",
@@ -98,16 +100,30 @@ class TestValues:
             assert abs(value - p.known_optimum.f) <= 1e-10, p.name
 
     @pytest.mark.parametrize("n", [30, 300, 1000])
-    @pytest.mark.parametrize("build, optimum", [  # closed-form (x*, f*) over i = 1 .. n
-        (_hager, lambda i: (0.5 * np.log(i), float(np.sum(np.sqrt(i) * (1.0 - 0.5 * np.log(i)))))),
-        (_perturbed_quadratic_diagonal, lambda i: (np.zeros(i.size), 0.0)),
-        (_raydan2, lambda i: (np.zeros(i.size), float(i.size))),
+    @pytest.mark.parametrize("name, optimum", [  # closed-form (x*, f*) over i = 1 .. n
+        ("Hager",
+         lambda i: (0.5 * np.log(i), float(np.sum(np.sqrt(i) * (1.0 - 0.5 * np.log(i)))))),
+        ("Perturbed Quadratic Diagonal", lambda i: (np.zeros(i.size), 0.0)),
+        ("Raydan2", lambda i: (np.zeros(i.size), float(i.size))),
     ], ids=["hager", "pqd", "raydan2"])
-    def test_any_n_optima_are_stationary(self, build, optimum, n):
-        f, g, _ = build(n)
+    def test_any_n_optima_are_stationary(self, name, optimum, n):
+        problem = at_n(name, n)
         x_star, f_star = optimum(np.arange(1.0, n + 1.0))
-        assert np.linalg.norm(g(x_star)) <= 1e-8
-        assert abs(f(x_star) - f_star) <= 1e-10
+        assert np.linalg.norm(problem.objective.gradient(x_star)) <= 1e-8
+        assert abs(problem.objective.evaluate(x_star) - f_star) <= 1e-10
+        assert abs(problem.known_optimum.f - f_star) <= 1e-10
+
+    @pytest.mark.parametrize("n", [4, 12, 100])
+    @pytest.mark.parametrize("name", EXPECTED_ORDER)
+    def test_every_problem_holds_at_other_n(self, name, n):
+        # the gate that suite() applies at n = 10, and a recorded optimum
+        # that is stationary
+        problem = at_n(name, n)
+        objective = problem.objective
+        report = check_gradient(objective, default_check_points(objective))
+        assert report.passed, f"rel error {report.max_rel_error:.3e}"
+        if problem.known_optimum is not None:
+            assert np.linalg.norm(objective.gradient(problem.known_optimum.x)) <= 1e-8
 
 
 class TestGradientGate:
