@@ -16,7 +16,6 @@ import statistics
 import sys
 import time
 from dataclasses import dataclass
-from xml.sax.saxutils import escape, quoteattr
 
 from qnbench.objectives import _count
 from qnbench.solvers import SolveResult, SolverConfig, solve_bfgs, solve_two_phase
@@ -266,6 +265,21 @@ _SVG_W, _SVG_H = 640, 480
 _SVG_ML, _SVG_MR, _SVG_MT, _SVG_MB = 70, 20, 24, 52
 
 
+# xml.sax.saxutils' escape and quoteattr, byte for byte: importing that module
+# pulls in urllib.request, http.client, email, ssl and socket
+def _escape(text):
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(text):
+    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 def profile_svg(curves) -> str:
     """Self-contained step plot of profile curves (no external assets)."""
     curves = list(curves)
@@ -323,12 +337,12 @@ def profile_svg(curves) -> str:
             d.append(f"L {sx(tau):.2f} {sy(p_prev):.2f}")
             d.append(f"L {sx(tau):.2f} {sy(p):.2f}")
         d.append(f"L {sx(tau_hi):.2f} {sy(pts[-1][1]):.2f}")
-        parts.append(f'<path class="profile-curve" data-solver={quoteattr(curve.solver)} '
+        parts.append(f'<path class="profile-curve" data-solver={_quoteattr(curve.solver)} '
                      f'd="{" ".join(d)}" fill="none" stroke="{color}" stroke-width="2"/>')
         ly = _SVG_MT + 18 + 18 * idx
         parts.append(f'<line x1="{_SVG_ML + 10}" y1="{ly}" x2="{_SVG_ML + 34}" y2="{ly}" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text class="legend-label" x="{_SVG_ML + 40}" y="{ly + 4}" '
-                     f'font-family="sans-serif" font-size="13">{escape(curve.solver)}</text>')
+                     f'font-family="sans-serif" font-size="13">{_escape(curve.solver)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

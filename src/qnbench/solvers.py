@@ -422,6 +422,8 @@ class _CompactH:
     Every update appends two rows to R, the first with sign +1 and the second
     with sign -1, and ``H @ v`` costs O(kn) for R's 2k rows.  ``rows`` holds R,
     whose first ``m`` rows are in use; its odd rows are the ones with sign -1.
+    A full ``rows`` grows in place by the two new rows, so it holds exactly 2k
+    rows and no copy of them; no view of ``rows`` may outlive a call.
     """
 
     def __init__(self, n):
@@ -441,8 +443,11 @@ class _CompactH:
         HU = [s, Hy], s = H Bs, and the M of :func:`_woodbury_m`, in O(kn), under
         the same inertia certificate.  It appends the two rows of the LDL'
         factorization of M^{-1}: Hy/sqrt(m22) with sign +1 and
-        sqrt(m22/(-det M)) (s - (m12/m22) Hy) with sign -1.  When R is full, its
-        array doubles.  Every check runs before the first write.
+        sqrt(m22/(-det M)) (s - (m12/m22) Hy) with sign -1.  When R is full,
+        ``rows`` grows in place (numpy's realloc) by exactly those two rows,
+        after the update drops its own view of it, since numpy refuses to resize
+        an array that another object references.  Every check runs before the
+        first write.
         """
         _, yy = _curvature(s, y)
         m, n = self.m, self.rows.shape[1]
@@ -455,9 +460,9 @@ class _CompactH:
         HU -= W @ R
         s, Hy = HU
         sy, sBs, yHy, _, m22, det = _woodbury_m(s, y, Bs, Hy, lam)
+        del R, W
         if m + 2 > len(self.rows):
-            self.rows = np.empty((2 * len(self.rows), n))
-            self.rows[:m] = R
+            self.rows.resize((m + 2, n))
         self.rows[m] = Hy / math.sqrt(m22)
         self.rows[m + 1] = math.sqrt(m22 / -det) * (s - sy / m22 * Hy)
         self.m = m + 2

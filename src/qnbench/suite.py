@@ -550,33 +550,37 @@ def _build_problems(n=10):
     problems = []
     for name, fun, grad, start, bfgs_iters, twophase_iters, best_x in defs:
         objective = ObjectiveFunction(name, n, fun, grad, start)
-        optimum = None if best_x is None else KnownOptimum(best_x, float(fun(best_x)))
+        try:
+            optimum = None if best_x is None else KnownOptimum(best_x, float(fun(best_x)))
+        except ValueError as err:
+            raise ValueError(f"{name}: f at the recorded optimum: {err}") from err
         problems.append(SuiteProblem(objective, bfgs_iters, twophase_iters, optimum))
     return problems
 
 
 class GradientCheckError(RuntimeError):
     """A suite problem's gradient check failed, met a non-finite value or met a
-    gradient of the wrong shape."""
+    gradient of the wrong shape, or its f raised at its recorded optimum."""
 
 
 def gradient_reports() -> list[tuple[SuiteProblem, GradientCheckReport]]:
     """Every problem with its gradient check; :class:`GradientCheckError`
     names the first problem whose check fails, meets a non-finite value or
-    meets a gradient of the wrong shape."""
+    meets a gradient of the wrong shape, or whose f raises at its recorded
+    optimum."""
     checked = []
-    for problem in _build_problems():
-        try:
+    try:
+        for problem in _build_problems():
             report = check_gradient(problem.objective, default_check_points(problem.objective))
-        except ValueError as err:  # its message begins with the problem's name
-            raise GradientCheckError(str(err)) from err
-        if not report.passed:
-            raise GradientCheckError(
-                f"{problem.name}: analytic gradient disagrees with central "
-                f"differences (rel error {report.max_rel_error:.3e} at "
-                f"coordinate {report.worst_coordinate})"
-            )
-        checked.append((problem, report))
+            if not report.passed:
+                raise GradientCheckError(
+                    f"{problem.name}: analytic gradient disagrees with central "
+                    f"differences (rel error {report.max_rel_error:.3e} at "
+                    f"coordinate {report.worst_coordinate})"
+                )
+            checked.append((problem, report))
+    except ValueError as err:  # its message begins with the problem's name
+        raise GradientCheckError(str(err)) from err
     return checked
 
 

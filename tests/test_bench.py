@@ -1,8 +1,11 @@
 import xml.etree.ElementTree as ET
 from collections import Counter
+from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnbench import ObjectiveFunction, SolverConfig, SuiteProblem, bench, lookup
 from qnbench.bench import (
@@ -340,6 +343,14 @@ class TestProfileSvg:
                 if el.get("class") == "profile-curve"] == [name, "other"]
         assert [el.text for el in root.iter(f"{SVG_NS}text")
                 if el.get("class") == "legend-label"] == [name, "other"]
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.text(st.sampled_from("&<>\"'\n\r\t a;#")) | st.text())
+    def test_escapes_are_xml_sax_saxutils_byte_for_byte(self, text):
+        # bench writes its own two escapes, so that importing it does not
+        # import xml.sax.saxutils; the module stays their oracle
+        assert bench._escape(text) == escape(text)
+        assert bench._quoteattr(text) == quoteattr(text)
 
 
 class TestSuiteScaleRunSmoke:

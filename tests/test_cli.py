@@ -2,7 +2,11 @@ import csv
 import dataclasses
 import importlib
 import io
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,6 +358,28 @@ class TestCheckAndList:
         assert captured.err.splitlines() == [
             "qnbench check: Raydan2: gradient has shape (10, 1), expected (10,)"]
 
+    def test_check_reports_an_objective_that_raises_at_its_optimum(self, monkeypatch, capsys):
+        # registration evaluates f at each recorded optimum, before the gate
+        # runs; a Diagonal 9 whose weights miss one entry raises a broadcast
+        # ValueError there, which ends check as the gate's failures do
+        def broken_diagonal9(n):
+            i = np.arange(1.0, 9.0)
+            return (lambda x: float(np.sum(np.exp(x[:-1]) - i * x[:-1]) + 1e4 * x[-1] ** 2),
+                    lambda x: np.zeros(x.shape))
+
+        monkeypatch.setattr(suite_module, "_diagonal9", broken_diagonal9)
+        suite_module.suite.cache_clear()
+        try:
+            code = main(["check"])
+        finally:
+            suite_module.suite.cache_clear()
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("qnbench check: Diagonal 9: f at the recorded optimum: ")
+
     def test_list_prints_manifest(self, capsys):
         code = main(["list"])
         out = capsys.readouterr().out
@@ -361,6 +387,20 @@ class TestCheckAndList:
         lines = out.strip().split("\n")
         assert lines[0].startswith("name,dimension,f_start")
         assert len(lines) == 31
+
+
+def test_importing_the_cli_loads_no_network_or_xml_module():
+    # a fresh interpreter: the CLI's cold start imports none of xml,
+    # urllib.request, http.client, email, ssl or socket
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, qnbench.cli; print(' '.join(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert "qnbench.cli" in out
+    assert [m for m in out if m.split(".")[0] in ("xml", "http", "email", "ssl", "socket")
+            or m == "urllib.request"] == []
 
 
 class TestParser:

@@ -156,20 +156,20 @@ def test_h_times_v_is_the_inverse_of_the_represented_operator(lam):
     rng = np.random.default_rng(11)
     n = 50
     H, B = _CompactH(n), np.eye(n)
-    for _ in range(12):  # 24 rows: R's array doubles from 2 to 32
+    for _ in range(12):  # 24 rows: R's array grows in place by two rows per update
         Bs, y = curvature_pair(rng, n)
         H.update(H @ Bs, y, Bs, lam)
         B = b_next(B, Bs, y, lam)
         for v in rng.standard_normal((3, n)):
             want = np.linalg.solve(B, v)
             assert np.linalg.norm(H @ v - want) <= 1e-10 * np.linalg.norm(want)
-    assert H.m == 24 and H.rows.shape[0] == 32
+    assert H.m == 24 and H.rows.shape == (24, n)
 
 
 def _indefinite():
     """The compact H = diag(-1, 1/2, 1, 1, 1, 1) (n = 6), the inverse of no SPD B:
     rows sqrt(2) e_1, 0, e_2/sqrt(2) and 0, so sqrt(2) e_1 and e_2/sqrt(2) have
-    sign +1.  Its four rows leave room for one update before R is full."""
+    sign +1.  All four rows are in use, so R is full: an update would grow it."""
     R = np.zeros((4, 6))
     R[0, 0], R[2, 1] = math.sqrt(2.0), math.sqrt(0.5)
     return compact_from(R)
@@ -183,8 +183,10 @@ def _indefinite():
 
 
 @pytest.mark.parametrize("case", ["m22-not-positive", "det-M-at-or-above-zero",
-                                  "det-M-underflows"])
+                                  "det-M-underflows", "m22-not-positive-with-room"])
 def test_an_uncertified_m_raises_before_it_writes(case):
+    # R is full in the first three cases, so a certified update would grow
+    # rows in place; in the last, rows has two spare rows past m
     if case == "det-M-underflows":
         # H = I, held as two zero rows, and a pair at scale 1e-85: s'Bs, s'y
         # and m22 are near 1e-170, but m11 m22 and m12^2 underflow to 0, so
@@ -193,14 +195,17 @@ def test_an_uncertified_m_raises_before_it_writes(case):
         Bs = 1e-85 * np.array([1.0, 2.0, 0.0, 0.0, 0.0, 0.0])
         y = 1e-85 * np.array([2.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     else:
-        a = 1.8 if case == "m22-not-positive" else 3.0
+        a = 1.8 if case.startswith("m22-not-positive") else 3.0
         H, Bs, y = _indefinite(), -np.eye(6)[2], -np.array([a, 0.0, 1.0, 0.0, 0.0, 0.0])
+    if case.endswith("-with-room"):
+        H.rows = np.vstack((H.rows, np.zeros((2, 6))))
+    assert len(H.rows) == H.m + 2 * case.endswith("-with-room")
     rows = H.rows
-    before = (H.m, rows.copy())
+    before = (H.m, rows.shape, rows.copy())
     with pytest.raises(SPDError, match="m22 = .* and det M = "):
         H.update(H @ Bs, y, Bs, 0.5)
-    assert H.m == before[0] and H.rows is rows
-    assert np.array_equal(rows, before[1])
+    assert H.m == before[0] and H.rows is rows and rows.shape == before[1]
+    assert np.array_equal(rows, before[2])
     # the dense b_form on the same H runs the same certificate, before it writes H
     H = _DenseH(compact_dense(H))
     kept = H.H.copy()
@@ -211,8 +216,8 @@ def test_an_uncertified_m_raises_before_it_writes(case):
 
 def test_a_wrong_inertia_ends_the_solve_spd_failure(monkeypatch):
     # f = x'Gx/2 + x_3 from 0, with G = I but G_13 = G_31 = a, and the H above,
-    # held compact, dense, or compact with R's array full, so that the update
-    # would double it:
+    # held compact, dense, or compact with two more rows, zero, in use; R is
+    # full in both compact cases, so a certified update would grow it:
     # p_bar = -e_3 descends, the unit step is exact, and the update meets the
     # pair above, for either a and for BFGS (lam = 0, m22 = 2 - a^2) as for
     # two-phase
@@ -262,37 +267,34 @@ def test_bfgs_passes_the_inertia_test_on_every_curvature_pair(monkeypatch):
 
 
 def test_a_compact_update_allocates_no_m_by_m_temporary():
-    # an update allocates a few vectors of length n or m, and no m x m array,
-    # so its peak does not grow with m past a few n: at n = 300 one
-    # update peaks below 8n floats with R at 20 rows and at 296, where one
-    # m x m array at m = 296 is 292n floats.  R's array has room for both
-    # updates' rows, so neither peak holds its doubling
+    # an update allocates a few vectors of length n or m, and no m x m array
+    # and no copy of R, so its peak over what was held before it stays below
+    # 2n floats for R's two new rows plus 8n: at n = 300, over 149 updates that
+    # each grow R, up to m = 296, where one m x m array is 292n floats and a
+    # copy of R 296n
     rng = np.random.default_rng(19)
     n = 300
-    H = _CompactH(n)
-    peaks = {}
-    for k in range(149):
-        Bs, y = curvature_pair(rng, n)
-        if k in (10, 148):
-            assert H.rows.shape[0] >= H.m + 2
+    tracemalloc.start()
+    try:
+        H = _CompactH(n)
+        peaks = []
+        for _ in range(149):
+            Bs, y = curvature_pair(rng, n)
             s = H @ Bs
-            tracemalloc.start()
-            try:
-                H.update(s, y, Bs, 0.5)
-                peaks[H.m - 2] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        else:
-            H.update(H @ Bs, y, Bs, 0.5)
-    assert sorted(peaks) == [20, 296]
-    assert max(peaks.values()) < 8 * 8 * n
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            H.update(s, y, Bs, 0.5)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+    finally:
+        tracemalloc.stop()
+    assert H.m == 298 and H.rows.shape == (298, n)
+    assert max(peaks) <= 8 * (2 * n + 8 * n)
 
 
 @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVER_IDS)
 def test_compact_peak_memory_is_linear_in_k_n(solver):
-    # one n x n at n = 2000 is 32 MB; the compact solve holds R (2k rows,
-    # doubled when full) and the records, a few n-vectors
-    # per iteration
+    # one n x n at n = 2000 is 32 MB; the compact solve holds R (exactly 2k
+    # rows, grown in place) and the records, a few n-vectors per iteration
     n = 2000
     f = at_n("Perturbed Quadratic Diagonal", n).objective
     tracemalloc.start()
@@ -302,4 +304,4 @@ def test_compact_peak_memory_is_linear_in_k_n(solver):
     finally:
         tracemalloc.stop()
     assert res.converged
-    assert peak <= 16 * 8 * res.iterations * n
+    assert peak <= 8 * 8 * res.iterations * n
